@@ -9,8 +9,11 @@ price * (relay power obtained).
 Because a user's allocated power sweeps [0, budget) monotonically as its own
 bid grows, the best response is linear in (sum of opponents' bids + reserve):
 bid = f(price) * (opponents + reserve).  This module computes the factor f
-in closed form for the SNR auction, numerically for the power auction, and
-exposes the two critical prices that delimit its branches.
+in closed form for both auctions and exposes the two critical prices that
+delimit its branches.  The power auction's closed form rests on concavity:
+past the breakeven power the rate increase is the log of a concave,
+increasing SNR, so the first-order condition (a quadratic in relay power)
+gives the best response and the peak of rate per watt gives the cutoff.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .channel import (
     relayed_snr,
     relayed_snr_limit,
 )
-from .numutil import bisect_root, bisect_transition, expand_until, golden_max
+from .numutil import bisect_root
 
 SNR = "snr"
 POWER = "power"
@@ -248,20 +252,52 @@ def snr_best_response_factor(
 
 # ---------------------------------------------------------------------------
 # power auction
+#
+# Past its breakeven power x0 the rate increase r(p) equals the unclamped
+# u(p) = 0.5 W log2(1 + g + s(p)) - W log2(1 + g), the log of a concave
+# increasing SNR and hence concave.  On [x0, budget] the net gain
+# r(p) - price * p therefore peaks where r'(p) = price, and r(p) / p peaks
+# where p r'(p) = r(p).
 
 
-def _power_net_gain(link: UserLink, p_rd, price: float, sys: SystemParams):
-    return rate_increase(link, p_rd, sys) - price * np.asarray(p_rd, dtype=float)
+def _power_curve(link: UserLink, sys: SystemParams) -> tuple[float, float, float, float]:
+    """(g, b, c, K): direct SNR, SNR limit, gain_rd / noise and W / (2 ln 2)."""
+    return (
+        direct_snr(link, sys),
+        relayed_snr_limit(link, sys),
+        link.gain_rd / sys.noise_w,
+        sys.bandwidth_hz / (2.0 * LN2),
+    )
+
+
+def _power_first_order_point(link: UserLink, price: float, sys: SystemParams) -> float:
+    """Relay power at which u'(p) = price, or 0 when u' stays below price.
+
+    With a = p c, c = gain_rd / noise, b the SNR limit, g the direct SNR and
+    K = W / (2 ln 2), u'(p) = K c b (b+1) / ((a+b+1) ((1+g)(a+b+1) + a b)), so
+    u'(p) = price is the quadratic
+    (1+g+b) a^2 + (b+1)(2+2g+b) a + (b+1)^2 (1+g) - K c b (b+1) / price = 0.
+    It is solved in t = a / (b+1) (divided through by (b+1)^2, which keeps the
+    coefficients in range), taking the positive root in the form free of
+    cancellation.  The discriminant is at least b^2, so the root is real.
+    """
+    g, b, c, k = _power_curve(link, sys)
+    q2 = 1.0 + g + b
+    q1 = 2.0 + 2.0 * g + b
+    q0 = 1.0 + g - k * c * b / ((b + 1.0) * price)
+    t = -2.0 * q0 / (q1 + math.sqrt(q1 * q1 - 4.0 * q2 * q0))
+    return max(t, 0.0) * (b + 1.0) / c
 
 
 def power_best_response_factor(
     link: UserLink, price: float, budget: float, sys: SystemParams
 ) -> BestResponse:
-    """Best-response factor in the power auction from the exact objective.
+    """Best-response factor in the power auction, in closed form.
 
-    The net gain (rate increase minus price * power) is flat then concave in
-    the allocated power, so a golden-section search over [breakeven, budget]
-    finds its maximum.  When the gain still climbs at the budget cap and is
+    The net gain (rate increase minus price * power) is zero up to the
+    breakeven power and concave beyond it, so its maximum over
+    [breakeven, budget] sits at the root of the first-order condition clamped
+    to that interval.  When the gain still climbs at the budget cap and is
     positive there, no finite bid is optimal and the response diverges.
     """
     if not price > 0.0:
@@ -269,12 +305,11 @@ def power_best_response_factor(
     x0 = breakeven_power(link, sys)
     if x0 is None or x0 >= budget:
         return BestResponse.zero()
-    end_gain = float(_power_net_gain(link, budget, price, sys))
+    end_gain = float(rate_increase(link, budget, sys)) - price * budget
     if rate_increase_power_slope(link, budget, sys) > price:
         return BestResponse.infinite() if end_gain > 0.0 else BestResponse.zero()
-    x, v = golden_max(
-        lambda p: float(_power_net_gain(link, p, price, sys)), x0, budget, rtol=1e-10
-    )
+    x = min(max(_power_first_order_point(link, price, sys), x0), budget)
+    v = float(rate_increase(link, x, sys)) - price * x
     if end_gain > v:
         x, v = budget, end_gain
     if v <= 0.0:
@@ -284,37 +319,51 @@ def power_best_response_factor(
     return BestResponse.finite(x / (budget - x))
 
 
-def _max_power_profit(link: UserLink, price: float, budget: float, sys: SystemParams) -> float:
+def power_cutoff_point(link: UserLink, budget: float, sys: SystemParams) -> Optional[float]:
+    """Relay power p in (0, budget] that maximizes r(p) / p; None if r stays 0.
+
+    The best attainable profit max_p r(p) - price * p is positive exactly
+    when price < r(p) / p for some p, so this maximizer fixes the power
+    auction's participation cutoff.  On [breakeven, budget]
+    phi(p) = p u'(p) - u(p) has derivative p u''(p) <= 0 and is positive at
+    the breakeven power, where u vanishes; the maximizer is therefore the
+    budget when phi(budget) >= 0 and the root of phi otherwise.  The direct
+    SNR must be positive, as it is in every valid scenario.
+    """
     x0 = breakeven_power(link, sys)
-    if x0 is None or x0 >= budget:
-        return 0.0
-    _, v = golden_max(lambda p: float(_power_net_gain(link, p, price, sys)), x0, budget, rtol=1e-10)
-    return max(v, float(_power_net_gain(link, budget, price, sys)), 0.0)
+    if x0 is None or x0 >= budget or float(rate_increase(link, budget, sys)) <= 0.0:
+        return None
+    g, b, c, k = _power_curve(link, sys)
+    if not g > 0.0:
+        raise ValueError("direct SNR must be strictly positive")
+
+    def phi(p: float) -> float:
+        a = p * c
+        s = a * b / (a + b + 1.0)
+        slope = k * c * b * (b + 1.0) / ((a + b + 1.0) ** 2 * (1.0 + g + s))
+        # u(p) as log1p of (s - g^2 - g) / (1+g)^2: exact near the breakeven
+        return p * slope - k * math.log1p((s - g * g - g) / (1.0 + g) ** 2)
+
+    if phi(budget) >= 0.0:
+        return budget
+    return bisect_root(phi, x0, budget)
 
 
 @lru_cache(maxsize=1 << 16)
 def power_critical_prices(link: UserLink, budget: float, sys: SystemParams) -> CriticalPrices:
-    """Critical prices of the power auction, computed from the exact payoff.
+    """Critical prices of the power auction, in closed form.
 
     pi_lower is the marginal rate increase per watt at the full budget;
-    pi_hat is the smallest price at which the best attainable profit drops to
-    zero, found by bisection with an inner one-dimensional maximization.  A
-    user that cannot profit at any power (direct link too strong relative to
-    the relay path, or breakeven out of reach) gets pi_hat = 0.
+    pi_hat = max over (0, budget] of r(p) / p, the price at which the best
+    attainable profit drops to zero, read at power_cutoff_point.  A user that
+    cannot profit at any power (direct link too strong relative to the relay
+    path, or breakeven out of reach) gets pi_hat = 0.
     """
     pi_lower = rate_increase_power_slope(link, budget, sys)
-    x0 = breakeven_power(link, sys)
-    if x0 is None or x0 >= budget or float(rate_increase(link, budget, sys)) <= 0.0:
+    p = power_cutoff_point(link, budget, sys)
+    if p is None:
         return CriticalPrices(pi_lower=pi_lower, pi_hat=0.0)
-    # seed well below any profitable price, then expand to bracket the cutoff
-    seed = float(rate_increase(link, budget, sys)) / budget * 1e-6
-    if _max_power_profit(link, seed, budget, sys) <= 0.0:
-        return CriticalPrices(pi_lower=pi_lower, pi_hat=0.0)
-    hi = expand_until(lambda p: _max_power_profit(link, p, budget, sys) <= 0.0, seed * 2.0)
-    lo, hi = bisect_transition(
-        lambda p: _max_power_profit(link, p, budget, sys) <= 0.0, seed, hi, rtol=1e-9
-    )
-    return CriticalPrices(pi_lower=pi_lower, pi_hat=0.5 * (lo + hi))
+    return CriticalPrices(pi_lower=pi_lower, pi_hat=float(rate_increase(link, p, sys)) / p)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ LN2 = math.log(2.0)
 Point = tuple[float, float]
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Shared radio constants: bandwidth, noise power, and path-loss exponent."""
@@ -35,8 +40,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in ("bandwidth_hz", "noise_w", "pathloss_exponent"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            _require_positive_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -52,11 +56,8 @@ class UserLink:
     destination: Optional[Point] = None
 
     def __post_init__(self) -> None:
-        if not self.source_power_w > 0.0:
-            raise ValueError("source_power_w must be strictly positive")
-        for name in ("gain_sd", "gain_sr", "gain_rd"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        for name in ("source_power_w", "gain_sd", "gain_sr", "gain_rd"):
+            _require_positive_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,27 @@ class NetworkScenario:
     relay: Optional[Point] = None
 
     def __post_init__(self) -> None:
-        if not self.relay_budget_w > 0.0:
-            raise ValueError("relay_budget_w must be strictly positive")
+        _require_positive_finite("relay_budget_w", self.relay_budget_w)
         if not self.users:
             raise ValueError("scenario needs at least one user")
+        for u in self.users:
+            g = direct_snr(u, self.system)
+            if not 0.0 < g < math.inf:
+                raise ValueError(
+                    f"user {u.user_id}: gain_sd gives a direct SNR of {g!r}; "
+                    "it must be positive and finite"
+                )
+            if not math.isfinite(g * g + g):
+                raise ValueError(
+                    f"user {u.user_id}: gain_sd gives a breakeven SNR level g^2 + g that overflows"
+                )
+            if not math.isfinite(relayed_snr_limit(u, self.system)):
+                raise ValueError(f"user {u.user_id}: gain_sr gives an SNR limit that overflows")
+            if not math.isfinite(self.relay_budget_w * u.gain_rd / self.system.noise_w):
+                raise ValueError(
+                    f"user {u.user_id}: gain_rd gives a relay-destination SNR at the budget "
+                    "that overflows"
+                )
 
     @property
     def n_users(self) -> int:

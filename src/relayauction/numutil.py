@@ -74,7 +74,12 @@ def golden_max(
     rtol: float = 1e-10,
     max_iter: int = 300,
 ) -> tuple[float, float]:
-    """Maximize a unimodal f on [lo, hi]; returns (argmax, max)."""
+    """Maximize a unimodal f on [lo, hi]; returns (argmax, max).
+
+    The search stops when the bracket is narrower than rtol * max(1, |a|, |b|)
+    for the current ends a, b.  For brackets within [-1, 1] the tolerance is
+    therefore absolute (rtol itself), not relative to the argmax.
+    """
     if hi < lo:
         lo, hi = hi, lo
     a, b = lo, hi

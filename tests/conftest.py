@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from relayauction import (
     NetworkScenario,
@@ -13,6 +14,10 @@ from relayauction import (
     link_from_geometry,
     run_two_user_sweep,
 )
+
+# property tests draw the same examples on every run, so tier-1 stays deterministic
+settings.register_profile("relayauction", derandomize=True, max_examples=200, deadline=None)
+settings.load_profile("relayauction")
 
 BENCH_SYSTEM = SystemParams(bandwidth_hz=1e6, noise_w=1e-11, pathloss_exponent=4.0)
 

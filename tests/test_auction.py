@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from relayauction import (
     AuctionParams,
@@ -18,7 +20,9 @@ from relayauction import (
     payoff,
     power_best_response_factor,
     power_critical_prices,
+    power_cutoff_point,
     rate_increase,
+    rate_increase_power_slope,
     relayed_snr,
     relayed_snr_limit,
     snr_best_response_factor,
@@ -32,8 +36,13 @@ BUDGET = 0.1
 
 
 def numeric_best_power(link, price, kind, budget, sys):
-    """Brute-force payoff argmax over allocated power: dense grid + local refine."""
-    grid = np.linspace(0.0, budget * (1 - 1e-12), 100001)
+    """Brute-force payoff argmax over allocated power: dense grid + local refine.
+
+    The grid is uniform plus geometric (down to 1e-9 of the budget), so a
+    small optimum or a narrow profitable band is resolved at any budget.
+    """
+    top = budget * (1 - 1e-12)
+    grid = np.union1d(np.linspace(0.0, top, 100001), np.geomspace(top * 1e-9, top, 100001))
     gains = np.asarray(rate_increase(link, grid, sys))
     if kind == "snr":
         pays = price * np.asarray(relayed_snr(link, grid, sys))
@@ -377,13 +386,74 @@ def test_power_pi_hat_positive_validated_by_scan():
 
 
 def test_power_pi_lower_is_full_budget_marginal():
-    from relayauction import rate_increase_power_slope
-
     link = _bench_link_2()
     cp = power_critical_prices(link, BUDGET, BENCH_SYSTEM)
     assert cp.pi_lower == pytest.approx(
         rate_increase_power_slope(link, BUDGET, BENCH_SYSTEM), rel=1e-12
     )
+
+
+# property tests: closed form against the brute-force argmax
+
+# one user per draw: node distances in meters at the benchmark's source power
+power_links = st.tuples(
+    st.floats(10.0, 400.0), st.floats(10.0, 400.0), st.floats(10.0, 400.0)
+).map(lambda d: UserLink(0, 0.01, d[0] ** -4, d[1] ** -4, d[2] ** -4))
+budgets = st.floats(-3.0, 1.0).map(lambda e: 10.0**e)  # 1e-3 to 10 W
+
+
+def _probe_prices(cp, t_span, t_band):
+    """pi_lower, pi_hat -/+ 1e-6, a log-uniform point between pi_lower/1e3 and
+    1.5 pi_hat, and one inside the finite band (pi_lower, pi_hat) if it exists."""
+    lo, hi = cp.pi_lower * 1e-3, cp.pi_hat * 1.5
+    prices = [cp.pi_lower, cp.pi_hat * (1 - 1e-6), cp.pi_hat * (1 + 1e-6), lo * (hi / lo) ** t_span]
+    if cp.regular:
+        prices.append(cp.pi_lower * (cp.pi_hat / cp.pi_lower) ** t_band)
+    return prices
+
+
+@given(link=power_links, budget=budgets, t_span=st.floats(0.0, 1.0), t_band=st.floats(0.0, 1.0))
+@settings(max_examples=100)
+def test_power_best_response_closed_form_matches_numeric_argmax(link, budget, t_span, t_band):
+    cp = power_critical_prices(link, budget, BENCH_SYSTEM)
+    assume(cp.pi_hat > 0.0)
+    for price in _probe_prices(cp, t_span, t_band):
+        f = power_best_response_factor(link, price, budget, BENCH_SYSTEM)
+        x_star, v_star = numeric_best_power(link, price, "power", budget, BENCH_SYSTEM)
+        event("zero" if f.is_zero else "divergent" if f.is_infinite else "finite")
+        assert f.is_zero == (v_star <= 0.0)
+        if f.is_infinite:
+            # near a flat optimum at the budget the argmax of the reference drifts
+            # by rounding (up to ~1e-5 relative), so compare values: no grid point
+            # beats the end of the budget by more than rounding
+            top = budget * (1 - 1e-12)
+            rate_top = float(rate_increase(link, top, BENCH_SYSTEM))
+            assert rate_top - price * top >= v_star - 1e-12 * rate_top
+        elif not f.is_zero:
+            assert f.value / (1 + f.value) * budget == pytest.approx(x_star, rel=1e-5)
+
+
+@given(link=power_links, budget=budgets)
+def test_power_cutoff_envelope_identity(link, budget):
+    cp = power_critical_prices(link, budget, BENCH_SYSTEM)
+    assume(cp.pi_hat > 0.0)
+    p_dagger = power_cutoff_point(link, budget, BENCH_SYSTEM)
+    # pi_hat is the largest rate per watt, reached at p_dagger
+    assert float(rate_increase(link, p_dagger, BENCH_SYSTEM)) == pytest.approx(
+        cp.pi_hat * p_dagger, rel=1e-9
+    )
+    event("interior" if p_dagger < budget else "at budget")
+    if p_dagger < budget:
+        assert rate_increase_power_slope(link, p_dagger, BENCH_SYSTEM) == pytest.approx(
+            cp.pi_hat, rel=1e-9
+        )
+    grid = np.linspace(budget / 4001, budget, 4001)
+    per_watt = np.asarray(rate_increase(link, grid, BENCH_SYSTEM)) / grid
+    assert per_watt.max() <= cp.pi_hat * (1 + 1e-12)
+    below = power_best_response_factor(link, cp.pi_hat * (1 - 1e-6), budget, BENCH_SYSTEM)
+    above = power_best_response_factor(link, cp.pi_hat * (1 + 1e-6), budget, BENCH_SYSTEM)
+    assert below.value > 0.0
+    assert above.is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from relayauction import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from relayauction.channel import SystemParams, UserLink
+from relayauction.channel import NetworkScenario, SystemParams, UserLink
 
 from conftest import BENCH_SYSTEM
 
@@ -256,3 +257,52 @@ def test_invalid_parameters_rejected():
         UserLink(0, 0.01, 0.0, 1e-8, 1e-9)
     with pytest.raises(ValueError):
         path_gain((0, 0), (1, 0), 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(ValueError, match="gain_sd must be finite"):
+        UserLink(0, 0.01, bad, 1e-8, 1e-9)
+    with pytest.raises(ValueError, match="source_power_w must be finite"):
+        UserLink(0, bad, 6.25e-10, 1e-8, 1e-9)
+    with pytest.raises(ValueError, match="noise_w must be finite"):
+        SystemParams(1e6, bad, 4.0)
+    with pytest.raises(ValueError, match="relay_budget_w must be finite"):
+        NetworkScenario((_link(),), bad, BENCH_SYSTEM)
+
+
+def _gain_doc(**gains):
+    user = {"source_power_w": 0.01, "gain_sd": 6.25e-10, "gain_sr": 2e-8, "gain_rd": 5e-9}
+    user.update(gains)
+    return {
+        "system": {"bandwidth_hz": 1e6, "noise_w": 1e-11, "pathloss_exponent": 4},
+        "relay_budget_w": 0.1,
+        "users": [{"source_power_w": 0.01, "gain_sd": 6.25e-10, "gain_sr": 2e-8, "gain_rd": 5e-9}, user],
+    }
+
+
+def test_scenario_dict_rejects_infinite_gain():
+    with pytest.raises(ValueError, match="gain_sd must be finite"):
+        scenario_from_dict(_gain_doc(gain_sd="inf"))
+    # the JSON token Infinity parses to the same float
+    with pytest.raises(ValueError, match="gain_rd must be finite"):
+        scenario_from_dict(json.loads(json.dumps(_gain_doc(gain_rd=math.inf))))
+
+
+@pytest.mark.parametrize(
+    "gains, message",
+    [
+        # direct SNR 0.01 * 1e300 / 1e-11 overflows
+        ({"gain_sd": 1e300}, "user 1: gain_sd gives a direct SNR of inf"),
+        # direct SNR 1e161 is finite, its breakeven level g^2 + g is not
+        ({"gain_sd": 1e150}, "user 1: gain_sd gives a breakeven SNR level"),
+        # direct SNR underflows to zero: no breakeven structure is left
+        ({"source_power_w": 1e-300, "gain_sd": 1e-300}, "user 1: gain_sd gives a direct SNR of 0.0"),
+        ({"gain_sr": 1e300}, "user 1: gain_sr gives an SNR limit that overflows"),
+        # 0.1 W * 1e300 / 1e-11 at the relay-destination hop
+        ({"gain_rd": 1e300}, "user 1: gain_rd gives a relay-destination SNR at the budget"),
+    ],
+)
+def test_scenario_rejects_snr_out_of_range(gains, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        scenario_from_dict(_gain_doc(**gains))
