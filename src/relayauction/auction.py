@@ -8,20 +8,26 @@ price * (relay power obtained).
 
 Because a user's allocated power sweeps [0, budget) monotonically as its own
 bid grows, the best response is linear in (sum of opponents' bids + reserve):
-bid = f(price) * (opponents + reserve).  This module computes the factor f
-in closed form for both auctions and exposes the two critical prices that
-delimit its branches.  The power auction's closed form rests on concavity:
+bid = f(price) * (opponents + reserve).  The factor has three branches,
+delimited by two per-user critical prices: divergent (the user wants the
+whole budget) at or below the divergence cutoff, zero at or above the
+participation cutoff pi_hat, and in between f = x / (budget - x) at the
+power x where the marginal rate per unit charged equals the price, in closed
+form for both rules.  The power auction's closed form rests on concavity:
 past the breakeven power the rate increase is the log of a concave,
 increasing SNR, so the first-order condition (a quadratic in relay power)
 gives the best response and the peak of rate per watt gives the cutoff.
+
+`_UserArrays` holds every user of a scenario as arrays under one payment
+rule, built once, so that all factors at a price are one array expression.
+The scalar functions of this module are one-user views of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,19 +36,23 @@ from .channel import (
     NetworkScenario,
     SystemParams,
     UserLink,
-    breakeven_power,
     direct_snr,
     power_for_relayed_snr,
     rate_increase,
     rate_increase_power_slope,
     relayed_snr,
     relayed_snr_limit,
+    snr_marginal_rate,
 )
-from .numutil import bisect_root
+from .numutil import newton_root
 
 SNR = "snr"
 POWER = "power"
 KINDS = (SNR, POWER)
+
+# a demand within this fraction of the budget is the whole budget: the factor
+# x / (budget - x) would exceed 1e9 and leave no room for anyone else
+FULL_BUDGET_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,14 +89,6 @@ class BestResponse:
         if not (value >= 0.0 and math.isfinite(value)):
             raise ValueError("finite best response must be a nonnegative real")
         return cls(value)
-
-    @classmethod
-    def zero(cls) -> "BestResponse":
-        return cls(0.0)
-
-    @classmethod
-    def infinite(cls) -> "BestResponse":
-        return cls(math.inf)
 
     @property
     def is_infinite(self) -> bool:
@@ -128,15 +130,14 @@ def allocate(bids, reserve_bid: float, budget: float) -> np.ndarray:
     return b / (b.sum() + reserve_bid) * budget
 
 
-def payment(kind: str, price: float, link: UserLink, p_rd: float, sys: SystemParams) -> float:
-    """Charge for an allocated relay power under the given payment rule."""
-    if p_rd < 0.0:
+def payment(kind: str, price: float, link: UserLink, p_rd, sys: SystemParams):
+    """Charge for an allocated relay power under the given payment rule.
+
+    Elementwise when the powers, or the link's gains, are arrays.
+    """
+    if np.any(np.asarray(p_rd) < 0.0):
         raise ValueError("relay power must be nonnegative")
-    if kind == SNR:
-        return price * float(relayed_snr(link, p_rd, sys))
-    if kind == POWER:
-        return price * p_rd
-    raise ValueError(f"kind must be one of {KINDS}")
+    return price * _rule(kind).charged(link, p_rd, sys)
 
 
 def payoff(
@@ -152,102 +153,51 @@ def payoff(
         raise ValueError("bids must be nonnegative")
     p_rd = bid / (bid + opponents_bid_sum + params.reserve_bid) * budget
     gain = float(rate_increase(link, p_rd, sys))
-    return gain - payment(params.kind, params.price, link, p_rd, sys)
+    return gain - float(payment(params.kind, params.price, link, p_rd, sys))
 
 
 # ---------------------------------------------------------------------------
 # SNR auction
 
 
-def demanded_snr_increase(link: UserLink, price: float, sys: SystemParams) -> float:
-    """Relayed SNR at which the marginal rate gain equals the SNR price."""
-    g = direct_snr(link, sys)
-    return sys.bandwidth_hz / (2.0 * LN2 * price) - 1.0 - g
-
-
-def g_snr(link: UserLink, price: float, sys: SystemParams) -> float:
+def g_snr(link: UserLink, price, sys: SystemParams):
     """Best attainable payoff in the SNR auction as a function of price.
 
     Convex in price, diverging to +inf at both ends; its smallest positive
     root is the participation cutoff pi_hat.
     """
-    if not price > 0.0:
+    if not (np.asarray(price) > 0.0).all():
         raise ValueError("price must be strictly positive")
     w = sys.bandwidth_hz
     g = direct_snr(link, sys)
     return price * (1.0 + g) - 0.5 * w * (
-        math.log2(2.0 * price * LN2 * (1.0 + g) ** 2 / w) + 1.0 / LN2
+        np.log2(2.0 * price * LN2 * (1.0 + g) ** 2 / w) + 1.0 / LN2
     )
 
 
-@lru_cache(maxsize=1 << 16)
-def snr_critical_prices(link: UserLink, budget: float, sys: SystemParams) -> CriticalPrices:
-    """Critical prices of the SNR auction for one user.
+def _snr_pi_hat(users: "_UserArrays") -> np.ndarray:
+    """Smallest positive root of g_snr, by Newton steps below pi_star = K / (1+g).
 
-    pi_lower comes from the closed form at the full-budget relayed SNR;
-    pi_hat is the smallest positive root of g_snr, found by bisection on
-    (0, pi_star] where pi_star is the minimizer of g_snr.  With a positive
-    direct SNR the value at pi_star is strictly negative, so the bracket
-    always closes.
+    With u = price / pi_star and K = W / (2 ln 2),
+    g_snr = K (u - ln u - ln(1+g) - 1), convex and decreasing up to pi_star:
+    negative (-K ln(1+g)) at pi_star and K (u + ln 2) > 0 at u = 1 / (2e (1+g)),
+    which brackets the root.  Its derivative is (1+g) - K / price.
     """
-    g = direct_snr(link, sys)
-    snr_max = float(relayed_snr(link, budget, sys))
-    pi_lower = sys.bandwidth_hz / (2.0 * LN2 * (1.0 + g + snr_max))
-
-    pi_star = sys.bandwidth_hz / (2.0 * LN2 * (1.0 + g))
-    g_star = g_snr(link, pi_star, sys)
-    if g_star > 0.0:
-        raise RuntimeError("no positive participation cutoff: g positive at its minimum")
-    if g_star == 0.0:
-        return CriticalPrices(pi_lower=pi_lower, pi_hat=pi_star)
-    lo = 1e-12 * pi_star
-    expansions = 0
-    while g_snr(link, lo, sys) <= 0.0:
-        lo *= 0.1
-        expansions += 1
-        if expansions > 60:
-            raise RuntimeError("failed to bracket the participation cutoff")
-    pi_hat = bisect_root(lambda p: g_snr(link, p, sys), lo, pi_star, rtol=1e-10)
-    return CriticalPrices(pi_lower=pi_lower, pi_hat=pi_hat)
+    pi_star = snr_marginal_rate(users.links, 0.0, users.sys)
+    lo = pi_star / (2.0 * math.e * (1.0 + users.g))
+    return newton_root(
+        lambda p: (g_snr(users.links, p, users.sys), 1.0 + users.g - users.k / p), lo, pi_star
+    )
 
 
-def full_budget_profit_cutoff(link: UserLink, budget: float, sys: SystemParams) -> float:
-    """Price below which grabbing the entire budget still pays in the SNR auction."""
-    snr_max = float(relayed_snr(link, budget, sys))
-    if snr_max <= 0.0:
-        return 0.0
-    return float(rate_increase(link, budget, sys)) / snr_max
+def _snr_demand(users: "_UserArrays", price: float) -> np.ndarray:
+    """Relay power buying the demanded SNR increase, held within [0, budget].
 
-
-def snr_best_response_factor(
-    link: UserLink, price: float, budget: float, sys: SystemParams
-) -> BestResponse:
-    """Best-response factor f in the SNR auction (bid = f * (opponents + reserve)).
-
-    For a user whose profitable price band exists (pi_hat > pi_lower) this is
-    the three-branch piecewise form: divergent at or below pi_lower, the
-    closed-form factor in between, zero at or above pi_hat.  Otherwise the
-    demand can never be met profitably at an interior point, and the response
-    is divergent below the full-budget profit cutoff and zero elsewhere; the
-    cutoff is zero when even the whole budget yields no rate increase.
+    The marginal rate per unit SNR, K / (1 + g + s), meets the price at
+    s = K / price - 1 - g.
     """
-    if not price > 0.0:
-        raise ValueError("price must be strictly positive")
-    cp = snr_critical_prices(link, budget, sys)
-    if cp.regular:
-        if price <= cp.pi_lower:
-            return BestResponse.infinite()
-        if price >= cp.pi_hat:
-            return BestResponse.zero()
-        target = demanded_snr_increase(link, price, sys)
-        if target <= 0.0:
-            return BestResponse.zero()
-        p_rd = power_for_relayed_snr(link, target, sys)
-        if p_rd >= budget:  # rounding at the band edge: demand fills the budget
-            return BestResponse.infinite()
-        return BestResponse.finite(p_rd / (budget - p_rd))
-    cutoff = full_budget_profit_cutoff(link, budget, sys)
-    return BestResponse.infinite() if price < cutoff else BestResponse.zero()
+    target = np.minimum(np.maximum(users.k / price - 1.0 - users.g, 0.0), users.snr_max)
+    return power_for_relayed_snr(users.links, target, users.sys)
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +210,8 @@ def snr_best_response_factor(
 # where p r'(p) = r(p).
 
 
-def _power_curve(link: UserLink, sys: SystemParams) -> tuple[float, float, float, float]:
-    """(g, b, c, K): direct SNR, SNR limit, gain_rd / noise and W / (2 ln 2)."""
-    return (
-        direct_snr(link, sys),
-        relayed_snr_limit(link, sys),
-        link.gain_rd / sys.noise_w,
-        sys.bandwidth_hz / (2.0 * LN2),
-    )
-
-
-def _power_first_order_point(link: UserLink, price: float, sys: SystemParams) -> float:
-    """Relay power at which u'(p) = price, or 0 when u' stays below price.
+def _power_demand(users: "_UserArrays", price: float) -> np.ndarray:
+    """Relay power at which u'(p) = price, clamped to [breakeven, budget].
 
     With a = p c, c = gain_rd / noise, b the SNR limit, g the direct SNR and
     K = W / (2 ln 2), u'(p) = K c b (b+1) / ((a+b+1) ((1+g)(a+b+1) + a b)), so
@@ -280,13 +220,174 @@ def _power_first_order_point(link: UserLink, price: float, sys: SystemParams) ->
     It is solved in t = a / (b+1) (divided through by (b+1)^2, which keeps the
     coefficients in range), taking the positive root in the form free of
     cancellation.  The discriminant is at least b^2, so the root is real.
+    Past the breakeven the net gain is concave, so the clamped root is its
+    maximizer over [breakeven, budget].
     """
-    g, b, c, k = _power_curve(link, sys)
+    g, b, c, k = users.g, users.b, users.c, users.k
     q2 = 1.0 + g + b
     q1 = 2.0 + 2.0 * g + b
     q0 = 1.0 + g - k * c * b / ((b + 1.0) * price)
-    t = -2.0 * q0 / (q1 + math.sqrt(q1 * q1 - 4.0 * q2 * q0))
-    return max(t, 0.0) * (b + 1.0) / c
+    t = -2.0 * q0 / (q1 + np.sqrt(q1 * q1 - 4.0 * q2 * q0))
+    return np.minimum(np.maximum(t * (b + 1.0) / c, users.x0), users.budget)
+
+
+def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
+    """Relay power p in (0, budget] maximizing r(p) / p; nan where r stays 0.
+
+    On [breakeven, budget] phi(p) = p u'(p) - u(p) has derivative
+    p u''(p) <= 0 and is positive at the breakeven power, where u vanishes;
+    the maximizer is therefore the budget when phi(budget) >= 0 and the root
+    of phi otherwise.  With D1 = a+b+1 and D2 = (1+g) D1 + a b (see
+    _power_demand), u'' = -c u' (1 / D1 + (1+g+b) / D2).
+    """
+    k = users.k
+
+    def phi(p, g, b, c):
+        a = p * c
+        d1 = a + b + 1.0
+        d2 = (1.0 + g) * d1 + a * b
+        slope = k * c * b * (b + 1.0) / (d1 * d2)
+        # u(p) as log1p of (s - g^2 - g) / (1+g)^2: exact near the breakeven
+        u = k * np.log1p((a * b / d1 - g * g - g) / (1.0 + g) ** 2)
+        return p * slope - u, -p * c * slope * (1.0 / d1 + (1.0 + g + b) / d2)
+
+    live = users.gain_max > 0.0
+    p = np.where(live, users.budget, np.nan)
+    inner = live & (phi(users.budget, users.g, users.b, users.c)[0] < 0.0)
+    if inner.any():
+        g, b, c = users.g[inner], users.b[inner], users.c[inner]
+        p[inner] = newton_root(lambda x: phi(x, g, b, c), users.x0[inner], users.budget)
+    return p
+
+
+def _power_pi_hat(users: "_UserArrays") -> np.ndarray:
+    """max over (0, budget] of r(p) / p, read at the cutoff point; 0 if r stays 0."""
+    p = _power_cutoff_points(users)
+    return np.where(users.gain_max > 0.0, rate_increase(users.links, p, users.sys) / p, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the per-rule table and the per-scenario arrays
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One payment rule: what it charges for and how users answer its price."""
+
+    charged: Callable  # (links, power, sys) -> units charged for that power
+    marginal: Callable  # (links, power, sys) -> marginal rate per unit charged
+    pi_hat: Callable  # (users) -> participation cutoffs
+    demand: Callable  # (users, price) -> power where the marginal rate meets the price
+
+
+_RULES = {
+    SNR: _Rule(
+        charged=relayed_snr,
+        marginal=lambda links, p, sys: snr_marginal_rate(links, relayed_snr(links, p, sys), sys),
+        pi_hat=_snr_pi_hat,
+        demand=_snr_demand,
+    ),
+    POWER: _Rule(
+        charged=lambda links, p, sys: p,
+        marginal=rate_increase_power_slope,
+        pi_hat=_power_pi_hat,
+        demand=_power_demand,
+    ),
+}
+
+
+def _rule(kind: str) -> _Rule:
+    if kind not in _RULES:
+        raise ValueError(f"kind must be one of {KINDS}")
+    return _RULES[kind]
+
+
+class _LinkArrays(NamedTuple):
+    """The users' link fields as arrays; the channel formulas take it as a link."""
+
+    source_power_w: np.ndarray
+    gain_sd: np.ndarray
+    gain_sr: np.ndarray
+    gain_rd: np.ndarray
+
+    @classmethod
+    def of(cls, users: Sequence[UserLink]) -> "_LinkArrays":
+        return cls(*(np.array([getattr(u, name) for u in users]) for name in cls._fields))
+
+
+class _UserArrays:
+    """Every user of one scenario as arrays, under one payment rule.
+
+    Holds the channel quantities and the critical prices of every user:
+    pi_lower, the marginal rate per unit charged at the full budget; pi_hat,
+    the participation cutoff; and the divergence cutoff, which is pi_lower
+    for a regular user (pi_hat > pi_lower) and otherwise the price at which
+    the whole budget stops paying, the only profitable demand such a user has.
+    """
+
+    def __init__(self, users: Sequence[UserLink], budget: float, sys: SystemParams, kind: str):
+        self.kind, self.rule = kind, _rule(kind)
+        self.links = links = _LinkArrays.of(users)
+        self.budget, self.sys = budget, sys
+        self.k = sys.bandwidth_hz / (2.0 * LN2)  # rate per unit log SNR
+        self.g = direct_snr(links, sys)
+        self.b = relayed_snr_limit(links, sys)
+        self.c = links.gain_rd / sys.noise_w
+        self.snr_max = relayed_snr(links, budget, sys)
+        self.gain_max = rate_increase(links, budget, sys)
+        # breakeven power, or about the budget when the budget cannot reach it
+        self.x0 = power_for_relayed_snr(links, np.minimum(self.g * self.g + self.g, self.snr_max), sys)
+        self.pi_lower = self.rule.marginal(links, budget, sys)
+        self.pi_hat = self.rule.pi_hat(self)
+        self.regular = self.pi_hat > self.pi_lower
+        charged = self.rule.charged(links, budget, sys)
+        whole = np.divide(self.gain_max, charged, out=np.zeros_like(self.gain_max), where=charged > 0.0)
+        self.cutoff = np.where(self.regular, self.pi_lower, whole)
+        self.zero_from = np.where(self.regular, self.pi_hat, self.cutoff)
+
+    @classmethod
+    def of(cls, scenario: NetworkScenario, kind: str) -> "_UserArrays":
+        return cls(scenario.users, scenario.relay_budget_w, scenario.system, kind)
+
+    def factors(self, price: float) -> np.ndarray:
+        """Best-response factors at this price: inf where divergent, 0 where zero."""
+        x = np.where(price >= self.zero_from, 0.0, self.rule.demand(self, price))
+        whole = (x >= self.budget * (1.0 - FULL_BUDGET_RTOL)) | (price <= self.cutoff)
+        return np.where(whole, math.inf, x / np.where(whole, 1.0, self.budget - x))
+
+    def share(self, price: float) -> float:
+        """Aggregate share S = sum f/(1+f), a divergent factor counting as one.
+
+        Non-increasing in the price.  An equilibrium exists exactly when
+        S < 1, and S is then its utilization.
+        """
+        f = self.factors(price)
+        return float(np.divide(f, 1.0 + f, out=np.ones_like(f), where=np.isfinite(f)).sum())
+
+
+# ---------------------------------------------------------------------------
+# one-user views
+
+
+def best_response_factor(
+    link: UserLink, kind: str, price: float, budget: float, sys: SystemParams
+) -> BestResponse:
+    """Best-response factor f of one user (bid = f * (opponents + reserve))."""
+    if not price > 0.0:
+        raise ValueError("price must be strictly positive")
+    return BestResponse(float(_UserArrays((link,), budget, sys, kind).factors(price)[0]))
+
+
+def snr_best_response_factor(
+    link: UserLink, price: float, budget: float, sys: SystemParams
+) -> BestResponse:
+    """Best-response factor in the SNR auction.
+
+    Divergent at or below the divergence cutoff, zero at or above pi_hat (or
+    above the cutoff for a user without a profitable band), and in between
+    the factor of the power buying the demanded SNR increase.
+    """
+    return best_response_factor(link, SNR, price, budget, sys)
 
 
 def power_best_response_factor(
@@ -297,87 +398,10 @@ def power_best_response_factor(
     The net gain (rate increase minus price * power) is zero up to the
     breakeven power and concave beyond it, so its maximum over
     [breakeven, budget] sits at the root of the first-order condition clamped
-    to that interval.  When the gain still climbs at the budget cap and is
-    positive there, no finite bid is optimal and the response diverges.
+    to that interval; it is positive exactly below pi_hat, and the response
+    diverges when the gain still climbs at the budget and is positive there.
     """
-    if not price > 0.0:
-        raise ValueError("price must be strictly positive")
-    x0 = breakeven_power(link, sys)
-    if x0 is None or x0 >= budget:
-        return BestResponse.zero()
-    end_gain = float(rate_increase(link, budget, sys)) - price * budget
-    if rate_increase_power_slope(link, budget, sys) > price:
-        return BestResponse.infinite() if end_gain > 0.0 else BestResponse.zero()
-    x = min(max(_power_first_order_point(link, price, sys), x0), budget)
-    v = float(rate_increase(link, x, sys)) - price * x
-    if end_gain > v:
-        x, v = budget, end_gain
-    if v <= 0.0:
-        return BestResponse.zero()
-    if x >= budget * (1.0 - 1e-9):
-        return BestResponse.infinite()
-    return BestResponse.finite(x / (budget - x))
-
-
-def power_cutoff_point(link: UserLink, budget: float, sys: SystemParams) -> Optional[float]:
-    """Relay power p in (0, budget] that maximizes r(p) / p; None if r stays 0.
-
-    The best attainable profit max_p r(p) - price * p is positive exactly
-    when price < r(p) / p for some p, so this maximizer fixes the power
-    auction's participation cutoff.  On [breakeven, budget]
-    phi(p) = p u'(p) - u(p) has derivative p u''(p) <= 0 and is positive at
-    the breakeven power, where u vanishes; the maximizer is therefore the
-    budget when phi(budget) >= 0 and the root of phi otherwise.  The direct
-    SNR must be positive, as it is in every valid scenario.
-    """
-    x0 = breakeven_power(link, sys)
-    if x0 is None or x0 >= budget or float(rate_increase(link, budget, sys)) <= 0.0:
-        return None
-    g, b, c, k = _power_curve(link, sys)
-    if not g > 0.0:
-        raise ValueError("direct SNR must be strictly positive")
-
-    def phi(p: float) -> float:
-        a = p * c
-        s = a * b / (a + b + 1.0)
-        slope = k * c * b * (b + 1.0) / ((a + b + 1.0) ** 2 * (1.0 + g + s))
-        # u(p) as log1p of (s - g^2 - g) / (1+g)^2: exact near the breakeven
-        return p * slope - k * math.log1p((s - g * g - g) / (1.0 + g) ** 2)
-
-    if phi(budget) >= 0.0:
-        return budget
-    return bisect_root(phi, x0, budget)
-
-
-@lru_cache(maxsize=1 << 16)
-def power_critical_prices(link: UserLink, budget: float, sys: SystemParams) -> CriticalPrices:
-    """Critical prices of the power auction, in closed form.
-
-    pi_lower is the marginal rate increase per watt at the full budget;
-    pi_hat = max over (0, budget] of r(p) / p, the price at which the best
-    attainable profit drops to zero, read at power_cutoff_point.  A user that
-    cannot profit at any power (direct link too strong relative to the relay
-    path, or breakeven out of reach) gets pi_hat = 0.
-    """
-    pi_lower = rate_increase_power_slope(link, budget, sys)
-    p = power_cutoff_point(link, budget, sys)
-    if p is None:
-        return CriticalPrices(pi_lower=pi_lower, pi_hat=0.0)
-    return CriticalPrices(pi_lower=pi_lower, pi_hat=float(rate_increase(link, p, sys)) / p)
-
-
-# ---------------------------------------------------------------------------
-# shared surface
-
-
-def best_response_factor(
-    link: UserLink, kind: str, price: float, budget: float, sys: SystemParams
-) -> BestResponse:
-    if kind == SNR:
-        return snr_best_response_factor(link, price, budget, sys)
-    if kind == POWER:
-        return power_best_response_factor(link, price, budget, sys)
-    raise ValueError(f"kind must be one of {KINDS}")
+    return best_response_factor(link, POWER, price, budget, sys)
 
 
 def best_response(
@@ -397,36 +421,52 @@ def best_response(
 
 
 def critical_prices(link: UserLink, kind: str, budget: float, sys: SystemParams) -> CriticalPrices:
-    if kind == SNR:
-        return snr_critical_prices(link, budget, sys)
-    if kind == POWER:
-        return power_critical_prices(link, budget, sys)
-    raise ValueError(f"kind must be one of {KINDS}")
+    users = _UserArrays((link,), budget, sys, kind)
+    return CriticalPrices(pi_lower=float(users.pi_lower[0]), pi_hat=float(users.pi_hat[0]))
+
+
+def snr_critical_prices(link: UserLink, budget: float, sys: SystemParams) -> CriticalPrices:
+    """Critical prices of the SNR auction for one user.
+
+    pi_lower is the marginal rate per unit SNR at the full-budget relayed SNR;
+    pi_hat is the smallest positive root of g_snr.
+    """
+    return critical_prices(link, SNR, budget, sys)
+
+
+def power_critical_prices(link: UserLink, budget: float, sys: SystemParams) -> CriticalPrices:
+    """Critical prices of the power auction, in closed form.
+
+    pi_lower is the marginal rate increase per watt at the full budget;
+    pi_hat = max over (0, budget] of r(p) / p, the price at which the best
+    attainable profit drops to zero, read at power_cutoff_point.  A user that
+    cannot profit at any power (direct link too strong relative to the relay
+    path, or breakeven out of reach) gets pi_hat = 0.
+    """
+    return critical_prices(link, POWER, budget, sys)
+
+
+def power_cutoff_point(link: UserLink, budget: float, sys: SystemParams) -> Optional[float]:
+    """Relay power p in (0, budget] that maximizes r(p) / p; None if r stays 0.
+
+    The best attainable profit max_p r(p) - price * p is positive exactly
+    when price < r(p) / p for some p, so this maximizer fixes the power
+    auction's participation cutoff.
+    """
+    p = float(_power_cutoff_points(_UserArrays((link,), budget, sys, POWER))[0])
+    return None if math.isnan(p) else p
 
 
 def divergence_cutoff(link: UserLink, kind: str, budget: float, sys: SystemParams) -> float:
-    """Largest price at or below which the user's best response can diverge."""
-    cp = critical_prices(link, kind, budget, sys)
-    if kind == SNR:
-        if cp.regular:
-            return cp.pi_lower
-        return full_budget_profit_cutoff(link, budget, sys)
-    if cp.regular:
-        return cp.pi_lower
-    return min(cp.pi_lower, float(rate_increase(link, budget, sys)) / budget)
+    """Largest price at or below which the user's best response diverges."""
+    return float(_UserArrays((link,), budget, sys, kind).cutoff[0])
 
 
 def is_snr_regular(scenario: NetworkScenario) -> bool:
     """True when at least one user has a profitable SNR-auction price band."""
-    return any(
-        snr_critical_prices(u, scenario.relay_budget_w, scenario.system).regular
-        for u in scenario.users
-    )
+    return bool(_UserArrays.of(scenario, SNR).regular.any())
 
 
 def is_power_regular(scenario: NetworkScenario) -> bool:
     """True when at least one user has a profitable power-auction price band."""
-    return any(
-        power_critical_prices(u, scenario.relay_budget_w, scenario.system).regular
-        for u in scenario.users
-    )
+    return bool(_UserArrays.of(scenario, POWER).regular.any())

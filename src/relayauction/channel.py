@@ -6,8 +6,10 @@ destination combines the direct and relayed branches by maximal ratio
 combining, which adds the two SNRs; the half-rate factor accounts for the
 relay occupying the second phase.
 
-All quantities are SI: watts, hertz, meters, bits/s.  Functions are pure and
-accept numpy arrays for the relay-power argument where noted.
+All quantities are SI: watts, hertz, meters, bits/s.  Functions are pure.
+The rate and SNR formulas also evaluate elementwise on arrays: a relay-power
+array, and a link whose source power and gains are arrays (one entry per
+user), as the auction code builds them.
 """
 
 from __future__ import annotations
@@ -129,21 +131,19 @@ def relayed_snr(link: UserLink, p_rd, sys: SystemParams):
     Accepts a scalar or numpy array.  Strictly increasing and concave in p_rd,
     bounded above by relayed_snr_limit.
     """
-    if np.any(np.asarray(p_rd) < 0.0):
+    if (np.asarray(p_rd) < 0.0).any():
         raise ValueError("relay power must be nonnegative")
     a = p_rd * link.gain_rd / sys.noise_w
     b = relayed_snr_limit(link, sys)
     return a * b / (a + b + 1.0)
 
 
-def power_for_relayed_snr(link: UserLink, target: float, sys: SystemParams) -> float:
+def power_for_relayed_snr(link: UserLink, target, sys: SystemParams):
     """Relay power achieving a given relayed SNR (inverse of relayed_snr)."""
-    if target < 0.0:
+    if (np.asarray(target) < 0.0).any():
         raise ValueError("target SNR must be nonnegative")
-    if target == 0.0:
-        return 0.0
     b = relayed_snr_limit(link, sys)
-    if target >= b:
+    if np.asarray(target >= b).any():
         raise ValueError("target SNR at or above the attainable supremum")
     a = target * (b + 1.0) / (b - target)
     return a * sys.noise_w / link.gain_rd
@@ -151,7 +151,7 @@ def power_for_relayed_snr(link: UserLink, target: float, sys: SystemParams) -> f
 
 def direct_rate(link: UserLink, sys: SystemParams) -> float:
     """Rate of direct transmission only."""
-    return float(sys.bandwidth_hz * np.log2(1.0 + direct_snr(link, sys)))
+    return sys.bandwidth_hz * np.log2(1.0 + direct_snr(link, sys))
 
 
 def coop_rate(link: UserLink, p_rd, sys: SystemParams):
@@ -186,15 +186,14 @@ def breakeven_power(link: UserLink, sys: SystemParams) -> Optional[float]:
     return power_for_relayed_snr(link, need, sys)
 
 
-def rate_increase_power_slope(link: UserLink, p_rd: float, sys: SystemParams) -> float:
+def rate_increase_power_slope(link: UserLink, p_rd, sys: SystemParams):
     """Marginal rate increase per watt of relay power; zero on the clamped region."""
-    if float(rate_increase(link, p_rd, sys)) <= 0.0:
-        return 0.0
     b = relayed_snr_limit(link, sys)
     a = p_rd * link.gain_rd / sys.noise_w
     dsnr_dp = b * (b + 1.0) / (a + b + 1.0) ** 2 * (link.gain_rd / sys.noise_w)
     g = direct_snr(link, sys) + relayed_snr(link, p_rd, sys)
-    return 0.5 * sys.bandwidth_hz / LN2 * dsnr_dp / (1.0 + g)
+    slope = 0.5 * sys.bandwidth_hz / LN2 * dsnr_dp / (1.0 + g)
+    return np.where(rate_increase(link, p_rd, sys) > 0.0, slope, 0.0)[()]
 
 
 def snr_marginal_rate(link: UserLink, delta_snr: float, sys: SystemParams) -> float:
@@ -273,49 +272,80 @@ def scenario_to_dict(scenario: NetworkScenario) -> dict:
     return doc
 
 
+def _field(doc, key: str, where: str):
+    """doc[key]; where is the dotted path of doc used in error messages."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where.rstrip('.') or 'scenario'} must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where}{key} is missing")
+    return doc[key]
+
+
+def _number(doc, key: str, where: str) -> float:
+    value = _field(doc, key, where)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}{key} must be a number, got {value!r}") from None
+
+
+def _point(doc, key: str, where: str) -> Point:
+    value = _field(doc, key, where)
+    try:
+        x, y = (float(v) for v in value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}{key} must be a pair of numbers, got {value!r}") from None
+    return (x, y)
+
+
 def scenario_from_dict(doc: dict) -> NetworkScenario:
     """Build a scenario from its JSON form.
 
     Each user carries either explicit gains or source/destination positions;
     positional users additionally need a top-level relay position, and their
-    gains are derived from distances via the path-loss exponent.
+    gains are derived from distances via the path-loss exponent.  A missing
+    or malformed field raises ValueError naming it, e.g. users[1].gain_sr.
     """
-    sysdoc = doc["system"]
+    sysdoc = _field(doc, "system", "")
     system = SystemParams(
-        bandwidth_hz=float(sysdoc["bandwidth_hz"]),
-        noise_w=float(sysdoc["noise_w"]),
-        pathloss_exponent=float(sysdoc["pathloss_exponent"]),
+        bandwidth_hz=_number(sysdoc, "bandwidth_hz", "system."),
+        noise_w=_number(sysdoc, "noise_w", "system."),
+        pathloss_exponent=_number(sysdoc, "pathloss_exponent", "system."),
     )
-    relay = tuple(float(v) for v in doc["relay"]) if "relay" in doc else None
+    relay = _point(doc, "relay", "") if "relay" in doc else None
+    entries = _field(doc, "users", "")
+    if not isinstance(entries, list):
+        raise ValueError("users must be a JSON list")
     users = []
-    for i, entry in enumerate(doc["users"]):
-        p_s = float(entry["source_power_w"])
+    for i, entry in enumerate(entries):
+        where = f"users[{i}]."
+        p_s = _number(entry, "source_power_w", where)
         if "gain_sd" in entry:
             users.append(
                 UserLink(
                     user_id=i,
                     source_power_w=p_s,
-                    gain_sd=float(entry["gain_sd"]),
-                    gain_sr=float(entry["gain_sr"]),
-                    gain_rd=float(entry["gain_rd"]),
-                    source=tuple(entry["source"]) if "source" in entry else None,
-                    destination=tuple(entry["destination"]) if "destination" in entry else None,
+                    gain_sd=_number(entry, "gain_sd", where),
+                    gain_sr=_number(entry, "gain_sr", where),
+                    gain_rd=_number(entry, "gain_rd", where),
+                    source=_point(entry, "source", where) if "source" in entry else None,
+                    destination=_point(entry, "destination", where) if "destination" in entry else None,
                 )
             )
         else:
             if relay is None:
-                raise ValueError("positional users require a relay position")
+                raise ValueError(f"{where}gain_sd is missing and there is no relay position")
             users.append(
                 link_from_geometry(
                     i,
-                    tuple(float(v) for v in entry["source"]),
-                    tuple(float(v) for v in entry["destination"]),
+                    _point(entry, "source", where),
+                    _point(entry, "destination", where),
                     relay,
                     p_s,
                     system,
                 )
             )
-    return NetworkScenario(tuple(users), float(doc["relay_budget_w"]), system, relay)
+    return NetworkScenario(tuple(users), _number(doc, "relay_budget_w", ""), system, relay)
 
 
 def load_scenario(path: str | Path) -> NetworkScenario:

@@ -57,9 +57,6 @@ def _equilibrium_payload(eq: EquilibriumResult) -> dict:
         "payoffs": eq.payoffs,
         "total_rate_increase_bps": eq.total_rate_increase_bps,
         "utilization": eq.utilization,
-        "method": eq.method,
-        "iterations": eq.iterations,
-        "rate_estimate": eq.rate_estimate,
     }
 
 
@@ -186,8 +183,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand.  Exit code 1 means no equilibrium, 2 bad input.
+
+    Bad input is a file that cannot be read or an argument or scenario the
+    library rejects with ValueError (malformed JSON, a missing or invalid
+    field, a scenario without a threshold price); it is reported in one line.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

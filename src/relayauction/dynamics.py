@@ -1,32 +1,37 @@
-"""Best-response dynamics, equilibrium solving, and price search.
+"""Equilibria, price search, and best-response dynamics.
 
 With linear best responses bid_i = f_i * (opponents + reserve), an
 equilibrium exists exactly when every factor is finite and the aggregate
-share S = sum f_i/(1+f_i) stays below one; the equilibrium then allocates
-user i the fraction f_i/(1+f_i) of the budget, so S is also the utilization.
-Synchronous best-response updates form a linear fixed-point iteration whose
-matrix has f_i in row i off the diagonal and zeros on it; its spectral
-radius is below one under the same condition, which makes convergence
-geometric from any positive start.
+share S = sum f_i/(1+f_i) stays below one.  It is then unique: with total
+bid B, b_i = f_i/(1+f_i) (B + reserve), which allocates user i the fraction
+f_i/(1+f_i) of the budget, so S is also the utilization.  solve_ne evaluates
+this fixed point directly for both auctions.
+
+Counting a divergent factor as share one makes S a non-increasing function
+of the price: the existence threshold is where S drops below one, and the
+calibrated price is where it drops below the target utilization.  One
+bracketed bisection serves both.
+
+Synchronous best-response iteration is kept as a diagnostic.  It is a linear
+fixed-point iteration whose matrix has f_i in row i off the diagonal; its
+spectral radius is below one under the same condition, so it converges
+geometrically from any positive start to the same bids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .auction import (
     AuctionParams,
     BestResponse,
+    _LinkArrays,
+    _UserArrays,
     allocate,
-    best_response_factor,
-    critical_prices,
-    divergence_cutoff,
-    is_power_regular,
-    is_snr_regular,
     payment,
 )
 from .channel import NetworkScenario, rate_increase, relayed_snr
@@ -35,20 +40,17 @@ from .numutil import bisect_transition, expand_until
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DIVERGENCE_CAP_FACTOR = 1e12
+THRESHOLD_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """History of one synchronous best-response run."""
+    """Residuals and end point of one synchronous best-response run."""
 
-    bids: tuple[np.ndarray, ...]
     residuals: tuple[float, ...]
+    final_bids: np.ndarray
     converged: bool
     diverged: bool
-
-    @property
-    def final_bids(self) -> np.ndarray:
-        return self.bids[-1]
 
     @property
     def n_steps(self) -> int:
@@ -69,9 +71,6 @@ class EquilibriumResult:
     payments: np.ndarray
     payoffs: np.ndarray
     utilization: float
-    method: str
-    iterations: int = 0
-    rate_estimate: Optional[float] = None
 
     @property
     def total_rate_increase_bps(self) -> float:
@@ -99,10 +98,8 @@ class PriceSearchResult:
 
 def response_factors(scenario: NetworkScenario, params: AuctionParams) -> list[BestResponse]:
     """Per-user best-response factors at this price."""
-    return [
-        best_response_factor(u, params.kind, params.price, scenario.relay_budget_w, scenario.system)
-        for u in scenario.users
-    ]
+    factors = _UserArrays.of(scenario, params.kind).factors(params.price)
+    return [BestResponse(float(f)) for f in factors]
 
 
 def aggregate_share(factors: Sequence[BestResponse]) -> float:
@@ -113,10 +110,7 @@ def aggregate_share(factors: Sequence[BestResponse]) -> float:
 
 
 def ne_exists(scenario: NetworkScenario, params: AuctionParams) -> bool:
-    factors = response_factors(scenario, params)
-    if any(f.is_infinite for f in factors):
-        return False
-    return aggregate_share(factors) < 1.0
+    return _UserArrays.of(scenario, params.kind).share(params.price) < 1.0
 
 
 def ne_bids_from_factors(factors: Sequence[float], reserve_bid: float) -> np.ndarray:
@@ -139,34 +133,25 @@ def update_matrix(factors: Sequence[float]) -> np.ndarray:
 
 
 def equilibrium_from_bids(
-    scenario: NetworkScenario,
-    params: AuctionParams,
-    bids: np.ndarray,
-    method: str,
-    iterations: int = 0,
-    rate_estimate: Optional[float] = None,
+    scenario: NetworkScenario, params: AuctionParams, bids: np.ndarray
 ) -> EquilibriumResult:
+    """Powers, SNRs, rates, payments and payoffs that a bid profile implies."""
     powers = allocate(bids, params.reserve_bid, scenario.relay_budget_w)
+    links = _LinkArrays.of(scenario.users)
     sys = scenario.system
-    d_snr = np.array([float(relayed_snr(u, p, sys)) for u, p in zip(scenario.users, powers)])
-    gains = np.array([float(rate_increase(u, p, sys)) for u, p in zip(scenario.users, powers)])
-    pays = np.array(
-        [payment(params.kind, params.price, u, float(p), sys) for u, p in zip(scenario.users, powers)]
-    )
+    gains = rate_increase(links, powers, sys)
+    pays = payment(params.kind, params.price, links, powers, sys)
     return EquilibriumResult(
         kind=params.kind,
         price=params.price,
         reserve_bid=params.reserve_bid,
         bids=np.asarray(bids, dtype=float),
         powers=powers,
-        delta_snr=d_snr,
+        delta_snr=relayed_snr(links, powers, sys),
         rate_increase_bps=gains,
         payments=pays,
         payoffs=gains - pays,
         utilization=float(powers.sum() / scenario.relay_budget_w),
-        method=method,
-        iterations=iterations,
-        rate_estimate=rate_estimate,
     )
 
 
@@ -192,20 +177,17 @@ def iterate_best_response(
     if np.any(b < 0.0) or not np.all(np.isfinite(b)):
         raise ValueError("starting bids must be finite and nonnegative")
 
-    factors = response_factors(scenario, params)
-    history = [b.copy()]
-    residuals: list[float] = []
-    if any(f.is_infinite for f in factors):
-        return IterationTrace(tuple(history), (), converged=False, diverged=True)
+    f = _UserArrays.of(scenario, params.kind).factors(params.price)
+    if np.isinf(f).any():
+        return IterationTrace((), b, converged=False, diverged=True)
 
-    f = np.array([fac.value for fac in factors])
     cap = DIVERGENCE_CAP_FACTOR * params.reserve_bid
+    residuals: list[float] = []
     converged = False
     diverged = False
     for _ in range(max_iter):
         b_next = f * (b.sum() - b + params.reserve_bid)
         res = float(np.max(np.abs(b_next - b)))
-        history.append(b_next.copy())
         residuals.append(res)
         b = b_next
         if res <= tol * max(float(b.max(initial=0.0)), params.reserve_bid):
@@ -214,72 +196,21 @@ def iterate_best_response(
         if float(b.max(initial=0.0)) > cap:
             diverged = True
             break
-    return IterationTrace(tuple(history), tuple(residuals), converged=converged, diverged=diverged)
+    return IterationTrace(tuple(residuals), b, converged=converged, diverged=diverged)
 
 
-def solve_ne(
-    scenario: NetworkScenario,
-    params: AuctionParams,
-    multistarts: int = 5,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SolveResult:
-    """Equilibrium of the auction at this price, or a no-equilibrium marker.
+def solve_ne(scenario: NetworkScenario, params: AuctionParams) -> SolveResult:
+    """The unique equilibrium at this price, or a no-equilibrium marker.
 
-    SNR auction: solved in closed form through the aggregate-share identity.
-    Power auction: the factors come from numeric payoff maximization, after
-    which the fixed point is reached by iteration from several deterministic
-    positive starts that must agree.
+    Both auctions are solved by the aggregate-share fixed point
+    (ne_bids_from_factors) of their closed-form best-response factors.
     """
-    factors = response_factors(scenario, params)
-    if any(f.is_infinite for f in factors):
+    f = _UserArrays.of(scenario, params.kind).factors(params.price)
+    if np.isinf(f).any():
         return NoEquilibrium("a best response diverges at this price")
-    share = aggregate_share(factors)
-    if share >= 1.0:
+    if float((f / (1.0 + f)).sum()) >= 1.0:
         return NoEquilibrium("aggregate demand meets or exceeds the budget")
-
-    values = [f.value for f in factors]
-    if params.kind == "snr":
-        bids = ne_bids_from_factors(values, params.reserve_bid)
-        return equilibrium_from_bids(scenario, params, bids, method="closed-form")
-
-    rng = np.random.default_rng(20080521)
-    starts: list[np.ndarray] = [
-        np.full(scenario.n_users, 0.1 * params.reserve_bid),
-        np.full(scenario.n_users, params.reserve_bid),
-        np.full(scenario.n_users, 10.0 * params.reserve_bid),
-    ]
-    while len(starts) < multistarts:
-        starts.append(rng.uniform(0.05, 5.0, scenario.n_users) * params.reserve_bid)
-    fixed_points = []
-    first_trace: Optional[IterationTrace] = None
-    for b0 in starts[:multistarts]:
-        trace = iterate_best_response(scenario, params, b0, tol=tol, max_iter=max_iter)
-        if trace.diverged or not trace.converged:
-            return NoEquilibrium("best-response iteration failed to converge")
-        fixed_points.append(trace.final_bids)
-        if first_trace is None:
-            first_trace = trace
-    ref = fixed_points[0]
-    scale = max(float(np.max(np.abs(ref))), params.reserve_bid)
-    for other in fixed_points[1:]:
-        if float(np.max(np.abs(other - ref))) > 1e-6 * scale:
-            raise RuntimeError("multistart iterations disagree on the fixed point")
-    assert first_trace is not None
-    rate = None
-    if first_trace.converged and first_trace.n_steps >= 5:
-        try:
-            rate = estimate_geometric_rate(first_trace)
-        except ValueError:
-            rate = None
-    return equilibrium_from_bids(
-        scenario,
-        params,
-        ref,
-        method="iteration",
-        iterations=first_trace.n_steps,
-        rate_estimate=rate,
-    )
+    return equilibrium_from_bids(scenario, params, ne_bids_from_factors(f, params.reserve_bid))
 
 
 def estimate_geometric_rate(trace: IterationTrace, tail: int = 20) -> float:
@@ -301,43 +232,39 @@ def estimate_geometric_rate(trace: IterationTrace, tail: int = 20) -> float:
     return float(math.exp(slope))
 
 
-def _regularity_check(scenario: NetworkScenario, kind: str) -> bool:
-    return is_snr_regular(scenario) if kind == "snr" else is_power_regular(scenario)
+def _share_crossing(
+    users: _UserArrays, level: float, p_over: float, p_under: float, rtol: float
+) -> tuple[float, float]:
+    """Bracket of the price where the aggregate share S drops below level.
+
+    S(p_over) >= level is required; p_under is doubled until S < level there.
+    S is non-increasing, so bisection returns (p_over, p_under) with
+    S(p_over) >= level > S(p_under), at most rtol apart relative to the price.
+    """
+
+    def below(price: float) -> bool:
+        return users.share(price) < level
+
+    return bisect_transition(below, p_over, expand_until(below, p_under), rtol=rtol)
 
 
-def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = 1e-6) -> float:
+def _threshold_bracket(users: _UserArrays, rtol: float) -> tuple[float, float]:
+    """Prices just without and just with an equilibrium."""
+    if not users.regular.any():
+        raise ValueError(f"scenario is not {users.kind}-regular: only the all-zero outcome exists")
+    # just below its divergence cutoff a user diverges, so S >= 1 there
+    lo = float(users.cutoff.max()) * (1.0 - 1e-7)
+    return _share_crossing(users, 1.0, lo, max(float(users.pi_hat.max()), 2.0 * lo), rtol)
+
+
+def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = THRESHOLD_RTOL) -> float:
     """Price above which an equilibrium exists and below which none does.
 
-    Existence is monotone in the price: factors shrink as the price grows.
-    Bisection runs between a price strictly inside some user's divergence
-    region and one where every user bids zero.
+    The midpoint of the bisection bracket on S(p) < 1 that starts just below
+    the largest divergence cutoff.
     """
-    if not _regularity_check(scenario, kind):
-        raise ValueError(f"scenario is not {kind}-regular: only the all-zero outcome exists")
-    budget = scenario.relay_budget_w
-    sys = scenario.system
-    cutoffs = [divergence_cutoff(u, kind, budget, sys) for u in scenario.users]
-    hats = [critical_prices(u, kind, budget, sys).pi_hat for u in scenario.users]
-
-    def exists(price: float) -> bool:
-        return ne_exists(scenario, AuctionParams(kind, price))
-
-    lo = max(cutoffs) * (1.0 - 1e-7)
-    if lo <= 0.0 or exists(lo):
-        # no divergence region at all: the threshold sits at zero price
-        return 0.0
-    hi = max(max(hats), lo * 2.0)
-    hi = expand_until(exists, hi)
-    x_false, x_true = bisect_transition(exists, lo, hi, rtol=rtol)
-    return 0.5 * (x_false + x_true)
-
-
-def _all_zero_price(scenario: NetworkScenario, kind: str) -> float:
-    hats = [
-        critical_prices(u, kind, scenario.relay_budget_w, scenario.system).pi_hat
-        for u in scenario.users
-    ]
-    return max(max(hats) * 1.01, 1.0)
+    p_none, p_some = _threshold_bracket(_UserArrays.of(scenario, kind), rtol)
+    return 0.5 * (p_none + p_some)
 
 
 def calibrate_price(
@@ -346,50 +273,25 @@ def calibrate_price(
     target_utilization: float = 0.99,
     rtol: float = 1e-9,
 ) -> PriceSearchResult:
-    """Smallest-utilization price still meeting the target, by bisection.
+    """Largest price whose equilibrium still meets the target utilization.
 
-    Utilization is non-increasing in the price, so the feasible prices form
-    an interval just above the existence threshold; the search returns the
-    upper edge, leaving utilization as close to the target as the (possibly
-    discontinuous) utilization curve allows.  When even the edge of the
-    existence region falls short, the best achieved point is reported with
-    feasible=False.
+    Utilization S is non-increasing in the price, so the feasible prices form
+    an interval from the existence threshold up; the search starts at the
+    upper end of the threshold bracket and returns the upper edge, leaving
+    utilization as close to the target as the (possibly discontinuous) curve
+    allows.  When S falls short of the target already there, that point is
+    reported with feasible=False; a scenario where nobody ever bids reports
+    zero utilization at a price above every participation cutoff.
     """
     if not 0.0 < target_utilization < 1.0:
         raise ValueError("target_utilization must lie in (0, 1)")
-    if not _regularity_check(scenario, kind):
-        return PriceSearchResult(
-            price=_all_zero_price(scenario, kind), utilization=0.0, feasible=False
-        )
-
-    def utilization(price: float) -> Optional[float]:
-        factors = response_factors(scenario, AuctionParams(kind, price))
-        if any(f.is_infinite for f in factors):
-            return None
-        share = aggregate_share(factors)
-        return share if share < 1.0 else None
-
-    pi_th = threshold_price(scenario, kind)
-    price = max(pi_th, 1e-300) * (1.0 + 4e-6)
-    u = utilization(price)
-    for _ in range(60):
-        if u is not None:
-            break
-        price *= 1.0 + 1e-5
-        u = utilization(price)
-    if u is None:
-        return PriceSearchResult(
-            price=_all_zero_price(scenario, kind), utilization=0.0, feasible=False
-        )
-    if u < target_utilization:
-        return PriceSearchResult(price=price, utilization=u, feasible=False)
-
-    def meets(p: float) -> bool:
-        v = utilization(p)
-        return v is not None and v >= target_utilization
-
-    hi = expand_until(lambda p: not meets(p), price * 2.0)
-    x_false, x_true = bisect_transition(lambda p: meets(p), hi, price, rtol=rtol)
-    achieved = utilization(x_true)
-    assert achieved is not None
-    return PriceSearchResult(price=x_true, utilization=achieved, feasible=True)
+    users = _UserArrays.of(scenario, kind)
+    if not users.regular.any():
+        price = max(float(users.pi_hat.max()) * 1.01, 1.0)
+        return PriceSearchResult(price=price, utilization=0.0, feasible=False)
+    _, p_some = _threshold_bracket(users, THRESHOLD_RTOL)
+    share = users.share(p_some)
+    if share < target_utilization:
+        return PriceSearchResult(price=p_some, utilization=share, feasible=False)
+    price, _ = _share_crossing(users, target_utilization, p_some, 2.0 * p_some, rtol)
+    return PriceSearchResult(price=price, utilization=users.share(price), feasible=True)

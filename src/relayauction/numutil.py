@@ -1,4 +1,4 @@
-"""Small bracketing, bisection, and golden-section helpers.
+"""Small bracketing, bisection, Newton, and golden-section helpers.
 
 All routines are deterministic and hold no state, so they are safe to call
 from any number of workers.
@@ -9,37 +9,39 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rtol: float = 1e-12,
-    max_iter: int = 200,
-) -> float:
-    """Root of f on [lo, hi] by bisection.  f(lo) and f(hi) must differ in sign."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
+def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100):
+    """Root of f on [lo, hi] by Newton steps from lo kept inside a shrinking bracket.
+
+    Elementwise: lo and hi are arrays (or broadcast to one) and fdf(x)
+    returns the arrays (f(x), f'(x)); f(lo) and f(hi) must differ in sign.
+    Every iterate narrows the bracket to the sign change; a Newton step that
+    would leave it is replaced by the bracket's midpoint, so the search
+    converges like bisection at worst and quadratically near a simple root.
+    It stops once every step is within rtol of its point.
+    """
+    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    flo, fhi = fdf(lo)[0], fdf(hi)[0]
+    if np.any((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0))):
         raise ValueError(f"root not bracketed on [{lo!r}, {hi!r}]")
+    x = np.where(fhi == 0.0, hi, lo)
+    up = flo < 0.0  # f increases through the root
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if abs(hi - lo) <= rtol * max(abs(lo), abs(hi)):
+        fx, dfx = fdf(x)
+        above = (fx > 0.0) == up  # the root lies below x
+        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = x - fx / dfx
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        done = np.abs(nxt - x) <= rtol * np.abs(nxt)
+        x = nxt
+        if done.all():
             break
-    return 0.5 * (lo + hi)
+    return x
 
 
 def bisect_transition(

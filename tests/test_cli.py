@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from relayauction import save_scenario
+from relayauction import NetworkScenario, UserLink, save_scenario, scenario_from_dict, scenario_to_dict
 from relayauction.cli import main
 
-from conftest import make_random_scenario
+from conftest import BENCH_SYSTEM, make_random_scenario
 import numpy as np
 
 
@@ -87,3 +87,79 @@ def test_multi_user_command(tmp_path, capsys):
     doc = json.loads((tmp_path / "multi_user.json").read_text())
     assert doc["meta"]["n_users"] == 3
     assert len(doc["rows"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# bad input: one line on stderr, exit code 2
+
+
+def _bad_input(capsys, argv, *expected):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("relay-auction: error: ")
+    for text in expected:
+        assert text in lines[0]
+
+
+def _write_doc(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_bad_scenario_overflowing_gain(tmp_path, scenario_y0, capsys):
+    doc = scenario_to_dict(scenario_y0)
+    doc["users"][0]["gain_sd"] = 1e300
+    path = _write_doc(tmp_path, doc)
+    argv = ["threshold-price", "--scenario", str(path), "--auction", "power"]
+    _bad_input(capsys, argv, "user 0", "gain_sd")
+
+
+def test_bad_scenario_missing_field(tmp_path, scenario_y0, capsys):
+    doc = scenario_to_dict(scenario_y0)
+    del doc["system"]["pathloss_exponent"]
+    path = _write_doc(tmp_path, doc)
+    argv = ["threshold-price", "--scenario", str(path), "--auction", "snr"]
+    _bad_input(capsys, argv, "system.pathloss_exponent is missing")
+
+
+def test_bad_scenario_broken_json(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"system": {"bandwidth_hz": 1e6,')
+    argv = ["threshold-price", "--scenario", str(path), "--auction", "snr"]
+    _bad_input(capsys, argv, "line 1")
+
+
+def test_bad_scenario_missing_file(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    argv = ["ne-solve", "--scenario", str(path), "--auction", "snr", "--price", "1e5"]
+    _bad_input(capsys, argv, str(path), "No such file")
+
+
+def test_threshold_price_of_scenario_nobody_bids_in(tmp_path, capsys):
+    users = tuple(UserLink(i, 0.01, 6.25e-10, 1e-12, 1e-12) for i in range(2))
+    path = tmp_path / "useless.json"
+    save_scenario(NetworkScenario(users, 0.1, BENCH_SYSTEM), path)
+    argv = ["threshold-price", "--scenario", str(path), "--auction", "snr"]
+    _bad_input(capsys, argv, "not snr-regular")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["users"][1].pop("gain_sr"), "users[1].gain_sr is missing"),
+        (lambda d: d["users"][0].update(gain_rd="near"), "users[0].gain_rd must be a number"),
+        (lambda d: d["users"][1].update(source=[1.0]), "users[1].source must be a pair of numbers"),
+        (lambda d: d.pop("relay_budget_w"), "relay_budget_w is missing"),
+        (lambda d: d.update(system=[]), "system must be a JSON object"),
+    ],
+)
+def test_scenario_from_dict_names_the_bad_field(scenario_y0, edit, message):
+    doc = scenario_to_dict(scenario_y0)
+    edit(doc)
+    with pytest.raises(ValueError) as err:
+        scenario_from_dict(doc)
+    assert message in str(err.value)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relayauction import (
+    KINDS,
     AuctionParams,
     EquilibriumResult,
     NetworkScenario,
@@ -12,7 +15,9 @@ from relayauction import (
     aggregate_share,
     allocate,
     calibrate_price,
+    critical_prices,
     estimate_geometric_rate,
+    is_power_regular,
     iterate_best_response,
     ne_bids_from_factors,
     ne_exists,
@@ -206,11 +211,38 @@ def test_power_solve_matches_share_identity(scenario_y25):
     params = AuctionParams("power", pr.price)
     eq = solve_ne(scenario_y25, params)
     assert isinstance(eq, EquilibriumResult)
-    assert eq.method == "iteration"
     factors = [f.value for f in response_factors(scenario_y25, params)]
     expected_bids = ne_bids_from_factors(factors, params.reserve_bid)
     assert eq.bids == pytest.approx(expected_bids, rel=1e-6, abs=1e-9)
     assert eq.utilization == pytest.approx(aggregate_share(response_factors(scenario_y25, params)), abs=1e-8)
+
+
+def test_power_iteration_from_former_multistarts_matches_solve_ne():
+    # the power auction was once solved by iterating from these five starts;
+    # all of them must reach the closed-form fixed point solve_ne returns
+    rng = np.random.default_rng(2008)
+    scenarios, live = 0, 0
+    while scenarios < 20:
+        sc = make_random_scenario(rng, int(rng.integers(2, 6)))
+        if not is_power_regular(sc):
+            continue
+        scenarios += 1
+        th = threshold_price(sc, "power")
+        for mult in (1.05, 1.5):
+            params = AuctionParams("power", th * mult)
+            eq = solve_ne(sc, params)
+            assert isinstance(eq, EquilibriumResult)
+            live += int(eq.bids.max() > 0.0)
+            beta, n = params.reserve_bid, sc.n_users
+            draws = np.random.default_rng(20080521)
+            starts = [np.full(n, m * beta) for m in (0.1, 1.0, 10.0)]
+            starts += [draws.uniform(0.05, 5.0, n) * beta for _ in range(2)]
+            scale = max(float(eq.bids.max()), beta)
+            for b0 in starts:
+                trace = iterate_best_response(sc, params, b0)
+                assert trace.converged
+                assert np.max(np.abs(trace.final_bids - eq.bids)) <= 1e-8 * scale
+    assert live >= 30  # the comparison is about equilibria where someone bids
 
 
 def test_ne_exists_agrees_with_solver():
@@ -307,20 +339,20 @@ def test_rate_estimate_scalar_recurrence():
     # synthetic trace of x(t+1) = f * x(t) + f: residuals contract exactly by f
     f, beta = 0.5, 1.0
     x = 10.0
-    bids = [np.array([x])]
     residuals = []
     for _ in range(40):
         x_next = f * (x + beta)
         residuals.append(abs(x_next - x))
-        bids.append(np.array([x_next]))
         x = x_next
-    trace = IterationTrace(tuple(bids), tuple(residuals), converged=True, diverged=False)
+    trace = IterationTrace(
+        residuals=tuple(residuals), final_bids=np.array([x]), converged=True, diverged=False
+    )
     assert estimate_geometric_rate(trace) == pytest.approx(0.5, abs=0.01)
 
 
 def test_rate_estimate_requires_enough_steps():
     trace = IterationTrace(
-        (np.array([1.0]),) * 4, (0.1, 0.05, 0.025), converged=True, diverged=False
+        residuals=(0.1, 0.05, 0.025), final_bids=np.array([1.0]), converged=True, diverged=False
     )
     with pytest.raises(ValueError):
         estimate_geometric_rate(trace)
@@ -356,3 +388,63 @@ def test_rate_estimate_matches_spectral_radius_three_users():
             continue
         assert estimate_geometric_rate(trace) == pytest.approx(rho, rel=0.10)
         tested += 1
+
+
+# ---------------------------------------------------------------------------
+# property tests: the aggregate share and the price search on random scenarios
+
+# a random square-field scenario of 2 to 20 users, drawn by seed
+random_scenarios = st.tuples(st.integers(0, 2**32 - 1), st.integers(2, 20)).map(
+    lambda d: make_random_scenario(np.random.default_rng(d[0]), d[1])
+)
+
+
+def _threshold_or_skip(sc, kind):
+    try:
+        return threshold_price(sc, kind)
+    except ValueError:  # nobody ever bids: no threshold to test
+        assume(False)
+
+
+def _share(sc, kind, price):
+    """Aggregate share with a divergent factor counting as a full share."""
+    factors = response_factors(sc, AuctionParams(kind, price))
+    return sum(1.0 if f.is_infinite else f.value / (1.0 + f.value) for f in factors)
+
+
+def _price_grid(sc, kind, th, n=40):
+    """Sorted log-spaced prices from half the threshold to twice the largest pi_hat."""
+    hats = [critical_prices(u, kind, sc.relay_budget_w, sc.system).pi_hat for u in sc.users]
+    return np.geomspace(0.5 * th, 2.0 * max(hats), n)
+
+
+@given(sc=random_scenarios, kind=st.sampled_from(KINDS))
+@settings(max_examples=50)
+def test_aggregate_share_nonincreasing_in_price(sc, kind):
+    th = _threshold_or_skip(sc, kind)
+    shares = [_share(sc, kind, float(p)) for p in _price_grid(sc, kind, th)]
+    assert all(a >= b for a, b in zip(shares, shares[1:]))
+    assert shares[0] >= 1.0 > shares[-1]
+
+
+@given(sc=random_scenarios, kind=st.sampled_from(KINDS))
+@settings(max_examples=50)
+def test_equilibrium_exists_exactly_above_threshold(sc, kind):
+    th = _threshold_or_skip(sc, kind)
+    rtol = 1e-6  # threshold_price's default bracket width
+    assert isinstance(solve_ne(sc, AuctionParams(kind, th * (1.0 + rtol))), EquilibriumResult)
+    assert isinstance(solve_ne(sc, AuctionParams(kind, th * (1.0 - rtol))), NoEquilibrium)
+
+
+@given(sc=random_scenarios, kind=st.sampled_from(KINDS))
+@settings(max_examples=50)
+def test_equilibrium_utilization_below_one(sc, kind):
+    th = _threshold_or_skip(sc, kind)
+    found = 0
+    for price in _price_grid(sc, kind, th, n=20):
+        eq = solve_ne(sc, AuctionParams(kind, float(price)))
+        if isinstance(eq, EquilibriumResult):
+            found += 1
+            assert 0.0 <= eq.utilization < 1.0
+            assert eq.utilization == pytest.approx(_share(sc, kind, float(price)), abs=1e-12)
+    assert found > 0
