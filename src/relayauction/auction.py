@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .channel import (
     NetworkScenario,
     SystemParams,
     UserLink,
+    _LinkArrays,
     direct_snr,
     power_for_relayed_snr,
     rate_increase,
@@ -300,19 +301,6 @@ def _rule(kind: str) -> _Rule:
     if kind not in _RULES:
         raise ValueError(f"kind must be one of {KINDS}")
     return _RULES[kind]
-
-
-class _LinkArrays(NamedTuple):
-    """The users' link fields as arrays; the channel formulas take it as a link."""
-
-    source_power_w: np.ndarray
-    gain_sd: np.ndarray
-    gain_sr: np.ndarray
-    gain_rd: np.ndarray
-
-    @classmethod
-    def of(cls, users: Sequence[UserLink]) -> "_LinkArrays":
-        return cls(*(np.array([getattr(u, name) for u in users]) for name in cls._fields))
 
 
 class _UserArrays:

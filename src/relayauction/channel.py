@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -101,6 +101,19 @@ class NetworkScenario:
     def without_user(self, index: int) -> "NetworkScenario":
         users = tuple(u for k, u in enumerate(self.users) if k != index)
         return NetworkScenario(users, self.relay_budget_w, self.system, self.relay)
+
+
+class _LinkArrays(NamedTuple):
+    """The users' link fields as arrays; the channel formulas take it as a link."""
+
+    source_power_w: np.ndarray
+    gain_sd: np.ndarray
+    gain_sr: np.ndarray
+    gain_rd: np.ndarray
+
+    @classmethod
+    def of(cls, users: Sequence[UserLink]) -> "_LinkArrays":
+        return cls(*(np.array([getattr(u, name) for u in users]) for name in cls._fields))
 
 
 def path_gain(a: Sequence[float], b: Sequence[float], exponent: float) -> float:

@@ -29,12 +29,11 @@ import numpy as np
 from .auction import (
     AuctionParams,
     BestResponse,
-    _LinkArrays,
     _UserArrays,
     allocate,
     payment,
 )
-from .channel import NetworkScenario, rate_increase, relayed_snr
+from .channel import NetworkScenario, _LinkArrays, rate_increase, relayed_snr
 from .numutil import bisect_transition, expand_until
 
 DEFAULT_TOL = 1e-10

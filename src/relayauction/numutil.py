@@ -1,4 +1,4 @@
-"""Small bracketing, bisection, Newton, and golden-section helpers.
+"""Small bracketing, bisection, and Newton helpers.
 
 All routines are deterministic and hold no state, so they are safe to call
 from any number of workers.
@@ -6,12 +6,9 @@ from any number of workers.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100):
@@ -67,47 +64,6 @@ def bisect_transition(
         else:
             x_false = mid
     return x_false, x_true
-
-
-def golden_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rtol: float = 1e-10,
-    max_iter: int = 300,
-) -> tuple[float, float]:
-    """Maximize a unimodal f on [lo, hi]; returns (argmax, max).
-
-    The search stops when the bracket is narrower than rtol * max(1, |a|, |b|)
-    for the current ends a, b.  For brackets within [-1, 1] the tolerance is
-    therefore absolute (rtol itself), not relative to the argmax.
-    """
-    if hi < lo:
-        lo, hi = hi, lo
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if (b - a) <= rtol * max(1.0, abs(a), abs(b)):
-            break
-        if f1 < f2:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b = x2
-            x2, f2 = x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    xm = 0.5 * (a + b)
-    fm = f(xm)
-    # never return a point worse than the best probe seen last
-    for xc, fc in ((x1, f1), (x2, f2)):
-        if fc > fm:
-            xm, fm = xc, fc
-    return xm, fm
 
 
 def expand_until(

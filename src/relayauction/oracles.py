@@ -1,24 +1,30 @@
 """Centralized benchmarks: efficient, fair, and pivot-payment allocations.
 
 The total rate increase is non-smooth and non-concave in the power split, so
-the efficient allocation is found by honest search: an exhaustive grid for up
-to three users (restricted to the full-budget face, since every user's rate
-increase is non-decreasing in own power) followed by local refinement, and
-multistart pairwise-transfer descent beyond that.  The fair allocation
-equalizes the marginal rate gain per unit of relayed SNR across participants,
-which pins a common SNR level; the largest feasible level is found by
-bisection on the budget constraint.
+the efficient allocation is found by honest search.  The starts are an
+exhaustive grid optimum for up to three users (restricted to the full-budget
+face, since every user's rate increase is non-decreasing in own power), and
+the single-user, uniform and random splits beyond that, plus any seeds.  All
+starts are refined together, as the rows of one array, by sweeps of optimal
+two-user power transfers: each pair's split is a grid over every row's pool,
+narrowed by finer grids around the best point, one array call per round.  A
+row leaves the sweeps once one leaves it unchanged, so each start ends where
+it would alone.  The fair allocation equalizes the marginal rate gain per
+unit of relayed SNR across participants, which pins a common SNR level; the
+largest feasible level is found by bisection on the budget constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .channel import (
     NetworkScenario,
+    _LinkArrays,
     breakeven_power,
     direct_snr,
     power_for_relayed_snr,
@@ -27,7 +33,12 @@ from .channel import (
     relayed_snr_limit,
     snr_marginal_rate,
 )
-from .numutil import bisect_transition, golden_max
+from .numutil import bisect_transition
+
+# points of each refining grid of the pair line search
+REFINE_POINTS = 65
+# values of k per block of the three-user grid sum (a block is GRID_BLOCK x N)
+GRID_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -48,25 +59,20 @@ class VcgResult:
     payments: np.ndarray
 
 
-def _welfare(scenario: NetworkScenario, powers: np.ndarray) -> float:
-    return float(
-        sum(float(rate_increase(u, float(p), scenario.system)) for u, p in zip(scenario.users, powers))
-    )
+def _welfare(scenario: NetworkScenario, powers: np.ndarray, links: Optional[_LinkArrays] = None):
+    """Total rate increase of a split, or of every row of a stack of splits."""
+    if links is None:
+        links = _LinkArrays.of(scenario.users)
+    return rate_increase(links, powers, scenario.system).sum(axis=-1)
 
 
-def _finish(scenario: NetworkScenario, powers: np.ndarray) -> OracleAllocation:
+def _finish(scenario: NetworkScenario, powers: np.ndarray, links: _LinkArrays) -> OracleAllocation:
     """Zero out users whose power buys no rate increase, then package."""
     sys = scenario.system
-    powers = powers.copy()
-    gains = np.zeros_like(powers)
-    marginals = np.zeros_like(powers)
-    for i, u in enumerate(scenario.users):
-        gain = float(rate_increase(u, float(powers[i]), sys))
-        if gain <= 0.0:
-            powers[i] = 0.0
-            continue
-        gains[i] = gain
-        marginals[i] = snr_marginal_rate(u, float(relayed_snr(u, float(powers[i]), sys)), sys)
+    gains = rate_increase(links, powers, sys)
+    buys = gains > 0.0
+    powers = np.where(buys, powers, 0.0)
+    marginals = np.where(buys, snr_marginal_rate(links, relayed_snr(links, powers, sys), sys), 0.0)
     return OracleAllocation(
         powers=powers,
         total_rate_increase_bps=float(gains.sum()),
@@ -75,98 +81,139 @@ def _finish(scenario: NetworkScenario, powers: np.ndarray) -> OracleAllocation:
     )
 
 
+def _grid(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """n points from lo to hi per row, spaced as np.linspace spaces them.
+
+    np.linspace over arrays of ends changes its arithmetic for every row when
+    one row has a zero step, which would make a row's grid depend on the
+    others; this spacing is computed row by row.
+    """
+    t = np.arange(n) * ((hi - lo) / (n - 1))[:, None] + lo[:, None]
+    t[:, -1] = hi
+    return t
+
+
 def _line_search_pair(
-    scenario: NetworkScenario, i: int, j: int, pool: float, grid_n: int
-) -> tuple[float, float]:
-    """Best split of a power pool between users i and j: (power_i, welfare gain)."""
+    scenario: NetworkScenario, i: int, j: int, pool: np.ndarray, grid_n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best split of each power pool between users i and j: (powers_i, welfare gains).
+
+    A grid_n-point grid over each pool, then REFINE_POINTS-point grids over
+    the two cells around the best point, until they span less than
+    1e-12 * max(1, hi) W.  The best point seen is returned.  Each pool is
+    refined on its own, so its result does not depend on the other pools.
+    """
     sys = scenario.system
     ui, uj = scenario.users[i], scenario.users[j]
-    t = np.linspace(0.0, pool, grid_n)
-    w = rate_increase(ui, t, sys) + rate_increase(uj, np.maximum(pool - t, 0.0), sys)
-    k = int(np.argmax(w))
-    cell = pool / (grid_n - 1) if grid_n > 1 else pool
-    lo = max(0.0, t[k] - cell)
-    hi = min(pool, t[k] + cell)
-    x, v = golden_max(
-        lambda s: float(rate_increase(ui, s, sys) + rate_increase(uj, max(pool - s, 0.0), sys)),
-        lo,
-        hi,
-        rtol=1e-12,
-    )
-    if w[k] > v:
-        x, v = float(t[k]), float(w[k])
+    pool = np.asarray(pool, dtype=float)
+    lo, hi = np.zeros_like(pool), pool.copy()
+    x, v = np.zeros_like(pool), np.full_like(pool, -np.inf)
+    rows, n = np.arange(pool.size), grid_n
+    while rows.size:
+        t = _grid(lo[rows], hi[rows], n)
+        rest = np.maximum(pool[rows, None] - t, 0.0)
+        w = rate_increase(ui, t, sys) + rate_increase(uj, rest, sys)
+        best = (np.arange(rows.size), w.argmax(axis=1))
+        tk, wk = t[best], w[best]
+        better = wk > v[rows]
+        x[rows[better]], v[rows[better]] = tk[better], wk[better]
+        cell = (hi[rows] - lo[rows]) / (n - 1)
+        lo[rows] = np.maximum(lo[rows], tk - cell)
+        hi[rows] = np.minimum(hi[rows], tk + cell)
+        rows = rows[hi[rows] - lo[rows] > 1e-12 * np.maximum(1.0, hi[rows])]
+        n = REFINE_POINTS
     return x, v
 
 
 def _transfer_sweeps(
     scenario: NetworkScenario,
     budget: float,
-    x0: np.ndarray,
+    starts: np.ndarray,
+    links: _LinkArrays,
     grid_n: int = 65,
     max_sweeps: int = 60,
 ) -> np.ndarray:
-    """Refine a feasible split by repeated optimal two-user power transfers."""
+    """Refine every row of a stack of splits by repeated optimal two-user transfers.
+
+    A row leaves the sweeps once a sweep finds no transfer that raises its
+    welfare by more than the tolerance; since the sweep is a function of the
+    row alone, every later sweep would leave it unchanged too.
+    """
     sys = scenario.system
     n = scenario.n_users
-    x = np.clip(np.asarray(x0, dtype=float).copy(), 0.0, None)
-    total = float(x.sum())
-    if total > budget:
-        x *= budget / total
-    slack = max(budget - float(x.sum()), 0.0)
-    if slack > 0.0:
-        # hand the whole slack to whichever user gains most from it
-        gains = [
-            float(rate_increase(u, float(x[i]) + slack, sys)) - float(rate_increase(u, float(x[i]), sys))
-            for i, u in enumerate(scenario.users)
-        ]
-        x[int(np.argmax(gains))] += slack
+    x = np.clip(np.array(starts, dtype=float), 0.0, None)
+    total = x.sum(axis=1)
+    over = total > budget
+    x[over] *= (budget / total[over])[:, None]
+    slack = np.maximum(budget - x.sum(axis=1), 0.0)
+    # hand each row's whole slack to whichever user gains most from it
+    gains = rate_increase(links, x + slack[:, None], sys) - rate_increase(links, x, sys)
+    rows = np.flatnonzero(slack > 0.0)
+    x[rows, gains[rows].argmax(axis=1)] += slack[rows]
     if n == 1:
         return x
-    tol = 1e-12 * max(scenario.system.bandwidth_hz, 1.0)
+    tol = 1e-12 * max(sys.bandwidth_hz, 1.0)
+    live = np.ones(len(x), dtype=bool)
     for _ in range(max_sweeps):
-        improved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                pool = float(x[i] + x[j])
-                if pool <= 0.0:
-                    continue
-                before = float(rate_increase(scenario.users[i], float(x[i]), sys)) + float(
-                    rate_increase(scenario.users[j], float(x[j]), sys)
-                )
-                xi, after = _line_search_pair(scenario, i, j, pool, grid_n)
-                if after > before + tol:
-                    x[i], x[j] = xi, pool - xi
-                    improved = True
-        if not improved:
+        moved = np.zeros_like(live)
+        for i, j in combinations(range(n), 2):
+            rows = np.flatnonzero(live & (x[:, i] + x[:, j] > 0.0))
+            pool = x[rows, i] + x[rows, j]
+            before = rate_increase(scenario.users[i], x[rows, i], sys) + rate_increase(
+                scenario.users[j], x[rows, j], sys
+            )
+            xi, after = _line_search_pair(scenario, i, j, pool, grid_n)
+            up = after > before + tol
+            rows, xi, pool = rows[up], xi[up], pool[up]
+            x[rows, i], x[rows, j] = xi, pool - xi
+            moved[rows] = True
+        live = moved
+        if not live.any():
             break
     return x
 
 
 def _grid_best_two(scenario: NetworkScenario, budget: float, grid_n: int) -> np.ndarray:
-    xi, _ = _line_search_pair(scenario, 0, 1, budget, grid_n)
-    return np.array([xi, budget - xi])
+    xi, _ = _line_search_pair(scenario, 0, 1, np.array([budget]), grid_n)
+    return np.array([xi[0], budget - xi[0]])
 
 
-def _grid_best_three(scenario: NetworkScenario, budget: float, grid_n: int) -> np.ndarray:
-    sys = scenario.system
-    u0, u1, u2 = scenario.users
+def _grid_best_three(
+    scenario: NetworkScenario, budget: float, grid_n: int, links: _LinkArrays
+) -> np.ndarray:
+    """Best split of the budget among three users on a uniform grid.
+
+    On the grid t, users 0 and 1 take t[k] and t[m] and user 2 the rest,
+    which is the grid point t[N-1-k-m].  Each user's rate increase is
+    evaluated once on t; the sums over k + m <= N-1 are formed GRID_BLOCK
+    values of k at a time, never as the whole N x N triangle.  Ties go to
+    the first k, then the first m.
+    """
     t = np.linspace(0.0, budget, grid_n)
-    g0 = np.asarray(rate_increase(u0, t, sys))
-    best_w = -1.0
-    best = np.zeros(3)
-    for k, x0 in enumerate(t):
-        rest = budget - x0
-        t1 = t[t <= rest + 1e-18]
-        if t1.size == 0:
-            continue
-        w = g0[k] + np.asarray(rate_increase(u1, t1, sys)) + np.asarray(
-            rate_increase(u2, np.maximum(rest - t1, 0.0), sys)
-        )
-        m = int(np.argmax(w))
-        if w[m] > best_w:
-            best_w = float(w[m])
-            best = np.array([x0, float(t1[m]), rest - float(t1[m])])
-    return best
+    g0, g1, g2 = rate_increase(links, t[:, None], scenario.system).T
+    # row k of the window holds g2[N-1-k-m] at column m, and -inf where k + m > N-1
+    tail = np.concatenate([g2[::-1], np.full(grid_n - 1, -np.inf)])
+    window = np.lib.stride_tricks.sliding_window_view(tail, grid_n)
+    best_w, best_k, best_m = -np.inf, 0, 0
+    for k0 in range(0, grid_n, GRID_BLOCK):
+        m_end = grid_n - k0  # no m at or past it is feasible in this block
+        w = (g0[k0 : k0 + GRID_BLOCK, None] + g1[:m_end]) + window[k0 : k0 + GRID_BLOCK, :m_end]
+        k, m = np.unravel_index(w.argmax(), w.shape)
+        if w[k, m] > best_w:
+            best_w, best_k, best_m = w[k, m], k0 + k, m
+    rest = budget - t[best_k]
+    return np.array([t[best_k], t[best_m], rest - t[best_m]])
+
+
+def _seed_rows(seeds: Iterable[Sequence[float]], n: int) -> np.ndarray:
+    """The seeds as a (seeds, n) array; raises ValueError naming a malformed one."""
+    rows = [np.asarray(seed, dtype=float) for seed in seeds]
+    for k, row in enumerate(rows):
+        if row.shape != (n,):
+            raise ValueError(f"seeds[{k}] has shape {row.shape}; it needs one power per user ({n})")
+        if not np.all(np.isfinite(row) & (row >= 0.0)):
+            raise ValueError(f"seeds[{k}] must hold finite nonnegative powers, got {row.tolist()}")
+    return np.reshape(rows, (len(rows), n))
 
 
 def efficient_allocation(
@@ -179,47 +226,37 @@ def efficient_allocation(
 
     Search is exhaustive-grid for up to three users and multistart
     pairwise-transfer descent beyond; extra starting points can be supplied
-    through seeds.  Power that buys no rate increase is released, so the
-    budget may go partly unused.
+    through seeds, one finite nonnegative power per user each.  Every start
+    is refined and the first of the best is kept.  Power that buys no rate
+    increase is released, so the budget may go partly unused.
     """
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    budget = scenario.relay_budget_w * (1.0 - delta)
     n = scenario.n_users
-    sys = scenario.system
+    seed_rows = _seed_rows(seeds, n)
+    budget = scenario.relay_budget_w * (1.0 - delta)
+    links = _LinkArrays.of(scenario.users)
 
-    candidates: list[np.ndarray] = []
     if n == 1:
-        candidates.append(np.array([budget]))
+        starts = np.array([[budget]])
     elif n == 2:
-        candidates.append(_grid_best_two(scenario, budget, grid_n))
+        starts = _grid_best_two(scenario, budget, grid_n)[None, :]
     elif n == 3:
-        candidates.append(_grid_best_three(scenario, budget, min(grid_n, 1024)))
+        starts = _grid_best_three(scenario, budget, min(grid_n, 1024), links)[None, :]
     else:
         rng = np.random.default_rng(371)
-        for i in range(min(n, 8)):
-            one = np.zeros(n)
-            one[i] = budget
-            candidates.append(one)
-        candidates.append(np.full(n, budget / n))
-        for _ in range(20):
-            w = rng.dirichlet(np.ones(n))
-            candidates.append(w * budget)
-    for seed in seeds:
-        candidates.append(np.asarray(seed, dtype=float))
-
-    best: Optional[np.ndarray] = None
-    best_w = -1.0
-    for cand in candidates:
-        refined = _transfer_sweeps(scenario, budget, cand)
-        w = _welfare(scenario, refined)
-        if w > best_w:
-            best_w = w
-            best = refined
-    assert best is not None
-    return _finish(scenario, best)
+        starts = np.concatenate(
+            [
+                np.eye(min(n, 8), n) * budget,  # single-user starts
+                np.full((1, n), budget / n),
+                rng.dirichlet(np.ones(n), size=20) * budget,
+            ]
+        )
+    refined = _transfer_sweeps(scenario, budget, np.concatenate([starts, seed_rows]), links)
+    best = int(np.argmax(_welfare(scenario, refined, links)))
+    return _finish(scenario, refined[best], links)
 
 
 def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
@@ -281,7 +318,7 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
     powers = np.zeros(n)
     for i in active:
         powers[i] = power_needed(i, level)
-    return _finish(scenario, powers)
+    return _finish(scenario, powers, _LinkArrays.of(scenario.users))
 
 
 def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 4096) -> VcgResult:

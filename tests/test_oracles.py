@@ -291,3 +291,101 @@ def test_vcg_runs_one_welfare_solve_per_user_plus_one(monkeypatch, scenario_y0):
     monkeypatch.setattr(oracles, "efficient_allocation", counting)
     oracles.vcg_auction(scenario_y0, delta=0.0, grid_n=256)
     assert calls["n"] == scenario_y0.n_users + 1
+
+
+# ---------------------------------------------------------------------------
+# the batched search
+
+
+@pytest.mark.parametrize(
+    "seed, match",
+    [
+        ([0.05, 0.05], r"seeds\[1\] has shape \(2,\)"),
+        ([0.02] * 5, r"seeds\[1\] has shape \(5,\)"),
+        ([0.02, -0.01, 0.02, 0.02], r"seeds\[1\] must hold finite nonnegative powers"),
+        ([0.02, np.nan, 0.02, 0.02], r"seeds\[1\] must hold finite nonnegative powers"),
+        ([0.02, np.inf, 0.02, 0.02], r"seeds\[1\] must hold finite nonnegative powers"),
+    ],
+    ids=["short", "long", "negative", "nan", "inf"],
+)
+def test_efficient_rejects_malformed_seed(seed, match):
+    sc = make_random_scenario(np.random.default_rng(5), 4)
+    with pytest.raises(ValueError, match=match):
+        efficient_allocation(sc, grid_n=256, seeds=([0.02] * 4, seed))
+
+
+def test_transfer_sweeps_batch_equals_each_start_alone():
+    rng = np.random.default_rng(41)
+    budget = BUDGET * 0.99
+    for _ in range(12):
+        n = int(rng.integers(3, 7))
+        sc = make_random_scenario(rng, n)
+        links = oracles._LinkArrays.of(sc.users)
+        # splits short of, on and over the budget, and single-user ones
+        scale = rng.choice([0.5, 1.0, 1.5], size=(10, 1))
+        splits = rng.dirichlet(np.ones(n), size=10) * budget * scale
+        starts = np.concatenate([splits, np.eye(n) * budget])
+        batch = oracles._transfer_sweeps(sc, budget, starts, links)
+        for row, start in zip(batch, starts):
+            alone = oracles._transfer_sweeps(sc, budget, start[None, :], links)[0]
+            assert np.array_equal(row, alone)
+
+
+def _grid_best_three_by_rows(scenario, budget, grid_n):
+    """The search of _grid_best_three, one k at a time."""
+    t = np.linspace(0.0, budget, grid_n)
+    g0, g1, g2 = (np.asarray(rate_increase(u, t, scenario.system)) for u in scenario.users)
+    best_w, best = -np.inf, None
+    for k in range(grid_n):
+        w = g0[k] + g1[: grid_n - k] + g2[grid_n - 1 - k :: -1]  # user 2 takes t[N-1-k-m]
+        m = int(np.argmax(w))
+        if w[m] > best_w:
+            best_w, best = w[m], np.array([t[k], t[m], budget - t[k] - t[m]])
+    return best
+
+
+@pytest.mark.parametrize("grid_n", [256, 1024])
+def test_grid_best_three_blocks_match_row_loop(grid_n):
+    rng = np.random.default_rng(67)
+    # ties everywhere (no one gains) and between the permutations of equal users
+    twin = UserLink(0, 0.01, 200.0**-4, 80.0**-4, 120.0**-4)
+    tied = [_useless_scenario(3), NetworkScenario((twin,) * 3, BUDGET, BENCH_SYSTEM)]
+    for sc in tied + [make_random_scenario(rng, 3) for _ in range(6)]:
+        links = oracles._LinkArrays.of(sc.users)
+        blocks = oracles._grid_best_three(sc, BUDGET, grid_n, links)
+        assert np.array_equal(blocks, _grid_best_three_by_rows(sc, BUDGET, grid_n))
+
+
+def _pair_welfare(u0, u1, pool, t):
+    rest = np.maximum(pool - t, 0.0)
+    return rate_increase(u0, t, BENCH_SYSTEM) + rate_increase(u1, rest, BENCH_SYSTEM)
+
+
+@pytest.mark.parametrize("grid_n", [65, 4096])
+def test_line_search_pair_reaches_dense_grid_optimum(grid_n):
+    rng = np.random.default_rng(71)
+    positive = 0
+    for _ in range(30):
+        sc = make_random_scenario(rng, 2)
+        u0, u1 = sc.users
+        pools = BUDGET * 10.0 ** rng.uniform(-4.0, 0.0, size=6)
+        xs, vs = oracles._line_search_pair(sc, 0, 1, pools, grid_n)
+        for pool, x, v in zip(pools, xs, vs):
+            assert 0.0 <= x <= pool
+            dense = _pair_welfare(u0, u1, pool, np.linspace(0.0, pool, 2**16))
+            assert v >= dense.max() * (1.0 - 1e-12)
+            assert v == _pair_welfare(u0, u1, pool, x)
+            positive += bool(v > 0.0)
+    assert positive >= 40
+
+
+def test_efficient_matches_brute_force_on_random_pairs():
+    rng = np.random.default_rng(73)
+    positive = 0
+    for _ in range(20):
+        sc = make_random_scenario(rng, 2)
+        alloc = efficient_allocation(sc, delta=0.0)
+        brute = brute_force_welfare(sc, BUDGET)
+        assert alloc.total_rate_increase_bps >= brute * (1 - 1e-6)
+        positive += bool(brute > 0.0)
+    assert positive >= 5
