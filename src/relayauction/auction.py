@@ -211,8 +211,23 @@ def _snr_demand(users: "_UserArrays", price: float) -> np.ndarray:
 # where p r'(p) = r(p).
 
 
-def _power_demand(users: "_UserArrays", price: float) -> np.ndarray:
-    """Relay power at which u'(p) = price, clamped to [breakeven, budget].
+def _power_curve(p, g, b, c, k):
+    """u(p), u'(p) and w, where u''(p) = -c u'(p) w, elementwise.
+
+    With a = p c, D1 = a+b+1 and D2 = (1+g) D1 + a b (see _power_demand),
+    w = 1 / D1 + (1+g+b) / D2.  u(p) is taken as the log1p of
+    (s - g^2 - g) / (1+g)^2, exact near the breakeven.
+    """
+    a = p * c
+    d1 = a + b + 1.0
+    d2 = (1.0 + g) * d1 + a * b
+    slope = k * c * b * (b + 1.0) / (d1 * d2)
+    u = k * np.log1p((a * b / d1 - g * g - g) / (1.0 + g) ** 2)
+    return u, slope, 1.0 / d1 + (1.0 + g + b) / d2
+
+
+def _power_demand(users: "_UserArrays", price) -> np.ndarray:
+    """Relay power at which u'(p) = price, clamped to [0, budget].
 
     With a = p c, c = gain_rd / noise, b the SNR limit, g the direct SNR and
     K = W / (2 ln 2), u'(p) = K c b (b+1) / ((a+b+1) ((1+g)(a+b+1) + a b)), so
@@ -221,15 +236,16 @@ def _power_demand(users: "_UserArrays", price: float) -> np.ndarray:
     It is solved in t = a / (b+1) (divided through by (b+1)^2, which keeps the
     coefficients in range), taking the positive root in the form free of
     cancellation.  The discriminant is at least b^2, so the root is real.
-    Past the breakeven the net gain is concave, so the clamped root is its
-    maximizer over [breakeven, budget].
+    u is concave, so the clamped root maximizes u(p) - price * p over
+    [0, budget] (the power auction clamps it to the breakeven as well).  The
+    price may be an array broadcasting against the users.
     """
     g, b, c, k = users.g, users.b, users.c, users.k
     q2 = 1.0 + g + b
     q1 = 2.0 + 2.0 * g + b
     q0 = 1.0 + g - k * c * b / ((b + 1.0) * price)
     t = -2.0 * q0 / (q1 + np.sqrt(q1 * q1 - 4.0 * q2 * q0))
-    return np.minimum(np.maximum(t * (b + 1.0) / c, users.x0), users.budget)
+    return np.minimum(np.maximum(t * (b + 1.0) / c, 0.0), users.budget)
 
 
 def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
@@ -238,19 +254,13 @@ def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
     On [breakeven, budget] phi(p) = p u'(p) - u(p) has derivative
     p u''(p) <= 0 and is positive at the breakeven power, where u vanishes;
     the maximizer is therefore the budget when phi(budget) >= 0 and the root
-    of phi otherwise.  With D1 = a+b+1 and D2 = (1+g) D1 + a b (see
-    _power_demand), u'' = -c u' (1 / D1 + (1+g+b) / D2).
+    of phi otherwise.
     """
     k = users.k
 
     def phi(p, g, b, c):
-        a = p * c
-        d1 = a + b + 1.0
-        d2 = (1.0 + g) * d1 + a * b
-        slope = k * c * b * (b + 1.0) / (d1 * d2)
-        # u(p) as log1p of (s - g^2 - g) / (1+g)^2: exact near the breakeven
-        u = k * np.log1p((a * b / d1 - g * g - g) / (1.0 + g) ** 2)
-        return p * slope - u, -p * c * slope * (1.0 / d1 + (1.0 + g + b) / d2)
+        u, slope, bend = _power_curve(p, g, b, c, k)
+        return p * slope - u, -p * c * slope * bend
 
     live = users.gain_max > 0.0
     p = np.where(live, users.budget, np.nan)
@@ -292,7 +302,7 @@ _RULES = {
         charged=lambda links, p, sys: p,
         marginal=rate_increase_power_slope,
         pi_hat=_power_pi_hat,
-        demand=_power_demand,
+        demand=lambda users, price: np.maximum(_power_demand(users, price), users.x0),
     ),
 }
 

@@ -120,6 +120,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "per_user_rate_increase_bps": alloc.per_user_rate_increase_bps,
         "total_rate_increase_bps": alloc.total_rate_increase_bps,
         "marginal_utility": alloc.marginal_utility,
+        "nodes": alloc.nodes,
+        "certified_gap": alloc.certified_gap,
     }
     if payments is not None:
         payload["payments"] = payments
@@ -171,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("efficient", "fair", "vcg"))
     p.add_argument("--scenario", required=True)
     p.add_argument("--delta", type=float, default=0.01, help="budget reduction fraction")
-    p.add_argument("--grid", type=int, default=4096, help="search grid resolution")
+    p.add_argument("--grid", type=int, default=4096, help="ignored; kept for compatibility")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("threshold-price", help="price below which no equilibrium exists")

@@ -196,9 +196,10 @@ def run_multi_user(spec: MultiUserSpec = MultiUserSpec()) -> Report:
     """Average both auctions over seeded topologies for each power budget.
 
     The same topologies are reused across budgets so that curves over the
-    budget are paired comparisons.  The centralized welfare benchmark is
-    included only for small populations (three users or fewer); at full scale
-    its search cost dwarfs the auctions and the comparison is left out.
+    budget are paired comparisons.  The efficient welfare is included only
+    for three users or fewer: perfbench/workloads.py::selfcheck compares the
+    study's rows with its own per-unit rows for equality, so a column at
+    full scale waits for a change of the benchmark.
     """
     w = spec.bandwidth_hz
     topologies = sample_topologies(spec)

@@ -22,13 +22,13 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100)
     It stops once every step is within rtol of its point.
     """
     lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    flo, fhi = fdf(lo)[0], fdf(hi)[0]
+    (flo, dflo), (fhi, dfhi) = fdf(lo), fdf(hi)
     if np.any((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0))):
         raise ValueError(f"root not bracketed on [{lo!r}, {hi!r}]")
-    x = np.where(fhi == 0.0, hi, lo)
+    at_hi = fhi == 0.0
+    x, fx, dfx = np.where(at_hi, hi, lo), np.where(at_hi, fhi, flo), np.where(at_hi, dfhi, dflo)
     up = flo < 0.0  # f increases through the root
     for _ in range(max_iter):
-        fx, dfx = fdf(x)
         above = (fx > 0.0) == up  # the root lies below x
         lo, hi = np.where(above, lo, x), np.where(above, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -38,6 +38,7 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100)
         x = nxt
         if done.all():
             break
+        fx, dfx = fdf(x)
     return x
 
 

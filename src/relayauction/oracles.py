@@ -1,27 +1,30 @@
 """Centralized benchmarks: efficient, fair, and pivot-payment allocations.
 
-The total rate increase is non-smooth and non-concave in the power split, so
-the efficient allocation is found by honest search.  The starts are an
-exhaustive grid optimum for up to three users (restricted to the full-budget
-face, since every user's rate increase is non-decreasing in own power), and
-the single-user, uniform and random splits beyond that, plus any seeds.  All
-starts are refined together, as the rows of one array, by sweeps of optimal
-two-user power transfers: each pair's split is a grid over every row's pool,
-narrowed by finer grids around the best point, one array call per round.  A
-row leaves the sweeps once one leaves it unchanged, so each start ends where
-it would alone.  The fair allocation equalizes the marginal rate gain per
-unit of relayed SNR across participants, which pins a common SNR level; the
+The total rate increase is non-concave in the power split: each user's
+increase r_i = max(0, u_i) is zero up to its breakeven power and concave
+beyond, where u_i, the unclamped increase, is concave in power everywhere.
+The efficient welfare is therefore the largest, over sets of participants,
+of a concave water-filling on the set (Everett's multiplier method), and
+`efficient_allocation` finds it exactly by branch-and-bound over the sets
+(Udell & Boyd, "Maximizing a sum of sigmoids").  A node forces some users
+in, some out and leaves the rest free, relaxed to the concave envelope of
+r_i; its water-filling is the power auction's own demand at one multiplier
+per node, and its dual value bounds every set below it.  A node whose
+relaxed split uses the whole budget is solved outright; otherwise it
+branches on the free user whose envelope demand jumps across the
+multiplier.  The fair allocation equalizes the marginal rate gain per unit
+of relayed SNR across participants, which pins a common SNR level; the
 largest feasible level is found by bisection on the budget constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .auction import POWER, _power_curve, _power_demand, _UserArrays
 from .channel import (
     NetworkScenario,
     _LinkArrays,
@@ -33,12 +36,10 @@ from .channel import (
     relayed_snr_limit,
     snr_marginal_rate,
 )
-from .numutil import bisect_transition
+from .numutil import bisect_transition, newton_root
 
-# points of each refining grid of the pair line search
-REFINE_POINTS = 65
-# values of k per block of the three-user grid sum (a block is GRID_BLOCK x N)
-GRID_BLOCK = 64
+# a node is closed once its bound is at most the incumbent times (1 + BOUND_RTOL)
+BOUND_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,8 @@ class OracleAllocation:
     total_rate_increase_bps: float
     per_user_rate_increase_bps: np.ndarray
     marginal_utility: np.ndarray  # d(rate)/d(SNR) for participants, 0 otherwise
+    nodes: int = 1  # branch-and-bound nodes solved; 1 for a closed form
+    certified_gap: float = 0.0  # the optimum is at most the total times (1 + gap)
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,9 @@ def _welfare(scenario: NetworkScenario, powers: np.ndarray, links: Optional[_Lin
     return rate_increase(links, powers, scenario.system).sum(axis=-1)
 
 
-def _finish(scenario: NetworkScenario, powers: np.ndarray, links: _LinkArrays) -> OracleAllocation:
+def _finish(
+    scenario: NetworkScenario, powers: np.ndarray, links: _LinkArrays, nodes: int = 1, gap: float = 0.0
+) -> OracleAllocation:
     """Zero out users whose power buys no rate increase, then package."""
     sys = scenario.system
     gains = rate_increase(links, powers, sys)
@@ -78,142 +83,131 @@ def _finish(scenario: NetworkScenario, powers: np.ndarray, links: _LinkArrays) -
         total_rate_increase_bps=float(gains.sum()),
         per_user_rate_increase_bps=gains,
         marginal_utility=marginals,
+        nodes=nodes,
+        certified_gap=gap,
     )
 
 
-def _grid(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """n points from lo to hi per row, spaced as np.linspace spaces them.
+class _Relaxation:
+    """Nodes of the efficient problem on one scenario's power-auction arrays.
 
-    np.linspace over arrays of ends changes its arithmetic for every row when
-    one row has a zero step, which would make a row's grid depend on the
-    others; this spacing is computed row by row.
+    A node is a row of two masks: users forced in take u_i, free users take
+    the concave envelope of r_i on [0, budget] (the line of slope pi_hat up
+    to the tangent point, then u_i), and the rest take 0.  For any set A
+    between the forced-in users and the free ones, the water-filling of A is
+    at most the node's relaxation.  Users whose rate increase stays 0 up to
+    the budget (pi_hat = 0) are never worth forcing in or leaving free.
     """
-    t = np.arange(n) * ((hi - lo) / (n - 1))[:, None] + lo[:, None]
-    t[:, -1] = hi
-    return t
+
+    def __init__(self, users: _UserArrays):
+        self.users = users
+        self.live = users.gain_max > 0.0
+        # where a free user's demand drops from its tangent point to 0
+        self.jumps = np.where(self.live, users.pi_hat, np.inf)
+        # the demand at pi_hat: u' meets pi_hat there, or stays above it up to the budget
+        self.tangent = _power_demand(users, self.jumps)
+        self.shape = (users.g, users.b, users.c, users.k)
+        self.slope_zero = _power_curve(0.0, *self.shape)[1]
+        self.slope_full = _power_curve(users.budget, *self.shape)[1]
+
+    def _split(self, price, inn: np.ndarray, free: np.ndarray):
+        """Demands at prices broadcast against the masks, and the forced-in demands d."""
+        d = _power_demand(self.users, price)
+        # below pi_hat the envelope's demand is d, at least the tangent point
+        relaxed = np.where(price < self.jumps, d, 0.0)
+        return np.where(inn, d, np.where(free, relaxed, 0.0)), d
+
+    def solve(self, inn: np.ndarray, free: np.ndarray):
+        """Multiplier, split, dual bound and welfare of every node; each needs a participant.
+
+        The multiplier is the root of f(lam) = sum_i x_i(lam) - budget, which
+        falls by a free user's tangent point at its pi_hat.  Evaluating f at
+        every free pi_hat either finds the root on such a jump, where the
+        relaxed split misses the budget, or brackets it between two jumps,
+        where one Newton search for all those rows finds it, with
+        d x_i / d lam = 1 / u_i'' where x_i lies on a curved piece.  The
+        bound lam B + sum_i max_x (f_i(x) - lam x), f_i the user's term,
+        holds at any lam >= 0.  The split is returned scaled onto the budget,
+        with the welfare sum_i r_i it yields.
+        """
+        budget, jumps = self.users.budget, self.jumps
+        after = self._split(jumps[:, None], inn[:, None, :], free[:, None, :])[0].sum(axis=2) - budget
+        before = after + self.tangent
+        # at top every demand is 0; at half of full some user's is the budget
+        top = np.where(inn, self.slope_zero, np.where(free, jumps, 0.0)).max(axis=1)
+        full = np.where(free, np.minimum(self.slope_full, jumps), np.where(inn, self.slope_full, 0.0))
+        lo = np.maximum(0.5 * full.max(axis=1), np.where(free & (after > 0.0), jumps, 0.0).max(axis=1))
+        hi = np.minimum(top, np.where(free & (before < 0.0), jumps, np.inf).min(axis=1))
+        lam = np.where(free & (after <= 0.0) & (before >= 0.0), jumps, np.inf).min(axis=1)
+        rows = np.isinf(lam)
+        if rows.any():
+            inn_r, free_r = inn[rows], free[rows]
+
+            def excess(lam):
+                x, d = self._split(lam[:, None], inn_r, free_r)
+                _, slope, bend = _power_curve(x, *self.shape)
+                curved = (x == d) & (x > 0.0) & (x < budget)
+                dx = -1.0 / (self.users.c * slope * bend)
+                return x.sum(axis=1) - budget, np.where(curved, dx, 0.0).sum(axis=1)
+
+            lam[rows] = newton_root(excess, lo[rows], hi[rows])
+        x, _ = self._split(lam[:, None], inn, free)
+        gain = _power_curve(x, *self.shape)[0] - lam[:, None] * x
+        gain = np.where(inn, gain, np.where(free, np.maximum(gain, 0.0), 0.0))
+        total = x.sum(axis=1, keepdims=True)
+        x = x * np.divide(budget, total, out=np.zeros_like(total), where=total > 0.0)
+        welfare = np.maximum(_power_curve(x, *self.shape)[0], 0.0).sum(axis=1)
+        return lam, x, lam * budget + gain.sum(axis=1), welfare
 
 
-def _line_search_pair(
-    scenario: NetworkScenario, i: int, j: int, pool: np.ndarray, grid_n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best split of each power pool between users i and j: (powers_i, welfare gains).
+def _branch_and_bound(users: _UserArrays) -> tuple[np.ndarray, int, float]:
+    """Efficient split of users.budget, the nodes solved, and the certified gap.
 
-    A grid_n-point grid over each pool, then REFINE_POINTS-point grids over
-    the two cells around the best point, until they span less than
-    1e-12 * max(1, hi) W.  The best point seen is returned.  Each pool is
-    refined on its own, so its result does not depend on the other pools.
+    Each level is solved as one array of nodes.  A node's split, scaled
+    onto the budget, is a candidate.  A node whose bound the incumbent does
+    not meet branches on the free user whose pi_hat is nearest its
+    multiplier, forcing it in and out; the water-filling of its
+    participants (those forced in, the free ones with positive demand and
+    that user) joins the next level as a node with none free.  The search
+    ends when every open bound is at most the incumbent times
+    (1 + BOUND_RTOL).
     """
-    sys = scenario.system
-    ui, uj = scenario.users[i], scenario.users[j]
-    pool = np.asarray(pool, dtype=float)
-    lo, hi = np.zeros_like(pool), pool.copy()
-    x, v = np.zeros_like(pool), np.full_like(pool, -np.inf)
-    rows, n = np.arange(pool.size), grid_n
-    while rows.size:
-        t = _grid(lo[rows], hi[rows], n)
-        rest = np.maximum(pool[rows, None] - t, 0.0)
-        w = rate_increase(ui, t, sys) + rate_increase(uj, rest, sys)
-        best = (np.arange(rows.size), w.argmax(axis=1))
-        tk, wk = t[best], w[best]
-        better = wk > v[rows]
-        x[rows[better]], v[rows[better]] = tk[better], wk[better]
-        cell = (hi[rows] - lo[rows]) / (n - 1)
-        lo[rows] = np.maximum(lo[rows], tk - cell)
-        hi[rows] = np.minimum(hi[rows], tk + cell)
-        rows = rows[hi[rows] - lo[rows] > 1e-12 * np.maximum(1.0, hi[rows])]
-        n = REFINE_POINTS
-    return x, v
+    relax = _Relaxation(users)
+    n = relax.live.size
+    best_x, best = np.zeros(n), 0.0
+    inn, free = np.zeros((1, n), dtype=bool), relax.live[None, :]
+    nodes, closed = 0, 0.0
+    while len(inn):
+        nodes += len(inn)
+        lam, x, bound, value = relax.solve(inn, free)
+        k = int(value.argmax())
+        if value[k] > best:
+            best_x, best = x[k], float(value[k])
+        branch = (bound > best * (1.0 + BOUND_RTOL)) & free.any(axis=1)
+        closed = max(closed, float(bound[~branch].max(initial=0.0)))
+        inn, free, lam, x = inn[branch], free[branch], lam[branch], x[branch]
+        rows = np.arange(len(inn))
+        pick = np.where(free, np.abs(relax.jumps - lam[:, None]), np.inf).argmin(axis=1)
+        filled = inn | (free & (x > 0.0))
+        forced, rest = inn.copy(), free.copy()
+        filled[rows, pick] = forced[rows, pick] = True
+        rest[rows, pick] = False
+        inn = np.concatenate([forced, inn, filled])
+        free = np.concatenate([rest, rest, np.zeros_like(filled)])
+        # a node without participants is worth 0, which no incumbent is below
+        keep = (inn | free).any(axis=1)
+        inn, free = inn[keep], free[keep]
+    return best_x, nodes, max(closed / best - 1.0, 0.0)
 
 
-def _transfer_sweeps(
-    scenario: NetworkScenario,
-    budget: float,
-    starts: np.ndarray,
-    links: _LinkArrays,
-    grid_n: int = 65,
-    max_sweeps: int = 60,
-) -> np.ndarray:
-    """Refine every row of a stack of splits by repeated optimal two-user transfers.
-
-    A row leaves the sweeps once a sweep finds no transfer that raises its
-    welfare by more than the tolerance; since the sweep is a function of the
-    row alone, every later sweep would leave it unchanged too.
-    """
-    sys = scenario.system
-    n = scenario.n_users
-    x = np.clip(np.array(starts, dtype=float), 0.0, None)
-    total = x.sum(axis=1)
-    over = total > budget
-    x[over] *= (budget / total[over])[:, None]
-    slack = np.maximum(budget - x.sum(axis=1), 0.0)
-    # hand each row's whole slack to whichever user gains most from it
-    gains = rate_increase(links, x + slack[:, None], sys) - rate_increase(links, x, sys)
-    rows = np.flatnonzero(slack > 0.0)
-    x[rows, gains[rows].argmax(axis=1)] += slack[rows]
-    if n == 1:
-        return x
-    tol = 1e-12 * max(sys.bandwidth_hz, 1.0)
-    live = np.ones(len(x), dtype=bool)
-    for _ in range(max_sweeps):
-        moved = np.zeros_like(live)
-        for i, j in combinations(range(n), 2):
-            rows = np.flatnonzero(live & (x[:, i] + x[:, j] > 0.0))
-            pool = x[rows, i] + x[rows, j]
-            before = rate_increase(scenario.users[i], x[rows, i], sys) + rate_increase(
-                scenario.users[j], x[rows, j], sys
-            )
-            xi, after = _line_search_pair(scenario, i, j, pool, grid_n)
-            up = after > before + tol
-            rows, xi, pool = rows[up], xi[up], pool[up]
-            x[rows, i], x[rows, j] = xi, pool - xi
-            moved[rows] = True
-        live = moved
-        if not live.any():
-            break
-    return x
-
-
-def _grid_best_two(scenario: NetworkScenario, budget: float, grid_n: int) -> np.ndarray:
-    xi, _ = _line_search_pair(scenario, 0, 1, np.array([budget]), grid_n)
-    return np.array([xi[0], budget - xi[0]])
-
-
-def _grid_best_three(
-    scenario: NetworkScenario, budget: float, grid_n: int, links: _LinkArrays
-) -> np.ndarray:
-    """Best split of the budget among three users on a uniform grid.
-
-    On the grid t, users 0 and 1 take t[k] and t[m] and user 2 the rest,
-    which is the grid point t[N-1-k-m].  Each user's rate increase is
-    evaluated once on t; the sums over k + m <= N-1 are formed GRID_BLOCK
-    values of k at a time, never as the whole N x N triangle.  Ties go to
-    the first k, then the first m.
-    """
-    t = np.linspace(0.0, budget, grid_n)
-    g0, g1, g2 = rate_increase(links, t[:, None], scenario.system).T
-    # row k of the window holds g2[N-1-k-m] at column m, and -inf where k + m > N-1
-    tail = np.concatenate([g2[::-1], np.full(grid_n - 1, -np.inf)])
-    window = np.lib.stride_tricks.sliding_window_view(tail, grid_n)
-    best_w, best_k, best_m = -np.inf, 0, 0
-    for k0 in range(0, grid_n, GRID_BLOCK):
-        m_end = grid_n - k0  # no m at or past it is feasible in this block
-        w = (g0[k0 : k0 + GRID_BLOCK, None] + g1[:m_end]) + window[k0 : k0 + GRID_BLOCK, :m_end]
-        k, m = np.unravel_index(w.argmax(), w.shape)
-        if w[k, m] > best_w:
-            best_w, best_k, best_m = w[k, m], k0 + k, m
-    rest = budget - t[best_k]
-    return np.array([t[best_k], t[best_m], rest - t[best_m]])
-
-
-def _seed_rows(seeds: Iterable[Sequence[float]], n: int) -> np.ndarray:
-    """The seeds as a (seeds, n) array; raises ValueError naming a malformed one."""
-    rows = [np.asarray(seed, dtype=float) for seed in seeds]
-    for k, row in enumerate(rows):
+def _check_seeds(seeds: Iterable[Sequence[float]], n: int) -> None:
+    """Raise ValueError naming a seed that is not one finite nonnegative power per user."""
+    for k, seed in enumerate(seeds):
+        row = np.asarray(seed, dtype=float)
         if row.shape != (n,):
             raise ValueError(f"seeds[{k}] has shape {row.shape}; it needs one power per user ({n})")
         if not np.all(np.isfinite(row) & (row >= 0.0)):
             raise ValueError(f"seeds[{k}] must hold finite nonnegative powers, got {row.tolist()}")
-    return np.reshape(rows, (len(rows), n))
 
 
 def efficient_allocation(
@@ -224,39 +218,26 @@ def efficient_allocation(
 ) -> OracleAllocation:
     """Power split maximizing the total rate increase on budget P*(1-delta).
 
-    Search is exhaustive-grid for up to three users and multistart
-    pairwise-transfer descent beyond; extra starting points can be supplied
-    through seeds, one finite nonnegative power per user each.  Every start
-    is refined and the first of the best is kept.  Power that buys no rate
-    increase is released, so the budget may go partly unused.
+    Exact, by branch-and-bound over the participant set (see the module
+    docstring); the result reports the nodes solved and the certified gap,
+    at most 1e-12.  A scenario with at most one user who can gain from the
+    relay is a closed form: that user takes the whole budget.  Power that
+    buys no rate increase is released, so the budget may go partly unused.
+    grid_n (at least 16) and seeds (one finite nonnegative power per user
+    each) are validated and otherwise ignored, kept for compatibility.
     """
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    n = scenario.n_users
-    seed_rows = _seed_rows(seeds, n)
+    _check_seeds(seeds, scenario.n_users)
     budget = scenario.relay_budget_w * (1.0 - delta)
     links = _LinkArrays.of(scenario.users)
-
-    if n == 1:
-        starts = np.array([[budget]])
-    elif n == 2:
-        starts = _grid_best_two(scenario, budget, grid_n)[None, :]
-    elif n == 3:
-        starts = _grid_best_three(scenario, budget, min(grid_n, 1024), links)[None, :]
-    else:
-        rng = np.random.default_rng(371)
-        starts = np.concatenate(
-            [
-                np.eye(min(n, 8), n) * budget,  # single-user starts
-                np.full((1, n), budget / n),
-                rng.dirichlet(np.ones(n), size=20) * budget,
-            ]
-        )
-    refined = _transfer_sweeps(scenario, budget, np.concatenate([starts, seed_rows]), links)
-    best = int(np.argmax(_welfare(scenario, refined, links)))
-    return _finish(scenario, refined[best], links)
+    live = rate_increase(links, budget, scenario.system) > 0.0
+    if live.sum() <= 1:
+        return _finish(scenario, np.where(live, budget, 0.0), links)
+    powers, nodes, gap = _branch_and_bound(_UserArrays(scenario.users, budget, scenario.system, POWER))
+    return _finish(scenario, powers, links, nodes, gap)
 
 
 def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
@@ -325,19 +306,15 @@ def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 40
     """Efficient allocation with pivot payments.
 
     Each user pays the welfare the others lose from its presence: the best
-    total the others could reach alone, minus what they actually get.  One
-    welfare maximization runs for the full population and one per user.
+    total the others could reach alone, minus what they actually get.  A
+    user the efficient split gives no power leaves the optimum unchanged and
+    pays exactly 0; for every other user one more welfare maximization runs
+    on the scenario without it.
     """
     base = efficient_allocation(scenario, delta, grid_n)
-    n = scenario.n_users
-    payments = np.zeros(n)
-    for i in range(n):
+    payments = np.zeros(scenario.n_users)
+    for i in np.flatnonzero(base.powers > 0.0) if scenario.n_users > 1 else ():
         others_gain = float(base.total_rate_increase_bps - base.per_user_rate_increase_bps[i])
-        if n == 1:
-            payments[i] = 0.0
-            continue
-        reduced = scenario.without_user(i)
-        seed = np.delete(base.powers, i)
-        alone = efficient_allocation(reduced, delta, grid_n, seeds=(seed,))
+        alone = efficient_allocation(scenario.without_user(i), delta, grid_n)
         payments[i] = max(alone.total_rate_increase_bps - others_gain, 0.0)
     return VcgResult(allocation=base, payments=payments)

@@ -49,6 +49,9 @@ def test_oracle_commands(scenario_file, capsys):
         doc = json.loads(capsys.readouterr().out)
         assert doc["oracle"] == which
         assert len(doc["powers_w"]) == 2
+        assert doc["nodes"] >= 1 and 0.0 <= doc["certified_gap"] <= 1e-12
+        if which == "fair":
+            assert (doc["nodes"], doc["certified_gap"]) == (1, 0.0)
         if which == "vcg":
             assert all(p >= 0.0 for p in doc["payments"])
 

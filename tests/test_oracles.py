@@ -1,24 +1,31 @@
-"""Centralized benchmarks: efficient search, fair level, pivot payments."""
+"""Centralized benchmarks: exact efficient split, fair level, pivot payments."""
 
 import numpy as np
 import pytest
 
 import relayauction.oracles as oracles
 from relayauction import (
+    POWER,
     AuctionParams,
     EquilibriumResult,
+    MultiUserSpec,
     NetworkScenario,
+    TwoUserSweepSpec,
     UserLink,
+    build_two_user_scenario,
     calibrate_price,
     direct_snr,
     efficient_allocation,
     fair_allocation,
     rate_increase,
     relayed_snr,
+    sample_topologies,
+    scenario_from_topology,
     snr_marginal_rate,
     solve_ne,
     vcg_auction,
 )
+from relayauction.auction import _UserArrays
 from relayauction.channel import breakeven_power
 
 from conftest import BENCH_SYSTEM, make_random_scenario
@@ -47,6 +54,22 @@ def brute_force_welfare(scenario, budget, n=241):
             best = max(best, float(w.max()))
         return best
     raise NotImplementedError
+
+
+def enumerated_welfare(scenario, delta):
+    """Best welfare over every nonempty participant set, one forced-in water-filling each.
+
+    The efficient welfare is the largest, over participant sets, of the
+    concave water-filling on the set; this enumerates all 2^n - 1 sets as
+    rows of one solve, so it is meant for n <= 8.
+    """
+    n = scenario.n_users
+    budget = scenario.relay_budget_w * (1.0 - delta)
+    relax = oracles._Relaxation(_UserArrays(scenario.users, budget, scenario.system, POWER))
+    sets = (np.arange(1, 2**n)[:, None] >> np.arange(n) & 1).astype(bool)
+    x = relax.solve(sets, np.zeros_like(sets))[1]
+    assert np.all(x.sum(axis=1) <= budget * (1 + 1e-12))
+    return float(oracles._welfare(scenario, x).max())
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +140,79 @@ def test_efficient_multiuser_path_beats_seeds():
         one = np.zeros(sc.n_users)
         one[i] = budget
         assert alloc.total_rate_increase_bps >= oracles._welfare(sc, one) * (1 - 1e-9)
+
+
+def test_efficient_matches_participant_set_enumeration():
+    rng = np.random.default_rng(79)
+    # no one gains, and ties between the permutations of equal users
+    twin = UserLink(0, 0.01, 200.0**-4, 80.0**-4, 120.0**-4)
+    tied = [_useless_scenario(3), NetworkScenario((twin,) * 3, BUDGET, BENCH_SYSTEM)]
+    scenarios = tied + [make_random_scenario(rng, int(rng.integers(2, 9))) for _ in range(30)]
+    shared = 0
+    for delta in (0.0, 0.01):
+        for sc in scenarios:
+            alloc = efficient_allocation(sc, delta=delta)
+            assert alloc.total_rate_increase_bps == pytest.approx(
+                enumerated_welfare(sc, delta), rel=1e-12, abs=0.0
+            )
+            assert alloc.powers.sum() <= sc.relay_budget_w * (1 - delta) * (1 + 1e-12)
+            assert 1 <= alloc.nodes and 0.0 <= alloc.certified_gap <= 1e-12
+            shared += int(np.count_nonzero(alloc.powers) >= 2)
+    assert shared >= 20
+
+
+def _pair_welfare(u0, u1, pool, t):
+    rest = np.maximum(pool - t, 0.0)
+    return rate_increase(u0, t, BENCH_SYSTEM) + rate_increase(u1, rest, BENCH_SYSTEM)
+
+
+def test_efficient_reaches_dense_grid_optimum():
+    rng = np.random.default_rng(71)
+    positive = 0
+    for _ in range(30):
+        sc = make_random_scenario(rng, 2)
+        u0, u1 = sc.users
+        pools = BUDGET * 10.0 ** rng.uniform(-4.0, 0.0, size=6)
+        for pool in pools:
+            alloc = efficient_allocation(NetworkScenario(sc.users, pool, BENCH_SYSTEM), delta=0.0)
+            x0, x1 = alloc.powers
+            assert min(x0, x1) >= 0.0 and x0 + x1 <= pool * (1 + 1e-12)
+            v = alloc.total_rate_increase_bps
+            dense = _pair_welfare(u0, u1, pool, np.linspace(0.0, pool, 2**16))
+            assert v >= dense.max() * (1.0 - 1e-12)
+            assert v == pytest.approx(
+                float(rate_increase(u0, x0, BENCH_SYSTEM) + rate_increase(u1, x1, BENCH_SYSTEM)),
+                rel=1e-15,
+            )
+            positive += bool(v > 0.0)
+    assert positive >= 40
+
+
+def _power_equilibria():
+    """Calibrated power-auction equilibria: the sweep, and 10 study topologies at every budget."""
+    sweep = TwoUserSweepSpec()
+    scenarios = [build_two_user_scenario(sweep, float(y)) for y in sweep.relay_ys()]
+    study = MultiUserSpec()
+    for nodes in sample_topologies(study)[:10]:
+        scenarios += [scenario_from_topology(study, nodes, p) for p in study.relay_powers]
+    for sc in scenarios:
+        eq = solve_ne(sc, AuctionParams(POWER, calibrate_price(sc, POWER, 0.99).price))
+        assert isinstance(eq, EquilibriumResult)
+        yield sc, eq
+
+
+def test_power_auction_split_is_efficient_at_its_used_budget():
+    # Everett: each demand maximizes r_i(x) - price x, so the equilibrium split
+    # is the efficient split of the power it uses
+    live = 0
+    for sc, eq in _power_equilibria():
+        used = float(eq.powers.sum())
+        if used == 0.0:
+            continue
+        eff = efficient_allocation(NetworkScenario(sc.users, used, sc.system), delta=0.0)
+        assert eq.total_rate_increase_bps == pytest.approx(eff.total_rate_increase_bps, rel=1e-12)
+        live += 1
+    assert live >= 100
 
 
 def test_efficient_validates_arguments(scenario_y0):
@@ -259,7 +355,23 @@ def test_vcg_zero_allocation_user_pays_nothing(scenario_y25):
     sc = NetworkScenario(users, BUDGET, BENCH_SYSTEM)
     res = vcg_auction(sc, delta=0.0, grid_n=1024)
     assert res.allocation.powers[2] == 0.0
-    assert res.payments[2] == pytest.approx(0.0, abs=1e-6)
+    assert res.payments[2] == 0.0
+
+
+def test_vcg_solves_nothing_more_for_users_given_no_power(monkeypatch, scenario_y25):
+    users = scenario_y25.users + (UserLink(2, 0.01, 6.25e-10, 1e-12, 1e-12),)
+    sc = NetworkScenario(users, BUDGET, BENCH_SYSTEM)
+    calls = []
+    real = oracles.efficient_allocation
+
+    def counting(scenario, *args, **kwargs):
+        calls.append(scenario.n_users)
+        return real(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(oracles, "efficient_allocation", counting)
+    res = oracles.vcg_auction(sc, delta=0.0)
+    assert calls == [3] + [2] * int(np.count_nonzero(res.allocation.powers))
+    assert res.allocation.powers[2] == 0.0 and res.payments[2] == 0.0
 
 
 def test_vcg_allocation_is_efficient(scenario_y25):
@@ -294,7 +406,7 @@ def test_vcg_runs_one_welfare_solve_per_user_plus_one(monkeypatch, scenario_y0):
 
 
 # ---------------------------------------------------------------------------
-# the batched search
+# arguments kept from the grid search
 
 
 @pytest.mark.parametrize(
@@ -312,71 +424,6 @@ def test_efficient_rejects_malformed_seed(seed, match):
     sc = make_random_scenario(np.random.default_rng(5), 4)
     with pytest.raises(ValueError, match=match):
         efficient_allocation(sc, grid_n=256, seeds=([0.02] * 4, seed))
-
-
-def test_transfer_sweeps_batch_equals_each_start_alone():
-    rng = np.random.default_rng(41)
-    budget = BUDGET * 0.99
-    for _ in range(12):
-        n = int(rng.integers(3, 7))
-        sc = make_random_scenario(rng, n)
-        links = oracles._LinkArrays.of(sc.users)
-        # splits short of, on and over the budget, and single-user ones
-        scale = rng.choice([0.5, 1.0, 1.5], size=(10, 1))
-        splits = rng.dirichlet(np.ones(n), size=10) * budget * scale
-        starts = np.concatenate([splits, np.eye(n) * budget])
-        batch = oracles._transfer_sweeps(sc, budget, starts, links)
-        for row, start in zip(batch, starts):
-            alone = oracles._transfer_sweeps(sc, budget, start[None, :], links)[0]
-            assert np.array_equal(row, alone)
-
-
-def _grid_best_three_by_rows(scenario, budget, grid_n):
-    """The search of _grid_best_three, one k at a time."""
-    t = np.linspace(0.0, budget, grid_n)
-    g0, g1, g2 = (np.asarray(rate_increase(u, t, scenario.system)) for u in scenario.users)
-    best_w, best = -np.inf, None
-    for k in range(grid_n):
-        w = g0[k] + g1[: grid_n - k] + g2[grid_n - 1 - k :: -1]  # user 2 takes t[N-1-k-m]
-        m = int(np.argmax(w))
-        if w[m] > best_w:
-            best_w, best = w[m], np.array([t[k], t[m], budget - t[k] - t[m]])
-    return best
-
-
-@pytest.mark.parametrize("grid_n", [256, 1024])
-def test_grid_best_three_blocks_match_row_loop(grid_n):
-    rng = np.random.default_rng(67)
-    # ties everywhere (no one gains) and between the permutations of equal users
-    twin = UserLink(0, 0.01, 200.0**-4, 80.0**-4, 120.0**-4)
-    tied = [_useless_scenario(3), NetworkScenario((twin,) * 3, BUDGET, BENCH_SYSTEM)]
-    for sc in tied + [make_random_scenario(rng, 3) for _ in range(6)]:
-        links = oracles._LinkArrays.of(sc.users)
-        blocks = oracles._grid_best_three(sc, BUDGET, grid_n, links)
-        assert np.array_equal(blocks, _grid_best_three_by_rows(sc, BUDGET, grid_n))
-
-
-def _pair_welfare(u0, u1, pool, t):
-    rest = np.maximum(pool - t, 0.0)
-    return rate_increase(u0, t, BENCH_SYSTEM) + rate_increase(u1, rest, BENCH_SYSTEM)
-
-
-@pytest.mark.parametrize("grid_n", [65, 4096])
-def test_line_search_pair_reaches_dense_grid_optimum(grid_n):
-    rng = np.random.default_rng(71)
-    positive = 0
-    for _ in range(30):
-        sc = make_random_scenario(rng, 2)
-        u0, u1 = sc.users
-        pools = BUDGET * 10.0 ** rng.uniform(-4.0, 0.0, size=6)
-        xs, vs = oracles._line_search_pair(sc, 0, 1, pools, grid_n)
-        for pool, x, v in zip(pools, xs, vs):
-            assert 0.0 <= x <= pool
-            dense = _pair_welfare(u0, u1, pool, np.linspace(0.0, pool, 2**16))
-            assert v >= dense.max() * (1.0 - 1e-12)
-            assert v == _pair_welfare(u0, u1, pool, x)
-            positive += bool(v > 0.0)
-    assert positive >= 40
 
 
 def test_efficient_matches_brute_force_on_random_pairs():
