@@ -166,7 +166,41 @@ def _pair_welfare(u0, u1, pool, t):
     return rate_increase(u0, t, BENCH_SYSTEM) + rate_increase(u1, rest, BENCH_SYSTEM)
 
 
-def test_efficient_reaches_dense_grid_optimum():
+def _grid_best_three_by_rows(scenario, budget, grid_n):
+    """Best three-user split on the grid_n-point budget grid, one k at a time."""
+    t = np.linspace(0.0, budget, grid_n)
+    g0, g1, g2 = (np.asarray(rate_increase(u, t, scenario.system)) for u in scenario.users)
+    best_w, best = -np.inf, None
+    for k in range(grid_n):
+        w = g0[k] + g1[: grid_n - k] + g2[grid_n - 1 - k :: -1]  # user 2 takes t[N-1-k-m]
+        m = int(np.argmax(w))
+        if w[m] > best_w:
+            best_w, best = w[m], np.array([t[k], t[m], budget - t[k] - t[m]])
+    return best_w, best
+
+
+@pytest.mark.parametrize("grid_n", [256, 1024])
+def test_grid_best_three_blocks_match_row_loop(grid_n):
+    # the exact three-user split is never beaten by the row-by-row grid search,
+    # and a grid_n passed to the oracle leaves its split unchanged
+    rng = np.random.default_rng(67)
+    # ties everywhere (no one gains) and between the permutations of equal users
+    twin = UserLink(0, 0.01, 200.0**-4, 80.0**-4, 120.0**-4)
+    tied = [_useless_scenario(3), NetworkScenario((twin,) * 3, BUDGET, BENCH_SYSTEM)]
+    for sc in tied + [make_random_scenario(rng, 3) for _ in range(6)]:
+        alloc = efficient_allocation(sc, delta=0.0, grid_n=grid_n)
+        assert np.array_equal(alloc.powers, efficient_allocation(sc, delta=0.0).powers)
+        grid_w, grid_x = _grid_best_three_by_rows(sc, sc.relay_budget_w, grid_n)
+        assert oracles._welfare(sc, grid_x) == pytest.approx(grid_w, rel=1e-12, abs=0.0)
+        assert alloc.total_rate_increase_bps >= grid_w * (1.0 - 1e-12)
+        assert alloc.powers.min() >= 0.0
+        assert alloc.powers.sum() <= sc.relay_budget_w * (1 + 1e-12)
+        if grid_w == 0.0:
+            assert alloc.total_rate_increase_bps == 0.0
+
+
+@pytest.mark.parametrize("grid_n", [65, 4096])
+def test_line_search_pair_reaches_dense_grid_optimum(grid_n):
     rng = np.random.default_rng(71)
     positive = 0
     for _ in range(30):
@@ -174,7 +208,9 @@ def test_efficient_reaches_dense_grid_optimum():
         u0, u1 = sc.users
         pools = BUDGET * 10.0 ** rng.uniform(-4.0, 0.0, size=6)
         for pool in pools:
-            alloc = efficient_allocation(NetworkScenario(sc.users, pool, BENCH_SYSTEM), delta=0.0)
+            pooled = NetworkScenario(sc.users, pool, BENCH_SYSTEM)
+            alloc = efficient_allocation(pooled, delta=0.0, grid_n=grid_n)
+            assert np.array_equal(alloc.powers, efficient_allocation(pooled, delta=0.0).powers)
             x0, x1 = alloc.powers
             assert min(x0, x1) >= 0.0 and x0 + x1 <= pool * (1 + 1e-12)
             v = alloc.total_rate_increase_bps
