@@ -18,8 +18,9 @@ past the breakeven power the rate increase is the log of a concave,
 increasing SNR, so the first-order condition (a quadratic in relay power)
 gives the best response and the peak of rate per watt gives the cutoff.
 
-`_UserArrays` holds every user of a scenario as arrays under one payment
-rule, built once, so that all factors at a price are one array expression.
+`_UserArrays` holds every user of a scenario as read-only arrays under one
+payment rule, built once per scenario and rule, so that all factors at a
+price, or at a column of prices, are one array expression.
 The scalar functions of this module are one-user views of it.
 """
 
@@ -342,25 +343,32 @@ class _UserArrays:
         whole = np.divide(self.gain_max, charged, out=np.zeros_like(self.gain_max), where=charged > 0.0)
         self.cutoff = np.where(self.regular, self.pi_lower, whole)
         self.zero_from = np.where(self.regular, self.pi_hat, self.cutoff)
+        for a in (*vars(self).values(), *links):  # shared by every caller: read-only
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
 
     @classmethod
     def of(cls, scenario: NetworkScenario, kind: str) -> "_UserArrays":
-        return cls(scenario.users, scenario.relay_budget_w, scenario.system, kind)
+        """The scenario's users under this rule, built once per scenario and kind."""
+        memo = scenario._derived
+        if kind not in memo:
+            memo[kind] = cls(scenario.users, scenario.relay_budget_w, scenario.system, kind)
+        return memo[kind]
 
-    def factors(self, price: float) -> np.ndarray:
-        """Best-response factors at this price: inf where divergent, 0 where zero."""
+    def factors(self, price) -> np.ndarray:
+        """Factors at a price, or a row per price of a column: inf where divergent, 0 where zero."""
         x = np.where(price >= self.zero_from, 0.0, self.rule.demand(self, price))
         whole = (x >= self.budget * (1.0 - FULL_BUDGET_RTOL)) | (price <= self.cutoff)
         return np.where(whole, math.inf, x / np.where(whole, 1.0, self.budget - x))
 
-    def share(self, price: float) -> float:
-        """Aggregate share S = sum f/(1+f), a divergent factor counting as one.
+    def shares(self, prices) -> np.ndarray:
+        """Aggregate share S = sum f/(1+f) at each price, a divergent factor counting as one.
 
         Non-increasing in the price.  An equilibrium exists exactly when
         S < 1, and S is then its utilization.
         """
-        f = self.factors(price)
-        return float(np.divide(f, 1.0 + f, out=np.ones_like(f), where=np.isfinite(f)).sum())
+        f = self.factors(np.asarray(prices, dtype=float)[:, None])
+        return np.divide(f, 1.0 + f, out=np.ones_like(f), where=np.isfinite(f)).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -97,6 +98,14 @@ class NetworkScenario:
     @property
     def n_users(self) -> int:
         return len(self.users)
+
+    @cached_property
+    def _derived(self) -> dict:
+        """The auction layer's per-user arrays by payment rule; no field, so not compared."""
+        return {}
+
+    def __getstate__(self) -> dict:  # the derived arrays are rebuilt, not pickled
+        return {k: v for k, v in vars(self).items() if k != "_derived"}
 
     def without_user(self, index: int) -> "NetworkScenario":
         users = tuple(u for k, u in enumerate(self.users) if k != index)

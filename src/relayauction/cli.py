@@ -89,7 +89,7 @@ def _cmd_ne_solve(args: argparse.Namespace) -> int:
     else:
         search = calibrate_price(scenario, args.auction, target_utilization=args.calibrate)
         price = search.price
-        calibrated = {"target": args.calibrate, "feasible": search.feasible}
+        calibrated = {"target": args.calibrate, **vars(search)}
     result = solve_ne(scenario, AuctionParams(args.auction, price, args.beta))
     if isinstance(result, NoEquilibrium):
         _print_json({"no_equilibrium": result.reason, "price": price})

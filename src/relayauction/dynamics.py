@@ -10,7 +10,7 @@ this fixed point directly for both auctions.
 Counting a divergent factor as share one makes S a non-increasing function
 of the price: the existence threshold is where S drops below one, and the
 calibrated price is where it drops below the target utilization.  One
-bracketed bisection serves both.
+bracketed bisection serves both, evaluating S at a tree of prices per call.
 
 Synchronous best-response iteration is kept as a diagnostic.  It is a linear
 fixed-point iteration whose matrix has f_i in row i off the diagonal; its
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .auction import (
     allocate,
     payment,
 )
-from .channel import NetworkScenario, _LinkArrays, rate_increase, relayed_snr
-from .numutil import bisect_transition, expand_until
+from .channel import NetworkScenario, rate_increase, relayed_snr
+from .numutil import bisect_transition
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -93,6 +93,9 @@ class PriceSearchResult:
     price: float
     utilization: float
     feasible: bool
+    # the last bisection bracket (S >= level, S < level) and the array evaluations of S
+    bracket: Optional[tuple[float, float]] = None
+    evaluations: int = 0
 
 
 def response_factors(scenario: NetworkScenario, params: AuctionParams) -> list[BestResponse]:
@@ -109,7 +112,7 @@ def aggregate_share(factors: Sequence[BestResponse]) -> float:
 
 
 def ne_exists(scenario: NetworkScenario, params: AuctionParams) -> bool:
-    return _UserArrays.of(scenario, params.kind).share(params.price) < 1.0
+    return bool(_UserArrays.of(scenario, params.kind).shares([params.price])[0] < 1.0)
 
 
 def ne_bids_from_factors(factors: Sequence[float], reserve_bid: float) -> np.ndarray:
@@ -136,7 +139,7 @@ def equilibrium_from_bids(
 ) -> EquilibriumResult:
     """Powers, SNRs, rates, payments and payoffs that a bid profile implies."""
     powers = allocate(bids, params.reserve_bid, scenario.relay_budget_w)
-    links = _LinkArrays.of(scenario.users)
+    links = _UserArrays.of(scenario, params.kind).links
     sys = scenario.system
     gains = rate_increase(links, powers, sys)
     pays = payment(params.kind, params.price, links, powers, sys)
@@ -231,29 +234,37 @@ def estimate_geometric_rate(trace: IterationTrace, tail: int = 20) -> float:
     return float(math.exp(slope))
 
 
-def _share_crossing(
-    users: _UserArrays, level: float, p_over: float, p_under: float, rtol: float
-) -> tuple[float, float]:
-    """Bracket of the price where the aggregate share S drops below level.
+class _Shares:
+    """S at arrays of prices on one scenario's users, counting the array evaluations."""
 
-    S(p_over) >= level is required; p_under is doubled until S < level there.
-    S is non-increasing, so bisection returns (p_over, p_under) with
-    S(p_over) >= level > S(p_under), at most rtol apart relative to the price.
-    """
+    def __init__(self, users: _UserArrays):
+        self.users, self.evaluations = users, 0
 
-    def below(price: float) -> bool:
-        return users.share(price) < level
+    def __call__(self, prices) -> np.ndarray:
+        self.evaluations += 1
+        return self.users.shares(prices)
 
-    return bisect_transition(below, p_over, expand_until(below, p_under), rtol=rtol)
+    def crossing(self, level: float, p_over: float, p_under: float, rtol: float) -> tuple[float, float]:
+        """Bracket (p_over, p_under) of the price where S drops below level, rtol apart.
 
+        S(p_over) >= level is required.  p_under is doubled until S < level,
+        which holds once nobody bids: the whole ladder is one evaluation.  S is
+        non-increasing, so bisection keeps S(p_over) >= level > S(p_under).
+        """
+        top, ladder = float(self.users.zero_from.max()), [p_under]
+        while ladder[-1] <= top:
+            ladder.append(2.0 * ladder[-1])
+        p_under = ladder[int(np.argmax(self(ladder) < level))]
+        return bisect_transition(lambda p: self(p) < level, p_over, p_under, rtol=rtol)
 
-def _threshold_bracket(users: _UserArrays, rtol: float) -> tuple[float, float]:
-    """Prices just without and just with an equilibrium."""
-    if not users.regular.any():
-        raise ValueError(f"scenario is not {users.kind}-regular: only the all-zero outcome exists")
-    # just below its divergence cutoff a user diverges, so S >= 1 there
-    lo = float(users.cutoff.max()) * (1.0 - 1e-7)
-    return _share_crossing(users, 1.0, lo, max(float(users.pi_hat.max()), 2.0 * lo), rtol)
+    def threshold_bracket(self, rtol: float) -> tuple[float, float]:
+        """Prices just without and just with an equilibrium."""
+        users = self.users
+        if not users.regular.any():
+            raise ValueError(f"scenario is not {users.kind}-regular: only the all-zero outcome exists")
+        # just below its divergence cutoff a user diverges, so S >= 1 there
+        lo = float(users.cutoff.max()) * (1.0 - 1e-7)
+        return self.crossing(1.0, lo, max(float(users.pi_hat.max()), 2.0 * lo), rtol)
 
 
 def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = THRESHOLD_RTOL) -> float:
@@ -262,7 +273,7 @@ def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = THRESHOL
     The midpoint of the bisection bracket on S(p) < 1 that starts just below
     the largest divergence cutoff.
     """
-    p_none, p_some = _threshold_bracket(_UserArrays.of(scenario, kind), rtol)
+    p_none, p_some = _Shares(_UserArrays.of(scenario, kind)).threshold_bracket(rtol)
     return 0.5 * (p_none + p_some)
 
 
@@ -280,7 +291,8 @@ def calibrate_price(
     utilization as close to the target as the (possibly discontinuous) curve
     allows.  When S falls short of the target already there, that point is
     reported with feasible=False; a scenario where nobody ever bids reports
-    zero utilization at a price above every participation cutoff.
+    zero utilization at a price above every participation cutoff.  The result
+    carries the last bisection bracket and the number of array evaluations of S.
     """
     if not 0.0 < target_utilization < 1.0:
         raise ValueError("target_utilization must lie in (0, 1)")
@@ -288,9 +300,11 @@ def calibrate_price(
     if not users.regular.any():
         price = max(float(users.pi_hat.max()) * 1.01, 1.0)
         return PriceSearchResult(price=price, utilization=0.0, feasible=False)
-    _, p_some = _threshold_bracket(users, THRESHOLD_RTOL)
-    share = users.share(p_some)
+    shares = _Shares(users)
+    bracket = shares.threshold_bracket(THRESHOLD_RTOL)
+    p_some, share = bracket[1], float(shares(bracket[1:])[0])
     if share < target_utilization:
-        return PriceSearchResult(price=p_some, utilization=share, feasible=False)
-    price, _ = _share_crossing(users, target_utilization, p_some, 2.0 * p_some, rtol)
-    return PriceSearchResult(price=price, utilization=users.share(price), feasible=True)
+        return PriceSearchResult(p_some, share, False, bracket, shares.evaluations)
+    bracket = shares.crossing(target_utilization, p_some, 2.0 * p_some, rtol)
+    price, share = bracket[0], float(shares(bracket[:1])[0])
+    return PriceSearchResult(price, share, True, bracket, shares.evaluations)

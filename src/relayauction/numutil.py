@@ -1,4 +1,4 @@
-"""Small bracketing, bisection, and Newton helpers.
+"""Batched bisection and bracketed Newton helpers.
 
 All routines are deterministic and hold no state, so they are safe to call
 from any number of workers.
@@ -9,6 +9,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+
+DEPTH = 5  # bisection steps per predicate call
 
 
 def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100):
@@ -43,7 +45,7 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100)
 
 
 def bisect_transition(
-    pred: Callable[[float], bool],
+    pred: Callable[[np.ndarray], np.ndarray],
     x_false: float,
     x_true: float,
     rtol: float = 1e-9,
@@ -51,32 +53,33 @@ def bisect_transition(
 ) -> tuple[float, float]:
     """Shrink the gap between a point where pred is False and one where it is True.
 
-    Works for either ordering of the two endpoints.  Returns the tightened
-    (x_false, x_true) pair with |x_true - x_false| <= rtol * scale.
+    pred maps an array of points to booleans.  Each call asks it about
+    x_false and the 2**DEPTH - 1 dyadic midpoints 0.5 * (a + b) of the
+    bracket, then takes up to DEPTH steps on the answers: the same points
+    and decisions, to the bit, as asking about one midpoint per step.  Works
+    for either ordering of the two endpoints.  Returns the tightened
+    (x_false, x_true) pair once |x_true - x_false| <= rtol * scale or after
+    max_iter steps; raises ValueError if pred(x_false) holds.
     """
-    if pred(x_false):
-        raise ValueError("pred(x_false) must be False")
-    for _ in range(max_iter):
-        if abs(x_true - x_false) <= rtol * max(abs(x_false), abs(x_true)):
-            break
-        mid = 0.5 * (x_false + x_true)
-        if pred(mid):
-            x_true = mid
-        else:
-            x_false = mid
-    return x_false, x_true
-
-
-def expand_until(
-    pred: Callable[[float], bool],
-    x0: float,
-    factor: float = 2.0,
-    max_expand: int = 200,
-) -> float:
-    """Smallest x0 * factor**k (k >= 0) satisfying pred; raises if none found."""
-    x = x0
-    for _ in range(max_expand):
-        if pred(x):
-            return x
-        x *= factor
-    raise RuntimeError("expansion failed to satisfy predicate")
+    n = 2**DEPTH
+    steps = 0
+    while True:
+        pts = [x_false] * n + [x_true]
+        for k in range(1, DEPTH + 1):
+            h = n >> k
+            for m in range(h, n, 2 * h):
+                pts[m] = 0.5 * (pts[m - h] + pts[m + h])
+        hit = np.asarray(pred(np.array(pts[:n], dtype=float))).tolist()
+        if hit[0]:
+            raise ValueError("pred(x_false) must be False")
+        f, t = 0, n
+        while True:
+            a, b = pts[f], pts[t]
+            if steps >= max_iter or abs(b - a) <= rtol * max(abs(a), abs(b)):
+                return a, b
+            if t - f == 1:  # no answered midpoint left inside the bracket
+                break
+            m = (f + t) // 2
+            f, t = (f, m) if hit[m] else (m, t)
+            steps += 1
+        x_false, x_true = a, b

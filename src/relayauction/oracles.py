@@ -28,7 +28,6 @@ from .auction import POWER, _power_curve, _power_demand, _UserArrays
 from .channel import (
     NetworkScenario,
     _LinkArrays,
-    breakeven_power,
     direct_snr,
     power_for_relayed_snr,
     rate_increase,
@@ -236,7 +235,11 @@ def efficient_allocation(
     live = rate_increase(links, budget, scenario.system) > 0.0
     if live.sum() <= 1:
         return _finish(scenario, np.where(live, budget, 0.0), links)
-    powers, nodes, gap = _branch_and_bound(_UserArrays(scenario.users, budget, scenario.system, POWER))
+    if delta == 0.0:  # the relay budget: the power auction's own arrays serve
+        users = _UserArrays.of(scenario, POWER)
+    else:
+        users = _UserArrays(scenario.users, budget, scenario.system, POWER)
+    powers, nodes, gap = _branch_and_bound(users)
     return _finish(scenario, powers, links, nodes, gap)
 
 
@@ -253,53 +256,35 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
         raise ValueError("delta must lie in [0, 1)")
     budget = scenario.relay_budget_w * (1.0 - delta)
     sys = scenario.system
-    n = scenario.n_users
+    links = _LinkArrays.of(scenario.users)
+    g, limit = direct_snr(links, sys), relayed_snr_limit(links, sys)
+    # users whose breakeven power (relayed SNR g^2 + g) lies within the budget
+    even = g * g + g
+    reach = even < limit
+    active = reach & (power_for_relayed_snr(links, np.where(reach, even, 0.0), sys) < budget)
 
-    active = []
-    for i, u in enumerate(scenario.users):
-        x0 = breakeven_power(u, sys)
-        if x0 is not None and x0 < budget:
-            active.append(i)
+    def powers_at(levels) -> np.ndarray:
+        """Each active user's power at each level: 0 below its direct level, inf at its limit."""
+        target = np.asarray(levels, dtype=float)[:, None] - 1.0 - g
+        need = active & (target > 0.0)
+        inside = need & (target < limit)
+        p = power_for_relayed_snr(links, np.where(inside, target, 0.0), sys)
+        return np.where(inside, p, np.where(need, np.inf, 0.0))
 
-    def power_needed(i: int, level: float) -> float:
-        u = scenario.users[i]
-        target = level - 1.0 - direct_snr(u, sys)
-        if target <= 0.0:
-            return 0.0
-        limit = relayed_snr_limit(u, sys)
-        if target >= limit:
-            return float("inf")
-        return power_for_relayed_snr(u, target, sys)
-
-    def total_power(level: float, members: Sequence[int]) -> float:
-        return sum(power_needed(i, level) for i in members)
+    def fits(levels) -> np.ndarray:
+        return powers_at(levels).sum(axis=1) <= budget
 
     level = 1.0
-    while active:
-        lo = 1.0  # zero demand everywhere
-        hi = min(
-            1.0 + direct_snr(scenario.users[i], sys) + relayed_snr_limit(scenario.users[i], sys)
-            for i in active
-        ) * (1.0 - 1e-12)
-        if total_power(hi, active) <= budget:
-            level = hi
-        else:
-            _, level = bisect_transition(
-                lambda k: total_power(k, active) <= budget, hi, lo, rtol=1e-13
-            )
-        drops = [
-            i
-            for i in active
-            if level <= (1.0 + direct_snr(scenario.users[i], sys)) ** 2
-        ]
-        if not drops:
+    while active.any():
+        hi = float((1.0 + g + limit)[active].min()) * (1.0 - 1e-12)
+        # at level 1 nobody needs power
+        level = hi if fits([hi])[0] else bisect_transition(fits, hi, 1.0, rtol=1e-13)[1]
+        drops = active & (level <= (1.0 + g) ** 2)
+        if not drops.any():
             break
-        active = [i for i in active if i not in drops]
+        active &= ~drops
 
-    powers = np.zeros(n)
-    for i in active:
-        powers[i] = power_needed(i, level)
-    return _finish(scenario, powers, _LinkArrays.of(scenario.users))
+    return _finish(scenario, powers_at([level])[0], links)
 
 
 def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 4096) -> VcgResult:

@@ -85,3 +85,21 @@ def two_user_report(bench_spec):
     report = run_two_user_sweep(bench_spec)
     elapsed = time.time() - t0
     return report, elapsed
+
+
+def reference_bisect(pred, x_false, x_true, rtol, max_iter=200):
+    """Bisection asking pred about one midpoint per step: what bisect_transition must return.
+
+    Returns the tightened pair and the number of steps taken.
+    """
+    if pred(x_false):
+        raise ValueError("pred(x_false) must be False")
+    steps = 0
+    while steps < max_iter and abs(x_true - x_false) > rtol * max(abs(x_false), abs(x_true)):
+        mid = 0.5 * (x_false + x_true)
+        if pred(mid):
+            x_true = mid
+        else:
+            x_false = mid
+        steps += 1
+    return (x_false, x_true), steps

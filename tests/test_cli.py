@@ -33,6 +33,10 @@ def test_ne_solve_calibrated(scenario_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["calibration"]["feasible"] is True
     assert doc["utilization"] == pytest.approx(0.99, abs=1e-3)
+    # the price is the lower end of the last bracket, at most 1e-9 from its upper end
+    p_over, p_under = doc["calibration"]["bracket"]
+    assert doc["price"] == p_over < p_under <= p_over * (1.0 + 1e-9)
+    assert 1 <= doc["calibration"]["evaluations"] <= 20
 
 
 def test_ne_solve_reports_no_equilibrium(scenario_file, capsys):

@@ -1,5 +1,7 @@
 """Best-response iteration, equilibrium solving, thresholds, calibration."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,11 +11,13 @@ from relayauction import (
     KINDS,
     AuctionParams,
     EquilibriumResult,
+    MultiUserSpec,
     NetworkScenario,
     NoEquilibrium,
     UserLink,
     aggregate_share,
     allocate,
+    build_two_user_scenario,
     calibrate_price,
     critical_prices,
     estimate_geometric_rate,
@@ -23,17 +27,20 @@ from relayauction import (
     ne_exists,
     payoff,
     response_factors,
+    sample_topologies,
+    scenario_from_topology,
     solve_ne,
     threshold_price,
     update_matrix,
 )
-from relayauction.auction import divergence_cutoff
-from relayauction.dynamics import IterationTrace
+from relayauction.auction import _UserArrays, divergence_cutoff
+from relayauction.dynamics import THRESHOLD_RTOL, IterationTrace
 
 from conftest import (
     BENCH_SYSTEM,
     make_random_scenario,
     make_snr_regular_scenarios,
+    reference_bisect,
     snr_equal_level_prediction,
 )
 
@@ -329,6 +336,113 @@ def test_calibrate_reports_best_when_target_skipped(scenario_y25):
     eq = solve_ne(scenario_y25, AuctionParams("snr", res.price))
     assert isinstance(eq, EquilibriumResult)
     assert eq.utilization == pytest.approx(res.utilization, abs=1e-9)
+
+
+def _study_scenarios(n_topologies=4):
+    """The first topologies of the 20-user population study, at each of its budgets."""
+    spec = MultiUserSpec()
+    return [
+        scenario_from_topology(spec, nodes, budget)
+        for nodes in sample_topologies(spec)[:n_topologies]
+        for budget in spec.relay_powers
+    ]
+
+
+def _scalar_share(users, price):
+    """S at one price, from the factors at that price alone."""
+    f = users.factors(price)
+    return float(np.divide(f, 1.0 + f, out=np.ones_like(f), where=np.isfinite(f)).sum())
+
+
+def _reference_crossing(users, level, p_over, p_under, rtol):
+    """The share search one price at a time: double p_under, then bisect."""
+
+    def below(price):
+        return _scalar_share(users, price) < level
+
+    while not below(p_under):
+        p_under *= 2.0
+    return reference_bisect(below, p_over, p_under, rtol)[0]
+
+
+def _reference_threshold_bracket(users):
+    lo = float(users.cutoff.max()) * (1.0 - 1e-7)
+    return _reference_crossing(users, 1.0, lo, max(float(users.pi_hat.max()), 2.0 * lo), THRESHOLD_RTOL)
+
+
+def test_price_searches_equal_one_price_at_a_time_search(bench_spec):
+    scenarios = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
+    checked = []
+    for sc in scenarios + _study_scenarios():
+        for kind in KINDS:
+            users = _UserArrays.of(sc, kind)
+            if not users.regular.any():
+                continue
+            p_none, p_some = _reference_threshold_bracket(users)
+            assert threshold_price(sc, kind) == 0.5 * (p_none + p_some)
+            share = _scalar_share(users, p_some)
+            if share < 0.99:
+                want = (p_some, share, False, (p_none, p_some))
+            else:
+                bracket = _reference_crossing(users, 0.99, p_some, 2.0 * p_some, 1e-9)
+                want = (bracket[0], _scalar_share(users, bracket[0]), True, bracket)
+            res = calibrate_price(sc, kind, 0.99)
+            assert (res.price, res.utilization, res.feasible, res.bracket) == want
+            checked.append(res.feasible)
+    # 130 regular cases, both calibration outcomes among them
+    assert len(checked) >= 120 and 0 < sum(checked) < len(checked)
+
+
+def test_calibration_evaluates_factors_few_times(monkeypatch):
+    sc = _study_scenarios(1)[0]
+    calls = []
+    factors = _UserArrays.factors
+
+    def counted(self, price):
+        calls.append(np.shape(price))
+        return factors(self, price)
+
+    monkeypatch.setattr(_UserArrays, "factors", counted)
+    res = calibrate_price(sc, "power", 0.99)
+    # each call evaluates a ladder or a tree of 2**5 prices, not one price
+    assert len(calls) == res.evaluations <= 20
+
+
+def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):
+    builds = []
+    init = _UserArrays.__init__
+
+    def counted(self, users, budget, sys, kind):
+        builds.append((len(users), kind))
+        init(self, users, budget, sys, kind)
+
+    monkeypatch.setattr(_UserArrays, "__init__", counted)
+    sc = build_two_user_scenario(bench_spec, 0.0)
+    for kind in KINDS:
+        price = calibrate_price(sc, kind, 0.99).price
+        params = AuctionParams(kind, price)
+        assert isinstance(solve_ne(sc, params), EquilibriumResult)
+        threshold_price(sc, kind)
+        ne_exists(sc, params)
+        response_factors(sc, params)
+        iterate_best_response(sc, params, [0.0, 0.0])
+    assert builds == [(2, kind) for kind in KINDS]
+    calibrate_price(sc.without_user(0), "power", 0.99)
+    assert builds[-1] == (1, "power")
+    # the memo is no field: equality, hashing, the repr and pickling ignore it
+    fresh = build_two_user_scenario(bench_spec, 0.0)
+    assert sc == fresh and hash(sc) == hash(fresh) and repr(sc) == repr(fresh)
+    assert pickle.loads(pickle.dumps(sc)) == fresh
+
+
+def test_user_arrays_are_read_only(scenario_y0):
+    for kind in KINDS:
+        users = _UserArrays.of(scenario_y0, kind)
+        arrays = [a for a in (*vars(users).values(), *users.links) if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 15
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

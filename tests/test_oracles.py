@@ -26,9 +26,9 @@ from relayauction import (
     vcg_auction,
 )
 from relayauction.auction import _UserArrays
-from relayauction.channel import breakeven_power
+from relayauction.channel import breakeven_power, power_for_relayed_snr, relayed_snr_limit
 
-from conftest import BENCH_SYSTEM, make_random_scenario
+from conftest import BENCH_SYSTEM, make_random_scenario, reference_bisect
 
 BUDGET = 0.1
 
@@ -318,6 +318,52 @@ def test_fair_drops_user_whose_gain_would_vanish():
     alloc = fair_allocation(sc, delta=0.01)
     assert alloc.powers[1] == 0.0
     assert alloc.per_user_rate_increase_bps[0] > 0.0
+
+
+def reference_fair_powers(scenario, delta):
+    """The fair split user by user: one user's power per call, one level per bisection step."""
+    budget = scenario.relay_budget_w * (1.0 - delta)
+    sys = scenario.system
+    users = scenario.users
+
+    def power_needed(i, level):
+        target = level - 1.0 - direct_snr(users[i], sys)
+        if target <= 0.0:
+            return 0.0
+        if target >= relayed_snr_limit(users[i], sys):
+            return float("inf")
+        return power_for_relayed_snr(users[i], target, sys)
+
+    active = [
+        i
+        for i, u in enumerate(users)
+        if breakeven_power(u, sys) is not None and breakeven_power(u, sys) < budget
+    ]
+    level = 1.0
+    while active:
+        hi = min(1.0 + direct_snr(users[i], sys) + relayed_snr_limit(users[i], sys) for i in active)
+        hi *= 1.0 - 1e-12
+
+        def fits(k):
+            return sum(power_needed(i, k) for i in active) <= budget
+
+        level = hi if fits(hi) else reference_bisect(fits, hi, 1.0, 1e-13)[0][1]
+        drops = [i for i in active if level <= (1.0 + direct_snr(users[i], sys)) ** 2]
+        if not drops:
+            break
+        active = [i for i in active if i not in drops]
+    return np.array([power_needed(i, level) if i in active else 0.0 for i in range(len(users))])
+
+
+def test_fair_equals_user_by_user_reference(bench_spec):
+    rng = np.random.default_rng(11)
+    scenarios = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
+    for _ in range(40):
+        sc = make_random_scenario(rng, int(rng.integers(1, 25)))
+        for budget in (1e-4, 0.1, 30.0):
+            scenarios.append(NetworkScenario(sc.users, budget, BENCH_SYSTEM))
+    for sc in scenarios:
+        assert np.array_equal(fair_allocation(sc, delta=0.01).powers, reference_fair_powers(sc, 0.01))
 
 
 def test_fair_participation_matches_subset_search(scenario_y0, scenario_y25):
