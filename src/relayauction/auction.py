@@ -52,8 +52,9 @@ SNR = "snr"
 POWER = "power"
 KINDS = (SNR, POWER)
 
-# a demand within this fraction of the budget is the whole budget: the factor
-# x / (budget - x) would exceed 1e9 and leave no room for anyone else
+# A demand x within this fraction of the budget is the whole budget: the factor
+# x / (budget - x) >= 1e9 would multiply the ~1e-15 relative error of the closed
+# form x by 1e9, and counting the share x / budget as one moves S by <= 1e-9.
 FULL_BUDGET_RTOL = 1e-9
 
 
@@ -355,20 +356,21 @@ class _UserArrays:
             memo[kind] = cls(scenario.users, scenario.relay_budget_w, scenario.system, kind)
         return memo[kind]
 
-    def factors(self, price) -> np.ndarray:
-        """Factors at a price, or a row per price of a column: inf where divergent, 0 where zero."""
+    def demands(self, price) -> np.ndarray:
+        """Power demanded at a price, or a row per price of a column: the budget where divergent."""
         x = np.where(price >= self.zero_from, 0.0, self.rule.demand(self, price))
         whole = (x >= self.budget * (1.0 - FULL_BUDGET_RTOL)) | (price <= self.cutoff)
-        return np.where(whole, math.inf, x / np.where(whole, 1.0, self.budget - x))
+        return np.where(whole, self.budget, x)
+
+    def factors(self, price) -> np.ndarray:
+        """Factors x / (budget - x) of the demands x: inf where divergent, 0 where zero."""
+        x = self.demands(price)
+        return np.divide(x, self.budget - x, out=np.full_like(x, math.inf), where=x < self.budget)
 
     def shares(self, prices) -> np.ndarray:
-        """Aggregate share S = sum f/(1+f) at each price, a divergent factor counting as one.
-
-        Non-increasing in the price.  An equilibrium exists exactly when
-        S < 1, and S is then its utilization.
-        """
-        f = self.factors(np.asarray(prices, dtype=float)[:, None])
-        return np.divide(f, 1.0 + f, out=np.ones_like(f), where=np.isfinite(f)).sum(axis=1)
+        """S = sum f/(1+f) = sum x / budget at each price: non-increasing, and below 1
+        exactly when an equilibrium exists, whose utilization it then is."""
+        return self.demands(np.asarray(prices, dtype=float)[:, None]).sum(axis=1) / self.budget
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ bid B, b_i = f_i/(1+f_i) (B + reserve), which allocates user i the fraction
 f_i/(1+f_i) of the budget, so S is also the utilization.  solve_ne evaluates
 this fixed point directly for both auctions.
 
-Counting a divergent factor as share one makes S a non-increasing function
-of the price: the existence threshold is where S drops below one, and the
-calibrated price is where it drops below the target utilization.  One
-bracketed bisection serves both, evaluating S at a tree of prices per call.
+S is also the total demand over the budget, counting a divergent factor as
+share one, and does not increase with the price: the existence threshold is
+where S drops below one, the calibrated price where it drops below the
+target.  One bisection follows both levels in the same array calls of S.
 
 Synchronous best-response iteration is kept as a diagnostic.  It is a linear
 fixed-point iteration whose matrix has f_i in row i off the diagonal; its
@@ -93,9 +93,11 @@ class PriceSearchResult:
     price: float
     utilization: float
     feasible: bool
-    # the last bisection bracket (S >= level, S < level) and the array evaluations of S
+    # the last bisection bracket (S >= level, S < level), the array evaluations
+    # of S, and the bracket of the existence threshold (S >= 1, S < 1)
     bracket: Optional[tuple[float, float]] = None
     evaluations: int = 0
+    threshold_bracket: Optional[tuple[float, float]] = None
 
 
 def response_factors(scenario: NetworkScenario, params: AuctionParams) -> list[BestResponse]:
@@ -234,37 +236,33 @@ def estimate_geometric_rate(trace: IterationTrace, tail: int = 20) -> float:
     return float(math.exp(slope))
 
 
-class _Shares:
-    """S at arrays of prices on one scenario's users, counting the array evaluations."""
+def _search(users: _UserArrays, levels: Sequence[tuple[float, float]]) -> tuple[list, int]:
+    """bisect_transition on S for each (level, rtol) from one ladder, and the evaluations of S.
 
-    def __init__(self, users: _UserArrays):
-        self.users, self.evaluations = users, 0
+    At or below a user's divergence cutoff its factor diverges (factors()
+    tests price <= cutoff), so S >= 1 on (0, cutoff.max()]; the brackets start
+    1e-7 below it, inside that set and within a tenth of THRESHOLD_RTOL of a
+    threshold at its edge.  The ladder doubles from max(pi_hat.max(), 2 *
+    start) up to zero_from.max(); rungs there also exceed cutoff.max(), so
+    S = 0 unevaluated.  A level's bracket ends at its first rung with S < level.
+    """
+    if not users.regular.any():
+        raise ValueError(f"scenario is not {users.kind}-regular: only the all-zero outcome exists")
+    calls = []
 
-    def __call__(self, prices) -> np.ndarray:
-        self.evaluations += 1
-        return self.users.shares(prices)
+    def shares(prices) -> np.ndarray:
+        calls.append(len(prices))
+        return users.shares(prices)
 
-    def crossing(self, level: float, p_over: float, p_under: float, rtol: float) -> tuple[float, float]:
-        """Bracket (p_over, p_under) of the price where S drops below level, rtol apart.
-
-        S(p_over) >= level is required.  p_under is doubled until S < level,
-        which holds once nobody bids: the whole ladder is one evaluation.  S is
-        non-increasing, so bisection keeps S(p_over) >= level > S(p_under).
-        """
-        top, ladder = float(self.users.zero_from.max()), [p_under]
-        while ladder[-1] <= top:
-            ladder.append(2.0 * ladder[-1])
-        p_under = ladder[int(np.argmax(self(ladder) < level))]
-        return bisect_transition(lambda p: self(p) < level, p_over, p_under, rtol=rtol)
-
-    def threshold_bracket(self, rtol: float) -> tuple[float, float]:
-        """Prices just without and just with an equilibrium."""
-        users = self.users
-        if not users.regular.any():
-            raise ValueError(f"scenario is not {users.kind}-regular: only the all-zero outcome exists")
-        # just below its divergence cutoff a user diverges, so S >= 1 there
-        lo = float(users.cutoff.max()) * (1.0 - 1e-7)
-        return self.crossing(1.0, lo, max(float(users.pi_hat.max()), 2.0 * lo), rtol)
+    lo = float(users.cutoff.max()) * (1.0 - 1e-7)
+    top, ladder = float(users.zero_from.max()), [max(float(users.pi_hat.max()), 2.0 * lo)]
+    while ladder[-1] < top:
+        ladder.append(2.0 * ladder[-1])
+    rungs, below = [lo, *ladder], ladder[:-1]
+    s = np.append(shares(below) if below else [], 0.0)
+    ks = [int(np.argmax(s < level)) for level, _ in levels]
+    searches = [(level, rungs[k], rungs[k + 1], rtol) for (level, rtol), k in zip(levels, ks)]
+    return bisect_transition(shares, searches), len(calls)
 
 
 def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = THRESHOLD_RTOL) -> float:
@@ -273,7 +271,7 @@ def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = THRESHOL
     The midpoint of the bisection bracket on S(p) < 1 that starts just below
     the largest divergence cutoff.
     """
-    p_none, p_some = _Shares(_UserArrays.of(scenario, kind)).threshold_bracket(rtol)
+    p_none, p_some, _, _ = _search(_UserArrays.of(scenario, kind), [(1.0, rtol)])[0][0]
     return 0.5 * (p_none + p_some)
 
 
@@ -285,26 +283,22 @@ def calibrate_price(
 ) -> PriceSearchResult:
     """Largest price whose equilibrium still meets the target utilization.
 
-    Utilization S is non-increasing in the price, so the feasible prices form
-    an interval from the existence threshold up; the search starts at the
-    upper end of the threshold bracket and returns the upper edge, leaving
-    utilization as close to the target as the (possibly discontinuous) curve
-    allows.  When S falls short of the target already there, that point is
-    reported with feasible=False; a scenario where nobody ever bids reports
-    zero utilization at a price above every participation cutoff.  The result
-    carries the last bisection bracket and the number of array evaluations of S.
+    One search follows S = 1 (to THRESHOLD_RTOL) and S = target (to rtol),
+    and returns the target bracket's lower end, raised to the threshold
+    bracket's upper end if below it, where an equilibrium exists.  If S is
+    below the target already at that upper end, that point is reported with
+    feasible=False; where nobody ever bids, zero utilization at a price above
+    every participation cutoff.  The result carries both brackets and the
+    array evaluations of S.
     """
     if not 0.0 < target_utilization < 1.0:
         raise ValueError("target_utilization must lie in (0, 1)")
     users = _UserArrays.of(scenario, kind)
     if not users.regular.any():
-        price = max(float(users.pi_hat.max()) * 1.01, 1.0)
-        return PriceSearchResult(price=price, utilization=0.0, feasible=False)
-    shares = _Shares(users)
-    bracket = shares.threshold_bracket(THRESHOLD_RTOL)
-    p_some, share = bracket[1], float(shares(bracket[1:])[0])
-    if share < target_utilization:
-        return PriceSearchResult(p_some, share, False, bracket, shares.evaluations)
-    bracket = shares.crossing(target_utilization, p_some, 2.0 * p_some, rtol)
-    price, share = bracket[0], float(shares(bracket[:1])[0])
-    return PriceSearchResult(price, share, True, bracket, shares.evaluations)
+        return PriceSearchResult(max(float(users.pi_hat.max()) * 1.01, 1.0), 0.0, False)
+    found, evaluations = _search(users, [(1.0, THRESHOLD_RTOL), (target_utilization, rtol)])
+    (p_none, p_some, _, s_some), target = found
+    if s_some < target_utilization:
+        return PriceSearchResult(p_some, s_some, False, (p_none, p_some), evaluations, (p_none, p_some))
+    price, share = (target[0], target[2]) if target[0] > p_some else (p_some, s_some)
+    return PriceSearchResult(price, share, True, target[:2], evaluations, (p_none, p_some))

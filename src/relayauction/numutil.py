@@ -1,4 +1,4 @@
-"""Batched bisection and bracketed Newton helpers.
+"""Bracketed Newton roots, and a batched bisection on one or more levels.
 
 All routines are deterministic and hold no state, so they are safe to call
 from any number of workers.
@@ -6,7 +6,7 @@ from any number of workers.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -44,42 +44,46 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100)
     return x
 
 
-def bisect_transition(
-    pred: Callable[[np.ndarray], np.ndarray],
-    x_false: float,
-    x_true: float,
-    rtol: float = 1e-9,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Shrink the gap between a point where pred is False and one where it is True.
+# (m, m - h, m + h) for each dyadic midpoint of pts[0] and pts[2**DEPTH], coarsest first
+_TREE = [(m, m - h, m + h) for k in range(1, DEPTH + 1) for h in [2**DEPTH >> k]
+         for m in range(h, 2**DEPTH, 2 * h)]
 
-    pred maps an array of points to booleans.  Each call asks it about
-    x_false and the 2**DEPTH - 1 dyadic midpoints 0.5 * (a + b) of the
-    bracket, then takes up to DEPTH steps on the answers: the same points
-    and decisions, to the bit, as asking about one midpoint per step.  Works
-    for either ordering of the two endpoints.  Returns the tightened
-    (x_false, x_true) pair once |x_true - x_false| <= rtol * scale or after
-    max_iter steps; raises ValueError if pred(x_false) holds.
+
+def bisect_transition(f: Callable, searches: Sequence[tuple], max_iter: int = 200) -> list[Optional[tuple]]:
+    """Bracket where f drops below each of several levels, all in the same calls of f.
+
+    A search is (level, x_over, x_under, rtol), f(x_over) >= level > f(x_under)
+    in either order.  Each call asks f about the ends and 2**DEPTH - 1 dyadic
+    midpoints 0.5 * (a + b) of every open bracket; each search then takes up
+    to DEPTH steps on f < level, to the bit as with one midpoint per step, and
+    ends once |b - a| <= rtol * scale or after max_iter steps.  A later search
+    whose level an earlier final bracket also brackets (so holds its crossing
+    if f crosses each level once) gives None, the others (x_over, x_under,
+    f(x_over), f(x_under)).  Raises ValueError if f(x_over) < level.
     """
-    n = 2**DEPTH
-    steps = 0
-    while True:
-        pts = [x_false] * n + [x_true]
-        for k in range(1, DEPTH + 1):
-            h = n >> k
-            for m in range(h, n, 2 * h):
-                pts[m] = 0.5 * (pts[m - h] + pts[m + h])
-        hit = np.asarray(pred(np.array(pts[:n], dtype=float))).tolist()
-        if hit[0]:
-            raise ValueError("pred(x_false) must be False")
-        f, t = 0, n
-        while True:
-            a, b = pts[f], pts[t]
-            if steps >= max_iter or abs(b - a) <= rtol * max(abs(a), abs(b)):
-                return a, b
-            if t - f == 1:  # no answered midpoint left inside the bracket
-                break
-            m = (f + t) // 2
-            f, t = (f, m) if hit[m] else (m, t)
-            steps += 1
-        x_false, x_true = a, b
+    n, done = 2**DEPTH, [None] * len(searches)
+    state = {i: (a, b, 0) for i, (_, a, b, _) in enumerate(searches)}
+    while state:
+        trees = {i: [a] * n + [b] for i, (a, b, _) in state.items()}
+        for pts in trees.values():
+            for m, lo, hi in _TREE:
+                pts[m] = 0.5 * (pts[lo] + pts[hi])
+        vals = np.reshape(f(np.ravel(list(trees.values()))), (len(trees), -1)).tolist()
+        for (i, pts), v in zip(trees.items(), vals):
+            (level, _, _, rtol), steps = searches[i], state[i][2]
+            if v[0] < level:
+                raise ValueError(f"f(x_over) = {v[0]!r} must not be below the level {level!r}")
+            lo, hi = 0, n
+            while steps < max_iter and abs(pts[hi] - pts[lo]) > rtol * max(abs(pts[lo]), abs(pts[hi])):
+                if hi - lo == 1:  # no answered midpoint left inside the bracket
+                    state[i] = (pts[lo], pts[hi], steps)
+                    break
+                m = (lo + hi) // 2
+                lo, hi = (lo, m) if v[m] < level else (m, hi)
+                steps += 1
+            else:
+                done[i] = (pts[lo], pts[hi], v[lo], v[hi])
+                del state[i]
+        for j in [j for j in state if any(r and r[2] >= searches[j][0] > r[3] for r in done[:j])]:
+            del state[j]
+    return done

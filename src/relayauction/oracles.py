@@ -271,14 +271,14 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
         p = power_for_relayed_snr(links, np.where(inside, target, 0.0), sys)
         return np.where(inside, p, np.where(need, np.inf, 0.0))
 
-    def fits(levels) -> np.ndarray:
-        return powers_at(levels).sum(axis=1) <= budget
+    def over(levels) -> np.ndarray:
+        return powers_at(levels).sum(axis=1) > budget
 
     level = 1.0
     while active.any():
         hi = float((1.0 + g + limit)[active].min()) * (1.0 - 1e-12)
-        # at level 1 nobody needs power
-        level = hi if fits([hi])[0] else bisect_transition(fits, hi, 1.0, rtol=1e-13)[1]
+        # at level 1 nobody needs power; over drops below 1/2 where the total fits
+        level = hi if not over([hi])[0] else bisect_transition(over, [(0.5, hi, 1.0, 1e-13)])[0][1]
         drops = active & (level <= (1.0 + g) ** 2)
         if not drops.any():
             break

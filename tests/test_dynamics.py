@@ -349,63 +349,90 @@ def _study_scenarios(n_topologies=4):
 
 
 def _scalar_share(users, price):
-    """S at one price, from the factors at that price alone."""
-    f = users.factors(price)
-    return float(np.divide(f, 1.0 + f, out=np.ones_like(f), where=np.isfinite(f)).sum())
+    """S at one price, from the demands at that price alone."""
+    return float(users.demands(price).sum() / users.budget)
 
 
-def _reference_crossing(users, level, p_over, p_under, rtol):
-    """The share search one price at a time: double p_under, then bisect."""
-
-    def below(price):
-        return _scalar_share(users, price) < level
-
-    while not below(p_under):
-        p_under *= 2.0
-    return reference_bisect(below, p_over, p_under, rtol)[0]
-
-
-def _reference_threshold_bracket(users):
+def _reference_starts(users, levels):
+    """The start brackets one price at a time: walk the doubling ladder per level."""
     lo = float(users.cutoff.max()) * (1.0 - 1e-7)
-    return _reference_crossing(users, 1.0, lo, max(float(users.pi_hat.max()), 2.0 * lo), THRESHOLD_RTOL)
+    starts = []
+    for level in levels:
+        over, under = lo, max(float(users.pi_hat.max()), 2.0 * lo)
+        while _scalar_share(users, under) >= level:
+            over, under = under, 2.0 * under
+        starts.append((over, under))
+    return starts
+
+
+def _regular_cases(bench_spec):
+    """Every sweep position and four study topologies at each budget, per kind with a profitable band."""
+    scenarios = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
+    for sc in scenarios + _study_scenarios():
+        for kind in KINDS:
+            if _UserArrays.of(sc, kind).regular.any():
+                yield sc, kind
 
 
 def test_price_searches_equal_one_price_at_a_time_search(bench_spec):
-    scenarios = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
     checked = []
-    for sc in scenarios + _study_scenarios():
-        for kind in KINDS:
-            users = _UserArrays.of(sc, kind)
-            if not users.regular.any():
-                continue
-            p_none, p_some = _reference_threshold_bracket(users)
-            assert threshold_price(sc, kind) == 0.5 * (p_none + p_some)
-            share = _scalar_share(users, p_some)
-            if share < 0.99:
-                want = (p_some, share, False, (p_none, p_some))
-            else:
-                bracket = _reference_crossing(users, 0.99, p_some, 2.0 * p_some, 1e-9)
-                want = (bracket[0], _scalar_share(users, bracket[0]), True, bracket)
-            res = calibrate_price(sc, kind, 0.99)
-            assert (res.price, res.utilization, res.feasible, res.bracket) == want
-            checked.append(res.feasible)
+    for sc, kind in _regular_cases(bench_spec):
+        users = _UserArrays.of(sc, kind)
+        (t_over, t_under), (c_over, c_under) = _reference_starts(users, (1.0, 0.99))
+        p_none, p_some = reference_bisect(
+            lambda p: _scalar_share(users, p) < 1.0, t_over, t_under, THRESHOLD_RTOL
+        )[0]
+        assert threshold_price(sc, kind) == 0.5 * (p_none + p_some)
+        share = _scalar_share(users, p_some)
+        if share < 0.99:
+            want = (p_some, share, False, (p_none, p_some))
+        else:
+            bracket = reference_bisect(lambda p: _scalar_share(users, p) < 0.99, c_over, c_under, 1e-9)[0]
+            price = max(bracket[0], p_some)
+            want = (price, _scalar_share(users, price), True, bracket)
+        res = calibrate_price(sc, kind, 0.99)
+        assert (res.price, res.utilization, res.feasible, res.bracket) == want
+        assert res.threshold_bracket == (p_none, p_some)
+        checked.append(res.feasible)
     # 130 regular cases, both calibration outcomes among them
     assert len(checked) >= 120 and 0 < sum(checked) < len(checked)
+
+
+def test_calibrated_price_has_the_reported_equilibrium(bench_spec):
+    for sc, kind in _regular_cases(bench_spec):
+        res = calibrate_price(sc, kind, 0.99)
+        eq = solve_ne(sc, AuctionParams(kind, res.price))
+        assert isinstance(eq, EquilibriumResult)
+        assert eq.utilization == pytest.approx(res.utilization, rel=0.0, abs=1e-12)
+        assert threshold_price(sc, kind) == 0.5 * sum(res.threshold_bracket)
+        p_some = res.threshold_bracket[1]
+        if res.feasible:
+            assert res.price >= p_some and eq.utilization >= 0.99 - 1e-9
+        else:
+            assert res.price == p_some and res.utilization < 0.99
+
+
+def test_share_at_threshold_search_start_is_at_least_one(bench_spec):
+    # any price at or below the largest divergence cutoff has a divergent user
+    for sc, kind in _regular_cases(bench_spec):
+        users = _UserArrays.of(sc, kind)
+        lo = float(users.cutoff.max()) * (1.0 - 1e-7)
+        assert users.shares([lo, float(users.cutoff.max())]).min() >= 1.0
 
 
 def test_calibration_evaluates_factors_few_times(monkeypatch):
     sc = _study_scenarios(1)[0]
     calls = []
-    factors = _UserArrays.factors
+    shares = _UserArrays.shares
 
-    def counted(self, price):
-        calls.append(np.shape(price))
-        return factors(self, price)
+    def counted(self, prices):
+        calls.append(np.shape(prices))
+        return shares(self, prices)
 
-    monkeypatch.setattr(_UserArrays, "factors", counted)
+    monkeypatch.setattr(_UserArrays, "shares", counted)
     res = calibrate_price(sc, "power", 0.99)
-    # each call evaluates a ladder or a tree of 2**5 prices, not one price
-    assert len(calls) == res.evaluations <= 20
+    # at most one ladder call, then one call per five steps of both searches together
+    assert len(calls) == res.evaluations <= 10
 
 
 def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):

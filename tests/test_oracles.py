@@ -96,12 +96,15 @@ def test_efficient_single_user_zero_when_hopeless():
     assert alloc.powers[0] == 0.0
 
 
-def test_efficient_two_resolution_consistency(scenario_y25):
-    coarse = efficient_allocation(scenario_y25, delta=0.0, grid_n=64)
-    fine = efficient_allocation(scenario_y25, delta=0.0, grid_n=4096)
-    assert coarse.total_rate_increase_bps == pytest.approx(
-        fine.total_rate_increase_bps, rel=1e-3
-    )
+def test_efficient_welfare_nondecreasing_in_budget_with_certified_gap(scenario_y25):
+    welfare = []
+    for budget in np.geomspace(1e-4, 10.0, 64):
+        alloc = efficient_allocation(NetworkScenario(scenario_y25.users, budget, BENCH_SYSTEM), delta=0.0)
+        assert alloc.certified_gap <= 1e-12
+        welfare.append(alloc.total_rate_increase_bps)
+    # more power can always be spent as before
+    assert all(b >= a * (1.0 - 1e-12) for a, b in zip(welfare, welfare[1:]))
+    assert welfare[0] < welfare[-1]
 
 
 def test_efficient_matches_brute_force_grid(scenario_y25, scenario_y0):
