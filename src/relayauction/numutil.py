@@ -62,14 +62,15 @@ def bisect_transition(f: Callable, searches: Sequence[tuple], max_iter: int = 20
     f(x_over), f(x_under)).  Raises ValueError if f(x_over) < level.
     """
     n, done = 2**DEPTH, [None] * len(searches)
-    state = {i: (a, b, 0) for i, (_, a, b, _) in enumerate(searches)}
-    while state:
-        trees = {i: [a] * n + [b] for i, (a, b, _) in state.items()}
-        for pts in trees.values():
+    state, live = [(a, b, 0) for _, a, b, _ in searches], list(range(len(searches)))
+    while live:
+        trees = [[state[i][0]] * n + [state[i][1]] for i in live]
+        for pts in trees:
             for m, lo, hi in _TREE:
                 pts[m] = 0.5 * (pts[lo] + pts[hi])
-        vals = np.reshape(f(np.ravel(list(trees.values()))), (len(trees), -1)).tolist()
-        for (i, pts), v in zip(trees.items(), vals):
+        vals = np.asarray(f(np.ravel(trees))).tolist()
+        rows = [vals[k : k + n + 1] for k in range(0, len(vals), n + 1)]
+        for i, pts, v in zip(live, trees, rows):
             (level, _, _, rtol), steps = searches[i], state[i][2]
             if v[0] < level:
                 raise ValueError(f"f(x_over) = {v[0]!r} must not be below the level {level!r}")
@@ -83,7 +84,6 @@ def bisect_transition(f: Callable, searches: Sequence[tuple], max_iter: int = 20
                 steps += 1
             else:
                 done[i] = (pts[lo], pts[hi], v[lo], v[hi])
-                del state[i]
-        for j in [j for j in state if any(r and r[2] >= searches[j][0] > r[3] for r in done[:j])]:
-            del state[j]
+        live = [j for j in live if done[j] is None and not (
+            len(searches) > 1 and any(r and r[2] >= searches[j][0] > r[3] for r in done[:j]))]
     return done
