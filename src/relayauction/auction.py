@@ -368,8 +368,7 @@ class _UserArrays:
         return np.divide(x, self.budget - x, out=np.full_like(x, math.inf), where=x < self.budget)
 
     def shares(self, prices) -> np.ndarray:
-        """S = sum f/(1+f) = sum x / budget at each price: non-increasing, and below 1
-        exactly when an equilibrium exists, whose utilization it then is."""
+        """S = sum x / budget = sum f/(1+f) per price: non-increasing, < 1 iff an equilibrium exists."""
         return self.demands(np.asarray(prices, dtype=float)[:, None]).sum(axis=1) / self.budget
 
 

@@ -93,8 +93,7 @@ class PriceSearchResult:
     price: float
     utilization: float
     feasible: bool
-    # the last bisection bracket (S >= level, S < level), the array evaluations
-    # of S, and the bracket of the existence threshold (S >= 1, S < 1)
+    # the last bracket (S >= level, S < level), array evaluations of S, threshold bracket
     bracket: Optional[tuple[float, float]] = None
     evaluations: int = 0
     threshold_bracket: Optional[tuple[float, float]] = None
@@ -243,8 +242,7 @@ def _search(users: _UserArrays, levels: Sequence[tuple[float, float]]) -> tuple[
     tests price <= cutoff), so S >= 1 on (0, cutoff.max()]; the brackets start
     1e-7 below it, inside that set and within a tenth of THRESHOLD_RTOL of a
     threshold at its edge.  The ladder doubles from max(pi_hat.max(), 2 *
-    start) up to zero_from.max(); rungs there also exceed cutoff.max(), so
-    S = 0 unevaluated.  A level's bracket ends at its first rung with S < level.
+    start) to zero_from.max(), where (past cutoff.max() too) S = 0 unevaluated.
     """
     if not users.regular.any():
         raise ValueError(f"scenario is not {users.kind}-regular: only the all-zero outcome exists")

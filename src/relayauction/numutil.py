@@ -6,7 +6,7 @@ from any number of workers.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -49,41 +49,44 @@ _TREE = [(m, m - h, m + h) for k in range(1, DEPTH + 1) for h in [2**DEPTH >> k]
          for m in range(h, 2**DEPTH, 2 * h)]
 
 
-def bisect_transition(f: Callable, searches: Sequence[tuple], max_iter: int = 200) -> list[Optional[tuple]]:
+def bisect_transition(f: Callable, searches: Sequence[tuple], max_iter: int = 200) -> list:
     """Bracket where f drops below each of several levels, all in the same calls of f.
 
     A search is (level, x_over, x_under, rtol), f(x_over) >= level > f(x_under)
-    in either order.  Each call asks f about the ends and 2**DEPTH - 1 dyadic
-    midpoints 0.5 * (a + b) of every open bracket; each search then takes up
-    to DEPTH steps on f < level, to the bit as with one midpoint per step, and
-    ends once |b - a| <= rtol * scale or after max_iter steps.  A later search
-    whose level an earlier final bracket also brackets (so holds its crossing
-    if f crosses each level once) gives None, the others (x_over, x_under,
+    in either order.  Each call asks f about the 2**DEPTH - 1 dyadic midpoints
+    0.5 * (a + b) of every open bracket (the first call about its ends too);
+    each search takes up to DEPTH steps on f < level, to the bit as with one
+    midpoint per step, until |b - a| <= rtol * scale or max_iter steps.  A
+    later search whose level an earlier final bracket also brackets (which
+    then holds its crossing) gives None, the others (x_over, x_under,
     f(x_over), f(x_under)).  Raises ValueError if f(x_over) < level.
     """
     n, done = 2**DEPTH, [None] * len(searches)
-    state, live = [(a, b, 0) for _, a, b, _ in searches], list(range(len(searches)))
+    state, live = [(a, b, 0, None, None) for _, a, b, _ in searches], list(range(len(searches)))
     while live:
-        trees = [[state[i][0]] * n + [state[i][1]] for i in live]
+        skip = state[live[0]][3] is not None  # after the first call the ends' values are known
+        trees, asked = [[state[i][0]] * n + [state[i][1]] for i in live], []
         for pts in trees:
             for m, lo, hi in _TREE:
                 pts[m] = 0.5 * (pts[lo] + pts[hi])
-        vals = np.asarray(f(np.ravel(trees))).tolist()
-        rows = [vals[k : k + n + 1] for k in range(0, len(vals), n + 1)]
-        for i, pts, v in zip(live, trees, rows):
-            (level, _, _, rtol), steps = searches[i], state[i][2]
+            asked += pts[1:n] if skip else pts
+        vals, w = np.asarray(f(np.array(asked))).tolist(), n - 1 if skip else n + 1
+        for i, pts, k in zip(live, trees, range(0, len(vals), w)):
+            (level, _, _, rtol), (_, _, steps, fa, fb), lo, hi = searches[i], state[i], 0, n
+            v = [fa, *vals[k : k + w], fb] if skip else vals[k : k + w]
             if v[0] < level:
                 raise ValueError(f"f(x_over) = {v[0]!r} must not be below the level {level!r}")
-            lo, hi = 0, n
-            while steps < max_iter and abs(pts[hi] - pts[lo]) > rtol * max(abs(pts[lo]), abs(pts[hi])):
+            while True:
+                a, b = pts[lo], pts[hi]
+                if steps >= max_iter or abs(b - a) <= rtol * max(abs(a), abs(b)):
+                    done[i] = (a, b, v[lo], v[hi])
+                    break
                 if hi - lo == 1:  # no answered midpoint left inside the bracket
-                    state[i] = (pts[lo], pts[hi], steps)
+                    state[i] = (a, b, steps, v[lo], v[hi])
                     break
                 m = (lo + hi) // 2
                 lo, hi = (lo, m) if v[m] < level else (m, hi)
                 steps += 1
-            else:
-                done[i] = (pts[lo], pts[hi], v[lo], v[hi])
         live = [j for j in live if done[j] is None and not (
             len(searches) > 1 and any(r and r[2] >= searches[j][0] > r[3] for r in done[:j]))]
     return done
