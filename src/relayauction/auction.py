@@ -12,16 +12,14 @@ bid = f(price) * (opponents + reserve).  The factor has three branches,
 delimited by two per-user critical prices: divergent (the user wants the
 whole budget) at or below the divergence cutoff, zero at or above the
 participation cutoff pi_hat, and in between f = x / (budget - x) at the
-power x where the marginal rate per unit charged equals the price, in closed
-form for both rules.  The power auction's closed form rests on concavity:
-past the breakeven power the rate increase is the log of a concave,
-increasing SNR, so the first-order condition (a quadratic in relay power)
-gives the best response and the peak of rate per watt gives the cutoff.
+power x where the marginal rate per unit charged equals the price.  x and the
+SNR auction's pi_hat (by Lambert's W) are closed forms; the power auction's
+pi_hat, the peak of rate per watt, is a monotone Newton iteration.
 
 `_UserArrays` holds every user of a scenario as read-only arrays under one
 payment rule, built once per scenario and rule, so that all factors at a
-price, or at a column of prices, are one array expression.
-The scalar functions of this module are one-user views of it.
+price, or at a column of prices, are one array expression.  The scalar
+functions of this module are one-user views of it.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .channel import (
     relayed_snr_limit,
     snr_marginal_rate,
 )
-from .numutil import newton_root
 
 SNR = "snr"
 POWER = "power"
@@ -173,24 +170,22 @@ def g_snr(link: UserLink, price, sys: SystemParams):
         raise ValueError("price must be strictly positive")
     w = sys.bandwidth_hz
     g = direct_snr(link, sys)
-    return price * (1.0 + g) - 0.5 * w * (
-        np.log2(2.0 * price * LN2 * (1.0 + g) ** 2 / w) + 1.0 / LN2
-    )
+    return price * (1.0 + g) - 0.5 * w * (np.log2(2.0 * price * LN2 * (1.0 + g) ** 2 / w) + 1.0 / LN2)
 
 
 def _snr_pi_hat(users: "_UserArrays") -> np.ndarray:
-    """Smallest positive root of g_snr, by Newton steps below pi_star = K / (1+g).
+    """Smallest positive root of g_snr = K (u - ln u - ln(1+g) - 1), u = price (1+g) / K.
 
-    With u = price / pi_star and K = W / (2 ln 2),
-    g_snr = K (u - ln u - ln(1+g) - 1), convex and decreasing up to pi_star:
-    negative (-K ln(1+g)) at pi_star and K (u + ln 2) > 0 at u = 1 / (2e (1+g)),
-    which brackets the root.  Its derivative is (1+g) - K / price.
+    u = -W0(z), z = -1 / (e (1+g)), by four Halley steps from the branch-point series (Corless
+    et al. 1996, "On the Lambert W function"); to 4e-15 for g >= 1e-3, below to 1e-16 / sqrt(g).
     """
-    pi_star = snr_marginal_rate(users.links, 0.0, users.sys)
-    lo = pi_star / (2.0 * math.e * (1.0 + users.g))
-    return newton_root(
-        lambda p: (g_snr(users.links, p, users.sys), 1.0 + users.g - users.k / p), lo, pi_star
-    )
+    g = users.g
+    z, p = -math.exp(-1.0) / (1.0 + g), np.sqrt(2.0 * g / (1.0 + g))  # p = sqrt(2 (e z + 1))
+    w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
+    for _ in range(4):
+        t = w - z * np.exp(-w)
+        w = w - t / (w + 1.0 - (w + 2.0) * t / (2.0 * w + 2.0))
+    return -w * users.k / (1.0 + g)
 
 
 def _snr_demand(users: "_UserArrays", price: float) -> np.ndarray:
@@ -253,23 +248,27 @@ def _power_demand(users: "_UserArrays", price) -> np.ndarray:
 def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
     """Relay power p in (0, budget] maximizing r(p) / p; nan where r stays 0.
 
-    On [breakeven, budget] phi(p) = p u'(p) - u(p) has derivative
-    p u''(p) <= 0 and is positive at the breakeven power, where u vanishes;
-    the maximizer is therefore the budget when phi(budget) >= 0 and the root
-    of phi otherwise.
+    phi(p) = p u'(p) - u(p) falls on [breakeven, budget] (phi' = p u'' <= 0) from a
+    positive value, so p is the budget if phi(budget) >= 0 and phi's root otherwise.
+    In v = ln((1+g+s) / (1+g)) and m = expm1(-v), phi = -K H(v) for the convex
+    H = v + ((1+g) e^v + (b+1+g) e^-v - (b+2+2g)) / b - ln(1+g) = (1+g) m^2 e^v / b + m + v
+    - ln(1+g); plain Newton from the budget end (H > 0) falls monotonically to the root,
+    until a step is not positive or not shorter than the last (rounding).
     """
-    k = users.k
-
-    def phi(p, g, b, c):
-        u, slope, bend = _power_curve(p, g, b, c, k)
-        return p * slope - u, -p * c * slope * bend
-
-    live = users.gain_max > 0.0
+    g, b, live = users.g, users.b, users.gain_max > 0.0
+    a, ln1g, v = (1.0 + g) / b, np.log1p(g), np.log1p(users.snr_max / (1.0 + g))
+    # the last step of each user (0: stays at the budget), and whether it moved
+    last, inner = np.where(live, np.inf, 0.0), np.zeros_like(live)
+    for _ in range(64):
+        m, r = np.expm1(-v), a / np.exp(-v)
+        step = (r * m * m + m + v - ln1g) / (-m * (r * (2.0 + m) + 1.0))  # H / H'
+        go = (step > 0.0) & (step < last)  # false on nan; at first, where H(v_max) > 0
+        if not go.any():
+            break
+        v, last, inner = np.where(go, v - step, v), np.where(go, step, 0.0), inner | go
     p = np.where(live, users.budget, np.nan)
-    inner = live & (phi(users.budget, users.g, users.b, users.c)[0] < 0.0)
-    if inner.any():
-        g, b, c = users.g[inner], users.b[inner], users.c[inner]
-        p[inner] = newton_root(lambda x: phi(x, g, b, c), users.x0[inner], users.budget)
+    s, b = (1.0 + g[inner]) * np.expm1(v[inner]), b[inner]
+    p[inner] = s * (b + 1.0) / ((b - s) * users.c[inner])
     return p
 
 
@@ -433,22 +432,22 @@ def critical_prices(link: UserLink, kind: str, budget: float, sys: SystemParams)
 
 
 def snr_critical_prices(link: UserLink, budget: float, sys: SystemParams) -> CriticalPrices:
-    """Critical prices of the SNR auction for one user.
+    """Critical prices of the SNR auction for one user, in closed form.
 
     pi_lower is the marginal rate per unit SNR at the full-budget relayed SNR;
-    pi_hat is the smallest positive root of g_snr.
+    pi_hat is the smallest positive root of g_snr, by Lambert's W.
     """
     return critical_prices(link, SNR, budget, sys)
 
 
 def power_critical_prices(link: UserLink, budget: float, sys: SystemParams) -> CriticalPrices:
-    """Critical prices of the power auction, in closed form.
+    """Critical prices of the power auction for one user.
 
     pi_lower is the marginal rate increase per watt at the full budget;
     pi_hat = max over (0, budget] of r(p) / p, the price at which the best
-    attainable profit drops to zero, read at power_cutoff_point.  A user that
-    cannot profit at any power (direct link too strong relative to the relay
-    path, or breakeven out of reach) gets pi_hat = 0.
+    attainable profit drops to zero, read at power_cutoff_point (a monotone
+    Newton iteration).  A user whose rate increase stays 0 up to the budget
+    gets pi_hat = 0.
     """
     return critical_prices(link, POWER, budget, sys)
 

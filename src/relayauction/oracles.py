@@ -268,7 +268,8 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
         target = np.asarray(levels, dtype=float)[:, None] - 1.0 - g
         need = active & (target > 0.0)
         inside = need & (target < limit)
-        p = power_for_relayed_snr(links, np.where(inside, target, 0.0), sys)
+        s = np.where(inside, target, 0.0)  # power_for_relayed_snr in line, less its checks
+        p = s * (limit + 1.0) / (limit - s) * sys.noise_w / links.gain_rd
         return np.where(inside, p, np.where(need, np.inf, 0.0))
 
     def over(levels) -> np.ndarray:

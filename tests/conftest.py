@@ -1,10 +1,13 @@
 """Shared fixtures: the benchmark two-user geometry and random scenarios."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from relayauction import (
+    MultiUserSpec,
     NetworkScenario,
     SystemParams,
     TwoUserSweepSpec,
@@ -13,7 +16,12 @@ from relayauction import (
     is_snr_regular,
     link_from_geometry,
     run_two_user_sweep,
+    sample_topologies,
+    scenario_from_topology,
 )
+from relayauction.auction import _power_curve, g_snr
+from relayauction.channel import rate_increase, snr_marginal_rate
+from relayauction.numutil import newton_root
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
 settings.register_profile("relayauction", derandomize=True, max_examples=200, deadline=None)
@@ -40,6 +48,16 @@ def make_snr_regular_scenarios(seed: int, count: int, min_users: int = 2, max_us
         if is_snr_regular(sc):
             out.append(sc)
     return out
+
+
+def study_scenarios(n_topologies=4):
+    """The first topologies of the 20-user population study, at each of its budgets."""
+    spec = MultiUserSpec()
+    return [
+        scenario_from_topology(spec, nodes, budget)
+        for nodes in sample_topologies(spec)[:n_topologies]
+        for budget in spec.relay_powers
+    ]
 
 
 def snr_equal_level_prediction(scenario: NetworkScenario, eq):
@@ -103,3 +121,43 @@ def reference_bisect(pred, x_false, x_true, rtol, max_iter=200):
             x_false = mid
         steps += 1
     return (x_false, x_true), steps
+
+
+def reference_snr_pi_hat(users):
+    """SNR participation cutoffs by a bracketed Newton search: what the closed form must return.
+
+    g_snr is convex and decreasing below pi_star = K / (1+g), negative there
+    and positive at pi_star / (2e (1+g)), which brackets its smallest root.
+    """
+    pi_star = snr_marginal_rate(users.links, 0.0, users.sys)
+    lo = pi_star / (2.0 * math.e * (1.0 + users.g))
+    return newton_root(
+        lambda p: (g_snr(users.links, p, users.sys), 1.0 + users.g - users.k / p), lo, pi_star
+    )
+
+
+def reference_power_cutoff_points(users):
+    """Power-auction cutoff points by a bracketed Newton search in relay power.
+
+    phi(p) = p u'(p) - u(p) falls on [breakeven, budget] from a positive
+    value; the point is the budget when phi(budget) >= 0, else phi's root.
+    """
+    k = users.k
+
+    def phi(p, g, b, c):
+        u, slope, bend = _power_curve(p, g, b, c, k)
+        return p * slope - u, -p * c * slope * bend
+
+    live = users.gain_max > 0.0
+    p = np.where(live, users.budget, np.nan)
+    inner = live & (phi(users.budget, users.g, users.b, users.c)[0] < 0.0)
+    if inner.any():
+        g, b, c = users.g[inner], users.b[inner], users.c[inner]
+        p[inner] = newton_root(lambda x: phi(x, g, b, c), users.x0[inner], users.budget)
+    return p
+
+
+def reference_power_pi_hat(users):
+    """Power-auction participation cutoffs read at the reference cutoff points."""
+    p = reference_power_cutoff_points(users)
+    return np.where(users.gain_max > 0.0, rate_increase(users.links, p, users.sys) / p, 0.0)

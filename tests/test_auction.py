@@ -12,6 +12,7 @@ from relayauction import (
     BestResponse,
     allocate,
     best_response,
+    build_two_user_scenario,
     direct_snr,
     g_snr,
     is_power_regular,
@@ -28,9 +29,18 @@ from relayauction import (
     snr_best_response_factor,
     snr_critical_prices,
 )
+from relayauction import auction, numutil, oracles
+from relayauction.auction import KINDS, POWER, SNR, _power_curve, _power_cutoff_points, _UserArrays
 from relayauction.channel import LN2, NetworkScenario, UserLink, breakeven_power
 
-from conftest import BENCH_SYSTEM, make_random_scenario
+from conftest import (
+    BENCH_SYSTEM,
+    make_random_scenario,
+    reference_power_cutoff_points,
+    reference_power_pi_hat,
+    reference_snr_pi_hat,
+    study_scenarios,
+)
 
 BUDGET = 0.1
 
@@ -38,11 +48,12 @@ BUDGET = 0.1
 def numeric_best_power(link, price, kind, budget, sys):
     """Brute-force payoff argmax over allocated power: dense grid + local refine.
 
-    The grid is uniform plus geometric (down to 1e-9 of the budget), so a
-    small optimum or a narrow profitable band is resolved at any budget.
+    The grid is uniform plus geometric (down to 1e-12 of the budget), so a
+    small optimum or a narrow profitable band is resolved at budgets from
+    1e-6 to 1e3 W (an optimum of 8e-7 W at a 1e3 W budget needs the 1e-12).
     """
     top = budget * (1 - 1e-12)
-    grid = np.union1d(np.linspace(0.0, top, 100001), np.geomspace(top * 1e-9, top, 100001))
+    grid = np.union1d(np.linspace(0.0, top, 100001), np.geomspace(top * 1e-12, top, 100001))
     gains = np.asarray(rate_increase(link, grid, sys))
     if kind == "snr":
         pays = price * np.asarray(relayed_snr(link, grid, sys))
@@ -399,17 +410,23 @@ def test_power_pi_lower_is_full_budget_marginal():
 power_links = st.tuples(
     st.floats(10.0, 400.0), st.floats(10.0, 400.0), st.floats(10.0, 400.0)
 ).map(lambda d: UserLink(0, 0.01, d[0] ** -4, d[1] ** -4, d[2] ** -4))
-budgets = st.floats(-3.0, 1.0).map(lambda e: 10.0**e)  # 1e-3 to 10 W
+budgets = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)  # 1e-6 to 1e3 W
 
 
 def _probe_prices(cp, t_span, t_band):
     """pi_lower, pi_hat -/+ 1e-6, a log-uniform point between pi_lower/1e3 and
-    1.5 pi_hat, and one inside the finite band (pi_lower, pi_hat) if it exists."""
+    1.5 pi_hat, and one inside the finite band (pi_lower, pi_hat) if it exists.
+
+    A drawn price within 1e-9 of pi_hat is left out: the best net gain there is
+    within rounding of zero for the grid search, which cannot tell zero from
+    positive (the two -/+ 1e-6 points probe that switch).
+    """
     lo, hi = cp.pi_lower * 1e-3, cp.pi_hat * 1.5
-    prices = [cp.pi_lower, cp.pi_hat * (1 - 1e-6), cp.pi_hat * (1 + 1e-6), lo * (hi / lo) ** t_span]
+    drawn = [lo * (hi / lo) ** t_span]
     if cp.regular:
-        prices.append(cp.pi_lower * (cp.pi_hat / cp.pi_lower) ** t_band)
-    return prices
+        drawn.append(cp.pi_lower * (cp.pi_hat / cp.pi_lower) ** t_band)
+    drawn = [p for p in drawn if abs(p / cp.pi_hat - 1.0) > 1e-9]
+    return [cp.pi_lower, cp.pi_hat * (1 - 1e-6), cp.pi_hat * (1 + 1e-6), *drawn]
 
 
 @given(link=power_links, budget=budgets, t_span=st.floats(0.0, 1.0), t_band=st.floats(0.0, 1.0))
@@ -430,7 +447,19 @@ def test_power_best_response_closed_form_matches_numeric_argmax(link, budget, t_
             rate_top = float(rate_increase(link, top, BENCH_SYSTEM))
             assert rate_top - price * top >= v_star - 1e-12 * rate_top
         elif not f.is_zero:
-            assert f.value / (1 + f.value) * budget == pytest.approx(x_star, rel=1e-5)
+            x = f.value / (1 + f.value) * budget
+            rate_x = float(rate_increase(link, x, BENCH_SYSTEM))
+
+            def net(p):
+                return float(rate_increase(link, p, BENCH_SYSTEM)) - price * p
+
+            # no grid point beats the closed form by more than rounding
+            assert net(x) >= v_star - 1e-12 * rate_x
+            # and it is the grid's argmax, unless the net gain 1e-5 away is the
+            # same to rounding (a saturated link near the budget), where no grid can place it
+            drop = net(x) - max(net(x * (1 - 1e-5)), net(min(x * (1 + 1e-5), budget)))
+            if drop > 1e-12 * rate_x:
+                assert x == pytest.approx(x_star, rel=1e-5)
 
 
 @given(link=power_links, budget=budgets)
@@ -454,6 +483,122 @@ def test_power_cutoff_envelope_identity(link, budget):
     above = power_best_response_factor(link, cp.pi_hat * (1 + 1e-6), budget, BENCH_SYSTEM)
     assert below.value > 0.0
     assert above.is_zero
+
+
+# ---------------------------------------------------------------------------
+# participation cutoffs in closed form (SNR) and by monotone Newton (power)
+
+K = BENCH_SYSTEM.bandwidth_hz / (2.0 * LN2)
+
+
+def _study_and_sweep_scenarios(bench_spec):
+    """The 81 sweep positions, then four 20-user study topologies at each of the four budgets."""
+    sweep = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
+    return sweep + study_scenarios()
+
+
+def _assert_rel(got, want, rtol):
+    """got equals want to rtol relative; nan and 0 where want has them."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(np.isnan(got), np.isnan(want)) and np.array_equal(got == 0.0, want == 0.0)
+    k = ~np.isnan(want) & (want != 0.0)
+    assert np.all(np.abs(got[k] - want[k]) <= rtol * np.abs(want[k]))
+
+
+def test_cutoffs_equal_bracketed_newton_reference(bench_spec):
+    scenarios = _study_and_sweep_scenarios(bench_spec)
+    assert len(scenarios) == 81 + 16
+    for sc in scenarios:
+        snr = _UserArrays(sc.users, sc.relay_budget_w, sc.system, SNR)
+        power = _UserArrays(sc.users, sc.relay_budget_w, sc.system, POWER)
+        _assert_rel(snr.pi_hat, reference_snr_pi_hat(snr), 1e-13)
+        _assert_rel(power.pi_hat, reference_power_pi_hat(power), 1e-13)
+        points = reference_power_cutoff_points(power)
+        _assert_rel(_power_cutoff_points(power), points, 1e-13)
+    for link, point in zip(sc.users, points):  # the one-user view of the last scenario
+        got = power_cutoff_point(link, sc.relay_budget_w, sc.system)
+        assert got is None if np.isnan(point) else got == pytest.approx(point, rel=1e-13)
+
+
+def test_user_arrays_build_makes_no_newton_search(monkeypatch, bench_spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("newton_root called")
+
+    assert not hasattr(auction, "newton_root")
+    for module in (numutil, oracles):
+        monkeypatch.setattr(module, "newton_root", refuse)
+    scenarios = _study_and_sweep_scenarios(bench_spec)
+    for sc in (scenarios[0], scenarios[40], scenarios[-1]):
+        for kind in KINDS:
+            assert _UserArrays(sc.users, sc.relay_budget_w, sc.system, kind).pi_hat.size == sc.n_users
+
+
+def _link_with_direct_snr(g, d_sr=80.0, d_rd=120.0):
+    return UserLink(0, 0.01, g * BENCH_SYSTEM.noise_w / 0.01, d_sr**-4, d_rd**-4)
+
+
+@given(log_g=st.floats(-6.0, 15.0))
+def test_snr_pi_hat_is_the_root_of_g_snr(log_g):
+    link = _link_with_direct_snr(10.0**log_g)
+    g = direct_snr(link, BENCH_SYSTEM)
+    pi_hat = snr_critical_prices(link, BUDGET, BENCH_SYSTEM).pi_hat
+    assert abs(g_snr(link, pi_hat, BENCH_SYSTEM)) <= 1e-12 * K
+    assert 0.0 < pi_hat < K / (1.0 + g)
+
+
+def _decimal_snr_pi_hat(g: float) -> float:
+    """pi_hat to 40 digits: u - ln u = 1 + ln(1+g) on (0, 1) by bisection, g taken exactly."""
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        one = decimal.Decimal(1)
+        rhs = one + (one + decimal.Decimal(g)).ln()
+        lo, hi = decimal.Decimal(0), one
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid - mid.ln() > rhs else (lo, mid)
+        return float((lo + hi) / 2 * decimal.Decimal(K) / (one + decimal.Decimal(g)))
+
+
+def test_snr_pi_hat_accuracy_floor_as_direct_snr_vanishes():
+    # the root u of u - ln u = 1 + ln(1+g) nears the double root u = 1 as g -> 0,
+    # where rounding 1 + g (and z = -1/(e(1+g))) alone moves it by ~1e-16 / sqrt(2g)
+    # relative (3.3e-9 at g = 1e-15, as the bracketed search before it); the
+    # closed form stays within that floor plus 1e-14
+    for g in 10.0 ** np.arange(-15.0, 16.0):
+        link = _link_with_direct_snr(g)
+        g = direct_snr(link, BENCH_SYSTEM)
+        got = snr_critical_prices(link, BUDGET, BENCH_SYSTEM).pi_hat
+        assert abs(got / _decimal_snr_pi_hat(g) - 1.0) <= 1e-14 + 2e-16 / math.sqrt(g)
+
+
+# one user per draw: node distances from 1 m to 10 km (direct SNR 1e-7 to 1e9)
+extreme_links = st.tuples(
+    st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.floats(0.0, 4.0)
+).map(lambda e: UserLink(0, 0.01, 10.0 ** (-4 * e[0]), 10.0 ** (-4 * e[1]), 10.0 ** (-4 * e[2])))
+
+
+@given(link=extreme_links, budget=budgets)
+def test_power_cutoff_point_maximizes_rate_per_watt(link, budget):
+    users = _UserArrays((link,), budget, BENCH_SYSTEM, POWER)
+    p = power_cutoff_point(link, budget, BENCH_SYSTEM)
+    assume(p is not None)
+    shape = (users.g[0], users.b[0], users.c[0], users.k)
+
+    def per_watt(x):  # u(x) / x, with u free of the cancellation in rate_increase at small g
+        return _power_curve(x, *shape)[0] / x
+
+    u, slope, _ = _power_curve(p, *shape)
+    event("interior" if p < budget else "at budget")
+    if p < budget:
+        # phi(p) = p u'(p) - u(p) vanishes; 1e-12 covers the rounding of u, a
+        # difference of logs when the point nears the breakeven
+        assert abs(p * slope - u) <= 1e-12 * p * slope
+        assert per_watt(p * (1 + 1e-6)) <= per_watt(p) * (1 + 1e-15)
+    else:
+        assert p * slope - u >= -1e-12 * p * slope
+    assert per_watt(p * (1 - 1e-6)) <= per_watt(p) * (1 + 1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from relayauction import (
     KINDS,
     AuctionParams,
     EquilibriumResult,
-    MultiUserSpec,
     NetworkScenario,
     NoEquilibrium,
     UserLink,
@@ -27,8 +26,6 @@ from relayauction import (
     ne_exists,
     payoff,
     response_factors,
-    sample_topologies,
-    scenario_from_topology,
     solve_ne,
     threshold_price,
     update_matrix,
@@ -42,6 +39,7 @@ from conftest import (
     make_snr_regular_scenarios,
     reference_bisect,
     snr_equal_level_prediction,
+    study_scenarios,
 )
 
 BUDGET = 0.1
@@ -338,16 +336,6 @@ def test_calibrate_reports_best_when_target_skipped(scenario_y25):
     assert eq.utilization == pytest.approx(res.utilization, abs=1e-9)
 
 
-def _study_scenarios(n_topologies=4):
-    """The first topologies of the 20-user population study, at each of its budgets."""
-    spec = MultiUserSpec()
-    return [
-        scenario_from_topology(spec, nodes, budget)
-        for nodes in sample_topologies(spec)[:n_topologies]
-        for budget in spec.relay_powers
-    ]
-
-
 def _scalar_share(users, price):
     """S at one price, from the demands at that price alone."""
     return float(users.demands(price).sum() / users.budget)
@@ -368,7 +356,7 @@ def _reference_starts(users, levels):
 def _regular_cases(bench_spec):
     """Every sweep position and four study topologies at each budget, per kind with a profitable band."""
     scenarios = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
-    for sc in scenarios + _study_scenarios():
+    for sc in scenarios + study_scenarios():
         for kind in KINDS:
             if _UserArrays.of(sc, kind).regular.any():
                 yield sc, kind
@@ -421,7 +409,7 @@ def test_share_at_threshold_search_start_is_at_least_one(bench_spec):
 
 
 def test_calibration_evaluates_factors_few_times(monkeypatch):
-    sc = _study_scenarios(1)[0]
+    sc = study_scenarios(1)[0]
     calls = []
     shares = _UserArrays.shares
 
