@@ -18,8 +18,8 @@ pi_hat, the peak of rate per watt, is a monotone Newton iteration.
 
 `_UserArrays` holds every user of a scenario as read-only arrays under one
 payment rule, built once per scenario and rule, so that all factors at a
-price, or at a column of prices, are one array expression.  The scalar
-functions of this module are one-user views of it.
+price, or at a column of prices, are one array expression.
+The scalar functions of this module are one-user views of it.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .channel import (
     SystemParams,
     UserLink,
     _LinkArrays,
+    _power_for_snr,
     direct_snr,
-    power_for_relayed_snr,
     rate_increase,
     rate_increase_power_slope,
     relayed_snr,
@@ -170,21 +170,28 @@ def g_snr(link: UserLink, price, sys: SystemParams):
         raise ValueError("price must be strictly positive")
     w = sys.bandwidth_hz
     g = direct_snr(link, sys)
-    return price * (1.0 + g) - 0.5 * w * (np.log2(2.0 * price * LN2 * (1.0 + g) ** 2 / w) + 1.0 / LN2)
+    return price * (1.0 + g) - 0.5 * w * (
+        np.log2(2.0 * price * LN2 * (1.0 + g) ** 2 / w) + 1.0 / LN2
+    )
 
 
 def _snr_pi_hat(users: "_UserArrays") -> np.ndarray:
     """Smallest positive root of g_snr = K (u - ln u - ln(1+g) - 1), u = price (1+g) / K.
 
-    u = -W0(z), z = -1 / (e (1+g)), by four Halley steps from the branch-point series (Corless
-    et al. 1996, "On the Lambert W function"); to 4e-15 for g >= 1e-3, below to 1e-16 / sqrt(g).
+    u = -W0(z), z = -1 / (e (1+g)), by four Halley steps on w e^w = z from the branch-point
+    series (Corless et al. 1996, "On the Lambert W function").  Near the branch point
+    (w < -1/2) the residual w - z e^-w is taken as d + expm1(-d - ln(1+g)), d = w + 1, which
+    never rounds 1 + g; u is then good to about 1e-15 relative at every g > 0.
     """
     g = users.g
-    z, p = -math.exp(-1.0) / (1.0 + g), np.sqrt(2.0 * g / (1.0 + g))  # p = sqrt(2 (e z + 1))
+    ln1g = np.log1p(g)
+    z = -math.exp(-1.0) / (1.0 + g)
+    p = np.sqrt(2.0 * g / (1.0 + g))  # p = sqrt(2 (e z + 1))
     w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
     for _ in range(4):
-        t = w - z * np.exp(-w)
-        w = w - t / (w + 1.0 - (w + 2.0) * t / (2.0 * w + 2.0))
+        d = w + 1.0
+        t = np.where(w < -0.5, d + np.expm1(-d - ln1g), w - z * np.exp(-w))
+        w = w - 2.0 * d * t / (2.0 * d * d - (w + 2.0) * t)
     return -w * users.k / (1.0 + g)
 
 
@@ -195,7 +202,7 @@ def _snr_demand(users: "_UserArrays", price: float) -> np.ndarray:
     s = K / price - 1 - g.
     """
     target = np.minimum(np.maximum(users.k / price - 1.0 - users.g, 0.0), users.snr_max)
-    return power_for_relayed_snr(users.links, target, users.sys)
+    return _power_for_snr(users.links, target, users.b, users.sys)
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +257,30 @@ def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
 
     phi(p) = p u'(p) - u(p) falls on [breakeven, budget] (phi' = p u'' <= 0) from a
     positive value, so p is the budget if phi(budget) >= 0 and phi's root otherwise.
-    In v = ln((1+g+s) / (1+g)) and m = expm1(-v), phi = -K H(v) for the convex
-    H = v + ((1+g) e^v + (b+1+g) e^-v - (b+2+2g)) / b - ln(1+g) = (1+g) m^2 e^v / b + m + v
-    - ln(1+g); plain Newton from the budget end (H > 0) falls monotonically to the root,
-    until a step is not positive or not shorter than the last (rounding).
+    In v = ln((1+g+s) / (1+g)) and m = expm1(-v), phi = -K H(v) with the convex
+    H(v) = (1+g) m^2 e^v / b + m + v - ln(1+g).  Plain Newton from the budget end, where
+    H > 0, falls monotonically onto the root; it stops once a step is not positive or
+    not shorter than the last, which only rounding brings about.
     """
-    g, b, live = users.g, users.b, users.gain_max > 0.0
-    a, ln1g, v = (1.0 + g) / b, np.log1p(g), np.log1p(users.snr_max / (1.0 + g))
-    # the last step of each user (0: stays at the budget), and whether it moved
-    last, inner = np.where(live, np.inf, 0.0), np.zeros_like(live)
+    g = users.g
+    a = (1.0 + g) / users.b
+    ln1g = np.log1p(g)
+    v_max = np.log1p(users.snr_max / (1.0 + g))
+    v = v_max
+    last = np.where(users.gain_max > 0.0, np.inf, 0.0)  # the last step; 0 stays at the budget
     for _ in range(64):
-        m, r = np.expm1(-v), a / np.exp(-v)
+        m = np.expm1(-v)
+        r = a / np.exp(-v)
         step = (r * m * m + m + v - ln1g) / (-m * (r * (2.0 + m) + 1.0))  # H / H'
         go = (step > 0.0) & (step < last)  # false on nan; at first, where H(v_max) > 0
         if not go.any():
             break
-        v, last, inner = np.where(go, v - step, v), np.where(go, step, 0.0), inner | go
-    p = np.where(live, users.budget, np.nan)
-    s, b = (1.0 + g[inner]) * np.expm1(v[inner]), b[inner]
-    p[inner] = s * (b + 1.0) / ((b - s) * users.c[inner])
-    return p
+        v = np.where(go, v - step, v)
+        last = np.where(go, step, 0.0)
+    inner = v < v_max
+    s = np.where(inner, (1.0 + g) * np.expm1(v), 0.0)
+    p = _power_for_snr(users.links, s, users.b, users.sys)
+    return np.where(inner, p, np.where(users.gain_max > 0.0, users.budget, np.nan))
 
 
 def _power_pi_hat(users: "_UserArrays") -> np.ndarray:
@@ -335,7 +346,7 @@ class _UserArrays:
         self.snr_max = relayed_snr(links, budget, sys)
         self.gain_max = rate_increase(links, budget, sys)
         # breakeven power, or about the budget when the budget cannot reach it
-        self.x0 = power_for_relayed_snr(links, np.minimum(self.g * self.g + self.g, self.snr_max), sys)
+        self.x0 = _power_for_snr(links, np.minimum(self.g * self.g + self.g, self.snr_max), self.b, sys)
         self.pi_lower = self.rule.marginal(links, budget, sys)
         self.pi_hat = self.rule.pi_hat(self)
         self.regular = self.pi_hat > self.pi_lower

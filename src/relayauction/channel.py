@@ -167,7 +167,12 @@ def power_for_relayed_snr(link: UserLink, target, sys: SystemParams):
     b = relayed_snr_limit(link, sys)
     if np.asarray(target >= b).any():
         raise ValueError("target SNR at or above the attainable supremum")
-    a = target * (b + 1.0) / (b - target)
+    return _power_for_snr(link, target, b, sys)
+
+
+def _power_for_snr(link: UserLink, target, limit, sys: SystemParams):
+    """power_for_relayed_snr without its checks, given the SNR limit: 0 <= target < limit."""
+    a = target * (limit + 1.0) / (limit - target)
     return a * sys.noise_w / link.gain_rd
 
 

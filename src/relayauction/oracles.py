@@ -28,8 +28,8 @@ from .auction import POWER, _power_curve, _power_demand, _UserArrays
 from .channel import (
     NetworkScenario,
     _LinkArrays,
+    _power_for_snr,
     direct_snr,
-    power_for_relayed_snr,
     rate_increase,
     relayed_snr,
     relayed_snr_limit,
@@ -261,15 +261,14 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
     # users whose breakeven power (relayed SNR g^2 + g) lies within the budget
     even = g * g + g
     reach = even < limit
-    active = reach & (power_for_relayed_snr(links, np.where(reach, even, 0.0), sys) < budget)
+    active = reach & (_power_for_snr(links, np.where(reach, even, 0.0), limit, sys) < budget)
 
     def powers_at(levels) -> np.ndarray:
         """Each active user's power at each level: 0 below its direct level, inf at its limit."""
         target = np.asarray(levels, dtype=float)[:, None] - 1.0 - g
         need = active & (target > 0.0)
         inside = need & (target < limit)
-        s = np.where(inside, target, 0.0)  # power_for_relayed_snr in line, less its checks
-        p = s * (limit + 1.0) / (limit - s) * sys.noise_w / links.gain_rd
+        p = _power_for_snr(links, np.where(inside, target, 0.0), limit, sys)
         return np.where(inside, p, np.where(need, np.inf, 0.0))
 
     def over(levels) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from relayauction import (
@@ -415,51 +415,52 @@ budgets = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)  # 1e-6 to 1e3 W
 
 def _probe_prices(cp, t_span, t_band):
     """pi_lower, pi_hat -/+ 1e-6, a log-uniform point between pi_lower/1e3 and
-    1.5 pi_hat, and one inside the finite band (pi_lower, pi_hat) if it exists.
-
-    A drawn price within 1e-9 of pi_hat is left out: the best net gain there is
-    within rounding of zero for the grid search, which cannot tell zero from
-    positive (the two -/+ 1e-6 points probe that switch).
-    """
+    1.5 pi_hat, and one inside the finite band (pi_lower, pi_hat) if it exists."""
     lo, hi = cp.pi_lower * 1e-3, cp.pi_hat * 1.5
-    drawn = [lo * (hi / lo) ** t_span]
+    prices = [cp.pi_lower, cp.pi_hat * (1 - 1e-6), cp.pi_hat * (1 + 1e-6), lo * (hi / lo) ** t_span]
     if cp.regular:
-        drawn.append(cp.pi_lower * (cp.pi_hat / cp.pi_lower) ** t_band)
-    drawn = [p for p in drawn if abs(p / cp.pi_hat - 1.0) > 1e-9]
-    return [cp.pi_lower, cp.pi_hat * (1 - 1e-6), cp.pi_hat * (1 + 1e-6), *drawn]
+        prices.append(cp.pi_lower * (cp.pi_hat / cp.pi_lower) ** t_band)
+    return prices
 
 
 @given(link=power_links, budget=budgets, t_span=st.floats(0.0, 1.0), t_band=st.floats(0.0, 1.0))
+# a band price one rounding below pi_hat, and a peak flat to rounding at a 1e3 W budget
+@example(UserLink(0, 0.01, 43.0**-4, 10.0**-4, 10.0**-4), 1.0, 0.0, 0.9999999999999999)
+@example(UserLink(0, 0.01, 176.0**-4, 42.0**-4, 11.0**-4), 1e3, 0.0, 0.25)
 @settings(max_examples=100)
 def test_power_best_response_closed_form_matches_numeric_argmax(link, budget, t_span, t_band):
     cp = power_critical_prices(link, budget, BENCH_SYSTEM)
     assume(cp.pi_hat > 0.0)
+
+    def net(p):
+        return float(rate_increase(link, p, BENCH_SYSTEM)) - price * p
+
     for price in _probe_prices(cp, t_span, t_band):
         f = power_best_response_factor(link, price, budget, BENCH_SYSTEM)
         x_star, v_star = numeric_best_power(link, price, "power", budget, BENCH_SYSTEM)
         event("zero" if f.is_zero else "divergent" if f.is_infinite else "finite")
-        assert f.is_zero == (v_star <= 0.0)
-        if f.is_infinite:
-            # near a flat optimum at the budget the argmax of the reference drifts
-            # by rounding (up to ~1e-5 relative), so compare values: no grid point
-            # beats the end of the budget by more than rounding
-            top = budget * (1 - 1e-12)
-            rate_top = float(rate_increase(link, top, BENCH_SYSTEM))
-            assert rate_top - price * top >= v_star - 1e-12 * rate_top
-        elif not f.is_zero:
-            x = f.value / (1 + f.value) * budget
-            rate_x = float(rate_increase(link, x, BENCH_SYSTEM))
-
-            def net(p):
-                return float(rate_increase(link, p, BENCH_SYSTEM)) - price * p
-
-            # no grid point beats the closed form by more than rounding
-            assert net(x) >= v_star - 1e-12 * rate_x
-            # and it is the grid's argmax, unless the net gain 1e-5 away is the
-            # same to rounding (a saturated link near the budget), where no grid can place it
-            drop = net(x) - max(net(x * (1 - 1e-5)), net(min(x * (1 + 1e-5), budget)))
-            if drop > 1e-12 * rate_x:
+        # the closed form's power (the end of the budget where divergent) and net gain
+        top = budget * (1 - 1e-12)
+        x = top if f.is_infinite else f.value / (1 + f.value) * budget
+        v = net(x) if x > 0.0 else 0.0
+        tol = 1e-12 * float(rate_increase(link, max(x, x_star), BENCH_SYSTEM))
+        # no grid point beats the closed form by more than rounding
+        assert v >= v_star - tol
+        if f.is_zero != (v_star <= 0.0):
+            # only at a price within rounding of pi_hat, where the best net gain
+            # is zero to rounding and the two cannot tell zero from positive
+            event("zero to rounding")
+            assert abs(price / cp.pi_hat - 1.0) <= 1e-12 and abs(v - v_star) <= tol
+        elif f.value > 0.0 and not f.is_infinite:
+            # beyond the 1e-3..10 W budgets the net gain 1e-5 away from its peak can
+            # equal the peak to rounding, so that no grid places the argmax; there
+            # the closed form must meet the first-order condition r'(x) = price
+            drop = v - max(net(x * (1 - 1e-5)), net(min(x * (1 + 1e-5), budget)))
+            if 1e-3 <= budget <= 10.0 or drop > tol:
                 assert x == pytest.approx(x_star, rel=1e-5)
+            else:
+                event("flat peak")
+                assert rate_increase_power_slope(link, x, BENCH_SYSTEM) == pytest.approx(price, rel=1e-12)
 
 
 @given(link=power_links, budget=budgets)
@@ -561,16 +562,16 @@ def _decimal_snr_pi_hat(g: float) -> float:
         return float((lo + hi) / 2 * decimal.Decimal(K) / (one + decimal.Decimal(g)))
 
 
-def test_snr_pi_hat_accuracy_floor_as_direct_snr_vanishes():
+def test_snr_pi_hat_accurate_as_direct_snr_vanishes():
     # the root u of u - ln u = 1 + ln(1+g) nears the double root u = 1 as g -> 0,
-    # where rounding 1 + g (and z = -1/(e(1+g))) alone moves it by ~1e-16 / sqrt(2g)
-    # relative (3.3e-9 at g = 1e-15, as the bracketed search before it); the
-    # closed form stays within that floor plus 1e-14
+    # but stays well-conditioned in g (u ~ 1 - sqrt(2g)); a residual that rounds
+    # 1 + g is off by up to about 1e-16 / sqrt(g) (the bracketed search before the
+    # closed form: 1e-10 at g = 1e-15, 1e-14 at g = 1e-3), one in ln(1+g) holds 2e-15
     for g in 10.0 ** np.arange(-15.0, 16.0):
         link = _link_with_direct_snr(g)
         g = direct_snr(link, BENCH_SYSTEM)
         got = snr_critical_prices(link, BUDGET, BENCH_SYSTEM).pi_hat
-        assert abs(got / _decimal_snr_pi_hat(g) - 1.0) <= 1e-14 + 2e-16 / math.sqrt(g)
+        assert abs(got / _decimal_snr_pi_hat(g) - 1.0) <= 2e-15
 
 
 # one user per draw: node distances from 1 m to 10 km (direct SNR 1e-7 to 1e9)
