@@ -24,6 +24,7 @@ The scalar functions of this module are one-user views of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -284,9 +285,13 @@ def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
 
 
 def _power_pi_hat(users: "_UserArrays") -> np.ndarray:
-    """max over (0, budget] of r(p) / p, read at the cutoff point; 0 if r stays 0."""
+    """max over (0, budget] of r(p) / p, read as u(p) / p at the cutoff point; 0 if r stays 0.
+
+    u in log1p form, not r = 0.5 W log2(1+g+s) - W log2(1+g), which cancels as g -> 0.
+    """
     p = _power_cutoff_points(users)
-    return np.where(users.gain_max > 0.0, rate_increase(users.links, p, users.sys) / p, 0.0)
+    u = _power_curve(p, users.g, users.b, users.c, users.k)[0]
+    return np.where(users.gain_max > 0.0, u / p, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +362,11 @@ class _UserArrays:
         for a in (*vars(self).values(), *links):  # shared by every caller: read-only
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
+
+    @functools.cached_property
+    def breaks(self) -> tuple:
+        """Sorted prices past which S may jump: where a user leaves, or stops diverging."""
+        return tuple(sorted([*self.zero_from.tolist(), *np.nextafter(self.cutoff, math.inf).tolist()]))
 
     @classmethod
     def of(cls, scenario: NetworkScenario, kind: str) -> "_UserArrays":

@@ -11,6 +11,10 @@ S is also the total demand over the budget, counting a divergent factor as
 share one, and does not increase with the price: the existence threshold is
 where S drops below one, the calibrated price where it drops below the
 target.  One bisection follows both levels in the same array calls of S.
+Each call also asks ahead along the path a guess of the crossing predicts:
+S's jumps (a user leaving at its participation cutoff, or ceasing to diverge
+just past its divergence cutoff), else an interpolation of S.  A 20-user
+calibration takes 1-4 array calls, with the prices of one midpoint per step.
 
 Synchronous best-response iteration is kept as a diagnostic.  It is a linear
 fixed-point iteration whose matrix has f_i in row i off the diagonal; its
@@ -243,6 +247,7 @@ def _search(users: _UserArrays, levels: Sequence[tuple[float, float]]) -> tuple[
     1e-7 below it, inside that set and within a tenth of THRESHOLD_RTOL of a
     threshold at its edge.  The ladder doubles from max(pi_hat.max(), 2 *
     start) to zero_from.max(), where (past cutoff.max() too) S = 0 unevaluated.
+    The bisection guesses the crossings from S's jumps, users.breaks.
     """
     if not users.regular.any():
         raise ValueError(f"scenario is not {users.kind}-regular: only the all-zero outcome exists")
@@ -260,7 +265,7 @@ def _search(users: _UserArrays, levels: Sequence[tuple[float, float]]) -> tuple[
     s = np.append(shares(below) if below else [], 0.0)
     ks = [int(np.argmax(s < level)) for level, _ in levels]
     searches = [(level, rungs[k], rungs[k + 1], rtol) for (level, rtol), k in zip(levels, ks)]
-    return bisect_transition(shares, searches), len(calls)
+    return bisect_transition(shares, searches, jumps=users.breaks), len(calls)
 
 
 def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = THRESHOLD_RTOL) -> float:

@@ -1,12 +1,21 @@
 """Bracketed Newton roots, and a batched bisection on one or more levels.
 
+The bisection asks its function about many points per call: a tree of
+midpoints for each open bracket, and the midpoints that a guess of the
+transition (a known jump of the function, or an inverse interpolation of its
+values) says the bisection will meet after the tree.  Its results are those
+of one midpoint per step, to the bit; only the number of calls depends on
+the guesses.
+
 All routines are deterministic and hold no state, so they are safe to call
 from any number of workers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import bisect
+import math
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,44 +58,138 @@ _TREE = [(m, m - h, m + h) for k in range(1, DEPTH + 1) for h in [2**DEPTH >> k]
          for m in range(h, 2**DEPTH, 2 * h)]
 
 
-def bisect_transition(f: Callable, searches: Sequence[tuple], max_iter: int = 200) -> list:
+def _interpolated_root(points) -> float:
+    """x where the polynomial x(y) through the (x, y) points takes y = 0.
+
+    nan unless the y are finite and distinct.
+    """
+    ys = [y for _, y in points]
+    if not all(map(math.isfinite, ys)) or len(set(ys)) < len(ys):
+        return math.nan
+    root = 0.0
+    for i, (x, y) in enumerate(points):
+        for j, yj in enumerate(ys):
+            if j != i:
+                x *= yj / (yj - y)
+        root += x
+    return root
+
+
+def _guess(level, a, b, fa, fb, beyond, jumps) -> Optional[float]:
+    """Where f < level most likely begins in the bracket (a, b] (or [b, a)), or None.
+
+    The first of the jumps in it; else, once f is known at a and b, the
+    inverse interpolation through them and the (x, f(x)) known nearest
+    beyond them, cubic with both, else the secant, if strictly inside.
+    """
+    k = bisect.bisect_right(jumps, a) if a < b else bisect.bisect_left(jumps, b)
+    if k < len(jumps) and (a < jumps[k] <= b or b <= jumps[k] < a):
+        return jumps[k]
+    if fa is None:
+        return None
+    ends = [(a, fa - level), (b, fb - level)]
+    for points in ([*ends, *((x, y - level) for x, y in beyond if x is not None)], ends):
+        r = _interpolated_root(points)
+        if a < r < b or b < r < a:
+            return r
+    return None
+
+
+def _path(a, b, r, steps, rtol, max_iter) -> list:
+    """The midpoints one-midpoint bisection visits after DEPTH steps if f < level began at r.
+
+    As many as narrow the bracket to rtol |r|, where the stop test, with r
+    inside and max(|a|, |b|) >= |r|, has ended it, and one more for rounding.
+    Where rtol |r| is 0, up to max_iter steps or until a midpoint repeats an end.
+    """
+    n, scale = max_iter - steps, rtol * abs(r)
+    ratio = abs(b - a) / scale if scale > 0.0 else math.inf
+    if ratio < math.inf:
+        n = min(n, math.ceil(math.log2(max(ratio, 1.0))) + 1)
+    path, up = [], a < b
+    for k in range(n):
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        if k >= DEPTH:
+            path.append(m)
+        if (m >= r) if up else (m <= r):
+            b = m
+        else:
+            a = m
+    return path
+
+
+def _open(a, b, steps, rtol, max_iter) -> bool:
+    """Whether one-midpoint bisection takes another step from the bracket (a, b)."""
+    return steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))
+
+
+def bisect_transition(
+    f: Callable, searches: Sequence[tuple], max_iter: int = 200, jumps: Sequence[float] = ()
+) -> list:
     """Bracket where f drops below each of several levels, all in the same calls of f.
 
     A search is (level, x_over, x_under, rtol), f(x_over) >= level > f(x_under)
-    in either order.  Each call asks f about the 2**DEPTH - 1 dyadic midpoints
-    0.5 * (a + b) of every open bracket (the first call about its ends too);
-    each search takes up to DEPTH steps on f < level, to the bit as with one
-    midpoint per step, until |b - a| <= rtol * scale or max_iter steps.  A
-    later search whose level an earlier final bracket also brackets (which
+    in either order.  Each search descends on f < level to the bit as with one
+    midpoint 0.5 * (a + b) per step, until |b - a| <= rtol * max(|a|, |b|) or
+    max_iter steps.  Each call asks f about the 2**DEPTH - 1 dyadic midpoints
+    of every open bracket (the first call about its ends too), so that every
+    call takes DEPTH steps at least, and asks ahead: given a guess r of where
+    f drops inside the bracket (_guess), also about the midpoints after the
+    tree that the descent meets if the drop is at r.  The descent takes such
+    a value only where the midpoint it reaches is that point, so the guess
+    moves no result, and a good one finishes a search in the call.  jumps,
+    sorted, are points where f may jump, each the first point past its jump.
+
+    A later search whose level an earlier final bracket also brackets (which
     then holds its crossing) gives None, the others (x_over, x_under,
     f(x_over), f(x_under)).  Raises ValueError if f(x_over) < level.
     """
     n, done = 2**DEPTH, [None] * len(searches)
-    state, live = [(a, b, 0, None, None) for _, a, b, _ in searches], list(range(len(searches)))
+    # each search's bracket, steps taken, f at its ends, and the (x, f(x)) known nearest beyond them
+    state = [(a, b, 0, None, None, ((None, None), (None, None))) for _, a, b, _ in searches]
+    live = list(range(len(searches)))
     while live:
-        skip = state[live[0]][3] is not None  # after the first call the ends' values are known
-        trees, asked = [[state[i][0]] * n + [state[i][1]] for i in live], []
-        for pts in trees:
+        asked, plans = [], []
+        for i in live:
+            (level, _, _, rtol), (a, b, steps, fa, fb, beyond) = searches[i], state[i]
+            pts = [a] * n + [b]
             for m, lo, hi in _TREE:
                 pts[m] = 0.5 * (pts[lo] + pts[hi])
-            asked += pts[1:n] if skip else pts
-        vals, w = np.asarray(f(np.array(asked))).tolist(), n - 1 if skip else n + 1
-        for i, pts, k in zip(live, trees, range(0, len(vals), w)):
-            (level, _, _, rtol), (_, _, steps, fa, fb), lo, hi = searches[i], state[i], 0, n
-            v = [fa, *vals[k : k + w], fb] if skip else vals[k : k + w]
+            r = _guess(level, a, b, fa, fb, beyond, jumps)
+            path = [] if r is None else _path(a, b, r, steps, rtol, max_iter)
+            asked += (pts if fa is None else pts[1:n]) + path
+            plans.append((pts, path))
+        vals, k = np.asarray(f(np.array(asked))).tolist(), 0
+        for i, (pts, path) in zip(live, plans):
+            (level, _, _, rtol), (_, _, steps, fa, fb, (a_out, b_out)) = searches[i], state[i]
+            if fa is None:
+                v, k = vals[k : k + n + 1], k + n + 1
+            else:
+                v, k = [fa, *vals[k : k + n - 1], fb], k + n - 1
+            ahead, k = zip(path, vals[k : k + len(path)]), k + len(path)
             if v[0] < level:
                 raise ValueError(f"f(x_over) = {v[0]!r} must not be below the level {level!r}")
-            while True:
-                a, b = pts[lo], pts[hi]
-                if steps >= max_iter or abs(b - a) <= rtol * max(abs(a), abs(b)):
-                    done[i] = (a, b, v[lo], v[hi])
-                    break
-                if hi - lo == 1:  # no answered midpoint left inside the bracket
-                    state[i] = (a, b, steps, v[lo], v[hi])
-                    break
+            lo, hi = 0, n
+            while hi - lo > 1 and _open(pts[lo], pts[hi], steps, rtol, max_iter):
                 m = (lo + hi) // 2
                 lo, hi = (lo, m) if v[m] < level else (m, hi)
                 steps += 1
+            a, b, fa, fb = pts[lo], pts[hi], v[lo], v[hi]
+            a_out = (pts[lo - 1], v[lo - 1]) if lo > 0 else a_out
+            b_out = (pts[hi + 1], v[hi + 1]) if hi < n else b_out
+            for x, fx in ahead:  # the midpoints asked ahead, while the descent meets them
+                if not _open(a, b, steps, rtol, max_iter) or x != 0.5 * (a + b):
+                    break
+                if fx < level:
+                    b_out, b, fb = (b, fb), x, fx
+                else:
+                    a_out, a, fa = (a, fa), x, fx
+                steps += 1
+            if not _open(a, b, steps, rtol, max_iter):
+                done[i] = (a, b, fa, fb)
+            state[i] = (a, b, steps, fa, fb, (a_out, b_out))
         live = [j for j in live if done[j] is None and not (
             len(searches) > 1 and any(r and r[2] >= searches[j][0] > r[3] for r in done[:j]))]
     return done

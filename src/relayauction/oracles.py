@@ -19,6 +19,7 @@ largest feasible level is found by bisection on the budget constraint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -271,14 +272,16 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
         p = _power_for_snr(links, np.where(inside, target, 0.0), limit, sys)
         return np.where(inside, p, np.where(need, np.inf, 0.0))
 
-    def over(levels) -> np.ndarray:
-        return powers_at(levels).sum(axis=1) > budget
+    def total(levels) -> np.ndarray:
+        return powers_at(levels).sum(axis=1)
 
+    # the least total over the budget: a total fits exactly where it is below this
+    over = math.nextafter(budget, math.inf)
     level = 1.0
     while active.any():
         hi = float((1.0 + g + limit)[active].min()) * (1.0 - 1e-12)
-        # at level 1 nobody needs power; over drops below 1/2 where the total fits
-        level = hi if not over([hi])[0] else bisect_transition(over, [(0.5, hi, 1.0, 1e-13)])[0][1]
+        # at level 1 nobody needs power
+        level = hi if total([hi])[0] < over else bisect_transition(total, [(over, hi, 1.0, 1e-13)])[0][1]
         drops = active & (level <= (1.0 + g) ** 2)
         if not drops.any():
             break

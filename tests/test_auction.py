@@ -574,6 +574,43 @@ def test_snr_pi_hat_accurate_as_direct_snr_vanishes():
         assert abs(got / _decimal_snr_pi_hat(g) - 1.0) <= 2e-15
 
 
+def _decimal_power_pi_hat(users) -> float:
+    """pi_hat to 40 digits: u(p) / p where p u'(p) = u(p) on (breakeven, budget], by bisection."""
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        one = decimal.Decimal(1)
+        g, b, c = (decimal.Decimal(float(x[0])) for x in (users.g, users.b, users.c))
+        budget = decimal.Decimal(users.budget)
+        k = decimal.Decimal(BENCH_SYSTEM.bandwidth_hz) / (2 * decimal.Decimal(2).ln())
+
+        def curve(p):  # u(p) and u'(p) of auction._power_curve
+            a = p * c
+            d1 = a + b + one
+            u = k * ((one + g + a * b / d1).ln() - 2 * (one + g).ln())
+            return u, k * c * b * (b + one) / (d1 * ((one + g) * d1 + a * b))
+
+        lo, hi = (g * g + g) * (b + one) / ((b - g * g - g) * c), budget  # breakeven, budget
+        u, slope = curve(hi)
+        if hi * slope < u:
+            for _ in range(120):
+                mid = (lo + hi) / 2
+                u, slope = curve(mid)
+                lo, hi = (mid, hi) if mid * slope > u else (lo, mid)
+        return float(curve(hi)[0] / hi)
+
+
+def test_power_pi_hat_accurate_on_weak_direct_links():
+    # r(p) = 0.5 W log2(1+g+s) - W log2(1+g) cancels as g -> 0: read from it, pi_hat
+    # is up to 4.9e-13 off here; u(p) in log1p form does not cancel
+    for g in 10.0 ** np.arange(-7.0, -2.9, 0.25):
+        link = _link_with_direct_snr(g)
+        for budget in (1e-3, BUDGET, 10.0):
+            users = _UserArrays((link,), budget, BENCH_SYSTEM, POWER)
+            assert abs(users.pi_hat[0] / _decimal_power_pi_hat(users) - 1.0) <= 2e-15
+
+
 # one user per draw: node distances from 1 m to 10 km (direct SNR 1e-7 to 1e9)
 extreme_links = st.tuples(
     st.floats(0.0, 4.0), st.floats(0.0, 4.0), st.floats(0.0, 4.0)

@@ -65,9 +65,10 @@ def test_bisect_transition_matches_one_midpoint_per_step(lo, span, frac, flip, r
     (got,) = bisect_transition(counted, [(level, x_over, x_under, rtol)], max_iter=max_iter)
     assert got[:2] == want
     assert got[2:] == (f(got[0]), f(got[1]))
-    assert len(calls) == max(1, math.ceil(steps / DEPTH))
-    # the first call asks about both ends and the midpoints, later ones the midpoints
-    assert calls == [2**DEPTH + 1] + [2**DEPTH - 1] * (len(calls) - 1)
+    # every call takes the DEPTH steps of its tree at least, more where it asked ahead
+    assert len(calls) <= max(1, math.ceil(steps / DEPTH))
+    # the first call asks about both ends and the midpoints, later ones the midpoints, at least
+    assert calls[0] >= 2**DEPTH + 1 and min(calls) >= 2**DEPTH - 1
 
 
 @given(
@@ -119,3 +120,93 @@ def test_bisect_transition_rejects_true_start():
     # f(x_over) < level: the start on the over side already lies past the drop
     with pytest.raises(ValueError, match="x_over"):
         bisect_transition(lambda xs: -xs, [(0.0, 1.0, 2.0, 1e-9)])
+
+
+def _counted(f, calls):
+    def counted(xs):
+        calls.append(len(xs))
+        return f(xs)
+
+    return counted
+
+
+def _step(t, flip):
+    """1 on the x_over side of t, 0 from t on: t is the first point past the jump."""
+    return lambda x: np.where((np.asarray(x) > t) if flip else (np.asarray(x) < t), 1.0, 0.0)
+
+
+@given(
+    lo=st.floats(-1e3, 1e3),
+    span=st.floats(1e-9, 1e3),
+    frac=st.floats(0.0, 1.0),
+    flip=st.booleans(),
+    shape=st.sampled_from(("cube", "step", "wave")),
+    others=st.lists(st.floats(-2e3, 2e3), max_size=4),
+    exact=st.booleans(),
+    rtol=st.floats(1e-13, 1e-3),
+    max_iter=st.integers(0, 60),
+)
+def test_bisect_transition_asks_ahead_without_moving_a_result(
+    lo, span, frac, flip, shape, others, exact, rtol, max_iter
+):
+    # jumps right (the crossing), wrong, outside the bracket or none, on monotone
+    # and non-monotone f: the same brackets as one midpoint per step, in no more calls
+    hi = lo + span
+    t = lo + frac * span
+    assume(lo < t < hi)
+    sign = 1.0 if flip else -1.0
+    x_over, x_under = (hi, lo) if flip else (lo, hi)
+    if shape == "cube":
+        f, level = _cube(sign), sign * t**3
+    elif shape == "step":
+        f, level = _step(t, flip), 0.5
+    else:  # crosses zero about six times on the bracket
+        f, level = (lambda x: np.sin((np.asarray(x) - t) * (20.0 / span))), 0.0
+        assume(f(x_over) >= level > f(x_under))
+    jumps = tuple(sorted(others + [t] * exact))
+    calls = []
+    want, steps = reference_bisect(lambda x: f(x) < level, x_over, x_under, rtol, max_iter)
+    (got,) = bisect_transition(_counted(f, calls), [(level, x_over, x_under, rtol)], max_iter, jumps)
+    assert got[:2] == want
+    assert got[2:] == (f(got[0]), f(got[1]))
+    assert len(calls) <= max(1, math.ceil(steps / DEPTH))
+
+
+@given(
+    lo=st.floats(-1e3, 1e3),
+    span=st.floats(1e-9, 1e3),
+    frac=st.floats(0.0, 1.0),
+    flip=st.booleans(),
+    outside=st.lists(st.floats(-2e3, 2e3), max_size=3),
+    rtol=st.floats(1e-13, 1e-3),
+    max_iter=st.integers(0, 60),
+)
+def test_bisect_transition_finishes_a_step_at_its_given_jump_in_two_calls(
+    lo, span, frac, flip, outside, rtol, max_iter
+):
+    hi = lo + span
+    t = lo + frac * span
+    assume(lo < t < hi)
+    f = _step(t, flip)
+    x_over, x_under = (hi, lo) if flip else (lo, hi)
+    jumps = tuple(sorted([t] + [x for x in outside if not lo <= x <= hi]))
+    calls = []
+    want, _ = reference_bisect(lambda x: f(x) < 0.5, x_over, x_under, rtol, max_iter)
+    (got,) = bisect_transition(_counted(f, calls), [(0.5, x_over, x_under, rtol)], max_iter, jumps)
+    assert got[:2] == want
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "over, under", [(math.inf, -math.inf), (math.nan, -1.0), (1.0, -math.inf), (math.nan, -math.inf)]
+)
+def test_bisect_transition_asks_no_path_from_non_finite_values(over, under):
+    # no guess from values that are not finite: every call asks the tree alone
+    def f(x):
+        return np.where(np.asarray(x) < 0.3, over, under)
+
+    calls = []
+    want, steps = reference_bisect(lambda x: f(x) < 0.5, 0.0, 1.0, 1e-12)
+    (got,) = bisect_transition(_counted(f, calls), [(0.5, 0.0, 1.0, 1e-12)])
+    assert got[:2] == want
+    assert calls == [2**DEPTH + 1] + [2**DEPTH - 1] * (math.ceil(steps / DEPTH) - 1)

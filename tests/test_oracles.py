@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import relayauction.oracles as oracles
 from relayauction import (
+    KINDS,
     POWER,
     AuctionParams,
     EquilibriumResult,
@@ -23,6 +26,7 @@ from relayauction import (
     scenario_from_topology,
     snr_marginal_rate,
     solve_ne,
+    threshold_price,
     vcg_auction,
 )
 from relayauction.auction import _UserArrays
@@ -252,6 +256,29 @@ def test_power_auction_split_is_efficient_at_its_used_budget():
         assert eq.total_rate_increase_bps == pytest.approx(eff.total_rate_increase_bps, rel=1e-12)
         live += 1
     assert live >= 100
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_users=st.integers(2, 30),
+    budget=st.floats(1e-3, 10.0),
+    above=st.floats(1e-5, 10.0),
+)
+def test_efficient_welfare_at_least_each_auction_equilibrium(seed, n_users, budget, above):
+    # the efficient split of the whole budget is worth at least any split the
+    # auctions reach, at the calibrated price and at any price above the threshold
+    users = make_random_scenario(np.random.default_rng(seed), n_users).users
+    sc = NetworkScenario(users, budget, BENCH_SYSTEM)
+    eff = efficient_allocation(sc, delta=0.0)
+    floor = 1.0 - eff.certified_gap - 1e-12
+    for kind in KINDS:
+        prices = [calibrate_price(sc, kind, 0.99).price]
+        if _UserArrays.of(sc, kind).regular.any():
+            prices.append(threshold_price(sc, kind) * (1.0 + above))
+        for price in prices:
+            eq = solve_ne(sc, AuctionParams(kind, price))
+            assert isinstance(eq, EquilibriumResult)
+            assert eff.total_rate_increase_bps >= floor * eq.total_rate_increase_bps
 
 
 def test_efficient_validates_arguments(scenario_y0):
