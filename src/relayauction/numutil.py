@@ -78,13 +78,18 @@ def _interpolated_root(points) -> float:
 def _guess(level, a, b, fa, fb, beyond, jumps) -> Optional[float]:
     """Where f < level most likely begins in the bracket (a, b] (or [b, a)), or None.
 
-    The first of the jumps in it; else, once f is known at a and b, the
-    inverse interpolation through them and the (x, f(x)) known nearest
-    beyond them, cubic with both, else the secant, if strictly inside.
+    The first of the jumps in it, going from a; else, once f is known at a
+    and b, the inverse interpolation through them and the (x, f(x)) known
+    nearest beyond them, cubic with both, else the secant, if strictly inside.
     """
-    k = bisect.bisect_right(jumps, a) if a < b else bisect.bisect_left(jumps, b)
-    if k < len(jumps) and (a < jumps[k] <= b or b <= jumps[k] < a):
-        return jumps[k]
+    if a < b:
+        k = bisect.bisect_right(jumps, a)
+        if k < len(jumps) and jumps[k] <= b:
+            return jumps[k]
+    else:
+        k = bisect.bisect_left(jumps, a) - 1
+        if k >= 0 and jumps[k] >= b:
+            return jumps[k]
     if fa is None:
         return None
     ends = [(a, fa - level), (b, fb - level)]

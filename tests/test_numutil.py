@@ -39,6 +39,44 @@ def _cube(sign):
     return lambda x: sign * np.asarray(x, dtype=float) ** 3
 
 
+def _tree(a, b):
+    """a, the dyadic midpoints of [a, b] to depth DEPTH in order, b."""
+    pts = [a] * 2**DEPTH + [b]
+    for depth in range(1, DEPTH + 1):
+        h = 2**DEPTH >> depth
+        for m in range(h, 2**DEPTH, 2 * h):
+            pts[m] = 0.5 * (pts[m - h] + pts[m + h])
+    return pts
+
+
+def _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol, max_iter):
+    """Each call asks the tree of the bracket that one-midpoint bisection has reached,
+    then a bisection path down from one of the tree's cells, and moves the search on
+    by DEPTH steps and by every leading price of the path that is its next midpoint."""
+
+    def bracket(s):
+        return reference_bisect(pred, x_over, x_under, rtol, s)[0]
+
+    _, steps = reference_bisect(pred, x_over, x_under, rtol, max_iter)
+    s = 0
+    for j, xs in enumerate(asked):
+        pts = _tree(*bracket(s))
+        tree = pts if j == 0 else pts[1:-1]  # the first call asks about both ends too
+        assert xs[: len(tree)] == tree
+        path = xs[len(tree) :]
+        cells = list(zip(pts, pts[1:]))
+        for x in path:
+            cell = next((c for c in cells if x == 0.5 * (c[0] + c[1])), None)
+            assert cell is not None, f"{x!r} is no midpoint of a half of the last cell"
+            cells = [(cell[0], x), (x, cell[1])]
+        s = min(s + DEPTH, steps)
+        for x in path:
+            if s == steps or x != 0.5 * sum(bracket(s)):
+                break
+            s += 1
+    assert s == steps
+
+
 @given(
     lo=st.floats(-1e3, 1e3),
     span=st.floats(1e-9, 1e3),
@@ -55,20 +93,24 @@ def test_bisect_transition_matches_one_midpoint_per_step(lo, span, frac, flip, r
     sign = 1.0 if flip else -1.0
     f, level = _cube(sign), sign * threshold**3
     x_over, x_under = (hi, lo) if flip else (lo, hi)
-    calls = []
+    asked = []
 
     def counted(xs):
-        calls.append(len(xs))
+        asked.append(xs.tolist())
         return f(xs)
 
-    want, steps = reference_bisect(lambda x: f(x) < level, x_over, x_under, rtol, max_iter)
+    def pred(x):
+        return f(x) < level
+
+    want, steps = reference_bisect(pred, x_over, x_under, rtol, max_iter)
     (got,) = bisect_transition(counted, [(level, x_over, x_under, rtol)], max_iter=max_iter)
     assert got[:2] == want
     assert got[2:] == (f(got[0]), f(got[1]))
     # every call takes the DEPTH steps of its tree at least, more where it asked ahead
-    assert len(calls) <= max(1, math.ceil(steps / DEPTH))
-    # the first call asks about both ends and the midpoints, later ones the midpoints, at least
-    assert calls[0] >= 2**DEPTH + 1 and min(calls) >= 2**DEPTH - 1
+    assert len(asked) <= max(1, math.ceil(steps / DEPTH))
+    # the first call asks about both ends and the midpoints, later ones the midpoints,
+    # each call then about the path its guess predicts
+    _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol, max_iter)
 
 
 @given(
@@ -164,12 +206,21 @@ def test_bisect_transition_asks_ahead_without_moving_a_result(
         f, level = (lambda x: np.sin((np.asarray(x) - t) * (20.0 / span))), 0.0
         assume(f(x_over) >= level > f(x_under))
     jumps = tuple(sorted(others + [t] * exact))
-    calls = []
-    want, steps = reference_bisect(lambda x: f(x) < level, x_over, x_under, rtol, max_iter)
-    (got,) = bisect_transition(_counted(f, calls), [(level, x_over, x_under, rtol)], max_iter, jumps)
+    asked = []
+
+    def pred(x):
+        return f(x) < level
+
+    def recorded(xs):
+        asked.append(xs.tolist())
+        return f(xs)
+
+    want, steps = reference_bisect(pred, x_over, x_under, rtol, max_iter)
+    (got,) = bisect_transition(recorded, [(level, x_over, x_under, rtol)], max_iter, jumps)
     assert got[:2] == want
     assert got[2:] == (f(got[0]), f(got[1]))
-    assert len(calls) <= max(1, math.ceil(steps / DEPTH))
+    assert len(asked) <= max(1, math.ceil(steps / DEPTH))
+    _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol, max_iter)
 
 
 @given(
@@ -178,18 +229,21 @@ def test_bisect_transition_asks_ahead_without_moving_a_result(
     frac=st.floats(0.0, 1.0),
     flip=st.booleans(),
     outside=st.lists(st.floats(-2e3, 2e3), max_size=3),
+    later=st.lists(st.floats(-12.0, 0.0), max_size=3),
     rtol=st.floats(1e-13, 1e-3),
     max_iter=st.integers(0, 60),
 )
 def test_bisect_transition_finishes_a_step_at_its_given_jump_in_two_calls(
-    lo, span, frac, flip, outside, rtol, max_iter
+    lo, span, frac, flip, outside, later, rtol, max_iter
 ):
     hi = lo + span
     t = lo + frac * span
     assume(lo < t < hi)
     f = _step(t, flip)
     x_over, x_under = (hi, lo) if flip else (lo, hi)
-    jumps = tuple(sorted([t] + [x for x in outside if not lo <= x <= hi]))
+    # jumps past t on the way to x_under, some close to it, come after t from either end
+    past = [t + 10.0**e * (x_under - t) for e in later]
+    jumps = tuple(sorted([t, *past, *(x for x in outside if not lo <= x <= hi)]))
     calls = []
     want, _ = reference_bisect(lambda x: f(x) < 0.5, x_over, x_under, rtol, max_iter)
     (got,) = bisect_transition(_counted(f, calls), [(0.5, x_over, x_under, rtol)], max_iter, jumps)
