@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -364,9 +365,9 @@ class _UserArrays:
                 a.setflags(write=False)
 
     @functools.cached_property
-    def breaks(self) -> tuple:
+    def breaks(self) -> array:
         """Sorted prices past which S may jump: where a user leaves, or stops diverging."""
-        return tuple(sorted([*self.zero_from.tolist(), *np.nextafter(self.cutoff, math.inf).tolist()]))
+        return array("d", sorted([*self.zero_from.tolist(), *np.nextafter(self.cutoff, math.inf).tolist()]))
 
     @classmethod
     def of(cls, scenario: NetworkScenario, kind: str) -> "_UserArrays":

@@ -192,8 +192,14 @@ def coop_rate(link: UserLink, p_rd, sys: SystemParams):
 
 
 def rate_increase(link: UserLink, p_rd, sys: SystemParams):
-    """Rate gained by cooperating, clamped at zero (the source may opt out)."""
-    return np.maximum(coop_rate(link, p_rd, sys) - direct_rate(link, sys), 0.0)
+    """Rate gained by cooperating, clamped at zero (the source may opt out).
+
+    coop_rate - direct_rate = K ln((1+g+s) / (1+g)^2) with K = W / (2 ln 2), taken as
+    K log1p((s - g^2 - g) / (1+g)^2), which does not cancel as the direct SNR g -> 0.
+    """
+    g = direct_snr(link, sys)
+    s = relayed_snr(link, p_rd, sys)
+    return np.maximum(sys.bandwidth_hz / (2.0 * LN2) * np.log1p((s - g * g - g) / (1.0 + g) ** 2), 0.0)
 
 
 def breakeven_power(link: UserLink, sys: SystemParams) -> Optional[float]:

@@ -14,7 +14,8 @@ target.  One bisection follows both levels in the same array calls of S.
 Each call also asks ahead along the path a guess of the crossing predicts:
 S's jumps (a user leaving at its participation cutoff, or ceasing to diverge
 just past its divergence cutoff), else an interpolation of S.  A 20-user
-calibration takes 1-4 array calls, with the prices of one midpoint per step.
+calibration takes 1-4 array calls (2.8 on average), each of about 60 distinct
+prices, with the prices of one midpoint per step.
 
 Synchronous best-response iteration is kept as a diagnostic.  It is a linear
 fixed-point iteration whose matrix has f_i in row i off the diagonal; its
@@ -107,13 +108,6 @@ def response_factors(scenario: NetworkScenario, params: AuctionParams) -> list[B
     """Per-user best-response factors at this price."""
     factors = _UserArrays.of(scenario, params.kind).factors(params.price)
     return [BestResponse(float(f)) for f in factors]
-
-
-def aggregate_share(factors: Sequence[BestResponse]) -> float:
-    """S = sum f/(1+f); equilibrium utilization when all factors are finite."""
-    if any(f.is_infinite for f in factors):
-        raise ValueError("aggregate share undefined with divergent factors")
-    return float(sum(f.value / (1.0 + f.value) for f in factors))
 
 
 def ne_exists(scenario: NetworkScenario, params: AuctionParams) -> bool:
@@ -262,8 +256,8 @@ def _search(users: _UserArrays, levels: Sequence[tuple[float, float]]) -> tuple[
     while ladder[-1] < top:
         ladder.append(2.0 * ladder[-1])
     rungs, below = [lo, *ladder], ladder[:-1]
-    s = np.append(shares(below) if below else [], 0.0)
-    ks = [int(np.argmax(s < level)) for level, _ in levels]
+    s = [*shares(below).tolist(), 0.0] if below else [0.0]
+    ks = [next(k for k, sk in enumerate(s) if sk < level) for level, _ in levels]
     searches = [(level, rungs[k], rungs[k + 1], rtol) for (level, rtol), k in zip(levels, ks)]
     return bisect_transition(shares, searches, jumps=users.breaks), len(calls)
 

@@ -1,14 +1,11 @@
 """Bracketed Newton roots, and a batched bisection on one or more levels.
 
-The bisection asks its function about many points per call: a tree of
-midpoints for each open bracket, and the midpoints that a guess of the
+The bisection asks its function about many points per call, each once: a tree
+of midpoints for each open bracket, and the midpoints that a guess of the
 transition (a known jump of the function, or an inverse interpolation of its
-values) says the bisection will meet after the tree.  Its results are those
-of one midpoint per step, to the bit; only the number of calls depends on
-the guesses.
-
-All routines are deterministic and hold no state, so they are safe to call
-from any number of workers.
+values) says the bisection will meet after the tree.  Its results are those of
+one midpoint per step, to the bit; only the number of calls depends on the
+guesses.  All routines are deterministic and hold no state.
 """
 
 from __future__ import annotations
@@ -59,17 +56,15 @@ _TREE = [(m, m - h, m + h) for k in range(1, DEPTH + 1) for h in [2**DEPTH >> k]
 
 
 def _interpolated_root(points) -> float:
-    """x where the polynomial x(y) through the (x, y) points takes y = 0.
-
-    nan unless the y are finite and distinct.
-    """
+    """x where the polynomial x(y) through the (x, y) points takes y = 0; nan unless the y are
+    finite and distinct."""
     ys = [y for _, y in points]
     if not all(map(math.isfinite, ys)) or len(set(ys)) < len(ys):
         return math.nan
     root = 0.0
-    for i, (x, y) in enumerate(points):
-        for j, yj in enumerate(ys):
-            if j != i:
+    for x, y in points:
+        for yj in ys:
+            if yj != y:  # the other points: the y are distinct
                 x *= yj / (yj - y)
         root += x
     return root
@@ -92,25 +87,16 @@ def _guess(level, a, b, fa, fb, beyond, jumps) -> Optional[float]:
             return jumps[k]
     if fa is None:
         return None
-    ends = [(a, fa - level), (b, fb - level)]
-    for points in ([*ends, *((x, y - level) for x, y in beyond if x is not None)], ends):
-        r = _interpolated_root(points)
-        if a < r < b or b < r < a:
-            return r
-    return None
+    points = [(a, fa - level), (b, fb - level), *((x, y - level) for x, y in beyond if x is not None)]
+    r = _interpolated_root(points)
+    if not (a < r < b or b < r < a):
+        r = _interpolated_root(points[:2])
+    return r if a < r < b or b < r < a else None
 
 
-def _path(a, b, r, steps, rtol, max_iter) -> list:
-    """The midpoints one-midpoint bisection visits after DEPTH steps if f < level began at r.
-
-    As many as narrow the bracket to rtol |r|, where the stop test, with r
-    inside and max(|a|, |b|) >= |r|, has ended it, and one more for rounding.
-    Where rtol |r| is 0, up to max_iter steps or until a midpoint repeats an end.
-    """
-    n, scale = max_iter - steps, rtol * abs(r)
-    ratio = abs(b - a) / scale if scale > 0.0 else math.inf
-    if ratio < math.inf:
-        n = min(n, math.ceil(math.log2(max(ratio, 1.0))) + 1)
+def _path(a, b, r, n) -> list:
+    """The midpoints one-midpoint bisection visits after DEPTH steps, within n steps, if f < level
+    begins at r; up to a midpoint that repeats an end."""
     path, up = [], a < b
     for k in range(n):
         m = 0.5 * (a + b)
@@ -125,11 +111,6 @@ def _path(a, b, r, steps, rtol, max_iter) -> list:
     return path
 
 
-def _open(a, b, steps, rtol, max_iter) -> bool:
-    """Whether one-midpoint bisection takes another step from the bracket (a, b)."""
-    return steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))
-
-
 def bisect_transition(
     f: Callable, searches: Sequence[tuple], max_iter: int = 200, jumps: Sequence[float] = ()
 ) -> list:
@@ -140,12 +121,12 @@ def bisect_transition(
     midpoint 0.5 * (a + b) per step, until |b - a| <= rtol * max(|a|, |b|) or
     max_iter steps.  Each call asks f about the 2**DEPTH - 1 dyadic midpoints
     of every open bracket (the first call about its ends too), so that every
-    call takes DEPTH steps at least, and asks ahead: given a guess r of where
-    f drops inside the bracket (_guess), also about the midpoints after the
-    tree that the descent meets if the drop is at r.  The descent takes such
-    a value only where the midpoint it reaches is that point, so the guess
-    moves no result, and a good one finishes a search in the call.  jumps,
-    sorted, are points where f may jump, each the first point past its jump.
+    call takes DEPTH steps at least, and about the midpoints after that tree
+    which the descent meets if f drops at a guess r (_guess).  The descent
+    takes those while its decisions are the ones r predicts, so the guess moves
+    no result.  Searches in one bracket share its tree, and with one guess its
+    path; a call asks about each point once.  jumps, sorted, are points where
+    f may jump, each the first point past its jump.
 
     A later search whose level an earlier final bracket also brackets (which
     then holds its crossing) gives None, the others (x_over, x_under,
@@ -156,43 +137,61 @@ def bisect_transition(
     state = [(a, b, 0, None, None, ((None, None), (None, None))) for _, a, b, _ in searches]
     live = list(range(len(searches)))
     while live:
-        asked, plans = [], []
+        asked, trees, paths, plans = [], {}, {}, []
         for i in live:
             (level, _, _, rtol), (a, b, steps, fa, fb, beyond) = searches[i], state[i]
-            pts = [a] * n + [b]
-            for m, lo, hi in _TREE:
-                pts[m] = 0.5 * (pts[lo] + pts[hi])
+            if (a, b) not in trees:
+                pts = [a] * n + [b]
+                for m, lo, hi in _TREE:
+                    pts[m] = 0.5 * (pts[lo] + pts[hi])
+                trees[a, b] = pts, len(asked)
+                asked += pts if fa is None else pts[1:n]
             r = _guess(level, a, b, fa, fb, beyond, jumps)
-            path = [] if r is None else _path(a, b, r, steps, rtol, max_iter)
-            asked += (pts if fa is None else pts[1:n]) + path
-            plans.append((pts, path))
-        vals, k = np.asarray(f(np.array(asked))).tolist(), 0
-        for i, (pts, path) in zip(live, plans):
+            plans.append((a, b, r))
+            if r is not None:  # as many steps as narrow the bracket to rtol |r|, and one for rounding
+                ratio = abs(b - a) / (rtol * abs(r)) if rtol * abs(r) > 0.0 else math.inf
+                need = max_iter if ratio == math.inf else steps + math.ceil(math.log2(max(ratio, 1.0))) + 1
+                paths[a, b, r] = max(min(need, max_iter) - steps, paths.get((a, b, r), 0))
+        for key, need in paths.items():
+            paths[key] = _path(*key, need), len(asked)
+            asked += paths[key][0]
+        if max(len(trees), len(paths)) > 1 and len(set(asked)) < len(asked):  # brackets or paths overlap
+            known = dict.fromkeys(asked)
+            known.update(zip(known, np.asarray(f(np.array(list(known)))).tolist()))
+            vals = [known[x] for x in asked]
+        else:
+            vals = np.asarray(f(np.fromiter(asked, float, len(asked)))).tolist()
+        for i, (a, b, r) in zip(live, plans):
             (level, _, _, rtol), (_, _, steps, fa, fb, (a_out, b_out)) = searches[i], state[i]
-            if fa is None:
-                v, k = vals[k : k + n + 1], k + n + 1
-            else:
-                v, k = [fa, *vals[k : k + n - 1], fb], k + n - 1
-            ahead, k = zip(path, vals[k : k + len(path)]), k + len(path)
+            (pts, k), (path, j) = trees[a, b], paths[a, b, r] if r is not None else ((), 0)
+            v = vals[k : k + n + 1] if fa is None else [fa, *vals[k : k + n - 1], fb]
             if v[0] < level:
                 raise ValueError(f"f(x_over) = {v[0]!r} must not be below the level {level!r}")
-            lo, hi = 0, n
-            while hi - lo > 1 and _open(pts[lo], pts[hi], steps, rtol, max_iter):
+            # each midpoint is within an ulp of max(|a|, |b|) of the exact one, so the stop test
+            # cannot end the search at a step k from (a, b) where |b - a| / 2**k is above tol
+            tol = (rtol * (1.0 + 1e-15) + 1e-15) * max(abs(a), abs(b)) + 1e-300
+            safe = steps + min(max_iter - steps, int(math.log2(min(max(abs(b - a) / tol, 1.0), 1e300))))
+            up, lo, hi = a < b, 0, n
+            while hi - lo > 1 and (steps < safe or steps < max_iter and (
+                    abs(pts[hi] - pts[lo]) > rtol * max(abs(pts[lo]), abs(pts[hi])))):
                 m = (lo + hi) // 2
                 lo, hi = (lo, m) if v[m] < level else (m, hi)
                 steps += 1
             a, b, fa, fb = pts[lo], pts[hi], v[lo], v[hi]
             a_out = (pts[lo - 1], v[lo - 1]) if lo > 0 else a_out
             b_out = (pts[hi + 1], v[hi + 1]) if hi < n else b_out
-            for x, fx in ahead:  # the midpoints asked ahead, while the descent meets them
-                if not _open(a, b, steps, rtol, max_iter) or x != 0.5 * (a + b):
-                    break
-                if fx < level:
-                    b_out, b, fb = (b, fb), x, fx
-                else:
-                    a_out, a, fa = (a, fa), x, fx
-                steps += 1
-            if not _open(a, b, steps, rtol, max_iter):
+            if path and path[0] == 0.5 * (a + b):  # the descent reached the cell the path starts in
+                for x, fx in zip(path, vals[j : j + len(path)]):
+                    if steps >= safe and not (steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))):
+                        break
+                    steps += 1
+                    if fx < level:
+                        b_out, b, fb = (b, fb), x, fx
+                    else:
+                        a_out, a, fa = (a, fa), x, fx
+                    if (fx < level) != ((x >= r) if up else (x <= r)):
+                        break  # where the guess said otherwise, its path turns away from the descent
+            if steps >= safe and not (steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))):
                 done[i] = (a, b, fa, fb)
             state[i] = (a, b, steps, fa, fb, (a_out, b_out))
         live = [j for j in live if done[j] is None and not (

@@ -105,6 +105,13 @@ def two_user_report(bench_spec):
     return report, elapsed
 
 
+def aggregate_share(factors) -> float:
+    """S = sum f/(1+f) of BestResponse factors: the equilibrium utilization when all are finite."""
+    if any(f.is_infinite for f in factors):
+        raise ValueError("aggregate share undefined with divergent factors")
+    return float(sum(f.value / (1.0 + f.value) for f in factors))
+
+
 def reference_bisect(pred, x_false, x_true, rtol, max_iter=200):
     """Bisection asking pred about one midpoint per step: what bisect_transition must return.
 

@@ -1,5 +1,6 @@
 """Channel model: gains, SNRs, rates, breakeven power, scenario files."""
 
+import decimal
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from relayauction import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from relayauction.auction import POWER, _power_cutoff_points, _UserArrays
 from relayauction.channel import NetworkScenario, SystemParams, UserLink
 
 from conftest import BENCH_SYSTEM
@@ -168,6 +170,29 @@ def test_rate_increase_shape_around_breakeven():
     assert np.all(np.diff(gains) >= -1e-9)
     assert np.all(gains[ps < x0 * (1 - 1e-9)] == 0.0)
     assert np.all(gains[ps > x0 * (1 + 1e-6)] > 0.0)
+
+
+@pytest.mark.parametrize("budget", [1e-3, 0.1, 10.0])
+def test_rate_increase_exact_on_weak_direct_links(budget):
+    # at the power cutoff points of links with direct SNR g = 1e-7..1e-3, where
+    # 0.5 W log2(1+g+s) - W log2(1+g) loses digits to cancellation, the rate increase
+    # is within 2e-15 of a 40-digit evaluation of (W / 2 ln 2) ln((1+g+s) / (1+g)^2)
+    sys = BENCH_SYSTEM
+    gs = np.geomspace(1e-7, 1e-3, 13)
+    users = tuple(UserLink(i, 0.01, g * sys.noise_w / 0.01, 60.0**-4, 90.0**-4) for i, g in enumerate(gs))
+    arrays = _UserArrays.of(NetworkScenario(users, budget, sys), POWER)
+    points = _power_cutoff_points(arrays)
+    got = rate_increase(arrays.links, points, sys)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = decimal.Decimal
+        k = d(sys.bandwidth_hz) / (2 * d(2).ln())
+        for u, p, r in zip(users, points.tolist(), got.tolist()):
+            g = d(u.source_power_w) * d(u.gain_sd) / d(sys.noise_w)
+            b = d(u.source_power_w) * d(u.gain_sr) / d(sys.noise_w)
+            a = d(p) * d(u.gain_rd) / d(sys.noise_w)
+            want = k * ((1 + g + a * b / (a + b + 1)) / (1 + g) ** 2).ln()
+            assert want > 0 and abs(d(r) - want) <= d(2e-15) * want
 
 
 def test_breakeven_zero_direct_snr():

@@ -14,7 +14,6 @@ from relayauction import (
     NetworkScenario,
     NoEquilibrium,
     UserLink,
-    aggregate_share,
     allocate,
     build_two_user_scenario,
     calibrate_price,
@@ -35,6 +34,7 @@ from relayauction.dynamics import THRESHOLD_RTOL, IterationTrace
 
 from conftest import (
     BENCH_SYSTEM,
+    aggregate_share,
     make_random_scenario,
     make_snr_regular_scenarios,
     reference_bisect,
@@ -424,6 +424,25 @@ def test_calibration_evaluates_factors_few_times(monkeypatch):
     assert len(calls) == res.evaluations <= 5
     evaluations = [calibrate_price(s, kind, 0.99).evaluations for s in study_scenarios() for kind in KINDS]
     assert len(evaluations) == 32 and np.mean(evaluations) <= 4
+
+
+def test_calibration_asks_no_price_twice_in_a_call(monkeypatch, bench_spec):
+    # both levels start in the same ladder bracket: they share its tree, and the
+    # path of a guess they share, rather than asking them once per level
+    asked = []
+    shares = _UserArrays.shares
+
+    def recorded(self, prices):
+        asked.append(list(prices))
+        return shares(self, prices)
+
+    monkeypatch.setattr(_UserArrays, "shares", recorded)
+    sweep = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
+    for sc in sweep + study_scenarios():
+        for kind in KINDS:
+            calibrate_price(sc, kind, 0.99)
+    assert len(asked) >= 300
+    assert all(len(set(prices)) == len(prices) for prices in asked)
 
 
 def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):

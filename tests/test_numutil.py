@@ -144,7 +144,8 @@ def test_bisect_transition_levels_search_as_if_alone(starts, rtols, max_iter):
         assert got[1] == alone[1]
     for r in filter(None, got):
         assert r[2:] == (f(r[0]), f(r[1]))
-    assert calls[0] == 2 * (2**DEPTH + 1)
+    # the first call asks both trees, each point once
+    assert calls[0] == len({*_tree(*searches[0][1:3]), *_tree(*searches[1][1:3])})
 
 
 def test_bisect_transition_stops_a_level_crossed_inside_an_earlier_bracket():

@@ -9,6 +9,7 @@ import relayauction.oracles as oracles
 from relayauction import (
     KINDS,
     POWER,
+    SNR,
     AuctionParams,
     EquilibriumResult,
     MultiUserSpec,
@@ -231,15 +232,15 @@ def test_line_search_pair_reaches_dense_grid_optimum(grid_n):
     assert positive >= 40
 
 
-def _power_equilibria():
-    """Calibrated power-auction equilibria: the sweep, and 10 study topologies at every budget."""
+def _calibrated_equilibria(kind, n_topologies):
+    """Calibrated equilibria of one auction: the sweep, and the first study topologies at every budget."""
     sweep = TwoUserSweepSpec()
     scenarios = [build_two_user_scenario(sweep, float(y)) for y in sweep.relay_ys()]
     study = MultiUserSpec()
-    for nodes in sample_topologies(study)[:10]:
+    for nodes in sample_topologies(study)[:n_topologies]:
         scenarios += [scenario_from_topology(study, nodes, p) for p in study.relay_powers]
     for sc in scenarios:
-        eq = solve_ne(sc, AuctionParams(POWER, calibrate_price(sc, POWER, 0.99).price))
+        eq = solve_ne(sc, AuctionParams(kind, calibrate_price(sc, kind, 0.99).price))
         assert isinstance(eq, EquilibriumResult)
         yield sc, eq
 
@@ -248,7 +249,7 @@ def test_power_auction_split_is_efficient_at_its_used_budget():
     # Everett: each demand maximizes r_i(x) - price x, so the equilibrium split
     # is the efficient split of the power it uses
     live = 0
-    for sc, eq in _power_equilibria():
+    for sc, eq in _calibrated_equilibria(POWER, 10):
         used = float(eq.powers.sum())
         if used == 0.0:
             continue
@@ -256,6 +257,25 @@ def test_power_auction_split_is_efficient_at_its_used_budget():
         assert eq.total_rate_increase_bps == pytest.approx(eff.total_rate_increase_bps, rel=1e-12)
         live += 1
     assert live >= 100
+
+
+def test_snr_auction_split_is_fair_where_both_admit_the_same_users():
+    # every SNR participant ends at the same combined SNR level, as in the fair split
+    # of the power the auction uses; the fair oracle admits every user whose rate
+    # increase is positive, the auction only those whose payoff is positive
+    live = same = 0
+    for sc, eq in _calibrated_equilibria(SNR, 25):
+        used = float(eq.powers.sum())
+        if used == 0.0:
+            continue
+        fair = fair_allocation(NetworkScenario(sc.users, used, sc.system), delta=0.0)
+        bids, fair_ones = eq.powers > 0.0, fair.powers > 0.0
+        assert not (bids & ~fair_ones).any()
+        if (bids == fair_ones).all():
+            assert np.abs(eq.powers - fair.powers).max() <= 1e-11 * used
+            same += 1
+        live += 1
+    assert live >= 120 and same >= 20
 
 
 @given(
