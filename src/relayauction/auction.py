@@ -16,10 +16,13 @@ power x where the marginal rate per unit charged equals the price.  x and the
 SNR auction's pi_hat (by Lambert's W) are closed forms; the power auction's
 pi_hat, the peak of rate per watt, is a monotone Newton iteration.
 
-`_UserArrays` holds every user of a scenario as read-only arrays under one
-payment rule, built once per scenario and rule, so that all factors at a
-price, or at a column of prices, are one array expression.
-The scalar functions of this module are one-user views of it.
+Every user of a scenario is held in read-only arrays, built in closed form
+once per scenario.  One `_Core` holds what no payment rule changes (the link
+fields, K = W / (2 ln 2), g, b, c, the relayed SNR, rate increase and slope at
+the full budget, and the breakeven power) and serves both auctions; on it, one
+`_UserArrays` per rule adds that rule's demand constants and critical prices,
+so that all factors at a price, or at a column of prices, are one array
+expression.  The scalar functions of this module are one-user views of it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,10 +44,7 @@ from .channel import (
     _power_for_snr,
     direct_snr,
     rate_increase,
-    rate_increase_power_slope,
     relayed_snr,
-    relayed_snr_limit,
-    snr_marginal_rate,
 )
 
 SNR = "snr"
@@ -137,9 +137,7 @@ def payment(kind: str, price: float, link: UserLink, p_rd, sys: SystemParams):
 
     Elementwise when the powers, or the link's gains, are arrays.
     """
-    if np.any(np.asarray(p_rd) < 0.0):
-        raise ValueError("relay power must be nonnegative")
-    return price * _rule(kind).charged(link, p_rd, sys)
+    return price * _rule(kind).charged(p_rd, relayed_snr(link, p_rd, sys))
 
 
 def payoff(
@@ -156,6 +154,17 @@ def payoff(
     p_rd = bid / (bid + opponents_bid_sum + params.reserve_bid) * budget
     gain = float(rate_increase(link, p_rd, sys))
     return gain - float(payment(params.kind, params.price, link, p_rd, sys))
+
+
+def _relayed_snr(p, core):
+    """Relayed SNR at relay power p: relayed_snr without its checks, to the bit."""
+    a = p * core.links.gain_rd / core.sys.noise_w
+    return a * core.b / (a + core.b + 1.0)
+
+
+def _log_gain(s, g, k):
+    """Unclamped rate increase u = K log1p((s - g^2 - g) / (1+g)^2) at relayed SNR s; r = max(u, 0)."""
+    return k * np.log1p((s - g * g - g) / (1.0 + g) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +206,16 @@ def _snr_pi_hat(users: "_UserArrays") -> np.ndarray:
     return -w * users.k / (1.0 + g)
 
 
-def _snr_demand(users: "_UserArrays", price: float) -> np.ndarray:
+def _snr_demand(users: "_UserArrays", price) -> np.ndarray:
     """Relay power buying the demanded SNR increase, held within [0, budget].
 
     The marginal rate per unit SNR, K / (1 + g + s), meets the price at
-    s = K / price - 1 - g.
+    s = K / price - (1 + g), bought with the power s (b + 1) / ((b - s) c).
+    coef holds 1 + g and (b + 1) / c.
     """
-    target = np.minimum(np.maximum(users.k / price - 1.0 - users.g, 0.0), users.snr_max)
-    return _power_for_snr(users.links, target, users.b, users.sys)
+    g1, b1c = users.coef
+    s = np.minimum(np.maximum(users.k / price - g1, 0.0), users.snr_max)
+    return s * b1c / (users.b - s)
 
 
 # ---------------------------------------------------------------------------
@@ -221,15 +232,20 @@ def _power_curve(p, g, b, c, k):
     """u(p), u'(p) and w, where u''(p) = -c u'(p) w, elementwise.
 
     With a = p c, D1 = a+b+1 and D2 = (1+g) D1 + a b (see _power_demand),
-    w = 1 / D1 + (1+g+b) / D2.  u(p) is taken as the log1p of
-    (s - g^2 - g) / (1+g)^2, exact near the breakeven.
+    w = 1 / D1 + (1+g+b) / D2.
     """
     a = p * c
     d1 = a + b + 1.0
     d2 = (1.0 + g) * d1 + a * b
     slope = k * c * b * (b + 1.0) / (d1 * d2)
-    u = k * np.log1p((a * b / d1 - g * g - g) / (1.0 + g) ** 2)
-    return u, slope, 1.0 / d1 + (1.0 + g + b) / d2
+    return _log_gain(a * b / d1, g, k), slope, 1.0 / d1 + (1.0 + g + b) / d2
+
+
+def _power_coefficients(core) -> tuple:
+    """The power demand's price-free terms: 1+g, 4 q2, q1, q1^2, K c b / (b+1) and (b+1) / c."""
+    g, b = core.g, core.b
+    q1 = 2.0 + 2.0 * g + b
+    return 1.0 + g, 4.0 * (1.0 + g + b), q1, q1 * q1, core.k * core.c * b / (b + 1.0), (b + 1.0) / core.c
 
 
 def _power_demand(users: "_UserArrays", price) -> np.ndarray:
@@ -240,18 +256,18 @@ def _power_demand(users: "_UserArrays", price) -> np.ndarray:
     u'(p) = price is the quadratic
     (1+g+b) a^2 + (b+1)(2+2g+b) a + (b+1)^2 (1+g) - K c b (b+1) / price = 0.
     It is solved in t = a / (b+1) (divided through by (b+1)^2, which keeps the
-    coefficients in range), taking the positive root in the form free of
-    cancellation.  The discriminant is at least b^2, so the root is real.
+    coefficients in range) as q2 t^2 + q1 t + q0 = 0, q2 = 1+g+b, q1 = 2+2g+b,
+    q0 = 1+g - K c b / ((b+1) price), taking the positive root in the form free
+    of cancellation.  The discriminant is at least b^2, so the root is real.
     u is concave, so the clamped root maximizes u(p) - price * p over
     [0, budget] (the power auction clamps it to the breakeven as well).  The
-    price may be an array broadcasting against the users.
+    price may be an array broadcasting against the users; only q0 depends on
+    it, and the rest is read from users.coef.
     """
-    g, b, c, k = users.g, users.b, users.c, users.k
-    q2 = 1.0 + g + b
-    q1 = 2.0 + 2.0 * g + b
-    q0 = 1.0 + g - k * c * b / ((b + 1.0) * price)
-    t = -2.0 * q0 / (q1 + np.sqrt(q1 * q1 - 4.0 * q2 * q0))
-    return np.minimum(np.maximum(t * (b + 1.0) / c, 0.0), users.budget)
+    g1, q2x4, q1, q1sq, kcb1, b1c = users.coef
+    q0 = g1 - kcb1 / price
+    t = -2.0 * q0 / (q1 + np.sqrt(q1sq - q2x4 * q0))
+    return np.minimum(np.maximum(t * b1c, 0.0), users.budget)
 
 
 def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
@@ -303,22 +319,25 @@ def _power_pi_hat(users: "_UserArrays") -> np.ndarray:
 class _Rule:
     """One payment rule: what it charges for and how users answer its price."""
 
-    charged: Callable  # (links, power, sys) -> units charged for that power
-    marginal: Callable  # (links, power, sys) -> marginal rate per unit charged
+    charged: Callable  # (power, relayed SNR) -> units charged
+    coefficients: Callable  # (core) -> the demand's price-free constants
+    pi_lower: Callable  # (users) -> marginal rate per unit charged at the full budget
     pi_hat: Callable  # (users) -> participation cutoffs
     demand: Callable  # (users, price) -> power where the marginal rate meets the price
 
 
 _RULES = {
     SNR: _Rule(
-        charged=relayed_snr,
-        marginal=lambda links, p, sys: snr_marginal_rate(links, relayed_snr(links, p, sys), sys),
+        charged=lambda p, s: s,
+        coefficients=lambda core: (1.0 + core.g, (core.b + 1.0) / core.c),
+        pi_lower=lambda users: users.k / (1.0 + users.g + users.snr_max),
         pi_hat=_snr_pi_hat,
         demand=_snr_demand,
     ),
     POWER: _Rule(
-        charged=lambda links, p, sys: p,
-        marginal=rate_increase_power_slope,
+        charged=lambda p, s: p,
+        coefficients=_power_coefficients,
+        pi_lower=lambda users: np.where(users.gain_max > 0.0, users.slope_full, 0.0),
         pi_hat=_power_pi_hat,
         demand=lambda users, price: np.maximum(_power_demand(users, price), users.x0),
     ),
@@ -331,38 +350,69 @@ def _rule(kind: str) -> _Rule:
     return _RULES[kind]
 
 
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+
+
+class _Core:
+    """The arrays of one scenario's users that no payment rule changes.
+
+    links, the users' link fields; k = W / (2 ln 2), the rate per unit log SNR;
+    g, the direct SNR; b, the relayed SNR's limit; c = gain_rd / noise; at the
+    full budget, the relayed SNR snr_max, the rate increase gain_max and the
+    unclamped slope u'(budget), slope_full; and x0, the breakeven power, or
+    about the budget when the budget cannot reach it.  Closed forms of the
+    module, free of the channel functions' checks, which the scenario has made.
+    """
+
+    def __init__(self, users: Sequence[UserLink], budget: float, sys: SystemParams):
+        self.links = links = _LinkArrays.of(users)
+        self.budget, self.sys = budget, sys
+        self.k = sys.bandwidth_hz / (2.0 * LN2)
+        self.g = g = links.source_power_w * links.gain_sd / sys.noise_w
+        self.b = b = links.source_power_w * links.gain_sr / sys.noise_w
+        self.c = links.gain_rd / sys.noise_w
+        self.snr_max = _relayed_snr(budget, self)
+        self.gain_max = np.maximum(_log_gain(self.snr_max, g, self.k), 0.0)
+        self.slope_full = _power_curve(budget, g, b, self.c, self.k)[1]
+        self.x0 = _power_for_snr(links, np.minimum(g * g + g, self.snr_max), b, sys)
+        _read_only(*vars(self).values(), *links)
+
+    @classmethod
+    def of(cls, scenario: NetworkScenario) -> "_Core":
+        """The scenario's core at its relay budget, built once per scenario."""
+        memo = scenario._derived
+        if "core" not in memo:
+            memo["core"] = cls(scenario.users, scenario.relay_budget_w, scenario.system)
+        return memo["core"]
+
+
 class _UserArrays:
     """Every user of one scenario as arrays, under one payment rule.
 
-    Holds the channel quantities and the critical prices of every user:
-    pi_lower, the marginal rate per unit charged at the full budget; pi_hat,
-    the participation cutoff; and the divergence cutoff, which is pi_lower
-    for a regular user (pi_hat > pi_lower) and otherwise the price at which
-    the whole budget stops paying, the only profitable demand such a user has.
+    Holds the arrays of a _Core themselves, so that one core serves both
+    rules, and adds the rule's demand constants, coef, and the critical
+    prices of every user: pi_lower, the marginal rate per unit charged at the
+    full budget; pi_hat, the participation cutoff; and the divergence cutoff,
+    which is pi_lower for a regular user (pi_hat > pi_lower) and otherwise the
+    price at which the whole budget stops paying, the only profitable demand
+    such a user has.
     """
 
-    def __init__(self, users: Sequence[UserLink], budget: float, sys: SystemParams, kind: str):
+    def __init__(self, core: _Core, kind: str):
+        vars(self).update(vars(core))
         self.kind, self.rule = kind, _rule(kind)
-        self.links = links = _LinkArrays.of(users)
-        self.budget, self.sys = budget, sys
-        self.k = sys.bandwidth_hz / (2.0 * LN2)  # rate per unit log SNR
-        self.g = direct_snr(links, sys)
-        self.b = relayed_snr_limit(links, sys)
-        self.c = links.gain_rd / sys.noise_w
-        self.snr_max = relayed_snr(links, budget, sys)
-        self.gain_max = rate_increase(links, budget, sys)
-        # breakeven power, or about the budget when the budget cannot reach it
-        self.x0 = _power_for_snr(links, np.minimum(self.g * self.g + self.g, self.snr_max), self.b, sys)
-        self.pi_lower = self.rule.marginal(links, budget, sys)
+        self.coef = self.rule.coefficients(core)
+        self.pi_lower = self.rule.pi_lower(self)
         self.pi_hat = self.rule.pi_hat(self)
         self.regular = self.pi_hat > self.pi_lower
-        charged = self.rule.charged(links, budget, sys)
+        charged = self.rule.charged(self.budget, self.snr_max)
         whole = np.divide(self.gain_max, charged, out=np.zeros_like(self.gain_max), where=charged > 0.0)
         self.cutoff = np.where(self.regular, self.pi_lower, whole)
         self.zero_from = np.where(self.regular, self.pi_hat, self.cutoff)
-        for a in (*vars(self).values(), *links):  # shared by every caller: read-only
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+        _read_only(*vars(self).values(), *self.coef)
 
     @functools.cached_property
     def breaks(self) -> array:
@@ -371,10 +421,10 @@ class _UserArrays:
 
     @classmethod
     def of(cls, scenario: NetworkScenario, kind: str) -> "_UserArrays":
-        """The scenario's users under this rule, built once per scenario and kind."""
+        """The scenario's users under this rule, built once per scenario and kind on its core."""
         memo = scenario._derived
         if kind not in memo:
-            memo[kind] = cls(scenario.users, scenario.relay_budget_w, scenario.system, kind)
+            memo[kind] = cls(_Core.of(scenario), kind)
         return memo[kind]
 
     def demands(self, price) -> np.ndarray:
@@ -403,7 +453,7 @@ def best_response_factor(
     """Best-response factor f of one user (bid = f * (opponents + reserve))."""
     if not price > 0.0:
         raise ValueError("price must be strictly positive")
-    return BestResponse(float(_UserArrays((link,), budget, sys, kind).factors(price)[0]))
+    return BestResponse(float(_UserArrays(_Core((link,), budget, sys), kind).factors(price)[0]))
 
 
 def snr_best_response_factor(
@@ -449,7 +499,7 @@ def best_response(
 
 
 def critical_prices(link: UserLink, kind: str, budget: float, sys: SystemParams) -> CriticalPrices:
-    users = _UserArrays((link,), budget, sys, kind)
+    users = _UserArrays(_Core((link,), budget, sys), kind)
     return CriticalPrices(pi_lower=float(users.pi_lower[0]), pi_hat=float(users.pi_hat[0]))
 
 
@@ -467,27 +517,16 @@ def power_critical_prices(link: UserLink, budget: float, sys: SystemParams) -> C
 
     pi_lower is the marginal rate increase per watt at the full budget;
     pi_hat = max over (0, budget] of r(p) / p, the price at which the best
-    attainable profit drops to zero, read at power_cutoff_point (a monotone
+    attainable profit drops to zero, read where r(p) / p peaks (a monotone
     Newton iteration).  A user whose rate increase stays 0 up to the budget
     gets pi_hat = 0.
     """
     return critical_prices(link, POWER, budget, sys)
 
 
-def power_cutoff_point(link: UserLink, budget: float, sys: SystemParams) -> Optional[float]:
-    """Relay power p in (0, budget] that maximizes r(p) / p; None if r stays 0.
-
-    The best attainable profit max_p r(p) - price * p is positive exactly
-    when price < r(p) / p for some p, so this maximizer fixes the power
-    auction's participation cutoff.
-    """
-    p = float(_power_cutoff_points(_UserArrays((link,), budget, sys, POWER))[0])
-    return None if math.isnan(p) else p
-
-
 def divergence_cutoff(link: UserLink, kind: str, budget: float, sys: SystemParams) -> float:
     """Largest price at or below which the user's best response diverges."""
-    return float(_UserArrays((link,), budget, sys, kind).cutoff[0])
+    return float(_UserArrays(_Core((link,), budget, sys), kind).cutoff[0])
 
 
 def is_snr_regular(scenario: NetworkScenario) -> bool:

@@ -101,7 +101,7 @@ class NetworkScenario:
 
     @cached_property
     def _derived(self) -> dict:
-        """The auction layer's per-user arrays by payment rule; no field, so not compared."""
+        """The auction layer's per-user arrays, its core and each rule's; no field, so not compared."""
         return {}
 
     def __getstate__(self) -> dict:  # the derived arrays are rebuilt, not pickled
@@ -217,16 +217,6 @@ def breakeven_power(link: UserLink, sys: SystemParams) -> Optional[float]:
     if need >= b:
         return None
     return power_for_relayed_snr(link, need, sys)
-
-
-def rate_increase_power_slope(link: UserLink, p_rd, sys: SystemParams):
-    """Marginal rate increase per watt of relay power; zero on the clamped region."""
-    b = relayed_snr_limit(link, sys)
-    a = p_rd * link.gain_rd / sys.noise_w
-    dsnr_dp = b * (b + 1.0) / (a + b + 1.0) ** 2 * (link.gain_rd / sys.noise_w)
-    g = direct_snr(link, sys) + relayed_snr(link, p_rd, sys)
-    slope = 0.5 * sys.bandwidth_hz / LN2 * dsnr_dp / (1.0 + g)
-    return np.where(rate_increase(link, p_rd, sys) > 0.0, slope, 0.0)[()]
 
 
 def snr_marginal_rate(link: UserLink, delta_snr: float, sys: SystemParams) -> float:

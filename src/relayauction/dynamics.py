@@ -31,14 +31,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .auction import (
-    AuctionParams,
-    BestResponse,
-    _UserArrays,
-    allocate,
-    payment,
-)
-from .channel import NetworkScenario, rate_increase, relayed_snr
+from .auction import AuctionParams, BestResponse, _log_gain, _relayed_snr, _UserArrays, allocate
+from .channel import NetworkScenario
 from .numutil import bisect_transition
 
 DEFAULT_TOL = 1e-10
@@ -136,19 +130,22 @@ def update_matrix(factors: Sequence[float]) -> np.ndarray:
 def equilibrium_from_bids(
     scenario: NetworkScenario, params: AuctionParams, bids: np.ndarray
 ) -> EquilibriumResult:
-    """Powers, SNRs, rates, payments and payoffs that a bid profile implies."""
+    """Powers, SNRs, rates, payments and payoffs that a bid profile implies.
+
+    The relayed SNR is computed once; the rate increase and the payment are read from it.
+    """
     powers = allocate(bids, params.reserve_bid, scenario.relay_budget_w)
-    links = _UserArrays.of(scenario, params.kind).links
-    sys = scenario.system
-    gains = rate_increase(links, powers, sys)
-    pays = payment(params.kind, params.price, links, powers, sys)
+    users = _UserArrays.of(scenario, params.kind)
+    snr = _relayed_snr(powers, users)
+    gains = np.maximum(_log_gain(snr, users.g, users.k), 0.0)
+    pays = params.price * users.rule.charged(powers, snr)
     return EquilibriumResult(
         kind=params.kind,
         price=params.price,
         reserve_bid=params.reserve_bid,
         bids=np.asarray(bids, dtype=float),
         powers=powers,
-        delta_snr=relayed_snr(links, powers, sys),
+        delta_snr=snr,
         rate_increase_bps=gains,
         payments=pays,
         payoffs=gains - pays,

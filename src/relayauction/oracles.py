@@ -21,21 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .auction import POWER, _power_curve, _power_demand, _UserArrays
-from .channel import (
-    NetworkScenario,
-    _LinkArrays,
-    _power_for_snr,
-    direct_snr,
-    rate_increase,
-    relayed_snr,
-    relayed_snr_limit,
-    snr_marginal_rate,
-)
+from .auction import POWER, _Core, _log_gain, _power_curve, _power_demand, _relayed_snr, _UserArrays
+from .channel import NetworkScenario, _power_for_snr
 from .numutil import bisect_transition, newton_root
 
 # a node is closed once its bound is at most the incumbent times (1 + BOUND_RTOL)
@@ -62,27 +53,16 @@ class VcgResult:
     payments: np.ndarray
 
 
-def _welfare(scenario: NetworkScenario, powers: np.ndarray, links: Optional[_LinkArrays] = None):
-    """Total rate increase of a split, or of every row of a stack of splits."""
-    if links is None:
-        links = _LinkArrays.of(scenario.users)
-    return rate_increase(links, powers, scenario.system).sum(axis=-1)
-
-
-def _finish(
-    scenario: NetworkScenario, powers: np.ndarray, links: _LinkArrays, nodes: int = 1, gap: float = 0.0
-) -> OracleAllocation:
-    """Zero out users whose power buys no rate increase, then package."""
-    sys = scenario.system
-    gains = rate_increase(links, powers, sys)
+def _finish(core: _Core, powers: np.ndarray, nodes: int = 1, gap: float = 0.0) -> OracleAllocation:
+    """Zero out users whose power buys no rate increase, then package; the SNR is computed once."""
+    snr = _relayed_snr(powers, core)
+    gains = np.maximum(_log_gain(snr, core.g, core.k), 0.0)
     buys = gains > 0.0
-    powers = np.where(buys, powers, 0.0)
-    marginals = np.where(buys, snr_marginal_rate(links, relayed_snr(links, powers, sys), sys), 0.0)
     return OracleAllocation(
-        powers=powers,
+        powers=np.where(buys, powers, 0.0),
         total_rate_increase_bps=float(gains.sum()),
         per_user_rate_increase_bps=gains,
-        marginal_utility=marginals,
+        marginal_utility=np.where(buys, core.k / (1.0 + core.g + snr), 0.0),
         nodes=nodes,
         certified_gap=gap,
     )
@@ -108,7 +88,6 @@ class _Relaxation:
         self.tangent = _power_demand(users, self.jumps)
         self.shape = (users.g, users.b, users.c, users.k)
         self.slope_zero = _power_curve(0.0, *self.shape)[1]
-        self.slope_full = _power_curve(users.budget, *self.shape)[1]
 
     def _split(self, price, inn: np.ndarray, free: np.ndarray):
         """Demands at prices broadcast against the masks, and the forced-in demands d."""
@@ -130,12 +109,12 @@ class _Relaxation:
         holds at any lam >= 0.  The split is returned scaled onto the budget,
         with the welfare sum_i r_i it yields.
         """
-        budget, jumps = self.users.budget, self.jumps
+        budget, jumps, slope_full = self.users.budget, self.jumps, self.users.slope_full
         after = self._split(jumps[:, None], inn[:, None, :], free[:, None, :])[0].sum(axis=2) - budget
         before = after + self.tangent
         # at top every demand is 0; at half of full some user's is the budget
         top = np.where(inn, self.slope_zero, np.where(free, jumps, 0.0)).max(axis=1)
-        full = np.where(free, np.minimum(self.slope_full, jumps), np.where(inn, self.slope_full, 0.0))
+        full = np.where(free, np.minimum(slope_full, jumps), np.where(inn, slope_full, 0.0))
         lo = np.maximum(0.5 * full.max(axis=1), np.where(free & (after > 0.0), jumps, 0.0).max(axis=1))
         hi = np.minimum(top, np.where(free & (before < 0.0), jumps, np.inf).min(axis=1))
         lam = np.where(free & (after <= 0.0) & (before >= 0.0), jumps, np.inf).min(axis=1)
@@ -232,16 +211,14 @@ def efficient_allocation(
         raise ValueError("grid_n must be at least 16")
     _check_seeds(seeds, scenario.n_users)
     budget = scenario.relay_budget_w * (1.0 - delta)
-    links = _LinkArrays.of(scenario.users)
-    live = rate_increase(links, budget, scenario.system) > 0.0
+    # at the relay budget the scenario's core and power-auction arrays serve
+    core = _Core.of(scenario) if delta == 0.0 else _Core(scenario.users, budget, scenario.system)
+    live = core.gain_max > 0.0
     if live.sum() <= 1:
-        return _finish(scenario, np.where(live, budget, 0.0), links)
-    if delta == 0.0:  # the relay budget: the power auction's own arrays serve
-        users = _UserArrays.of(scenario, POWER)
-    else:
-        users = _UserArrays(scenario.users, budget, scenario.system, POWER)
+        return _finish(core, np.where(live, budget, 0.0))
+    users = _UserArrays.of(scenario, POWER) if delta == 0.0 else _UserArrays(core, POWER)
     powers, nodes, gap = _branch_and_bound(users)
-    return _finish(scenario, powers, links, nodes, gap)
+    return _finish(core, powers, nodes, gap)
 
 
 def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
@@ -256,9 +233,8 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
     budget = scenario.relay_budget_w * (1.0 - delta)
-    sys = scenario.system
-    links = _LinkArrays.of(scenario.users)
-    g, limit = direct_snr(links, sys), relayed_snr_limit(links, sys)
+    core = _Core.of(scenario)
+    links, g, limit, sys = core.links, core.g, core.b, core.sys
     # users whose breakeven power (relayed SNR g^2 + g) lies within the budget
     even = g * g + g
     reach = even < limit
@@ -287,7 +263,7 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
             break
         active &= ~drops
 
-    return _finish(scenario, powers_at([level])[0], links)
+    return _finish(core, powers_at([level])[0])
 
 
 def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 4096) -> VcgResult:

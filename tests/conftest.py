@@ -12,15 +12,21 @@ from relayauction import (
     SystemParams,
     TwoUserSweepSpec,
     build_two_user_scenario,
-    direct_snr,
     is_snr_regular,
     link_from_geometry,
     run_two_user_sweep,
     sample_topologies,
     scenario_from_topology,
 )
-from relayauction.auction import _power_curve, g_snr
-from relayauction.channel import rate_increase, snr_marginal_rate
+from relayauction.auction import POWER, _Core, _power_curve, _power_cutoff_points, _UserArrays, g_snr
+from relayauction.channel import (
+    LN2,
+    direct_snr,
+    rate_increase,
+    relayed_snr,
+    relayed_snr_limit,
+    snr_marginal_rate,
+)
 from relayauction.numutil import newton_root
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
@@ -168,3 +174,19 @@ def reference_power_pi_hat(users):
     """Power-auction participation cutoffs read at the reference cutoff points."""
     p = reference_power_cutoff_points(users)
     return np.where(users.gain_max > 0.0, rate_increase(users.links, p, users.sys) / p, 0.0)
+
+
+def rate_increase_power_slope(link, p_rd, sys):
+    """Marginal rate increase per watt of relay power; zero on the clamped region."""
+    b = relayed_snr_limit(link, sys)
+    a = p_rd * link.gain_rd / sys.noise_w
+    dsnr_dp = b * (b + 1.0) / (a + b + 1.0) ** 2 * (link.gain_rd / sys.noise_w)
+    g = direct_snr(link, sys) + relayed_snr(link, p_rd, sys)
+    slope = 0.5 * sys.bandwidth_hz / LN2 * dsnr_dp / (1.0 + g)
+    return np.where(rate_increase(link, p_rd, sys) > 0.0, slope, 0.0)[()]
+
+
+def power_cutoff_point(link, budget, sys):
+    """One user's relay power p in (0, budget] maximizing r(p) / p; None if r stays 0."""
+    p = float(_power_cutoff_points(_UserArrays(_Core((link,), budget, sys), POWER))[0])
+    return None if math.isnan(p) else p

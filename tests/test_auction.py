@@ -21,21 +21,23 @@ from relayauction import (
     payoff,
     power_best_response_factor,
     power_critical_prices,
-    power_cutoff_point,
+    power_for_relayed_snr,
     rate_increase,
-    rate_increase_power_slope,
     relayed_snr,
     relayed_snr_limit,
     snr_best_response_factor,
     snr_critical_prices,
+    snr_marginal_rate,
 )
 from relayauction import auction, numutil, oracles
-from relayauction.auction import KINDS, POWER, SNR, _power_curve, _power_cutoff_points, _UserArrays
-from relayauction.channel import LN2, NetworkScenario, UserLink, breakeven_power
+from relayauction.auction import KINDS, POWER, SNR, _Core, _power_curve, _power_cutoff_points, _UserArrays
+from relayauction.channel import LN2, NetworkScenario, UserLink, _LinkArrays, breakeven_power
 
 from conftest import (
     BENCH_SYSTEM,
     make_random_scenario,
+    power_cutoff_point,
+    rate_increase_power_slope,
     reference_power_cutoff_points,
     reference_power_pi_hat,
     reference_snr_pi_hat,
@@ -510,8 +512,7 @@ def test_cutoffs_equal_bracketed_newton_reference(bench_spec):
     scenarios = _study_and_sweep_scenarios(bench_spec)
     assert len(scenarios) == 81 + 16
     for sc in scenarios:
-        snr = _UserArrays(sc.users, sc.relay_budget_w, sc.system, SNR)
-        power = _UserArrays(sc.users, sc.relay_budget_w, sc.system, POWER)
+        snr, power = _UserArrays.of(sc, SNR), _UserArrays.of(sc, POWER)
         _assert_rel(snr.pi_hat, reference_snr_pi_hat(snr), 1e-13)
         _assert_rel(power.pi_hat, reference_power_pi_hat(power), 1e-13)
         points = reference_power_cutoff_points(power)
@@ -519,6 +520,45 @@ def test_cutoffs_equal_bracketed_newton_reference(bench_spec):
     for link, point in zip(sc.users, points):  # the one-user view of the last scenario
         got = power_cutoff_point(link, sc.relay_budget_w, sc.system)
         assert got is None if np.isnan(point) else got == pytest.approx(point, rel=1e-13)
+
+
+def test_closed_form_build_agrees_with_channel_functions(bench_spec):
+    # the 81 sweep positions and the first 7 study topologies, re-budgeted from 1e-6 to 1e3 W
+    sweep = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
+    topologies = study_scenarios(7)[::4]
+    built = interior = 0
+    for base in sweep + topologies:
+        for budget in 10.0 ** np.arange(-6.0, 4.0):
+            sc = NetworkScenario(base.users, budget, base.system)
+            snr, power = _UserArrays.of(sc, SNR), _UserArrays.of(sc, POWER)
+            links, sys = _LinkArrays.of(sc.users), sc.system
+            s_max = relayed_snr(links, budget, sys)
+            gain = rate_increase(links, budget, sys)
+            _assert_rel(snr.g, direct_snr(links, sys), 1e-13)
+            _assert_rel(snr.b, relayed_snr_limit(links, sys), 1e-13)
+            _assert_rel(snr.c, links.gain_rd / sys.noise_w, 1e-13)
+            _assert_rel(snr.snr_max, s_max, 1e-13)
+            _assert_rel(snr.gain_max, gain, 1e-13)
+            _assert_rel(snr.x0, power_for_relayed_snr(links, np.minimum(snr.g**2 + snr.g, s_max), sys), 1e-13)
+            slope = rate_increase_power_slope(links, budget, sys)
+            _assert_rel(power.pi_lower, slope, 1e-13)
+            _assert_rel(np.where(gain > 0.0, power.slope_full, 0.0), slope, 1e-13)
+            _assert_rel(snr.pi_lower, snr_marginal_rate(links, s_max, sys), 1e-13)
+            _assert_rel(snr.cutoff[~snr.regular], (gain / s_max)[~snr.regular], 1e-13)
+            _assert_rel(power.cutoff[~power.regular], (gain / budget)[~power.regular], 1e-13)
+            # the demand constants: each interior demand meets its price
+            for users, floor, marginal in (
+                (snr, 0.0, lambda x: snr_marginal_rate(links, relayed_snr(links, x, sys), sys)),
+                (power, power.x0, lambda x: rate_increase_power_slope(links, x, sys)),
+            ):
+                for t in (0.1, 0.5, 0.9):  # a price per user inside its band (pi_lower, pi_hat)
+                    price = np.where(users.regular, users.pi_lower ** (1 - t) * users.pi_hat**t, 1.0)
+                    x = users.rule.demand(users, price)
+                    inner = (x > floor) & (x < budget * (1 - 1e-6)) & users.regular
+                    _assert_rel(marginal(x)[inner], price[inner], 1e-13)
+                    interior += int(inner.sum())
+            built += 1
+    assert built == (81 + 7) * 10 and interior > 4000, interior
 
 
 def test_user_arrays_build_makes_no_newton_search(monkeypatch, bench_spec):
@@ -531,7 +571,7 @@ def test_user_arrays_build_makes_no_newton_search(monkeypatch, bench_spec):
     scenarios = _study_and_sweep_scenarios(bench_spec)
     for sc in (scenarios[0], scenarios[40], scenarios[-1]):
         for kind in KINDS:
-            assert _UserArrays(sc.users, sc.relay_budget_w, sc.system, kind).pi_hat.size == sc.n_users
+            assert _UserArrays(_Core(sc.users, sc.relay_budget_w, sc.system), kind).pi_hat.size == sc.n_users
 
 
 def _link_with_direct_snr(g, d_sr=80.0, d_rd=120.0):
@@ -607,7 +647,7 @@ def test_power_pi_hat_accurate_on_weak_direct_links():
     for g in 10.0 ** np.arange(-7.0, -2.9, 0.25):
         link = _link_with_direct_snr(g)
         for budget in (1e-3, BUDGET, 10.0):
-            users = _UserArrays((link,), budget, BENCH_SYSTEM, POWER)
+            users = _UserArrays(_Core((link,), budget, BENCH_SYSTEM), POWER)
             assert abs(users.pi_hat[0] / _decimal_power_pi_hat(users) - 1.0) <= 2e-15
 
 
@@ -619,7 +659,7 @@ extreme_links = st.tuples(
 
 @given(link=extreme_links, budget=budgets)
 def test_power_cutoff_point_maximizes_rate_per_watt(link, budget):
-    users = _UserArrays((link,), budget, BENCH_SYSTEM, POWER)
+    users = _UserArrays(_Core((link,), budget, BENCH_SYSTEM), POWER)
     p = power_cutoff_point(link, budget, BENCH_SYSTEM)
     assume(p is not None)
     shape = (users.g[0], users.b[0], users.c[0], users.k)

@@ -17,7 +17,6 @@ from relayauction import (
     path_gain,
     power_for_relayed_snr,
     rate_increase,
-    rate_increase_power_slope,
     relayed_snr,
     relayed_snr_limit,
     save_scenario,
@@ -27,7 +26,7 @@ from relayauction import (
 from relayauction.auction import POWER, _power_cutoff_points, _UserArrays
 from relayauction.channel import NetworkScenario, SystemParams, UserLink
 
-from conftest import BENCH_SYSTEM
+from conftest import BENCH_SYSTEM, rate_increase_power_slope
 
 
 def test_path_gain_unit_distance():

@@ -18,18 +18,24 @@ from relayauction import (
     build_two_user_scenario,
     calibrate_price,
     critical_prices,
+    efficient_allocation,
     estimate_geometric_rate,
+    fair_allocation,
     is_power_regular,
     iterate_best_response,
     ne_bids_from_factors,
     ne_exists,
+    payment,
     payoff,
+    rate_increase,
+    relayed_snr,
     response_factors,
     solve_ne,
     threshold_price,
     update_matrix,
 )
-from relayauction.auction import _UserArrays, divergence_cutoff
+from relayauction.auction import POWER, SNR, _Core, _UserArrays, divergence_cutoff
+from relayauction.channel import _LinkArrays
 from relayauction.dynamics import THRESHOLD_RTOL, IterationTrace
 
 from conftest import (
@@ -400,6 +406,22 @@ def test_calibrated_price_has_the_reported_equilibrium(bench_spec):
             assert res.price == p_some and res.utilization < 0.99
 
 
+def test_equilibrium_read_out_agrees_with_channel_functions(bench_spec):
+    # the SNR is computed once from the arrays; the rate increase and the payment read it
+    checked = 0
+    for sc, kind in _regular_cases(bench_spec):
+        eq = solve_ne(sc, AuctionParams(kind, calibrate_price(sc, kind, 0.99).price))
+        links, sys = _LinkArrays.of(sc.users), sc.system
+        for got, want in (
+            (eq.delta_snr, relayed_snr(links, eq.powers, sys)),
+            (eq.rate_increase_bps, rate_increase(links, eq.powers, sys)),
+            (eq.payments, payment(kind, eq.price, links, eq.powers, sys)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        checked += int((eq.powers > 0.0).sum())
+    assert checked >= 290
+
+
 def test_share_at_threshold_search_start_is_at_least_one(bench_spec):
     # any price at or below the largest divergence cutoff has a divergent user
     for sc, kind in _regular_cases(bench_spec):
@@ -447,12 +469,17 @@ def test_calibration_asks_no_price_twice_in_a_call(monkeypatch, bench_spec):
 
 def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):
     builds = []
-    init = _UserArrays.__init__
+    core_init, init = _Core.__init__, _UserArrays.__init__
 
-    def counted(self, users, budget, sys, kind):
-        builds.append((len(users), kind))
-        init(self, users, budget, sys, kind)
+    def counted_core(self, users, *args):
+        builds.append(("core", len(users)))
+        core_init(self, users, *args)
 
+    def counted(self, core, kind):
+        builds.append((kind, core.g.size))
+        init(self, core, kind)
+
+    monkeypatch.setattr(_Core, "__init__", counted_core)
     monkeypatch.setattr(_UserArrays, "__init__", counted)
     sc = build_two_user_scenario(bench_spec, 0.0)
     for kind in KINDS:
@@ -463,9 +490,15 @@ def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):
         ne_exists(sc, params)
         response_factors(sc, params)
         iterate_best_response(sc, params, [0.0, 0.0])
-    assert builds == [(2, kind) for kind in KINDS]
+    efficient_allocation(sc, delta=0.0)
+    fair_allocation(sc)
+    # one core per scenario, then the per-auction part once per auction, on that core
+    assert builds == [("core", 2), *((kind, 2) for kind in KINDS)]
+    snr, power = _UserArrays.of(sc, SNR), _UserArrays.of(sc, POWER)
+    assert snr.g is power.g and snr.links is power.links and snr.x0 is power.x0
+    assert snr.g is _Core.of(sc).g
     calibrate_price(sc.without_user(0), "power", 0.99)
-    assert builds[-1] == (1, "power")
+    assert builds[-2:] == [("core", 1), ("power", 1)]
     # the memo is no field: equality, hashing, the repr and pickling ignore it
     fresh = build_two_user_scenario(bench_spec, 0.0)
     assert sc == fresh and hash(sc) == hash(fresh) and repr(sc) == repr(fresh)
@@ -475,8 +508,9 @@ def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):
 def test_user_arrays_are_read_only(scenario_y0):
     for kind in KINDS:
         users = _UserArrays.of(scenario_y0, kind)
-        arrays = [a for a in (*vars(users).values(), *users.links) if isinstance(a, np.ndarray)]
-        assert len(arrays) >= 15
+        values = (*vars(users).values(), *users.links, *users.coef)
+        arrays = [a for a in values if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 16 + len(users.coef)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0

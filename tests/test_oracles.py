@@ -30,8 +30,8 @@ from relayauction import (
     threshold_price,
     vcg_auction,
 )
-from relayauction.auction import _UserArrays
-from relayauction.channel import breakeven_power, power_for_relayed_snr, relayed_snr_limit
+from relayauction.auction import _Core, _UserArrays
+from relayauction.channel import _LinkArrays, breakeven_power, power_for_relayed_snr, relayed_snr_limit
 
 from conftest import BENCH_SYSTEM, make_random_scenario, reference_bisect
 
@@ -41,6 +41,11 @@ BUDGET = 0.1
 def _useless_scenario(n=2):
     users = tuple(UserLink(i, 0.01, 6.25e-10, 1e-12, 1e-12) for i in range(n))
     return NetworkScenario(users, BUDGET, BENCH_SYSTEM)
+
+
+def welfare(scenario, powers):
+    """Total rate increase of a split, or of every row of a stack of splits."""
+    return rate_increase(_LinkArrays.of(scenario.users), powers, scenario.system).sum(axis=-1)
 
 
 def brute_force_welfare(scenario, budget, n=241):
@@ -70,11 +75,11 @@ def enumerated_welfare(scenario, delta):
     """
     n = scenario.n_users
     budget = scenario.relay_budget_w * (1.0 - delta)
-    relax = oracles._Relaxation(_UserArrays(scenario.users, budget, scenario.system, POWER))
+    relax = oracles._Relaxation(_UserArrays(_Core(scenario.users, budget, scenario.system), POWER))
     sets = (np.arange(1, 2**n)[:, None] >> np.arange(n) & 1).astype(bool)
     x = relax.solve(sets, np.zeros_like(sets))[1]
     assert np.all(x.sum(axis=1) <= budget * (1 + 1e-12))
-    return float(oracles._welfare(scenario, x).max())
+    return float(welfare(scenario, x).max())
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +152,7 @@ def test_efficient_multiuser_path_beats_seeds():
     for i in range(sc.n_users):
         one = np.zeros(sc.n_users)
         one[i] = budget
-        assert alloc.total_rate_increase_bps >= oracles._welfare(sc, one) * (1 - 1e-9)
+        assert alloc.total_rate_increase_bps >= welfare(sc, one) * (1 - 1e-9)
 
 
 def test_efficient_matches_participant_set_enumeration():
@@ -199,7 +204,7 @@ def test_grid_best_three_blocks_match_row_loop(grid_n):
         alloc = efficient_allocation(sc, delta=0.0, grid_n=grid_n)
         assert np.array_equal(alloc.powers, efficient_allocation(sc, delta=0.0).powers)
         grid_w, grid_x = _grid_best_three_by_rows(sc, sc.relay_budget_w, grid_n)
-        assert oracles._welfare(sc, grid_x) == pytest.approx(grid_w, rel=1e-12, abs=0.0)
+        assert welfare(sc, grid_x) == pytest.approx(grid_w, rel=1e-12, abs=0.0)
         assert alloc.total_rate_increase_bps >= grid_w * (1.0 - 1e-12)
         assert alloc.powers.min() >= 0.0
         assert alloc.powers.sum() <= sc.relay_budget_w * (1 + 1e-12)
