@@ -22,7 +22,7 @@ fields, K = W / (2 ln 2), g, b, c, the relayed SNR, rate increase and slope at
 the full budget, and the breakeven power) and serves both auctions; on it, one
 `_UserArrays` per rule adds that rule's demand constants and critical prices,
 so that all factors at a price, or at a column of prices, are one array
-expression.  The scalar functions of this module are one-user views of it.
+expression.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from .channel import (
     SystemParams,
     UserLink,
     _LinkArrays,
+    _log_gain,
     _power_for_snr,
-    direct_snr,
+    _relayed_snr,
     rate_increase,
     relayed_snr,
 )
@@ -72,50 +73,6 @@ class AuctionParams:
             raise ValueError("price must be strictly positive")
         if not self.reserve_bid > 0.0:
             raise ValueError("reserve_bid must be strictly positive")
-
-
-@dataclass(frozen=True)
-class BestResponse:
-    """Best-response value: a finite factor/bid, or a divergence signal.
-
-    value is math.inf exactly when no finite bid approaches the payoff
-    supremum (the user wants the entire budget).  Infinite values are never
-    stored in a bid profile; the dynamics treat them as a no-equilibrium
-    signal at the current price.
-    """
-
-    value: float
-
-    @classmethod
-    def finite(cls, value: float) -> "BestResponse":
-        if not (value >= 0.0 and math.isfinite(value)):
-            raise ValueError("finite best response must be a nonnegative real")
-        return cls(value)
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.value)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0.0
-
-
-@dataclass(frozen=True)
-class CriticalPrices:
-    """The two per-user price landmarks.
-
-    Below pi_lower the user demands more SNR (or power) than the full budget
-    can deliver; at or above pi_hat it cannot profit and stays out.  The user
-    supports a finite, positive demand exactly when pi_hat > pi_lower.
-    """
-
-    pi_lower: float
-    pi_hat: float
-
-    @property
-    def regular(self) -> bool:
-        return self.pi_hat > self.pi_lower
 
 
 def allocate(bids, reserve_bid: float, budget: float) -> np.ndarray:
@@ -156,43 +113,19 @@ def payoff(
     return gain - float(payment(params.kind, params.price, link, p_rd, sys))
 
 
-def _relayed_snr(p, core):
-    """Relayed SNR at relay power p: relayed_snr without its checks, to the bit."""
-    a = p * core.links.gain_rd / core.sys.noise_w
-    return a * core.b / (a + core.b + 1.0)
-
-
-def _log_gain(s, g, k):
-    """Unclamped rate increase u = K log1p((s - g^2 - g) / (1+g)^2) at relayed SNR s; r = max(u, 0)."""
-    return k * np.log1p((s - g * g - g) / (1.0 + g) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # SNR auction
 
 
-def g_snr(link: UserLink, price, sys: SystemParams):
-    """Best attainable payoff in the SNR auction as a function of price.
-
-    Convex in price, diverging to +inf at both ends; its smallest positive
-    root is the participation cutoff pi_hat.
-    """
-    if not (np.asarray(price) > 0.0).all():
-        raise ValueError("price must be strictly positive")
-    w = sys.bandwidth_hz
-    g = direct_snr(link, sys)
-    return price * (1.0 + g) - 0.5 * w * (
-        np.log2(2.0 * price * LN2 * (1.0 + g) ** 2 / w) + 1.0 / LN2
-    )
-
-
 def _snr_pi_hat(users: "_UserArrays") -> np.ndarray:
-    """Smallest positive root of g_snr = K (u - ln u - ln(1+g) - 1), u = price (1+g) / K.
+    """Smallest positive root of K (u - ln u - ln(1+g) - 1), u = price (1+g) / K.
 
-    u = -W0(z), z = -1 / (e (1+g)), by four Halley steps on w e^w = z from the branch-point
-    series (Corless et al. 1996, "On the Lambert W function").  Near the branch point
-    (w < -1/2) the residual w - z e^-w is taken as d + expm1(-d - ln(1+g)), d = w + 1, which
-    never rounds 1 + g; u is then good to about 1e-15 relative at every g > 0.
+    That is the best attainable SNR-auction payoff at a price, convex in the price and
+    diverging at both ends.  u = -W0(z), z = -1 / (e (1+g)), by four Halley steps on
+    w e^w = z from the branch-point series (Corless et al. 1996, "On the Lambert W
+    function").  Near the branch point (w < -1/2) the residual w - z e^-w is taken as
+    d + expm1(-d - ln(1+g)), d = w + 1, which never rounds 1 + g; u is then good to
+    about 1e-15 relative at every g > 0.
     """
     g = users.g
     ln1g = np.log1p(g)
@@ -374,7 +307,7 @@ class _Core:
         self.g = g = links.source_power_w * links.gain_sd / sys.noise_w
         self.b = b = links.source_power_w * links.gain_sr / sys.noise_w
         self.c = links.gain_rd / sys.noise_w
-        self.snr_max = _relayed_snr(budget, self)
+        self.snr_max = _relayed_snr(links, budget, b, sys)
         self.gain_max = np.maximum(_log_gain(self.snr_max, g, self.k), 0.0)
         self.slope_full = _power_curve(budget, g, b, self.c, self.k)[1]
         self.x0 = _power_for_snr(links, np.minimum(g * g + g, self.snr_max), b, sys)
@@ -441,99 +374,3 @@ class _UserArrays:
     def shares(self, prices) -> np.ndarray:
         """S = sum x / budget = sum f/(1+f) per price: non-increasing, < 1 iff an equilibrium exists."""
         return self.demands(np.asarray(prices, dtype=float)[:, None]).sum(axis=1) / self.budget
-
-
-# ---------------------------------------------------------------------------
-# one-user views
-
-
-def best_response_factor(
-    link: UserLink, kind: str, price: float, budget: float, sys: SystemParams
-) -> BestResponse:
-    """Best-response factor f of one user (bid = f * (opponents + reserve))."""
-    if not price > 0.0:
-        raise ValueError("price must be strictly positive")
-    return BestResponse(float(_UserArrays(_Core((link,), budget, sys), kind).factors(price)[0]))
-
-
-def snr_best_response_factor(
-    link: UserLink, price: float, budget: float, sys: SystemParams
-) -> BestResponse:
-    """Best-response factor in the SNR auction.
-
-    Divergent at or below the divergence cutoff, zero at or above pi_hat (or
-    above the cutoff for a user without a profitable band), and in between
-    the factor of the power buying the demanded SNR increase.
-    """
-    return best_response_factor(link, SNR, price, budget, sys)
-
-
-def power_best_response_factor(
-    link: UserLink, price: float, budget: float, sys: SystemParams
-) -> BestResponse:
-    """Best-response factor in the power auction, in closed form.
-
-    The net gain (rate increase minus price * power) is zero up to the
-    breakeven power and concave beyond it, so its maximum over
-    [breakeven, budget] sits at the root of the first-order condition clamped
-    to that interval; it is positive exactly below pi_hat, and the response
-    diverges when the gain still climbs at the budget and is positive there.
-    """
-    return best_response_factor(link, POWER, price, budget, sys)
-
-
-def best_response(
-    link: UserLink,
-    opponents_bid_sum: float,
-    params: AuctionParams,
-    budget: float,
-    sys: SystemParams,
-) -> BestResponse:
-    """Payoff-maximizing bid against a fixed sum of opponents' bids."""
-    if opponents_bid_sum < 0.0:
-        raise ValueError("opponents_bid_sum must be nonnegative")
-    factor = best_response_factor(link, params.kind, params.price, budget, sys)
-    if factor.is_infinite:
-        return factor
-    return BestResponse.finite(factor.value * (opponents_bid_sum + params.reserve_bid))
-
-
-def critical_prices(link: UserLink, kind: str, budget: float, sys: SystemParams) -> CriticalPrices:
-    users = _UserArrays(_Core((link,), budget, sys), kind)
-    return CriticalPrices(pi_lower=float(users.pi_lower[0]), pi_hat=float(users.pi_hat[0]))
-
-
-def snr_critical_prices(link: UserLink, budget: float, sys: SystemParams) -> CriticalPrices:
-    """Critical prices of the SNR auction for one user, in closed form.
-
-    pi_lower is the marginal rate per unit SNR at the full-budget relayed SNR;
-    pi_hat is the smallest positive root of g_snr, by Lambert's W.
-    """
-    return critical_prices(link, SNR, budget, sys)
-
-
-def power_critical_prices(link: UserLink, budget: float, sys: SystemParams) -> CriticalPrices:
-    """Critical prices of the power auction for one user.
-
-    pi_lower is the marginal rate increase per watt at the full budget;
-    pi_hat = max over (0, budget] of r(p) / p, the price at which the best
-    attainable profit drops to zero, read where r(p) / p peaks (a monotone
-    Newton iteration).  A user whose rate increase stays 0 up to the budget
-    gets pi_hat = 0.
-    """
-    return critical_prices(link, POWER, budget, sys)
-
-
-def divergence_cutoff(link: UserLink, kind: str, budget: float, sys: SystemParams) -> float:
-    """Largest price at or below which the user's best response diverges."""
-    return float(_UserArrays(_Core((link,), budget, sys), kind).cutoff[0])
-
-
-def is_snr_regular(scenario: NetworkScenario) -> bool:
-    """True when at least one user has a profitable SNR-auction price band."""
-    return bool(_UserArrays.of(scenario, SNR).regular.any())
-
-
-def is_power_regular(scenario: NetworkScenario) -> bool:
-    """True when at least one user has a profitable power-auction price band."""
-    return bool(_UserArrays.of(scenario, POWER).regular.any())

@@ -155,9 +155,13 @@ def relayed_snr(link: UserLink, p_rd, sys: SystemParams):
     """
     if (np.asarray(p_rd) < 0.0).any():
         raise ValueError("relay power must be nonnegative")
+    return _relayed_snr(link, p_rd, relayed_snr_limit(link, sys), sys)
+
+
+def _relayed_snr(link: UserLink, p_rd, limit, sys: SystemParams):
+    """relayed_snr without its checks, given the SNR limit b: a b / (a + b + 1), a = p_rd gain_rd / noise."""
     a = p_rd * link.gain_rd / sys.noise_w
-    b = relayed_snr_limit(link, sys)
-    return a * b / (a + b + 1.0)
+    return a * limit / (a + limit + 1.0)
 
 
 def power_for_relayed_snr(link: UserLink, target, sys: SystemParams):
@@ -176,53 +180,23 @@ def _power_for_snr(link: UserLink, target, limit, sys: SystemParams):
     return a * sys.noise_w / link.gain_rd
 
 
-def direct_rate(link: UserLink, sys: SystemParams) -> float:
-    """Rate of direct transmission only."""
-    return sys.bandwidth_hz * np.log2(1.0 + direct_snr(link, sys))
-
-
-def coop_rate(link: UserLink, p_rd, sys: SystemParams):
-    """Rate of two-phase cooperative transmission with MRC at the destination.
-
-    Exactly half the direct rate at zero relay power: the halving is applied
-    last so the two code paths share the same rounding.
-    """
-    g = direct_snr(link, sys) + relayed_snr(link, p_rd, sys)
-    return 0.5 * (sys.bandwidth_hz * np.log2(1.0 + g))
-
-
 def rate_increase(link: UserLink, p_rd, sys: SystemParams):
     """Rate gained by cooperating, clamped at zero (the source may opt out).
 
-    coop_rate - direct_rate = K ln((1+g+s) / (1+g)^2) with K = W / (2 ln 2), taken as
-    K log1p((s - g^2 - g) / (1+g)^2), which does not cancel as the direct SNR g -> 0.
+    The cooperative rate 0.5 W log2(1+g+s) less the direct rate W log2(1+g), with g
+    the direct SNR and s the relayed SNR: see _log_gain.
     """
-    g = direct_snr(link, sys)
     s = relayed_snr(link, p_rd, sys)
-    return np.maximum(sys.bandwidth_hz / (2.0 * LN2) * np.log1p((s - g * g - g) / (1.0 + g) ** 2), 0.0)
+    return np.maximum(_log_gain(s, direct_snr(link, sys), sys.bandwidth_hz / (2.0 * LN2)), 0.0)
 
 
-def breakeven_power(link: UserLink, sys: SystemParams) -> Optional[float]:
-    """Smallest relay power at which cooperation matches direct transmission.
+def _log_gain(s, g, k):
+    """Unclamped rate increase u = K log1p((s - g^2 - g) / (1+g)^2) at relayed SNR s.
 
-    Cooperation breaks even where the relayed SNR reaches g**2 + g with
-    g the direct SNR; inverting the relayed-SNR expression gives a closed
-    form.  Returns None when that level exceeds the attainable supremum.
+    It equals K ln((1+g+s) / (1+g)^2), K = W / (2 ln 2), without cancelling as the
+    direct SNR g -> 0; the rate increase is max(u, 0).
     """
-    g = direct_snr(link, sys)
-    need = g * g + g
-    if need == 0.0:
-        return 0.0
-    b = relayed_snr_limit(link, sys)
-    if need >= b:
-        return None
-    return power_for_relayed_snr(link, need, sys)
-
-
-def snr_marginal_rate(link: UserLink, delta_snr: float, sys: SystemParams) -> float:
-    """Marginal rate increase per unit of relayed SNR on the cooperative branch."""
-    g = direct_snr(link, sys)
-    return 0.5 * sys.bandwidth_hz / LN2 / (1.0 + g + delta_snr)
+    return k * np.log1p((s - g * g - g) / (1.0 + g) ** 2)
 
 
 # ---------------------------------------------------------------------------

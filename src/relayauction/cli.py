@@ -104,13 +104,13 @@ def _cmd_ne_solve(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     if args.which == "efficient":
-        alloc = efficient_allocation(scenario, delta=args.delta, grid_n=args.grid)
+        alloc = efficient_allocation(scenario, delta=args.delta)
         payments = None
     elif args.which == "fair":
         alloc = fair_allocation(scenario, delta=args.delta)
         payments = None
     else:
-        result = vcg_auction(scenario, delta=args.delta, grid_n=args.grid)
+        result = vcg_auction(scenario, delta=args.delta)
         alloc = result.allocation
         payments = result.payments
     payload = {
@@ -173,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("efficient", "fair", "vcg"))
     p.add_argument("--scenario", required=True)
     p.add_argument("--delta", type=float, default=0.01, help="budget reduction fraction")
-    p.add_argument("--grid", type=int, default=4096, help="ignored; kept for compatibility")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("threshold-price", help="price below which no equilibrium exists")

@@ -31,8 +31,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .auction import AuctionParams, BestResponse, _log_gain, _relayed_snr, _UserArrays, allocate
-from .channel import NetworkScenario
+from .auction import AuctionParams, _UserArrays, allocate
+from .channel import NetworkScenario, _log_gain, _relayed_snr
 from .numutil import bisect_transition
 
 DEFAULT_TOL = 1e-10
@@ -98,16 +98,6 @@ class PriceSearchResult:
     threshold_bracket: Optional[tuple[float, float]] = None
 
 
-def response_factors(scenario: NetworkScenario, params: AuctionParams) -> list[BestResponse]:
-    """Per-user best-response factors at this price."""
-    factors = _UserArrays.of(scenario, params.kind).factors(params.price)
-    return [BestResponse(float(f)) for f in factors]
-
-
-def ne_exists(scenario: NetworkScenario, params: AuctionParams) -> bool:
-    return bool(_UserArrays.of(scenario, params.kind).shares([params.price])[0] < 1.0)
-
-
 def ne_bids_from_factors(factors: Sequence[float], reserve_bid: float) -> np.ndarray:
     """Fixed-point bids for finite factors: b_i = f_i/(1+f_i) * (B + reserve)."""
     f = np.asarray(factors, dtype=float)
@@ -136,7 +126,7 @@ def equilibrium_from_bids(
     """
     powers = allocate(bids, params.reserve_bid, scenario.relay_budget_w)
     users = _UserArrays.of(scenario, params.kind)
-    snr = _relayed_snr(powers, users)
+    snr = _relayed_snr(users.links, powers, users.b, users.sys)
     gains = np.maximum(_log_gain(snr, users.g, users.k), 0.0)
     pays = params.price * users.rule.charged(powers, snr)
     return EquilibriumResult(

@@ -45,7 +45,7 @@ class TwoUserSweepSpec:
     reserve_bid: float = 1.0
     target_utilization: float = 0.99
     vcg_delta: float = 0.0
-    oracle_grid_n: int = 4096
+    oracle_grid_n: int = 4096  # ignored, kept for callers that still pass it
 
     @property
     def system(self) -> SystemParams:
@@ -131,7 +131,7 @@ def run_two_user_sweep(spec: TwoUserSweepSpec = TwoUserSweepSpec()) -> Report:
         scenario = build_two_user_scenario(spec, float(y))
         row: dict = {"relay_y_m": float(y)}
 
-        vcg = vcg_auction(scenario, delta=spec.vcg_delta, grid_n=spec.oracle_grid_n)
+        vcg = vcg_auction(scenario, delta=spec.vcg_delta)
         gains = vcg.allocation.per_user_rate_increase_bps / w
         row["vcg_total_bits_per_hz"] = float(gains.sum())
         row["vcg_user1_bits_per_hz"] = float(gains[0])
@@ -224,7 +224,7 @@ def run_multi_user(spec: MultiUserSpec = MultiUserSpec()) -> Report:
                 acc[kind]["price"].append(price)
                 acc[kind]["feasible"].append(1.0 if feasible else 0.0)
             if with_oracle:
-                eff = efficient_allocation(scenario, delta=0.0, grid_n=512)
+                eff = efficient_allocation(scenario, delta=0.0)
                 oracle_totals.append(eff.total_rate_increase_bps / w)
         row: dict = {"relay_power_w": float(budget)}
         for kind in (POWER, SNR):

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .auction import POWER, _Core, _log_gain, _power_curve, _power_demand, _relayed_snr, _UserArrays
-from .channel import NetworkScenario, _power_for_snr
+from .auction import POWER, _Core, _power_curve, _power_demand, _UserArrays
+from .channel import NetworkScenario, _log_gain, _power_for_snr, _relayed_snr
 from .numutil import bisect_transition, newton_root
 
 # a node is closed once its bound is at most the incumbent times (1 + BOUND_RTOL)
@@ -55,7 +54,7 @@ class VcgResult:
 
 def _finish(core: _Core, powers: np.ndarray, nodes: int = 1, gap: float = 0.0) -> OracleAllocation:
     """Zero out users whose power buys no rate increase, then package; the SNR is computed once."""
-    snr = _relayed_snr(powers, core)
+    snr = _relayed_snr(core.links, powers, core.b, core.sys)
     gains = np.maximum(_log_gain(snr, core.g, core.k), 0.0)
     buys = gains > 0.0
     return OracleAllocation(
@@ -179,22 +178,7 @@ def _branch_and_bound(users: _UserArrays) -> tuple[np.ndarray, int, float]:
     return best_x, nodes, max(closed / best - 1.0, 0.0)
 
 
-def _check_seeds(seeds: Iterable[Sequence[float]], n: int) -> None:
-    """Raise ValueError naming a seed that is not one finite nonnegative power per user."""
-    for k, seed in enumerate(seeds):
-        row = np.asarray(seed, dtype=float)
-        if row.shape != (n,):
-            raise ValueError(f"seeds[{k}] has shape {row.shape}; it needs one power per user ({n})")
-        if not np.all(np.isfinite(row) & (row >= 0.0)):
-            raise ValueError(f"seeds[{k}] must hold finite nonnegative powers, got {row.tolist()}")
-
-
-def efficient_allocation(
-    scenario: NetworkScenario,
-    delta: float = 0.01,
-    grid_n: int = 4096,
-    seeds: Iterable[Sequence[float]] = (),
-) -> OracleAllocation:
+def efficient_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
     """Power split maximizing the total rate increase on budget P*(1-delta).
 
     Exact, by branch-and-bound over the participant set (see the module
@@ -202,14 +186,9 @@ def efficient_allocation(
     at most 1e-12.  A scenario with at most one user who can gain from the
     relay is a closed form: that user takes the whole budget.  Power that
     buys no rate increase is released, so the budget may go partly unused.
-    grid_n (at least 16) and seeds (one finite nonnegative power per user
-    each) are validated and otherwise ignored, kept for compatibility.
     """
     if not 0.0 <= delta < 1.0:
         raise ValueError("delta must lie in [0, 1)")
-    if grid_n < 16:
-        raise ValueError("grid_n must be at least 16")
-    _check_seeds(seeds, scenario.n_users)
     budget = scenario.relay_budget_w * (1.0 - delta)
     # at the relay budget the scenario's core and power-auction arrays serve
     core = _Core.of(scenario) if delta == 0.0 else _Core(scenario.users, budget, scenario.system)
@@ -273,12 +252,13 @@ def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 40
     total the others could reach alone, minus what they actually get.  A
     user the efficient split gives no power leaves the optimum unchanged and
     pays exactly 0; for every other user one more welfare maximization runs
-    on the scenario without it.
+    on the scenario without it.  grid_n is ignored, kept for callers that
+    still pass it.
     """
-    base = efficient_allocation(scenario, delta, grid_n)
+    base = efficient_allocation(scenario, delta)
     payments = np.zeros(scenario.n_users)
     for i in np.flatnonzero(base.powers > 0.0) if scenario.n_users > 1 else ():
         others_gain = float(base.total_rate_increase_bps - base.per_user_rate_increase_bps[i])
-        alone = efficient_allocation(scenario.without_user(i), delta, grid_n)
+        alone = efficient_allocation(scenario.without_user(i), delta)
         payments[i] = max(alone.total_rate_increase_bps - others_gain, 0.0)
     return VcgResult(allocation=base, payments=payments)

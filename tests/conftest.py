@@ -12,20 +12,19 @@ from relayauction import (
     SystemParams,
     TwoUserSweepSpec,
     build_two_user_scenario,
-    is_snr_regular,
     link_from_geometry,
     run_two_user_sweep,
     sample_topologies,
     scenario_from_topology,
 )
-from relayauction.auction import POWER, _Core, _power_curve, _power_cutoff_points, _UserArrays, g_snr
+from relayauction.auction import POWER, SNR, _Core, _power_curve, _power_cutoff_points, _UserArrays
 from relayauction.channel import (
     LN2,
     direct_snr,
+    power_for_relayed_snr,
     rate_increase,
     relayed_snr,
     relayed_snr_limit,
-    snr_marginal_rate,
 )
 from relayauction.numutil import newton_root
 
@@ -51,7 +50,7 @@ def make_snr_regular_scenarios(seed: int, count: int, min_users: int = 2, max_us
     out = []
     while len(out) < count:
         sc = make_random_scenario(rng, int(rng.integers(min_users, max_users + 1)))
-        if is_snr_regular(sc):
+        if _UserArrays.of(sc, SNR).regular.any():
             out.append(sc)
     return out
 
@@ -111,11 +110,17 @@ def two_user_report(bench_spec):
     return report, elapsed
 
 
+def one_user(link, kind, budget, sys):
+    """One user's arrays under a payment rule; read [0] of factors(p), pi_lower, pi_hat, cutoff."""
+    return _UserArrays(_Core((link,), budget, sys), kind)
+
+
 def aggregate_share(factors) -> float:
-    """S = sum f/(1+f) of BestResponse factors: the equilibrium utilization when all are finite."""
-    if any(f.is_infinite for f in factors):
+    """S = sum f/(1+f) of an array of factors: the equilibrium utilization when all are finite."""
+    f = np.asarray(factors, dtype=float)
+    if np.isinf(f).any():
         raise ValueError("aggregate share undefined with divergent factors")
-    return float(sum(f.value / (1.0 + f.value) for f in factors))
+    return float((f / (1.0 + f)).sum())
 
 
 def reference_bisect(pred, x_false, x_true, rtol, max_iter=200):
@@ -134,6 +139,56 @@ def reference_bisect(pred, x_false, x_true, rtol, max_iter=200):
             x_false = mid
         steps += 1
     return (x_false, x_true), steps
+
+
+# the model's rates and landmarks by their textbook formulas, to check the closed forms against
+
+
+def direct_rate(link, sys):
+    """Rate of direct transmission only."""
+    return sys.bandwidth_hz * np.log2(1.0 + direct_snr(link, sys))
+
+
+def coop_rate(link, p_rd, sys):
+    """Rate of two-phase cooperative transmission with MRC at the destination.
+
+    Exactly half the direct rate at zero relay power: the halving is applied
+    last so the two code paths share the same rounding.
+    """
+    g = direct_snr(link, sys) + relayed_snr(link, p_rd, sys)
+    return 0.5 * (sys.bandwidth_hz * np.log2(1.0 + g))
+
+
+def breakeven_power(link, sys):
+    """Smallest relay power at which cooperation matches direct transmission.
+
+    The relayed SNR must reach g^2 + g, g the direct SNR; None when that
+    level is at or above the attainable supremum.
+    """
+    g = direct_snr(link, sys)
+    need = g * g + g
+    if need == 0.0:
+        return 0.0
+    if need >= relayed_snr_limit(link, sys):
+        return None
+    return power_for_relayed_snr(link, need, sys)
+
+
+def snr_marginal_rate(link, delta_snr, sys):
+    """Marginal rate increase per unit of relayed SNR on the cooperative branch."""
+    g = direct_snr(link, sys)
+    return 0.5 * sys.bandwidth_hz / LN2 / (1.0 + g + delta_snr)
+
+
+def g_snr(link, price, sys):
+    """Best attainable payoff in the SNR auction as a function of price.
+
+    Convex in price, diverging to +inf at both ends; its smallest positive
+    root is the participation cutoff pi_hat.
+    """
+    w = sys.bandwidth_hz
+    g = direct_snr(link, sys)
+    return price * (1.0 + g) - 0.5 * w * (np.log2(2.0 * price * LN2 * (1.0 + g) ** 2 / w) + 1.0 / LN2)
 
 
 def reference_snr_pi_hat(users):
@@ -188,5 +243,5 @@ def rate_increase_power_slope(link, p_rd, sys):
 
 def power_cutoff_point(link, budget, sys):
     """One user's relay power p in (0, budget] maximizing r(p) / p; None if r stays 0."""
-    p = float(_power_cutoff_points(_UserArrays(_Core((link,), budget, sys), POWER))[0])
+    p = float(_power_cutoff_points(one_user(link, POWER, budget, sys))[0])
     return None if math.isnan(p) else p

@@ -9,38 +9,31 @@ from hypothesis import strategies as st
 
 from relayauction import (
     AuctionParams,
-    BestResponse,
     allocate,
-    best_response,
     build_two_user_scenario,
     direct_snr,
-    g_snr,
-    is_power_regular,
-    is_snr_regular,
     payment,
     payoff,
-    power_best_response_factor,
-    power_critical_prices,
     power_for_relayed_snr,
     rate_increase,
     relayed_snr,
     relayed_snr_limit,
-    snr_best_response_factor,
-    snr_critical_prices,
-    snr_marginal_rate,
 )
 from relayauction import auction, numutil, oracles
 from relayauction.auction import KINDS, POWER, SNR, _Core, _power_curve, _power_cutoff_points, _UserArrays
-from relayauction.channel import LN2, NetworkScenario, UserLink, _LinkArrays, breakeven_power
+from relayauction.channel import LN2, NetworkScenario, UserLink, _LinkArrays
 
 from conftest import (
     BENCH_SYSTEM,
+    g_snr,
     make_random_scenario,
+    one_user,
     power_cutoff_point,
     rate_increase_power_slope,
     reference_power_cutoff_points,
     reference_power_pi_hat,
     reference_snr_pi_hat,
+    snr_marginal_rate,
     study_scenarios,
 )
 
@@ -154,6 +147,14 @@ def test_payoff_negative_under_huge_price():
 # SNR auction closed forms
 
 
+def _snr_user(link, budget=BUDGET):
+    return one_user(link, SNR, budget, BENCH_SYSTEM)
+
+
+def _power_user(link, budget=BUDGET):
+    return one_user(link, POWER, budget, BENCH_SYSTEM)
+
+
 def test_g_snr_positive_at_extremes():
     link = _bench_link_2()
     pi_star = BENCH_SYSTEM.bandwidth_hz / (2 * LN2 * (1 + direct_snr(link, BENCH_SYSTEM)))
@@ -175,16 +176,15 @@ def test_g_snr_has_two_roots_around_stationary_point():
 
 def test_snr_critical_prices_bench_values():
     link = _bench_link_2()
-    cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    assert cp.pi_lower == pytest.approx(4.0954e4, rel=1e-4)
-    assert abs(g_snr(link, cp.pi_hat, BENCH_SYSTEM)) < 1e-8 * BENCH_SYSTEM.bandwidth_hz
-    assert cp.regular
+    users = _snr_user(link)
+    assert users.pi_lower[0] == pytest.approx(4.0954e4, rel=1e-4)
+    assert abs(g_snr(link, users.pi_hat[0], BENCH_SYSTEM)) < 1e-8 * BENCH_SYSTEM.bandwidth_hz
+    assert users.regular[0]
 
 
 def test_snr_pi_lower_matches_finite_difference_marginal():
     # marginal rate per unit SNR at the full budget equals the lower critical price
     link = _bench_link_2()
-    cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
     h = 1e-7
     dr = float(rate_increase(link, BUDGET, BENCH_SYSTEM)) - float(
         rate_increase(link, BUDGET * (1 - h), BENCH_SYSTEM)
@@ -192,35 +192,32 @@ def test_snr_pi_lower_matches_finite_difference_marginal():
     dsnr = float(relayed_snr(link, BUDGET, BENCH_SYSTEM)) - float(
         relayed_snr(link, BUDGET * (1 - h), BENCH_SYSTEM)
     )
-    assert cp.pi_lower == pytest.approx(dr / dsnr, rel=1e-5)
+    assert _snr_user(link).pi_lower[0] == pytest.approx(dr / dsnr, rel=1e-5)
 
 
 def test_snr_pi_lower_decreases_with_budget():
     link = _bench_link_2()
-    lo = snr_critical_prices(link, 0.05, BENCH_SYSTEM).pi_lower
-    hi = snr_critical_prices(link, 0.2, BENCH_SYSTEM).pi_lower
-    assert hi < lo
+    assert _snr_user(link, 0.2).pi_lower[0] < _snr_user(link, 0.05).pi_lower[0]
 
 
 def test_snr_best_response_branches():
-    link = _bench_link_2()
-    cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    assert snr_best_response_factor(link, cp.pi_hat * 1.001, BUDGET, BENCH_SYSTEM).is_zero
-    assert snr_best_response_factor(link, cp.pi_hat, BUDGET, BENCH_SYSTEM).is_zero
-    assert snr_best_response_factor(link, cp.pi_lower, BUDGET, BENCH_SYSTEM).is_infinite
-    assert snr_best_response_factor(link, cp.pi_lower * 0.5, BUDGET, BENCH_SYSTEM).is_infinite
-    mid = math.sqrt(cp.pi_lower * cp.pi_hat)
-    f = snr_best_response_factor(link, mid, BUDGET, BENCH_SYSTEM)
-    assert not f.is_infinite and f.value > 0.0
+    users = _snr_user(_bench_link_2())
+    lo, hat = users.pi_lower[0], users.pi_hat[0]
+    assert users.factors(hat * 1.001)[0] == 0.0
+    assert users.factors(hat)[0] == 0.0
+    assert np.isinf(users.factors(lo)[0])
+    assert np.isinf(users.factors(lo * 0.5)[0])
+    f = users.factors(math.sqrt(lo * hat))[0]
+    assert np.isfinite(f) and f > 0.0
 
 
 def test_snr_best_response_matches_numeric_argmax():
     link = _bench_link_2()
-    cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    price = 0.5 * (cp.pi_lower + cp.pi_hat)
-    f = snr_best_response_factor(link, price, BUDGET, BENCH_SYSTEM)
+    users = _snr_user(link)
+    price = float(0.5 * (users.pi_lower[0] + users.pi_hat[0]))
+    f = users.factors(price)[0]
     x_star, _ = numeric_best_power(link, price, "snr", BUDGET, BENCH_SYSTEM)
-    assert f.value / (1 + f.value) * BUDGET == pytest.approx(x_star, rel=1e-6)
+    assert f / (1 + f) * BUDGET == pytest.approx(x_star, rel=1e-6)
 
 
 def test_snr_best_response_random_sample_vs_numeric():
@@ -230,67 +227,64 @@ def test_snr_best_response_random_sample_vs_numeric():
     while checked < 200:
         sc = make_random_scenario(rng, 1)
         link = sc.users[0]
-        cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
-        if not cp.regular:
+        users = _snr_user(link)
+        if not users.regular[0]:
             continue
         t = rng.uniform(0.02, 0.98)
-        price = cp.pi_lower * (1 - t) + cp.pi_hat * t
-        f = snr_best_response_factor(link, float(price), BUDGET, BENCH_SYSTEM)
-        if f.is_infinite or f.is_zero:
+        price = float(users.pi_lower[0] * (1 - t) + users.pi_hat[0] * t)
+        f = users.factors(price)[0]
+        if np.isinf(f) or f == 0.0:
             continue
-        x_star, _ = numeric_best_power(link, float(price), "snr", BUDGET, BENCH_SYSTEM)
-        assert f.value / (1 + f.value) * BUDGET == pytest.approx(x_star, rel=1e-6, abs=1e-12)
+        x_star, _ = numeric_best_power(link, price, "snr", BUDGET, BENCH_SYSTEM)
+        assert f / (1 + f) * BUDGET == pytest.approx(x_star, rel=1e-6, abs=1e-12)
         checked += 1
 
 
 def test_snr_factor_nonincreasing_in_price():
-    link = _bench_link_2()
-    cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    prices = np.linspace(cp.pi_lower * 1.001, cp.pi_hat * 0.999, 50)
-    vals = [snr_best_response_factor(link, float(p), BUDGET, BENCH_SYSTEM).value for p in prices]
+    users = _snr_user(_bench_link_2())
+    prices = np.linspace(users.pi_lower[0] * 1.001, users.pi_hat[0] * 0.999, 50)
+    vals = [users.factors(float(p))[0] for p in prices]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_snr_zero_branch_zero_payoff():
     # at prices past the cutoff no bid earns a positive payoff
     link = _bench_link_2()
-    cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    params = AuctionParams("snr", cp.pi_hat * 1.01)
+    params = AuctionParams("snr", float(_snr_user(link).pi_hat[0]) * 1.01)
     bids = np.linspace(0.0, 50.0, 500)
     vals = [payoff(link, float(b), 1.0, params, BUDGET, BENCH_SYSTEM) for b in bids]
     assert max(vals) <= 1e-9 * BENCH_SYSTEM.bandwidth_hz
 
 
 def test_best_response_discontinuous_at_pi_hat():
-    link = _bench_link_2()
-    cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    left = snr_best_response_factor(link, cp.pi_hat * (1 - 1e-9), BUDGET, BENCH_SYSTEM)
-    right = snr_best_response_factor(link, cp.pi_hat * (1 + 1e-9), BUDGET, BENCH_SYSTEM)
-    left_power = left.value / (1 + left.value) * BUDGET
+    users = _snr_user(_bench_link_2())
+    left = users.factors(users.pi_hat[0] * (1 - 1e-9))[0]
+    right = users.factors(users.pi_hat[0] * (1 + 1e-9))[0]
+    left_power = left / (1 + left) * BUDGET
     assert left_power > 0.01 * BUDGET  # allocated power jumps, not fades
-    assert right.is_zero
+    assert right == 0.0
 
 
 def test_snr_nonregular_user_never_profits_case():
     # relay far from the source: asymptotic relayed SNR below the kink,
     # so the best response is zero at every price
-    link = UserLink(0, 0.01, 6.25e-10, 1e-11, 1e-9)
-    cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    assert not cp.regular
-    for price in (cp.pi_hat * 0.5, cp.pi_hat * 0.99, cp.pi_hat * 2.0):
-        assert snr_best_response_factor(link, float(price), BUDGET, BENCH_SYSTEM).is_zero
+    users = _snr_user(UserLink(0, 0.01, 6.25e-10, 1e-11, 1e-9))
+    assert not users.regular[0]
+    for price in (users.pi_hat[0] * 0.5, users.pi_hat[0] * 0.99, users.pi_hat[0] * 2.0):
+        assert users.factors(float(price))[0] == 0.0
 
 
 def test_snr_nonregular_divergent_below_full_budget_cutoff():
     # user 1 at relay (80, 25) profits only by taking essentially everything
     link = _bench_link_1at25()
-    cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    assert not cp.regular
+    users = _snr_user(link)
+    assert not users.regular[0]
     cutoff = float(rate_increase(link, BUDGET, BENCH_SYSTEM)) / float(
         relayed_snr(link, BUDGET, BENCH_SYSTEM)
     )
-    assert snr_best_response_factor(link, cutoff * 0.999, BUDGET, BENCH_SYSTEM).is_infinite
-    assert snr_best_response_factor(link, cutoff * 1.001, BUDGET, BENCH_SYSTEM).is_zero
+    assert users.cutoff[0] == pytest.approx(cutoff, rel=1e-12)
+    assert np.isinf(users.factors(cutoff * 0.999)[0])
+    assert users.factors(cutoff * 1.001)[0] == 0.0
     # and indeed no positive payoff is available above the cutoff
     params = AuctionParams("snr", cutoff * 1.001)
     bids = np.geomspace(1e-6, 1e6, 400)
@@ -299,16 +293,18 @@ def test_snr_nonregular_divergent_below_full_budget_cutoff():
 
 
 def test_best_response_linear_in_opponents():
+    # the bid f * (opponents + reserve) is the best bid against any opponents' sum
     link = _bench_link_2()
-    cp = snr_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    price = 0.5 * (cp.pi_lower + cp.pi_hat)
+    users = _snr_user(link)
+    price = float(0.5 * (users.pi_lower[0] + users.pi_hat[0]))
     params = AuctionParams("snr", price, reserve_bid=1.0)
-    f = snr_best_response_factor(link, price, BUDGET, BENCH_SYSTEM).value
-    assert best_response(link, 3.0, params, BUDGET, BENCH_SYSTEM).value == pytest.approx(
-        f * 4.0, rel=1e-12
-    )
-    big_price = cp.pi_hat * 2
-    assert best_response(link, 5.0, AuctionParams("snr", big_price), BUDGET, BENCH_SYSTEM).is_zero
+    f = float(users.factors(price)[0])
+    for others in (0.0, 3.0, 50.0):
+        bid = f * (others + params.reserve_bid)
+        best = payoff(link, bid, others, params, BUDGET, BENCH_SYSTEM)
+        for bump in (0.9, 0.99, 1.01, 1.1):
+            assert payoff(link, bid * bump, others, params, BUDGET, BENCH_SYSTEM) <= best + 1e-9 * abs(best)
+    assert users.factors(users.pi_hat[0] * 2)[0] == 0.0
 
 
 def test_payoff_peaks_at_equilibrium_bid(scenario_y0):
@@ -336,11 +332,12 @@ def test_power_best_response_matches_low_snr_closed_form():
     assert direct_snr(link, sysp) + float(relayed_snr(link, BUDGET, sysp)) < 0.01
     b = relayed_snr_limit(link, sysp)
     a_per_watt = link.gain_rd / sysp.noise_w
+    users = _power_user(link)
 
     for price in (1.5e4, 2e4, 3e4):
-        f = power_best_response_factor(link, price, BUDGET, sysp)
-        assert not f.is_infinite and f.value > 0.0
-        x_numeric = f.value / (1 + f.value) * BUDGET
+        f = users.factors(price)[0]
+        assert np.isfinite(f) and f > 0.0
+        x_numeric = f / (1 + f) * BUDGET
         # closed form: d(relayed SNR)/dx * W/(2 ln2) = price
         # with snr(x) = a(x) b / (a(x) + b + 1), a(x) = a_per_watt * x
         w = sysp.bandwidth_hz
@@ -350,20 +347,19 @@ def test_power_best_response_matches_low_snr_closed_form():
 
 
 def test_power_best_response_zero_when_relay_useless():
-    link = UserLink(0, 0.01, 6.25e-10, 1e-11, 1e-9)
-    assert power_best_response_factor(link, 1.0, BUDGET, BENCH_SYSTEM).is_zero
+    assert _power_user(UserLink(0, 0.01, 6.25e-10, 1e-11, 1e-9)).factors(1.0)[0] == 0.0
 
 
 def test_power_best_response_matches_numeric_argmax():
     link = _bench_link_2()
-    cp = power_critical_prices(link, BUDGET, BENCH_SYSTEM)
+    users = _power_user(link)
     for t in (0.2, 0.5, 0.8):
-        price = cp.pi_lower * (1 - t) + cp.pi_hat * t
-        f = power_best_response_factor(link, float(price), BUDGET, BENCH_SYSTEM)
-        if f.is_infinite or f.is_zero:
+        price = float(users.pi_lower[0] * (1 - t) + users.pi_hat[0] * t)
+        f = users.factors(price)[0]
+        if np.isinf(f) or f == 0.0:
             continue
-        x_star, _ = numeric_best_power(link, float(price), "power", BUDGET, BENCH_SYSTEM)
-        assert f.value / (1 + f.value) * BUDGET == pytest.approx(x_star, rel=1e-5, abs=1e-12)
+        x_star, _ = numeric_best_power(link, price, "power", BUDGET, BENCH_SYSTEM)
+        assert f / (1 + f) * BUDGET == pytest.approx(x_star, rel=1e-5, abs=1e-12)
 
 
 def test_power_critical_prices_zero_cutoff_when_direct_dominates():
@@ -371,28 +367,27 @@ def test_power_critical_prices_zero_cutoff_when_direct_dominates():
     link = UserLink(0, 0.01, 9e-11, 7e-11, 3e-10)
     assert relayed_snr_limit(link, BENCH_SYSTEM) < 0.1
     assert link.gain_sd > link.gain_sr
-    cp = power_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    assert cp.pi_hat == 0.0
-    assert power_best_response_factor(link, 123.0, BUDGET, BENCH_SYSTEM).is_zero
+    users = _power_user(link)
+    assert users.pi_hat[0] == 0.0
+    assert users.factors(123.0)[0] == 0.0
 
 
 def test_power_cutoff_separates_participation():
-    link = _bench_link_2()
-    cp = power_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    assert cp.regular
-    below = power_best_response_factor(link, cp.pi_hat * (1 - 1e-6), BUDGET, BENCH_SYSTEM)
-    above = power_best_response_factor(link, cp.pi_hat * (1 + 1e-6), BUDGET, BENCH_SYSTEM)
-    assert below.value > 0.0 and not below.is_infinite
-    assert above.is_zero
+    users = _power_user(_bench_link_2())
+    assert users.regular[0]
+    below = users.factors(users.pi_hat[0] * (1 - 1e-6))[0]
+    above = users.factors(users.pi_hat[0] * (1 + 1e-6))[0]
+    assert below > 0.0 and np.isfinite(below)
+    assert above == 0.0
 
 
 def test_power_pi_hat_positive_validated_by_scan():
     # user 1 at relay (80, -25) profits over a whole price range
     link = UserLink(0, 0.01, 200.0**-4, 120.0**-4, 80.0**-4)
-    cp = power_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    assert cp.pi_hat > 0.0
+    pi_hat = _power_user(link).pi_hat[0]
+    assert pi_hat > 0.0
     # dense (price, power) grid confirms: profit possible below, not above
-    for price, expect_profit in ((cp.pi_hat * 0.9, True), (cp.pi_hat * 1.1, False)):
+    for price, expect_profit in ((pi_hat * 0.9, True), (pi_hat * 1.1, False)):
         xs = np.linspace(0.0, BUDGET, 4001)
         vals = np.asarray(rate_increase(link, xs, BENCH_SYSTEM)) - price * xs
         assert (vals.max() > 0.0) == expect_profit
@@ -400,8 +395,7 @@ def test_power_pi_hat_positive_validated_by_scan():
 
 def test_power_pi_lower_is_full_budget_marginal():
     link = _bench_link_2()
-    cp = power_critical_prices(link, BUDGET, BENCH_SYSTEM)
-    assert cp.pi_lower == pytest.approx(
+    assert _power_user(link).pi_lower[0] == pytest.approx(
         rate_increase_power_slope(link, BUDGET, BENCH_SYSTEM), rel=1e-12
     )
 
@@ -415,13 +409,14 @@ power_links = st.tuples(
 budgets = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)  # 1e-6 to 1e3 W
 
 
-def _probe_prices(cp, t_span, t_band):
+def _probe_prices(users, t_span, t_band):
     """pi_lower, pi_hat -/+ 1e-6, a log-uniform point between pi_lower/1e3 and
     1.5 pi_hat, and one inside the finite band (pi_lower, pi_hat) if it exists."""
-    lo, hi = cp.pi_lower * 1e-3, cp.pi_hat * 1.5
-    prices = [cp.pi_lower, cp.pi_hat * (1 - 1e-6), cp.pi_hat * (1 + 1e-6), lo * (hi / lo) ** t_span]
-    if cp.regular:
-        prices.append(cp.pi_lower * (cp.pi_hat / cp.pi_lower) ** t_band)
+    pi_lower, pi_hat = float(users.pi_lower[0]), float(users.pi_hat[0])
+    lo, hi = pi_lower * 1e-3, pi_hat * 1.5
+    prices = [pi_lower, pi_hat * (1 - 1e-6), pi_hat * (1 + 1e-6), lo * (hi / lo) ** t_span]
+    if users.regular[0]:
+        prices.append(pi_lower * (pi_hat / pi_lower) ** t_band)
     return prices
 
 
@@ -431,29 +426,29 @@ def _probe_prices(cp, t_span, t_band):
 @example(UserLink(0, 0.01, 176.0**-4, 42.0**-4, 11.0**-4), 1e3, 0.0, 0.25)
 @settings(max_examples=100)
 def test_power_best_response_closed_form_matches_numeric_argmax(link, budget, t_span, t_band):
-    cp = power_critical_prices(link, budget, BENCH_SYSTEM)
-    assume(cp.pi_hat > 0.0)
+    users = _power_user(link, budget)
+    assume(users.pi_hat[0] > 0.0)
 
     def net(p):
         return float(rate_increase(link, p, BENCH_SYSTEM)) - price * p
 
-    for price in _probe_prices(cp, t_span, t_band):
-        f = power_best_response_factor(link, price, budget, BENCH_SYSTEM)
+    for price in _probe_prices(users, t_span, t_band):
+        f = float(users.factors(price)[0])
         x_star, v_star = numeric_best_power(link, price, "power", budget, BENCH_SYSTEM)
-        event("zero" if f.is_zero else "divergent" if f.is_infinite else "finite")
+        event("zero" if f == 0.0 else "divergent" if math.isinf(f) else "finite")
         # the closed form's power (the end of the budget where divergent) and net gain
         top = budget * (1 - 1e-12)
-        x = top if f.is_infinite else f.value / (1 + f.value) * budget
+        x = top if math.isinf(f) else f / (1 + f) * budget
         v = net(x) if x > 0.0 else 0.0
         tol = 1e-12 * float(rate_increase(link, max(x, x_star), BENCH_SYSTEM))
         # no grid point beats the closed form by more than rounding
         assert v >= v_star - tol
-        if f.is_zero != (v_star <= 0.0):
+        if (f == 0.0) != (v_star <= 0.0):
             # only at a price within rounding of pi_hat, where the best net gain
             # is zero to rounding and the two cannot tell zero from positive
             event("zero to rounding")
-            assert abs(price / cp.pi_hat - 1.0) <= 1e-12 and abs(v - v_star) <= tol
-        elif f.value > 0.0 and not f.is_infinite:
+            assert abs(price / users.pi_hat[0] - 1.0) <= 1e-12 and abs(v - v_star) <= tol
+        elif f > 0.0 and not math.isinf(f):
             # beyond the 1e-3..10 W budgets the net gain 1e-5 away from its peak can
             # equal the peak to rounding, so that no grid places the argmax; there
             # the closed form must meet the first-order condition r'(x) = price
@@ -467,25 +462,20 @@ def test_power_best_response_closed_form_matches_numeric_argmax(link, budget, t_
 
 @given(link=power_links, budget=budgets)
 def test_power_cutoff_envelope_identity(link, budget):
-    cp = power_critical_prices(link, budget, BENCH_SYSTEM)
-    assume(cp.pi_hat > 0.0)
+    users = _power_user(link, budget)
+    pi_hat = users.pi_hat[0]
+    assume(pi_hat > 0.0)
     p_dagger = power_cutoff_point(link, budget, BENCH_SYSTEM)
     # pi_hat is the largest rate per watt, reached at p_dagger
-    assert float(rate_increase(link, p_dagger, BENCH_SYSTEM)) == pytest.approx(
-        cp.pi_hat * p_dagger, rel=1e-9
-    )
+    assert float(rate_increase(link, p_dagger, BENCH_SYSTEM)) == pytest.approx(pi_hat * p_dagger, rel=1e-9)
     event("interior" if p_dagger < budget else "at budget")
     if p_dagger < budget:
-        assert rate_increase_power_slope(link, p_dagger, BENCH_SYSTEM) == pytest.approx(
-            cp.pi_hat, rel=1e-9
-        )
+        assert rate_increase_power_slope(link, p_dagger, BENCH_SYSTEM) == pytest.approx(pi_hat, rel=1e-9)
     grid = np.linspace(budget / 4001, budget, 4001)
     per_watt = np.asarray(rate_increase(link, grid, BENCH_SYSTEM)) / grid
-    assert per_watt.max() <= cp.pi_hat * (1 + 1e-12)
-    below = power_best_response_factor(link, cp.pi_hat * (1 - 1e-6), budget, BENCH_SYSTEM)
-    above = power_best_response_factor(link, cp.pi_hat * (1 + 1e-6), budget, BENCH_SYSTEM)
-    assert below.value > 0.0
-    assert above.is_zero
+    assert per_watt.max() <= pi_hat * (1 + 1e-12)
+    assert users.factors(pi_hat * (1 - 1e-6))[0] > 0.0
+    assert users.factors(pi_hat * (1 + 1e-6))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +572,7 @@ def _link_with_direct_snr(g, d_sr=80.0, d_rd=120.0):
 def test_snr_pi_hat_is_the_root_of_g_snr(log_g):
     link = _link_with_direct_snr(10.0**log_g)
     g = direct_snr(link, BENCH_SYSTEM)
-    pi_hat = snr_critical_prices(link, BUDGET, BENCH_SYSTEM).pi_hat
+    pi_hat = _snr_user(link).pi_hat[0]
     assert abs(g_snr(link, pi_hat, BENCH_SYSTEM)) <= 1e-12 * K
     assert 0.0 < pi_hat < K / (1.0 + g)
 
@@ -610,7 +600,7 @@ def test_snr_pi_hat_accurate_as_direct_snr_vanishes():
     for g in 10.0 ** np.arange(-15.0, 16.0):
         link = _link_with_direct_snr(g)
         g = direct_snr(link, BENCH_SYSTEM)
-        got = snr_critical_prices(link, BUDGET, BENCH_SYSTEM).pi_hat
+        got = _snr_user(link).pi_hat[0]
         assert abs(got / _decimal_snr_pi_hat(g) - 1.0) <= 2e-15
 
 
@@ -647,7 +637,7 @@ def test_power_pi_hat_accurate_on_weak_direct_links():
     for g in 10.0 ** np.arange(-7.0, -2.9, 0.25):
         link = _link_with_direct_snr(g)
         for budget in (1e-3, BUDGET, 10.0):
-            users = _UserArrays(_Core((link,), budget, BENCH_SYSTEM), POWER)
+            users = _power_user(link, budget)
             assert abs(users.pi_hat[0] / _decimal_power_pi_hat(users) - 1.0) <= 2e-15
 
 
@@ -689,18 +679,18 @@ def test_regularity_far_relay_false():
         UserLink(i, 0.01, 6.25e-10, 1e-12, 1e-12) for i in range(3)
     )  # hopeless relay links
     sc = NetworkScenario(users, BUDGET, sysp)
-    assert not is_snr_regular(sc)
-    assert not is_power_regular(sc)
+    assert not _UserArrays.of(sc, SNR).regular.any()
+    assert not _UserArrays.of(sc, POWER).regular.any()
 
 
 def test_regularity_bench_scenario(scenario_y0):
-    assert is_snr_regular(scenario_y0)
-    assert is_power_regular(scenario_y0)
+    assert _UserArrays.of(scenario_y0, SNR).regular.any()
+    assert _UserArrays.of(scenario_y0, POWER).regular.any()
 
 
 def test_regularity_single_user_copy(scenario_y0):
     one = NetworkScenario((scenario_y0.users[1],), BUDGET, BENCH_SYSTEM)
-    assert is_snr_regular(one)
+    assert _UserArrays.of(one, SNR).regular.any()
 
 
 def test_auction_params_validation():
@@ -710,5 +700,3 @@ def test_auction_params_validation():
         AuctionParams("snr", 0.0)
     with pytest.raises(ValueError):
         AuctionParams("snr", 1.0, reserve_bid=0.0)
-    with pytest.raises(ValueError):
-        BestResponse.finite(math.inf)

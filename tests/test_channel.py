@@ -9,9 +9,6 @@ import numpy as np
 import pytest
 
 from relayauction import (
-    breakeven_power,
-    coop_rate,
-    direct_rate,
     direct_snr,
     load_scenario,
     path_gain,
@@ -26,7 +23,7 @@ from relayauction import (
 from relayauction.auction import POWER, _power_cutoff_points, _UserArrays
 from relayauction.channel import NetworkScenario, SystemParams, UserLink
 
-from conftest import BENCH_SYSTEM, rate_increase_power_slope
+from conftest import BENCH_SYSTEM, breakeven_power, coop_rate, direct_rate, rate_increase_power_slope
 
 
 def test_path_gain_unit_distance():
@@ -130,6 +127,10 @@ def test_coop_rate_half_direct_at_zero_power():
 def test_coop_rate_bench_value():
     link = UserLink(1, 0.01, 6.25e-10, 80.0**-4, 120.0**-4)
     assert float(coop_rate(link, 0.1, BENCH_SYSTEM)) == pytest.approx(2.0693e6, rel=1e-4)
+    # the rate increase in log1p form is the cooperative rate less the direct one
+    for p in (0.0, 1e-4, 0.01, 0.1, 10.0):
+        want = max(float(coop_rate(link, p, BENCH_SYSTEM)) - direct_rate(link, BENCH_SYSTEM), 0.0)
+        assert float(rate_increase(link, p, BENCH_SYSTEM)) == pytest.approx(want, rel=1e-12, abs=1e-6)
 
 
 def test_coop_rate_monotone():

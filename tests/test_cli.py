@@ -51,7 +51,7 @@ def test_ne_solve_reports_no_equilibrium(scenario_file, capsys):
 
 def test_oracle_commands(scenario_file, capsys):
     for which in ("efficient", "fair", "vcg"):
-        rc = main(["oracle", which, "--scenario", str(scenario_file), "--grid", "256"])
+        rc = main(["oracle", which, "--scenario", str(scenario_file)])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["oracle"] == which

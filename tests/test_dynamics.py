@@ -1,5 +1,6 @@
 """Best-response iteration, equilibrium solving, thresholds, calibration."""
 
+import math
 import pickle
 
 import numpy as np
@@ -17,24 +18,20 @@ from relayauction import (
     allocate,
     build_two_user_scenario,
     calibrate_price,
-    critical_prices,
     efficient_allocation,
     estimate_geometric_rate,
     fair_allocation,
-    is_power_regular,
     iterate_best_response,
     ne_bids_from_factors,
-    ne_exists,
     payment,
     payoff,
     rate_increase,
     relayed_snr,
-    response_factors,
     solve_ne,
     threshold_price,
     update_matrix,
 )
-from relayauction.auction import POWER, SNR, _Core, _UserArrays, divergence_cutoff
+from relayauction.auction import POWER, SNR, _Core, _UserArrays
 from relayauction.channel import _LinkArrays
 from relayauction.dynamics import THRESHOLD_RTOL, IterationTrace
 
@@ -102,7 +99,7 @@ def test_iterate_two_user_residual_ratio(scenario_y0):
     # two-user alternating structure contracts at sqrt(f1 * f2) per step
     pr = calibrate_price(scenario_y0, "snr", 0.9)
     params = AuctionParams("snr", pr.price)
-    factors = [f.value for f in response_factors(scenario_y0, params)]
+    factors = _UserArrays.of(scenario_y0, SNR).factors(params.price)
     expected = float(np.sqrt(factors[0] * factors[1]))
     trace = iterate_best_response(scenario_y0, params, np.array([3.0, 0.3]), tol=1e-12)
     assert trace.converged
@@ -203,7 +200,7 @@ def test_utilization_identity(scenario_y0):
     pr = calibrate_price(scenario_y0, "snr", 0.9)
     params = AuctionParams("snr", pr.price)
     eq = solve_ne(scenario_y0, params)
-    share = aggregate_share(response_factors(scenario_y0, params))
+    share = aggregate_share(_UserArrays.of(scenario_y0, SNR).factors(params.price))
     assert eq.utilization == pytest.approx(share, abs=1e-10)
 
 
@@ -222,10 +219,10 @@ def test_power_solve_matches_share_identity(scenario_y25):
     params = AuctionParams("power", pr.price)
     eq = solve_ne(scenario_y25, params)
     assert isinstance(eq, EquilibriumResult)
-    factors = [f.value for f in response_factors(scenario_y25, params)]
+    factors = _UserArrays.of(scenario_y25, POWER).factors(params.price)
     expected_bids = ne_bids_from_factors(factors, params.reserve_bid)
     assert eq.bids == pytest.approx(expected_bids, rel=1e-6, abs=1e-9)
-    assert eq.utilization == pytest.approx(aggregate_share(response_factors(scenario_y25, params)), abs=1e-8)
+    assert eq.utilization == pytest.approx(aggregate_share(factors), abs=1e-8)
 
 
 def test_power_iteration_from_former_multistarts_matches_solve_ne():
@@ -235,7 +232,7 @@ def test_power_iteration_from_former_multistarts_matches_solve_ne():
     scenarios, live = 0, 0
     while scenarios < 20:
         sc = make_random_scenario(rng, int(rng.integers(2, 6)))
-        if not is_power_regular(sc):
+        if not _UserArrays.of(sc, POWER).regular.any():
             continue
         scenarios += 1
         th = threshold_price(sc, "power")
@@ -263,7 +260,8 @@ def test_ne_exists_agrees_with_solver():
         th = threshold_price(sc, "snr")
         for mult in rng.uniform(0.7, 1.5, 4):
             params = AuctionParams("snr", th * float(mult))
-            assert ne_exists(sc, params) == isinstance(solve_ne(sc, params), EquilibriumResult)
+            exists = _UserArrays.of(sc, SNR).shares([params.price])[0] < 1.0
+            assert exists == isinstance(solve_ne(sc, params), EquilibriumResult)
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +277,14 @@ def test_threshold_price_transition(scenario_y0):
 
 def test_threshold_above_divergence_cutoffs(scenario_y0):
     th = threshold_price(scenario_y0, "snr")
-    bound = max(
-        divergence_cutoff(u, "snr", BUDGET, BENCH_SYSTEM) for u in scenario_y0.users
-    )
+    bound = _UserArrays.of(scenario_y0, SNR).cutoff.max()
     assert th >= bound * (1 - 1e-9)
 
 
 def test_threshold_cross_checked_by_grid_scan(scenario_y0):
     th = threshold_price(scenario_y0, "snr")
     prices = np.geomspace(th * 0.5, th * 2.0, 400)
-    exists = np.array([ne_exists(scenario_y0, AuctionParams("snr", float(p))) for p in prices])
+    exists = _UserArrays.of(scenario_y0, SNR).shares(prices) < 1.0
     # existence is monotone and flips exactly at the reported threshold
     assert np.all(np.diff(exists.astype(int)) >= 0)
     flip = prices[np.argmax(exists)]
@@ -487,8 +483,6 @@ def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):
         params = AuctionParams(kind, price)
         assert isinstance(solve_ne(sc, params), EquilibriumResult)
         threshold_price(sc, kind)
-        ne_exists(sc, params)
-        response_factors(sc, params)
         iterate_best_response(sc, params, [0.0, 0.0])
     efficient_allocation(sc, delta=0.0)
     fair_allocation(sc)
@@ -562,10 +556,10 @@ def test_rate_estimate_matches_spectral_radius_three_users():
         except ValueError:
             continue
         params = AuctionParams("snr", th * 1.02)
-        factors = response_factors(sc, params)
-        if any(f.is_infinite for f in factors):
+        factors = _UserArrays.of(sc, SNR).factors(params.price)
+        if np.isinf(factors).any():
             continue
-        rho = float(np.max(np.abs(np.linalg.eigvals(update_matrix([f.value for f in factors])))))
+        rho = float(np.max(np.abs(np.linalg.eigvals(update_matrix(factors)))))
         if not 0.05 < rho < 0.98:
             continue
         trace = iterate_best_response(sc, params, np.full(3, 1.0), tol=1e-12)
@@ -593,14 +587,13 @@ def _threshold_or_skip(sc, kind):
 
 def _share(sc, kind, price):
     """Aggregate share with a divergent factor counting as a full share."""
-    factors = response_factors(sc, AuctionParams(kind, price))
-    return sum(1.0 if f.is_infinite else f.value / (1.0 + f.value) for f in factors)
+    factors = _UserArrays.of(sc, kind).factors(price).tolist()
+    return sum(1.0 if math.isinf(f) else f / (1.0 + f) for f in factors)
 
 
 def _price_grid(sc, kind, th, n=40):
     """Sorted log-spaced prices from half the threshold to twice the largest pi_hat."""
-    hats = [critical_prices(u, kind, sc.relay_budget_w, sc.system).pi_hat for u in sc.users]
-    return np.geomspace(0.5 * th, 2.0 * max(hats), n)
+    return np.geomspace(0.5 * th, 2.0 * _UserArrays.of(sc, kind).pi_hat.max(), n)
 
 
 @given(sc=random_scenarios, kind=st.sampled_from(KINDS))

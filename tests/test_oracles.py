@@ -25,15 +25,14 @@ from relayauction import (
     relayed_snr,
     sample_topologies,
     scenario_from_topology,
-    snr_marginal_rate,
     solve_ne,
     threshold_price,
     vcg_auction,
 )
 from relayauction.auction import _Core, _UserArrays
-from relayauction.channel import _LinkArrays, breakeven_power, power_for_relayed_snr, relayed_snr_limit
+from relayauction.channel import _LinkArrays, power_for_relayed_snr, relayed_snr_limit
 
-from conftest import BENCH_SYSTEM, make_random_scenario, reference_bisect
+from conftest import BENCH_SYSTEM, breakeven_power, make_random_scenario, reference_bisect, snr_marginal_rate
 
 BUDGET = 0.1
 
@@ -138,16 +137,16 @@ def test_efficient_respects_budget_and_nonnegativity():
     rng = np.random.default_rng(17)
     for _ in range(10):
         sc = make_random_scenario(rng, int(rng.integers(1, 6)))
-        alloc = efficient_allocation(sc, delta=0.01, grid_n=256)
+        alloc = efficient_allocation(sc, delta=0.01)
         assert np.all(alloc.powers >= 0.0)
         assert alloc.powers.sum() <= BUDGET * 0.99 * (1 + 1e-12)
 
 
-def test_efficient_multiuser_path_beats_seeds():
+def test_efficient_beats_every_single_user_split():
     rng = np.random.default_rng(23)
     sc = make_random_scenario(rng, 6)
     budget = BUDGET * 0.99
-    alloc = efficient_allocation(sc, delta=0.01, grid_n=256)
+    alloc = efficient_allocation(sc, delta=0.01)
     # no single-user concentration does better than the returned split
     for i in range(sc.n_users):
         one = np.zeros(sc.n_users)
@@ -194,15 +193,13 @@ def _grid_best_three_by_rows(scenario, budget, grid_n):
 
 @pytest.mark.parametrize("grid_n", [256, 1024])
 def test_grid_best_three_blocks_match_row_loop(grid_n):
-    # the exact three-user split is never beaten by the row-by-row grid search,
-    # and a grid_n passed to the oracle leaves its split unchanged
+    # the exact three-user split is never beaten by the row-by-row grid search
     rng = np.random.default_rng(67)
     # ties everywhere (no one gains) and between the permutations of equal users
     twin = UserLink(0, 0.01, 200.0**-4, 80.0**-4, 120.0**-4)
     tied = [_useless_scenario(3), NetworkScenario((twin,) * 3, BUDGET, BENCH_SYSTEM)]
     for sc in tied + [make_random_scenario(rng, 3) for _ in range(6)]:
-        alloc = efficient_allocation(sc, delta=0.0, grid_n=grid_n)
-        assert np.array_equal(alloc.powers, efficient_allocation(sc, delta=0.0).powers)
+        alloc = efficient_allocation(sc, delta=0.0)
         grid_w, grid_x = _grid_best_three_by_rows(sc, sc.relay_budget_w, grid_n)
         assert welfare(sc, grid_x) == pytest.approx(grid_w, rel=1e-12, abs=0.0)
         assert alloc.total_rate_increase_bps >= grid_w * (1.0 - 1e-12)
@@ -222,12 +219,13 @@ def test_line_search_pair_reaches_dense_grid_optimum(grid_n):
         pools = BUDGET * 10.0 ** rng.uniform(-4.0, 0.0, size=6)
         for pool in pools:
             pooled = NetworkScenario(sc.users, pool, BENCH_SYSTEM)
-            alloc = efficient_allocation(pooled, delta=0.0, grid_n=grid_n)
-            assert np.array_equal(alloc.powers, efficient_allocation(pooled, delta=0.0).powers)
+            alloc = efficient_allocation(pooled, delta=0.0)
             x0, x1 = alloc.powers
             assert min(x0, x1) >= 0.0 and x0 + x1 <= pool * (1 + 1e-12)
             v = alloc.total_rate_increase_bps
-            dense = _pair_welfare(u0, u1, pool, np.linspace(0.0, pool, 2**16))
+            # the dense grid, with the points of a grid_n-point grid added
+            ts = np.union1d(np.linspace(0.0, pool, 2**16), np.linspace(0.0, pool, grid_n))
+            dense = _pair_welfare(u0, u1, pool, ts)
             assert v >= dense.max() * (1.0 - 1e-12)
             assert v == pytest.approx(
                 float(rate_increase(u0, x0, BENCH_SYSTEM) + rate_increase(u1, x1, BENCH_SYSTEM)),
@@ -309,8 +307,6 @@ def test_efficient_welfare_at_least_each_auction_equilibrium(seed, n_users, budg
 def test_efficient_validates_arguments(scenario_y0):
     with pytest.raises(ValueError):
         efficient_allocation(scenario_y0, delta=1.0)
-    with pytest.raises(ValueError):
-        efficient_allocation(scenario_y0, grid_n=4)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +486,7 @@ def test_vcg_zero_allocation_user_pays_nothing(scenario_y25):
     # add a hopeless third user: it gets nothing and pays nothing
     users = scenario_y25.users + (UserLink(2, 0.01, 6.25e-10, 1e-12, 1e-12),)
     sc = NetworkScenario(users, BUDGET, BENCH_SYSTEM)
-    res = vcg_auction(sc, delta=0.0, grid_n=1024)
+    res = vcg_auction(sc, delta=0.0)
     assert res.allocation.powers[2] == 0.0
     assert res.payments[2] == 0.0
 
@@ -523,7 +519,7 @@ def test_vcg_payments_nonnegative_and_individually_rational():
     rng = np.random.default_rng(8)
     for _ in range(50):
         sc = make_random_scenario(rng, int(rng.integers(1, 4)))
-        res = vcg_auction(sc, delta=0.01, grid_n=256)
+        res = vcg_auction(sc, delta=0.01)
         assert np.all(res.payments >= 0.0)
         slack = 1e-7 * max(res.allocation.total_rate_increase_bps, 1.0)
         assert np.all(res.payments <= res.allocation.per_user_rate_increase_bps + slack)
@@ -538,29 +534,8 @@ def test_vcg_runs_one_welfare_solve_per_user_plus_one(monkeypatch, scenario_y0):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(oracles, "efficient_allocation", counting)
-    oracles.vcg_auction(scenario_y0, delta=0.0, grid_n=256)
+    oracles.vcg_auction(scenario_y0, delta=0.0)
     assert calls["n"] == scenario_y0.n_users + 1
-
-
-# ---------------------------------------------------------------------------
-# arguments kept from the grid search
-
-
-@pytest.mark.parametrize(
-    "seed, match",
-    [
-        ([0.05, 0.05], r"seeds\[1\] has shape \(2,\)"),
-        ([0.02] * 5, r"seeds\[1\] has shape \(5,\)"),
-        ([0.02, -0.01, 0.02, 0.02], r"seeds\[1\] must hold finite nonnegative powers"),
-        ([0.02, np.nan, 0.02, 0.02], r"seeds\[1\] must hold finite nonnegative powers"),
-        ([0.02, np.inf, 0.02, 0.02], r"seeds\[1\] must hold finite nonnegative powers"),
-    ],
-    ids=["short", "long", "negative", "nan", "inf"],
-)
-def test_efficient_rejects_malformed_seed(seed, match):
-    sc = make_random_scenario(np.random.default_rng(5), 4)
-    with pytest.raises(ValueError, match=match):
-        efficient_allocation(sc, grid_n=256, seeds=([0.02] * 4, seed))
 
 
 def test_efficient_matches_brute_force_on_random_pairs():
