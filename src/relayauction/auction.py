@@ -161,17 +161,17 @@ def _snr_demand(users: "_UserArrays", price) -> np.ndarray:
 # where p r'(p) = r(p).
 
 
-def _power_curve(p, g, b, c, k):
-    """u(p), u'(p) and w, where u''(p) = -c u'(p) w, elementwise.
+def _power_gain(p, g, b, c, k):
+    """u(p), elementwise: the rate increase at the relayed SNR a b / (a+b+1), a = p c."""
+    a = p * c
+    return _log_gain(a * b / (a + b + 1.0), g, k)
 
-    With a = p c, D1 = a+b+1 and D2 = (1+g) D1 + a b (see _power_demand),
-    w = 1 / D1 + (1+g+b) / D2.
-    """
+
+def _power_slope(p, g, b, c, k):
+    """u'(p) = K c b (b+1) / (D1 D2), elementwise, with a = p c, D1 = a+b+1 and D2 = (1+g) D1 + a b."""
     a = p * c
     d1 = a + b + 1.0
-    d2 = (1.0 + g) * d1 + a * b
-    slope = k * c * b * (b + 1.0) / (d1 * d2)
-    return _log_gain(a * b / d1, g, k), slope, 1.0 / d1 + (1.0 + g + b) / d2
+    return k * c * b * (b + 1.0) / (d1 * ((1.0 + g) * d1 + a * b))
 
 
 def _power_coefficients(core) -> tuple:
@@ -203,33 +203,41 @@ def _power_demand(users: "_UserArrays", price) -> np.ndarray:
     return np.minimum(np.maximum(t * b1c, 0.0), users.budget)
 
 
+def _power_demand_slope(users: "_UserArrays", price) -> np.ndarray:
+    """d x / d price of _power_demand's root: d t / d q0 = -1 / sqrt(q1^2 - 4 q2 q0) = -1 / (2 q2 t + q1)."""
+    g1, q2x4, q1, q1sq, kcb1, b1c = users.coef
+    return -b1c * kcb1 / (price * price * np.sqrt(q1sq - q2x4 * (g1 - kcb1 / price)))
+
+
 def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
     """Relay power p in (0, budget] maximizing r(p) / p; nan where r stays 0.
 
     phi(p) = p u'(p) - u(p) falls on [breakeven, budget] (phi' = p u'' <= 0) from a
     positive value, so p is the budget if phi(budget) >= 0 and phi's root otherwise.
-    In v = ln((1+g+s) / (1+g)) and m = expm1(-v), phi = -K H(v) with the convex
-    H(v) = (1+g) m^2 e^v / b + m + v - ln(1+g).  Plain Newton from the budget end, where
-    H > 0, falls monotonically onto the root; it stops once a step is not positive or
-    not shorter than the last, which only rounding brings about.
+    In w = ln((1+g+s) / (1+g)^2) = u / K and m = expm1(-w - ln(1+g)) in (-1, 0), phi = -K H(w)
+    with the convex H(w) = (1+g)^2 m^2 e^w / b + m + w > w - 1, whose root lies in (0, 1).  Plain
+    Newton in w, which no step rounds ln(1+g) into, from min(w(budget), 1), where H > 0, falls
+    monotonically onto the root; it stops once a step is not positive or not shorter than the
+    last, which only rounding brings about.
     """
     g = users.g
-    a = (1.0 + g) / users.b
-    ln1g = np.log1p(g)
-    v_max = np.log1p(users.snr_max / (1.0 + g))
-    v = v_max
+    g1 = 1.0 + g
+    a = g1 * g1 / users.b
+    w_max = users.gain_max / users.k  # 0 where r stays 0
+    w = np.minimum(w_max, 1.0)
     last = np.where(users.gain_max > 0.0, np.inf, 0.0)  # the last step; 0 stays at the budget
     for _ in range(64):
-        m = np.expm1(-v)
-        r = a / np.exp(-v)
-        step = (r * m * m + m + v - ln1g) / (-m * (r * (2.0 + m) + 1.0))  # H / H'
-        go = (step > 0.0) & (step < last)  # false on nan; at first, where H(v_max) > 0
+        e = np.expm1(-w)
+        m = (e - g) / g1
+        r = a / (1.0 + e)
+        step = (r * m * m + m + w) / (-m * (r * (2.0 + m) + 1.0))  # H / H'
+        go = (step > 0.0) & (step < last)  # false on nan; at first, where H > 0 at the start
         if not go.any():
             break
-        v = np.where(go, v - step, v)
+        w = np.where(go, w - step, w)
         last = np.where(go, step, 0.0)
-    inner = v < v_max
-    s = np.where(inner, (1.0 + g) * np.expm1(v), 0.0)
+    inner = w < w_max
+    s = np.where(inner, g1 * (g1 * np.expm1(w) + g), 0.0)
     p = _power_for_snr(users.links, s, users.b, users.sys)
     return np.where(inner, p, np.where(users.gain_max > 0.0, users.budget, np.nan))
 
@@ -240,7 +248,7 @@ def _power_pi_hat(users: "_UserArrays") -> np.ndarray:
     u in log1p form, not r = 0.5 W log2(1+g+s) - W log2(1+g), which cancels as g -> 0.
     """
     p = _power_cutoff_points(users)
-    u = _power_curve(p, users.g, users.b, users.c, users.k)[0]
+    u = _power_gain(p, users.g, users.b, users.c, users.k)
     return np.where(users.gain_max > 0.0, u / p, 0.0)
 
 
@@ -309,7 +317,7 @@ class _Core:
         self.c = links.gain_rd / sys.noise_w
         self.snr_max = _relayed_snr(links, budget, b, sys)
         self.gain_max = np.maximum(_log_gain(self.snr_max, g, self.k), 0.0)
-        self.slope_full = _power_curve(budget, g, b, self.c, self.k)[1]
+        self.slope_full = _power_slope(budget, g, b, self.c, self.k)
         self.x0 = _power_for_snr(links, np.minimum(g * g + g, self.snr_max), b, sys)
         _read_only(*vars(self).values(), *links)
 

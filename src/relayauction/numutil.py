@@ -24,13 +24,14 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100)
 
     Elementwise: lo and hi are arrays (or broadcast to one) and fdf(x)
     returns the arrays (f(x), f'(x)); f(lo) and f(hi) must differ in sign.
+    fdf gets both ends in one call, stacked on a leading axis: it must broadcast.
     Every iterate narrows the bracket to the sign change; a Newton step that
     would leave it is replaced by the bracket's midpoint, so the search
     converges like bisection at worst and quadratically near a simple root.
     It stops once every step is within rtol of its point.
     """
     lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    (flo, dflo), (fhi, dfhi) = fdf(lo), fdf(hi)
+    (flo, fhi), (dflo, dfhi) = fdf(np.stack([lo, hi]))
     if np.any((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0))):
         raise ValueError(f"root not bracketed on [{lo!r}, {hi!r}]")
     at_hi = fhi == 0.0

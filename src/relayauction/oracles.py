@@ -1,30 +1,31 @@
 """Centralized benchmarks: efficient, fair, and pivot-payment allocations.
 
-The total rate increase is non-concave in the power split: each user's
-increase r_i = max(0, u_i) is zero up to its breakeven power and concave
-beyond, where u_i, the unclamped increase, is concave in power everywhere.
-The efficient welfare is therefore the largest, over sets of participants,
-of a concave water-filling on the set (Everett's multiplier method), and
-`efficient_allocation` finds it exactly by branch-and-bound over the sets
-(Udell & Boyd, "Maximizing a sum of sigmoids").  A node forces some users
-in, some out and leaves the rest free, relaxed to the concave envelope of
-r_i; its water-filling is the power auction's own demand at one multiplier
-per node, and its dual value bounds every set below it.  A node whose
-relaxed split uses the whole budget is solved outright; otherwise it
-branches on the free user whose envelope demand jumps across the
-multiplier.  The fair allocation equalizes the marginal rate gain per unit
-of relayed SNR across participants, which pins a common SNR level; the
-largest feasible level is found by bisection on the budget constraint.
+The total rate increase is non-concave in the power split: each user's increase
+r_i = max(0, u_i) is zero up to its breakeven power and concave beyond, where u_i, the
+unclamped increase, is concave in power everywhere.  The efficient welfare is therefore
+the largest, over sets of participants, of a concave water-filling on the set (Everett's
+multiplier method), and `efficient_allocation` finds it exactly by branch-and-bound over
+the sets (Udell & Boyd, "Maximizing a sum of sigmoids").  A node forces some users in,
+some out and leaves the rest free, relaxed to the concave envelope of r_i; its
+water-filling is the power auction's own demand at one multiplier per node, and its dual
+value bounds every set below it.  A node whose relaxed split uses the whole budget is
+solved outright; otherwise it branches on the free user whose envelope demand jumps
+across the multiplier.  The welfare the others reach without a user, which its pivot
+payment needs, is the same search with that user forced out from the root, on the same
+arrays.  The fair allocation equalizes the marginal rate gain per unit of relayed SNR
+across participants, which pins a common SNR level; the largest feasible level is found
+by bisection on the budget constraint.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import POWER, _Core, _power_curve, _power_demand, _UserArrays
+from .auction import POWER, _Core, _power_demand, _power_demand_slope, _power_gain, _power_slope, _UserArrays
 from .channel import NetworkScenario, _log_gain, _power_for_snr, _relayed_snr
 from .numutil import bisect_transition, newton_root
 
@@ -80,13 +81,12 @@ class _Relaxation:
 
     def __init__(self, users: _UserArrays):
         self.users = users
-        self.live = users.gain_max > 0.0
         # where a free user's demand drops from its tangent point to 0
-        self.jumps = np.where(self.live, users.pi_hat, np.inf)
+        self.jumps = np.where(users.gain_max > 0.0, users.pi_hat, np.inf)
         # the demand at pi_hat: u' meets pi_hat there, or stays above it up to the budget
         self.tangent = _power_demand(users, self.jumps)
         self.shape = (users.g, users.b, users.c, users.k)
-        self.slope_zero = _power_curve(0.0, *self.shape)[1]
+        self.slope_zero = _power_slope(0.0, *self.shape)
 
     def _split(self, price, inn: np.ndarray, free: np.ndarray):
         """Demands at prices broadcast against the masks, and the forced-in demands d."""
@@ -102,8 +102,8 @@ class _Relaxation:
         falls by a free user's tangent point at its pi_hat.  Evaluating f at
         every free pi_hat either finds the root on such a jump, where the
         relaxed split misses the budget, or brackets it between two jumps,
-        where one Newton search for all those rows finds it, with
-        d x_i / d lam = 1 / u_i'' where x_i lies on a curved piece.  The
+        where one Newton search for all those rows finds it, with d x_i / d lam
+        read from the demand's quadratic where x_i lies on a curved piece.  The
         bound lam B + sum_i max_x (f_i(x) - lam x), f_i the user's term,
         holds at any lam >= 0.  The split is returned scaled onto the budget,
         with the welfare sum_i r_i it yields.
@@ -122,24 +122,24 @@ class _Relaxation:
             inn_r, free_r = inn[rows], free[rows]
 
             def excess(lam):
-                x, d = self._split(lam[:, None], inn_r, free_r)
-                _, slope, bend = _power_curve(x, *self.shape)
+                lam = lam[..., None]
+                x, d = self._split(lam, inn_r, free_r)
                 curved = (x == d) & (x > 0.0) & (x < budget)
-                dx = -1.0 / (self.users.c * slope * bend)
-                return x.sum(axis=1) - budget, np.where(curved, dx, 0.0).sum(axis=1)
+                dx = np.where(curved, _power_demand_slope(self.users, lam), 0.0)
+                return x.sum(axis=-1) - budget, dx.sum(axis=-1)
 
             lam[rows] = newton_root(excess, lo[rows], hi[rows])
         x, _ = self._split(lam[:, None], inn, free)
-        gain = _power_curve(x, *self.shape)[0] - lam[:, None] * x
+        gain = _power_gain(x, *self.shape) - lam[:, None] * x
         gain = np.where(inn, gain, np.where(free, np.maximum(gain, 0.0), 0.0))
         total = x.sum(axis=1, keepdims=True)
         x = x * np.divide(budget, total, out=np.zeros_like(total), where=total > 0.0)
-        welfare = np.maximum(_power_curve(x, *self.shape)[0], 0.0).sum(axis=1)
+        welfare = np.maximum(_power_gain(x, *self.shape), 0.0).sum(axis=1)
         return lam, x, lam * budget + gain.sum(axis=1), welfare
 
 
-def _branch_and_bound(users: _UserArrays) -> tuple[np.ndarray, int, float]:
-    """Efficient split of users.budget, the nodes solved, and the certified gap.
+def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Efficient split of the budget among the free users, the nodes solved, and the certified gap.
 
     Each level is solved as one array of nodes.  A node's split, scaled
     onto the budget, is a candidate.  A node whose bound the incumbent does
@@ -148,12 +148,12 @@ def _branch_and_bound(users: _UserArrays) -> tuple[np.ndarray, int, float]:
     participants (those forced in, the free ones with positive demand and
     that user) joins the next level as a node with none free.  The search
     ends when every open bound is at most the incumbent times
-    (1 + BOUND_RTOL).
+    (1 + BOUND_RTOL).  A user never free is never let in: its column adds
+    exact zeros to every sum and neutral values to every reduction.
     """
-    relax = _Relaxation(users)
-    n = relax.live.size
+    n = free.size
     best_x, best = np.zeros(n), 0.0
-    inn, free = np.zeros((1, n), dtype=bool), relax.live[None, :]
+    inn, free = np.zeros((1, n), dtype=bool), free[None, :]
     nodes, closed = 0, 0.0
     while len(inn):
         nodes += len(inn)
@@ -178,6 +178,36 @@ def _branch_and_bound(users: _UserArrays) -> tuple[np.ndarray, int, float]:
     return best_x, nodes, max(closed / best - 1.0, 0.0)
 
 
+class _Welfare:
+    """Efficient allocations on one scenario at budget P*(1-delta), with chosen users forced out.
+
+    One core serves every solve; the power-auction arrays and their relaxation are built once,
+    at the first solve with two users or more who can gain from the relay.  With one such
+    user or none the allocation is a closed form: that user takes the whole budget.
+    """
+
+    def __init__(self, scenario: NetworkScenario, delta: float):
+        if not 0.0 <= delta < 1.0:
+            raise ValueError("delta must lie in [0, 1)")
+        self.scenario, self.delta = scenario, delta
+        budget = self.budget = scenario.relay_budget_w * (1.0 - delta)
+        # at the relay budget the scenario's core and power-auction arrays serve
+        self.core = _Core.of(scenario) if delta == 0.0 else _Core(scenario.users, budget, scenario.system)
+        self.live = self.core.gain_max > 0.0
+
+    @functools.cached_property
+    def relax(self) -> _Relaxation:
+        scenario, delta = self.scenario, self.delta
+        return _Relaxation(_UserArrays.of(scenario, POWER) if delta == 0.0 else _UserArrays(self.core, POWER))
+
+    def solve(self, out: np.ndarray) -> OracleAllocation:
+        """The efficient allocation when the users where out is true take no power."""
+        free = self.live & ~out
+        if free.sum() <= 1:
+            return _finish(self.core, np.where(free, self.budget, 0.0))
+        return _finish(self.core, *_branch_and_bound(self.relax, free))
+
+
 def efficient_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
     """Power split maximizing the total rate increase on budget P*(1-delta).
 
@@ -187,17 +217,7 @@ def efficient_allocation(scenario: NetworkScenario, delta: float = 0.01) -> Orac
     relay is a closed form: that user takes the whole budget.  Power that
     buys no rate increase is released, so the budget may go partly unused.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    budget = scenario.relay_budget_w * (1.0 - delta)
-    # at the relay budget the scenario's core and power-auction arrays serve
-    core = _Core.of(scenario) if delta == 0.0 else _Core(scenario.users, budget, scenario.system)
-    live = core.gain_max > 0.0
-    if live.sum() <= 1:
-        return _finish(core, np.where(live, budget, 0.0))
-    users = _UserArrays.of(scenario, POWER) if delta == 0.0 else _UserArrays(core, POWER)
-    powers, nodes, gap = _branch_and_bound(users)
-    return _finish(core, powers, nodes, gap)
+    return _Welfare(scenario, delta).solve(np.zeros(scenario.n_users, dtype=bool))
 
 
 def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
@@ -252,13 +272,14 @@ def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 40
     total the others could reach alone, minus what they actually get.  A
     user the efficient split gives no power leaves the optimum unchanged and
     pays exactly 0; for every other user one more welfare maximization runs
-    on the scenario without it.  grid_n is ignored, kept for callers that
-    still pass it.
+    with that user forced out, on the same core and arrays as the efficient
+    split.  grid_n is ignored, kept for callers that still pass it.
     """
-    base = efficient_allocation(scenario, delta)
+    welfare, users = _Welfare(scenario, delta), np.arange(scenario.n_users)
+    base = welfare.solve(users < 0)  # nobody forced out
     payments = np.zeros(scenario.n_users)
-    for i in np.flatnonzero(base.powers > 0.0) if scenario.n_users > 1 else ():
+    for i in np.flatnonzero(base.powers > 0.0):
         others_gain = float(base.total_rate_increase_bps - base.per_user_rate_increase_bps[i])
-        alone = efficient_allocation(scenario.without_user(i), delta)
+        alone = welfare.solve(users == i)
         payments[i] = max(alone.total_rate_increase_bps - others_gain, 0.0)
     return VcgResult(allocation=base, payments=payments)

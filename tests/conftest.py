@@ -17,7 +17,7 @@ from relayauction import (
     sample_topologies,
     scenario_from_topology,
 )
-from relayauction.auction import POWER, SNR, _Core, _power_curve, _power_cutoff_points, _UserArrays
+from relayauction.auction import POWER, SNR, _Core, _power_cutoff_points, _power_gain, _power_slope, _UserArrays
 from relayauction.channel import (
     LN2,
     direct_snr,
@@ -213,7 +213,10 @@ def reference_power_cutoff_points(users):
     k = users.k
 
     def phi(p, g, b, c):
-        u, slope, bend = _power_curve(p, g, b, c, k)
+        # u'' = -c u' w, w = 1 / D1 + (1+g+b) / D2, with a = p c, D1 = a+b+1, D2 = (1+g) D1 + a b
+        u, slope = _power_gain(p, g, b, c, k), _power_slope(p, g, b, c, k)
+        d1 = p * c + b + 1.0
+        bend = 1.0 / d1 + (1.0 + g + b) / ((1.0 + g) * d1 + p * c * b)
         return p * slope - u, -p * c * slope * bend
 
     live = users.gain_max > 0.0

@@ -20,7 +20,16 @@ from relayauction import (
     relayed_snr_limit,
 )
 from relayauction import auction, numutil, oracles
-from relayauction.auction import KINDS, POWER, SNR, _Core, _power_curve, _power_cutoff_points, _UserArrays
+from relayauction.auction import (
+    KINDS,
+    POWER,
+    SNR,
+    _Core,
+    _power_cutoff_points,
+    _power_gain,
+    _power_slope,
+    _UserArrays,
+)
 from relayauction.channel import LN2, NetworkScenario, UserLink, _LinkArrays
 
 from conftest import (
@@ -400,6 +409,19 @@ def test_power_pi_lower_is_full_budget_marginal():
     )
 
 
+def test_power_demand_slope_matches_central_difference():
+    # where the demand is curved, strictly inside (0, budget): between u'(budget) and u'(0)
+    rng = np.random.default_rng(3)
+    for sc in [make_random_scenario(rng, 6) for _ in range(10)] + study_scenarios(1):
+        users = _UserArrays.of(sc, POWER)
+        top = _power_slope(0.0, users.g, users.b, users.c, users.k)
+        for t in np.linspace(0.1, 0.9, 9):
+            price = users.slope_full ** (1.0 - t) * top**t
+            h = 1e-5 * price
+            step = auction._power_demand(users, price + h) - auction._power_demand(users, price - h)
+            np.testing.assert_allclose(auction._power_demand_slope(users, price), step / (2.0 * h), rtol=1e-7)
+
+
 # property tests: closed form against the brute-force argmax
 
 # one user per draw: node distances in meters at the benchmark's source power
@@ -615,7 +637,7 @@ def _decimal_power_pi_hat(users) -> float:
         budget = decimal.Decimal(users.budget)
         k = decimal.Decimal(BENCH_SYSTEM.bandwidth_hz) / (2 * decimal.Decimal(2).ln())
 
-        def curve(p):  # u(p) and u'(p) of auction._power_curve
+        def curve(p):  # u(p) and u'(p) of auction._power_gain and _power_slope
             a = p * c
             d1 = a + b + one
             u = k * ((one + g + a * b / d1).ln() - 2 * (one + g).ln())
@@ -648,6 +670,8 @@ extreme_links = st.tuples(
 
 
 @given(link=extreme_links, budget=budgets)
+# near the breakeven at a large direct SNR: phi was 1.1e-12 of p u' when Newton ran in ln(1+g) + w
+@example(link=UserLink(0, 0.01, 1.1587735479704848e-05, 0.1345273920312773, 1.0), budget=10.0)
 def test_power_cutoff_point_maximizes_rate_per_watt(link, budget):
     users = _UserArrays(_Core((link,), budget, BENCH_SYSTEM), POWER)
     p = power_cutoff_point(link, budget, BENCH_SYSTEM)
@@ -655,9 +679,9 @@ def test_power_cutoff_point_maximizes_rate_per_watt(link, budget):
     shape = (users.g[0], users.b[0], users.c[0], users.k)
 
     def per_watt(x):  # u(x) / x, with u free of the cancellation in rate_increase at small g
-        return _power_curve(x, *shape)[0] / x
+        return _power_gain(x, *shape) / x
 
-    u, slope, _ = _power_curve(p, *shape)
+    u, slope = _power_gain(p, *shape), _power_slope(p, *shape)
     event("interior" if p < budget else "at budget")
     if p < budget:
         # phi(p) = p u'(p) - u(p) vanishes; 1e-12 covers the rounding of u, a

@@ -1,4 +1,4 @@
-"""Package layout: no unused module-level imports, and __all__ matches what the package imports."""
+"""Package layout: no unused module-level imports or private definitions, and __all__ matches the imports."""
 
 import ast
 from pathlib import Path
@@ -56,3 +56,17 @@ def test_all_lists_exactly_the_public_imports():
     assert set(relayauction.__all__) == public
     assert len(relayauction.__all__) == len(public)  # no name listed twice
     assert [name for name in relayauction.__all__ if not hasattr(relayauction, name)] == []
+
+
+def test_every_private_definition_is_referenced():
+    # a private module-level function or class that nothing else in the package names is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    unreferenced = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+                others = (t for other, t in trees.items() if other != name)
+                if not any(node.name in _used(t) | set(_imported(t)) for t in (rest, *others)):
+                    unreferenced.append(f"{name}: {node.name}")
+    assert not unreferenced, f"private definitions no other code names: {unreferenced}"

@@ -29,6 +29,18 @@ def test_newton_root_at_bracket_ends():
     assert np.array_equal(roots, [0.0, 1.0])
 
 
+def test_newton_root_asks_both_ends_in_one_call():
+    asked = []
+
+    def fdf(x):
+        asked.append(x.shape)
+        return x * x - 2.0, 2.0 * x
+
+    roots = newton_root(fdf, np.array([0.0, 1.0]), np.array([2.0, 3.0]))
+    np.testing.assert_allclose(roots, math.sqrt(2.0), rtol=1e-12)
+    assert asked[0] == (2, 2) and asked[1:] == [(2,)] * (len(asked) - 1)
+
+
 def test_newton_root_rejects_unbracketed():
     with pytest.raises(ValueError):
         newton_root(lambda x: (x * x + 1.0, 2.0 * x), np.array([-1.0]), 1.0)

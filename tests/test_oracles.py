@@ -491,19 +491,35 @@ def test_vcg_zero_allocation_user_pays_nothing(scenario_y25):
     assert res.payments[2] == 0.0
 
 
+def _count_builds_and_solves(monkeypatch) -> dict:
+    """Record the users each welfare solve leaves in, and count the _Core and _UserArrays builds."""
+    counts = {"solves": [], "cores": 0, "arrays": 0}
+    solve, core_init, arrays_init = oracles._Welfare.solve, _Core.__init__, _UserArrays.__init__
+
+    def counting_solve(self, out):
+        counts["solves"].append(int(np.count_nonzero(~out)))
+        return solve(self, out)
+
+    def counting_core(self, *args):
+        counts["cores"] += 1
+        core_init(self, *args)
+
+    def counting_arrays(self, *args):
+        counts["arrays"] += 1
+        arrays_init(self, *args)
+
+    monkeypatch.setattr(oracles._Welfare, "solve", counting_solve)
+    monkeypatch.setattr(_Core, "__init__", counting_core)
+    monkeypatch.setattr(_UserArrays, "__init__", counting_arrays)
+    return counts
+
+
 def test_vcg_solves_nothing_more_for_users_given_no_power(monkeypatch, scenario_y25):
     users = scenario_y25.users + (UserLink(2, 0.01, 6.25e-10, 1e-12, 1e-12),)
     sc = NetworkScenario(users, BUDGET, BENCH_SYSTEM)
-    calls = []
-    real = oracles.efficient_allocation
-
-    def counting(scenario, *args, **kwargs):
-        calls.append(scenario.n_users)
-        return real(scenario, *args, **kwargs)
-
-    monkeypatch.setattr(oracles, "efficient_allocation", counting)
+    counts = _count_builds_and_solves(monkeypatch)
     res = oracles.vcg_auction(sc, delta=0.0)
-    assert calls == [3] + [2] * int(np.count_nonzero(res.allocation.powers))
+    assert counts["solves"] == [3] + [2] * int(np.count_nonzero(res.allocation.powers))
     assert res.allocation.powers[2] == 0.0 and res.payments[2] == 0.0
 
 
@@ -526,16 +542,40 @@ def test_vcg_payments_nonnegative_and_individually_rational():
 
 
 def test_vcg_runs_one_welfare_solve_per_user_plus_one(monkeypatch, scenario_y0):
-    calls = {"n": 0}
-    real = oracles.efficient_allocation
+    for delta in (0.0, 0.01):
+        counts = _count_builds_and_solves(monkeypatch)
+        oracles.vcg_auction(scenario_y0, delta=delta)
+        assert len(counts["solves"]) == scenario_y0.n_users + 1
+    # every solve runs on one core and one set of power-auction arrays
+    assert (counts["cores"], counts["arrays"]) == (1, 1)
 
-    def counting(*args, **kwargs):
-        calls["n"] += 1
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(oracles, "efficient_allocation", counting)
-    oracles.vcg_auction(scenario_y0, delta=0.0)
-    assert calls["n"] == scenario_y0.n_users + 1
+def test_vcg_builds_no_arrays_for_at_most_one_live_user(monkeypatch, scenario_y0):
+    hopeless = UserLink(2, 0.01, 6.25e-10, 1e-12, 1e-12)
+    for users in ((scenario_y0.users[1],), (scenario_y0.users[1], hopeless), (hopeless,)):
+        counts = _count_builds_and_solves(monkeypatch)
+        oracles.vcg_auction(NetworkScenario(users, BUDGET, BENCH_SYSTEM), delta=0.01)
+        assert (counts["cores"], counts["arrays"]) == (1, 0)
+
+
+def _forced_out_scenarios(bench_spec):
+    """The 81 sweep positions, 30 random 4-user scenarios and three of 8 to 10 users."""
+    rng = np.random.default_rng(14)
+    sweep = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
+    return sweep + [make_random_scenario(rng, n) for n in [4] * 30 + [8, 9, 10]]
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+def test_forced_out_solve_equals_the_scenario_without_the_user(bench_spec, delta):
+    for sc in _forced_out_scenarios(bench_spec):
+        welfare, users = oracles._Welfare(sc, delta), np.arange(sc.n_users)
+        for i in users:
+            got, want = welfare.solve(users == i), efficient_allocation(sc.without_user(i), delta)
+            assert got.nodes == want.nodes and got.powers[i] == 0.0
+            rtol = 0.0 if sc.n_users < 8 else 1e-15  # numpy sums 8 terms or more pairwise
+            total = want.total_rate_increase_bps
+            assert abs(got.total_rate_increase_bps - total) <= rtol * total
+            np.testing.assert_allclose(got.powers[users != i], want.powers, rtol=rtol, atol=0.0)
 
 
 def test_efficient_matches_brute_force_on_random_pairs():
