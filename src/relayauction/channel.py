@@ -107,10 +107,6 @@ class NetworkScenario:
     def __getstate__(self) -> dict:  # the derived arrays are rebuilt, not pickled
         return {k: v for k, v in vars(self).items() if k != "_derived"}
 
-    def without_user(self, index: int) -> "NetworkScenario":
-        users = tuple(u for k, u in enumerate(self.users) if k != index)
-        return NetworkScenario(users, self.relay_budget_w, self.system, self.relay)
-
 
 class _LinkArrays(NamedTuple):
     """The users' link fields as arrays; the channel formulas take it as a link."""
@@ -164,18 +160,9 @@ def _relayed_snr(link: UserLink, p_rd, limit, sys: SystemParams):
     return a * limit / (a + limit + 1.0)
 
 
-def power_for_relayed_snr(link: UserLink, target, sys: SystemParams):
-    """Relay power achieving a given relayed SNR (inverse of relayed_snr)."""
-    if (np.asarray(target) < 0.0).any():
-        raise ValueError("target SNR must be nonnegative")
-    b = relayed_snr_limit(link, sys)
-    if np.asarray(target >= b).any():
-        raise ValueError("target SNR at or above the attainable supremum")
-    return _power_for_snr(link, target, b, sys)
-
-
 def _power_for_snr(link: UserLink, target, limit, sys: SystemParams):
-    """power_for_relayed_snr without its checks, given the SNR limit: 0 <= target < limit."""
+    """Relay power achieving the relayed SNR target (inverse of relayed_snr), given the SNR limit:
+    0 <= target < limit, unchecked."""
     a = target * (limit + 1.0) / (limit - target)
     return a * sys.noise_w / link.gain_rd
 
@@ -194,9 +181,15 @@ def _log_gain(s, g, k):
     """Unclamped rate increase u = K log1p((s - g^2 - g) / (1+g)^2) at relayed SNR s.
 
     It equals K ln((1+g+s) / (1+g)^2), K = W / (2 ln 2), without cancelling as the
-    direct SNR g -> 0; the rate increase is max(u, 0).
+    direct SNR g -> 0; the rate increase is max(u, 0).  Where the log1p argument
+    rounds to -1 or below (g about 1e16 or more, s small), u is read from the
+    second form, which does not cancel there.
     """
-    return k * np.log1p((s - g * g - g) / (1.0 + g) ** 2)
+    x = (s - g * g - g) / (1.0 + g) ** 2
+    low = x <= -1.0
+    if np.any(low):
+        return k * np.where(low, np.log(1.0 + g + s) - 2.0 * np.log1p(g), np.log1p(np.where(low, 0.0, x)))
+    return k * np.log1p(x)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ this fixed point directly for both auctions.
 S is also the total demand over the budget, counting a divergent factor as
 share one, and does not increase with the price: the existence threshold is
 where S drops below one, the calibrated price where it drops below the
-target.  One bisection follows both levels in the same array calls of S.
-Each call also asks ahead along the path a guess of the crossing predicts:
-S's jumps (a user leaving at its participation cutoff, or ceasing to diverge
-just past its divergence cutoff), else an interpolation of S.  A 20-user
-calibration takes 1-4 array calls (2.8 on average), each of about 60 distinct
-prices, with the prices of one midpoint per step.
+target.  A calibration bisects the target level alone; its final bracket also
+decides whether the target is met above the threshold.  Each array call of S
+also asks ahead along the path a guess of the crossing predicts: S's jumps (a
+user leaving at its participation cutoff, or ceasing to diverge just past its
+divergence cutoff), else an interpolation of S.  A 20-user calibration takes
+1-4 array calls (2.7 on average), each of about 52 prices, with the prices
+of one midpoint per step.
 
 Synchronous best-response iteration is kept as a diagnostic.  It is a linear
 fixed-point iteration whose matrix has f_i in row i off the diagonal; its
@@ -92,10 +93,9 @@ class PriceSearchResult:
     price: float
     utilization: float
     feasible: bool
-    # the last bracket (S >= level, S < level), array evaluations of S, threshold bracket
+    # the last bracket (S >= target, S < target) and the array evaluations of S
     bracket: Optional[tuple[float, float]] = None
     evaluations: int = 0
-    threshold_bracket: Optional[tuple[float, float]] = None
 
 
 def ne_bids_from_factors(factors: Sequence[float], reserve_bid: float) -> np.ndarray:
@@ -220,15 +220,15 @@ def estimate_geometric_rate(trace: IterationTrace, tail: int = 20) -> float:
     return float(math.exp(slope))
 
 
-def _search(users: _UserArrays, levels: Sequence[tuple[float, float]]) -> tuple[list, int]:
-    """bisect_transition on S for each (level, rtol) from one ladder, and the evaluations of S.
+def _search(users: _UserArrays, level: float, rtol: float) -> tuple[tuple, int]:
+    """bisect_transition on S at level to rtol from the doubling ladder, and the evaluations of S.
 
     At or below a user's divergence cutoff its factor diverges (factors()
-    tests price <= cutoff), so S >= 1 on (0, cutoff.max()]; the brackets start
+    tests price <= cutoff), so S >= 1 on (0, cutoff.max()]; the bracket starts
     1e-7 below it, inside that set and within a tenth of THRESHOLD_RTOL of a
     threshold at its edge.  The ladder doubles from max(pi_hat.max(), 2 *
     start) to zero_from.max(), where (past cutoff.max() too) S = 0 unevaluated.
-    The bisection guesses the crossings from S's jumps, users.breaks.
+    The bisection guesses the crossing from S's jumps, users.breaks.
     """
     if not users.regular.any():
         raise ValueError(f"scenario is not {users.kind}-regular: only the all-zero outcome exists")
@@ -244,9 +244,8 @@ def _search(users: _UserArrays, levels: Sequence[tuple[float, float]]) -> tuple[
         ladder.append(2.0 * ladder[-1])
     rungs, below = [lo, *ladder], ladder[:-1]
     s = [*shares(below).tolist(), 0.0] if below else [0.0]
-    ks = [next(k for k, sk in enumerate(s) if sk < level) for level, _ in levels]
-    searches = [(level, rungs[k], rungs[k + 1], rtol) for (level, rtol), k in zip(levels, ks)]
-    return bisect_transition(shares, searches, jumps=users.breaks), len(calls)
+    k = next(k for k, sk in enumerate(s) if sk < level)
+    return bisect_transition(shares, level, rungs[k], rungs[k + 1], rtol, jumps=users.breaks), len(calls)
 
 
 def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = THRESHOLD_RTOL) -> float:
@@ -255,7 +254,7 @@ def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = THRESHOL
     The midpoint of the bisection bracket on S(p) < 1 that starts just below
     the largest divergence cutoff.
     """
-    p_none, p_some, _, _ = _search(_UserArrays.of(scenario, kind), [(1.0, rtol)])[0][0]
+    p_none, p_some, _, _ = _search(_UserArrays.of(scenario, kind), 1.0, rtol)[0]
     return 0.5 * (p_none + p_some)
 
 
@@ -267,22 +266,21 @@ def calibrate_price(
 ) -> PriceSearchResult:
     """Largest price whose equilibrium still meets the target utilization.
 
-    One search follows S = 1 (to THRESHOLD_RTOL) and S = target (to rtol),
-    and returns the target bracket's lower end, raised to the threshold
-    bracket's upper end if below it, where an equilibrium exists.  If S is
-    below the target already at that upper end, that point is reported with
-    feasible=False; where nobody ever bids, zero utilization at a price above
-    every participation cutoff.  The result carries both brackets and the
-    array evaluations of S.
+    One search brackets where S drops below the target, to rtol: S(t0) >=
+    target > S(t1).  If S(t0) < 1, an equilibrium exists at t0 and meets the
+    target.  Otherwise S falls from at least one to below the target within
+    the bracket, which therefore holds the existence threshold: no price meets
+    the target, and t1, just above the threshold, is reported with
+    feasible=False.  Where nobody ever bids, zero utilization at a price above
+    every participation cutoff.  The result carries the bracket and the array
+    evaluations of S.
     """
     if not 0.0 < target_utilization < 1.0:
         raise ValueError("target_utilization must lie in (0, 1)")
     users = _UserArrays.of(scenario, kind)
     if not users.regular.any():
         return PriceSearchResult(max(float(users.pi_hat.max()) * 1.01, 1.0), 0.0, False)
-    found, evaluations = _search(users, [(1.0, THRESHOLD_RTOL), (target_utilization, rtol)])
-    (p_none, p_some, _, s_some), target = found
-    if s_some < target_utilization:
-        return PriceSearchResult(p_some, s_some, False, (p_none, p_some), evaluations, (p_none, p_some))
-    price, share = (target[0], target[2]) if target[0] > p_some else (p_some, s_some)
-    return PriceSearchResult(price, share, True, target[:2], evaluations, (p_none, p_some))
+    (t0, t1, s0, s1), evaluations = _search(users, target_utilization, rtol)
+    if s0 < 1.0:
+        return PriceSearchResult(t0, s0, True, (t0, t1), evaluations)
+    return PriceSearchResult(t1, s1, False, (t0, t1), evaluations)

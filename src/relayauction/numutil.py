@@ -1,7 +1,7 @@
-"""Bracketed Newton roots, and a batched bisection on one or more levels.
+"""Bracketed Newton roots, and a batched bisection on one level.
 
 The bisection asks its function about many points per call, each once: a tree
-of midpoints for each open bracket, and the midpoints that a guess of the
+of midpoints of the open bracket, and the midpoints that a guess of the
 transition (a known jump of the function, or an inverse interpolation of its
 values) says the bisection will meet after the tree.  Its results are those of
 one midpoint per step, to the bit; only the number of calls depends on the
@@ -113,88 +113,62 @@ def _path(a, b, r, n) -> list:
 
 
 def bisect_transition(
-    f: Callable, searches: Sequence[tuple], max_iter: int = 200, jumps: Sequence[float] = ()
-) -> list:
-    """Bracket where f drops below each of several levels, all in the same calls of f.
+    f: Callable, level, x_over, x_under, rtol: float, max_iter: int = 200, jumps: Sequence[float] = ()
+) -> tuple:
+    """Bracket where f drops below level: (x_over, x_under, f(x_over), f(x_under)), tightened.
 
-    A search is (level, x_over, x_under, rtol), f(x_over) >= level > f(x_under)
-    in either order.  Each search descends on f < level to the bit as with one
-    midpoint 0.5 * (a + b) per step, until |b - a| <= rtol * max(|a|, |b|) or
-    max_iter steps.  Each call asks f about the 2**DEPTH - 1 dyadic midpoints
-    of every open bracket (the first call about its ends too), so that every
-    call takes DEPTH steps at least, and about the midpoints after that tree
-    which the descent meets if f drops at a guess r (_guess).  The descent
-    takes those while its decisions are the ones r predicts, so the guess moves
-    no result.  Searches in one bracket share its tree, and with one guess its
-    path; a call asks about each point once.  jumps, sorted, are points where
-    f may jump, each the first point past its jump.
-
-    A later search whose level an earlier final bracket also brackets (which
-    then holds its crossing) gives None, the others (x_over, x_under,
-    f(x_over), f(x_under)).  Raises ValueError if f(x_over) < level.
+    f(x_over) >= level > f(x_under), in either order.  The search descends on
+    f < level to the bit as with one midpoint 0.5 * (a + b) per step, until
+    |b - a| <= rtol * max(|a|, |b|) or max_iter steps.  Each call asks f about
+    the 2**DEPTH - 1 dyadic midpoints of the bracket (the first call about its
+    ends too), so that every call takes DEPTH steps at least, and about the
+    midpoints after that tree which the descent meets if f drops at a guess r
+    (_guess).  The descent takes those while its decisions are the ones r
+    predicts, so the guess moves no result.  jumps, sorted, are points where f
+    may jump, each the first point past its jump.  Raises ValueError if
+    f(x_over) < level.
     """
-    n, done = 2**DEPTH, [None] * len(searches)
-    # each search's bracket, steps taken, f at its ends, and the (x, f(x)) known nearest beyond them
-    state = [(a, b, 0, None, None, ((None, None), (None, None))) for _, a, b, _ in searches]
-    live = list(range(len(searches)))
-    while live:
-        asked, trees, paths, plans = [], {}, {}, []
-        for i in live:
-            (level, _, _, rtol), (a, b, steps, fa, fb, beyond) = searches[i], state[i]
-            if (a, b) not in trees:
-                pts = [a] * n + [b]
-                for m, lo, hi in _TREE:
-                    pts[m] = 0.5 * (pts[lo] + pts[hi])
-                trees[a, b] = pts, len(asked)
-                asked += pts if fa is None else pts[1:n]
-            r = _guess(level, a, b, fa, fb, beyond, jumps)
-            plans.append((a, b, r))
-            if r is not None:  # as many steps as narrow the bracket to rtol |r|, and one for rounding
-                ratio = abs(b - a) / (rtol * abs(r)) if rtol * abs(r) > 0.0 else math.inf
-                need = max_iter if ratio == math.inf else steps + math.ceil(math.log2(max(ratio, 1.0))) + 1
-                paths[a, b, r] = max(min(need, max_iter) - steps, paths.get((a, b, r), 0))
-        for key, need in paths.items():
-            paths[key] = _path(*key, need), len(asked)
-            asked += paths[key][0]
-        if max(len(trees), len(paths)) > 1 and len(set(asked)) < len(asked):  # brackets or paths overlap
-            known = dict.fromkeys(asked)
-            known.update(zip(known, np.asarray(f(np.array(list(known)))).tolist()))
-            vals = [known[x] for x in asked]
-        else:
-            vals = np.asarray(f(np.fromiter(asked, float, len(asked)))).tolist()
-        for i, (a, b, r) in zip(live, plans):
-            (level, _, _, rtol), (_, _, steps, fa, fb, (a_out, b_out)) = searches[i], state[i]
-            (pts, k), (path, j) = trees[a, b], paths[a, b, r] if r is not None else ((), 0)
-            v = vals[k : k + n + 1] if fa is None else [fa, *vals[k : k + n - 1], fb]
-            if v[0] < level:
-                raise ValueError(f"f(x_over) = {v[0]!r} must not be below the level {level!r}")
-            # each midpoint is within an ulp of max(|a|, |b|) of the exact one, so the stop test
-            # cannot end the search at a step k from (a, b) where |b - a| / 2**k is above tol
-            tol = (rtol * (1.0 + 1e-15) + 1e-15) * max(abs(a), abs(b)) + 1e-300
-            safe = steps + min(max_iter - steps, int(math.log2(min(max(abs(b - a) / tol, 1.0), 1e300))))
-            up, lo, hi = a < b, 0, n
-            while hi - lo > 1 and (steps < safe or steps < max_iter and (
-                    abs(pts[hi] - pts[lo]) > rtol * max(abs(pts[lo]), abs(pts[hi])))):
-                m = (lo + hi) // 2
-                lo, hi = (lo, m) if v[m] < level else (m, hi)
+    n, a, b, steps, fa, fb = 2**DEPTH, x_over, x_under, 0, None, None
+    a_out = b_out = (None, None)  # the (x, f(x)) known nearest beyond a and b
+    while True:
+        pts = [a] * n + [b]
+        for m, lo, hi in _TREE:
+            pts[m] = 0.5 * (pts[lo] + pts[hi])
+        asked = pts if fa is None else pts[1:n]
+        r = _guess(level, a, b, fa, fb, (a_out, b_out), jumps)
+        path = []
+        if r is not None:  # as many steps as narrow the bracket to rtol |r|, and one for rounding
+            ratio = abs(b - a) / (rtol * abs(r)) if rtol * abs(r) > 0.0 else math.inf
+            need = max_iter if ratio == math.inf else steps + math.ceil(math.log2(max(ratio, 1.0))) + 1
+            path = _path(a, b, r, min(need, max_iter) - steps)
+        j = len(asked)
+        vals = np.asarray(f(np.fromiter(asked + path, float, j + len(path)))).tolist()
+        v = vals[: n + 1] if fa is None else [fa, *vals[: n - 1], fb]
+        if v[0] < level:
+            raise ValueError(f"f(x_over) = {v[0]!r} must not be below the level {level!r}")
+        # each midpoint is within an ulp of max(|a|, |b|) of the exact one, so the stop test
+        # cannot end the search at a step k from (a, b) where |b - a| / 2**k is above tol
+        tol = (rtol * (1.0 + 1e-15) + 1e-15) * max(abs(a), abs(b)) + 1e-300
+        safe = steps + min(max_iter - steps, int(math.log2(min(max(abs(b - a) / tol, 1.0), 1e300))))
+        up, lo, hi = a < b, 0, n
+        while hi - lo > 1 and (steps < safe or steps < max_iter and (
+                abs(pts[hi] - pts[lo]) > rtol * max(abs(pts[lo]), abs(pts[hi])))):
+            m = (lo + hi) // 2
+            lo, hi = (lo, m) if v[m] < level else (m, hi)
+            steps += 1
+        a, b, fa, fb = pts[lo], pts[hi], v[lo], v[hi]
+        a_out = (pts[lo - 1], v[lo - 1]) if lo > 0 else a_out
+        b_out = (pts[hi + 1], v[hi + 1]) if hi < n else b_out
+        if path and path[0] == 0.5 * (a + b):  # the descent reached the cell the path starts in
+            for x, fx in zip(path, vals[j:]):
+                if steps >= safe and not (steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))):
+                    break
                 steps += 1
-            a, b, fa, fb = pts[lo], pts[hi], v[lo], v[hi]
-            a_out = (pts[lo - 1], v[lo - 1]) if lo > 0 else a_out
-            b_out = (pts[hi + 1], v[hi + 1]) if hi < n else b_out
-            if path and path[0] == 0.5 * (a + b):  # the descent reached the cell the path starts in
-                for x, fx in zip(path, vals[j : j + len(path)]):
-                    if steps >= safe and not (steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))):
-                        break
-                    steps += 1
-                    if fx < level:
-                        b_out, b, fb = (b, fb), x, fx
-                    else:
-                        a_out, a, fa = (a, fa), x, fx
-                    if (fx < level) != ((x >= r) if up else (x <= r)):
-                        break  # where the guess said otherwise, its path turns away from the descent
-            if steps >= safe and not (steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))):
-                done[i] = (a, b, fa, fb)
-            state[i] = (a, b, steps, fa, fb, (a_out, b_out))
-        live = [j for j in live if done[j] is None and not (
-            len(searches) > 1 and any(r and r[2] >= searches[j][0] > r[3] for r in done[:j]))]
-    return done
+                if fx < level:
+                    b_out, b, fb = (b, fb), x, fx
+                else:
+                    a_out, a, fa = (a, fa), x, fx
+                if (fx < level) != ((x >= r) if up else (x <= r)):
+                    break  # where the guess said otherwise, its path turns away from the descent
+        if steps >= safe and not (steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))):
+            return a, b, fa, fb

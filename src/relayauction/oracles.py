@@ -256,7 +256,7 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
     while active.any():
         hi = float((1.0 + g + limit)[active].min()) * (1.0 - 1e-12)
         # at level 1 nobody needs power
-        level = hi if total([hi])[0] < over else bisect_transition(total, [(over, hi, 1.0, 1e-13)])[0][1]
+        level = hi if total([hi])[0] < over else bisect_transition(total, over, hi, 1.0, 1e-13)[1]
         drops = active & (level <= (1.0 + g) ** 2)
         if not drops.any():
             break

@@ -20,8 +20,8 @@ from relayauction import (
 from relayauction.auction import POWER, SNR, _Core, _power_cutoff_points, _power_gain, _power_slope, _UserArrays
 from relayauction.channel import (
     LN2,
+    _power_for_snr,
     direct_snr,
-    power_for_relayed_snr,
     rate_increase,
     relayed_snr,
     relayed_snr_limit,
@@ -43,6 +43,12 @@ def make_random_scenario(rng: np.random.Generator, n_users: int) -> NetworkScena
         dst = (float(rng.uniform(-150, 150)), float(rng.uniform(-150, 150)))
         users.append(link_from_geometry(i, src, dst, (0.0, 0.0), 0.01, BENCH_SYSTEM))
     return NetworkScenario(tuple(users), 0.1, BENCH_SYSTEM)
+
+
+def without_user(scenario: NetworkScenario, index: int) -> NetworkScenario:
+    """The scenario with its user at index removed."""
+    users = tuple(u for k, u in enumerate(scenario.users) if k != index)
+    return NetworkScenario(users, scenario.relay_budget_w, scenario.system, scenario.relay)
 
 
 def make_snr_regular_scenarios(seed: int, count: int, min_users: int = 2, max_users: int = 5):
@@ -157,6 +163,11 @@ def coop_rate(link, p_rd, sys):
     """
     g = direct_snr(link, sys) + relayed_snr(link, p_rd, sys)
     return 0.5 * (sys.bandwidth_hz * np.log2(1.0 + g))
+
+
+def power_for_relayed_snr(link, target, sys):
+    """Relay power achieving a relayed SNR target below the limit (inverse of relayed_snr)."""
+    return _power_for_snr(link, target, relayed_snr_limit(link, sys), sys)
 
 
 def breakeven_power(link, sys):

@@ -14,7 +14,6 @@ from relayauction import (
     direct_snr,
     payment,
     payoff,
-    power_for_relayed_snr,
     rate_increase,
     relayed_snr,
     relayed_snr_limit,
@@ -38,6 +37,7 @@ from conftest import (
     make_random_scenario,
     one_user,
     power_cutoff_point,
+    power_for_relayed_snr,
     rate_increase_power_slope,
     reference_power_cutoff_points,
     reference_power_pi_hat,

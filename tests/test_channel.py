@@ -4,15 +4,17 @@ import decimal
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from relayauction import (
+    KINDS,
     direct_snr,
+    efficient_allocation,
     load_scenario,
     path_gain,
-    power_for_relayed_snr,
     rate_increase,
     relayed_snr,
     relayed_snr_limit,
@@ -21,7 +23,7 @@ from relayauction import (
     scenario_to_dict,
 )
 from relayauction.auction import POWER, _power_cutoff_points, _UserArrays
-from relayauction.channel import NetworkScenario, SystemParams, UserLink
+from relayauction.channel import LN2, NetworkScenario, SystemParams, UserLink, _log_gain, _power_for_snr
 
 from conftest import BENCH_SYSTEM, breakeven_power, coop_rate, direct_rate, rate_increase_power_slope
 
@@ -103,11 +105,10 @@ def test_relayed_snr_monotone_and_bounded():
 
 def test_power_for_relayed_snr_inverts():
     link = _link()
+    limit = relayed_snr_limit(link, BENCH_SYSTEM)
     for target in (0.1, 1.0, 10.0, 20.0):
-        p = power_for_relayed_snr(link, target, BENCH_SYSTEM)
+        p = _power_for_snr(link, target, limit, BENCH_SYSTEM)
         assert float(relayed_snr(link, p, BENCH_SYSTEM)) == pytest.approx(target, rel=1e-12)
-    with pytest.raises(ValueError):
-        power_for_relayed_snr(link, relayed_snr_limit(link, BENCH_SYSTEM), BENCH_SYSTEM)
 
 
 def test_direct_rate_values():
@@ -193,6 +194,28 @@ def test_rate_increase_exact_on_weak_direct_links(budget):
             a = d(p) * d(u.gain_rd) / d(sys.noise_w)
             want = k * ((1 + g + a * b / (a + b + 1)) / (1 + g) ** 2).ln()
             assert want > 0 and abs(d(r) - want) <= d(2e-15) * want
+
+
+def test_dead_user_with_huge_direct_snr_gains_nothing_without_warnings():
+    # g = 1e16: (s - g^2 - g) / (1+g)^2 rounds to -1 or below, where log1p gives nan or -inf
+    sys = SystemParams(1e6, 1e-30, 4.0)
+    link = UserLink(0, 0.01, 1e-12, 1.0, 1e-20)
+    sc = NetworkScenario((link,), 1.0, sys)
+    g, s, k = direct_snr(link, sys), float(relayed_snr(link, 1.0, sys)), sys.bandwidth_hz / (2.0 * LN2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in KINDS:
+            assert not _UserArrays.of(sc, kind).regular.any()
+        assert rate_increase(link, 1.0, sys) == 0.0
+        assert efficient_allocation(sc).total_rate_increase_bps == 0.0
+        # u stays exact where it is negative, and bit-equal to the log1p form beside such a user
+        u = _log_gain(np.array([s, 3.0]), np.array([g, 1.0]), k)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = decimal.Decimal
+        want = d(k) * ((1 + d(g) + d(s)) / (1 + d(g)) ** 2).ln()
+        assert want < 0 and abs(d(u[0]) - want) <= d(1e-15) * -want
+    assert u[1] == k * np.log1p(0.25)
 
 
 def test_breakeven_zero_direct_snr():

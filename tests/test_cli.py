@@ -1,11 +1,21 @@
 """Command-line entry points, run in-process against temp scenario files."""
 
+import dataclasses
 import json
 
 import pytest
 
-from relayauction import NetworkScenario, UserLink, save_scenario, scenario_from_dict, scenario_to_dict
+from relayauction import (
+    NetworkScenario,
+    PriceSearchResult,
+    UserLink,
+    save_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+    threshold_price,
+)
 from relayauction.cli import main
+from relayauction.dynamics import THRESHOLD_RTOL
 
 from conftest import BENCH_SYSTEM, make_random_scenario
 import numpy as np
@@ -27,19 +37,24 @@ def test_ne_solve_fixed_price(scenario_file, capsys):
     assert doc["utilization"] < 1.0
 
 
-def test_ne_solve_calibrated(scenario_file, capsys):
+def test_ne_solve_calibrated(scenario_file, scenario_y0, capsys):
     rc = main(["ne-solve", "--scenario", str(scenario_file), "--auction", "power", "--calibrate", "0.99"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["calibration"]["feasible"] is True
+    calibration = doc["calibration"]
+    # the target and the search result's fields, nothing stale
+    assert set(calibration) == {"target"} | {f.name for f in dataclasses.fields(PriceSearchResult)}
+    assert calibration["target"] == 0.99 and calibration["feasible"] is True
     assert doc["utilization"] == pytest.approx(0.99, abs=1e-3)
-    # the price is the lower end of the last bracket, at most 1e-9 from its upper end
-    p_over, p_under = doc["calibration"]["bracket"]
+    # the price is the lower end of the target bracket, at most 1e-9 from its upper end, where
+    # the target is met below one
+    p_over, p_under = calibration["bracket"]
     assert doc["price"] == p_over < p_under <= p_over * (1.0 + 1e-9)
-    assert 1 <= doc["calibration"]["evaluations"] <= 10
-    # a feasible price never lies below the threshold bracket's upper end
-    p_none, p_some = doc["calibration"]["threshold_bracket"]
-    assert p_none < p_some <= doc["price"]
+    assert 0.99 <= calibration["utilization"] < 1.0
+    assert doc["utilization"] == pytest.approx(calibration["utilization"], rel=0.0, abs=1e-12)
+    assert 1 <= calibration["evaluations"] <= 10
+    # a feasible price lies above the existence threshold
+    assert doc["price"] >= threshold_price(scenario_y0, "power") * (1.0 - THRESHOLD_RTOL)
 
 
 def test_ne_solve_reports_no_equilibrium(scenario_file, capsys):

@@ -43,6 +43,7 @@ from conftest import (
     reference_bisect,
     snr_equal_level_prediction,
     study_scenarios,
+    without_user,
 )
 
 BUDGET = 0.1
@@ -373,16 +374,13 @@ def test_price_searches_equal_one_price_at_a_time_search(bench_spec):
             lambda p: _scalar_share(users, p) < 1.0, t_over, t_under, THRESHOLD_RTOL
         )[0]
         assert threshold_price(sc, kind) == 0.5 * (p_none + p_some)
-        share = _scalar_share(users, p_some)
-        if share < 0.99:
-            want = (p_some, share, False, (p_none, p_some))
-        else:
-            bracket = reference_bisect(lambda p: _scalar_share(users, p) < 0.99, c_over, c_under, 1e-9)[0]
-            price = max(bracket[0], p_some)
-            want = (price, _scalar_share(users, price), True, bracket)
+        # the target bracket alone: feasible at its lower end where S < 1 there, else its upper end
+        bracket = reference_bisect(lambda p: _scalar_share(users, p) < 0.99, c_over, c_under, 1e-9)[0]
+        feasible = _scalar_share(users, bracket[0]) < 1.0
+        price = bracket[0] if feasible else bracket[1]
+        want = (price, _scalar_share(users, price), feasible, bracket)
         res = calibrate_price(sc, kind, 0.99)
         assert (res.price, res.utilization, res.feasible, res.bracket) == want
-        assert res.threshold_bracket == (p_none, p_some)
         checked.append(res.feasible)
     # 130 regular cases, both calibration outcomes among them
     assert len(checked) >= 120 and 0 < sum(checked) < len(checked)
@@ -394,12 +392,13 @@ def test_calibrated_price_has_the_reported_equilibrium(bench_spec):
         eq = solve_ne(sc, AuctionParams(kind, res.price))
         assert isinstance(eq, EquilibriumResult)
         assert eq.utilization == pytest.approx(res.utilization, rel=0.0, abs=1e-12)
-        assert threshold_price(sc, kind) == 0.5 * sum(res.threshold_bracket)
-        p_some = res.threshold_bracket[1]
+        t0, t1 = res.bracket
         if res.feasible:
-            assert res.price >= p_some and eq.utilization >= 0.99 - 1e-9
+            assert res.price == t0 and eq.utilization >= 0.99 - 1e-9
         else:
-            assert res.price == p_some and res.utilization < 0.99
+            # S falls from at least one to below the target inside the bracket: at the threshold
+            assert res.price == t1 and res.utilization < 0.99
+            assert abs(res.price / threshold_price(sc, kind) - 1.0) <= THRESHOLD_RTOL
 
 
 def test_equilibrium_read_out_agrees_with_channel_functions(bench_spec):
@@ -437,16 +436,15 @@ def test_calibration_evaluates_factors_few_times(monkeypatch):
 
     monkeypatch.setattr(_UserArrays, "shares", counted)
     res = calibrate_price(sc, "power", 0.99)
-    # at most one ladder call, then calls of five steps of both searches at least, most
-    # of them more where the jumps of S or its interpolation guess the crossings
+    # at most one ladder call, then calls of five steps of the search at least, most
+    # of them more where the jumps of S or its interpolation guess the crossing
     assert len(calls) == res.evaluations <= 5
     evaluations = [calibrate_price(s, kind, 0.99).evaluations for s in study_scenarios() for kind in KINDS]
     assert len(evaluations) == 32 and np.mean(evaluations) <= 4
 
 
 def test_calibration_asks_no_price_twice_in_a_call(monkeypatch, bench_spec):
-    # both levels start in the same ladder bracket: they share its tree, and the
-    # path of a guess they share, rather than asking them once per level
+    # a call's tree and the path of its guess share no price
     asked = []
     shares = _UserArrays.shares
 
@@ -491,7 +489,7 @@ def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):
     snr, power = _UserArrays.of(sc, SNR), _UserArrays.of(sc, POWER)
     assert snr.g is power.g and snr.links is power.links and snr.x0 is power.x0
     assert snr.g is _Core.of(sc).g
-    calibrate_price(sc.without_user(0), "power", 0.99)
+    calibrate_price(without_user(sc, 0), "power", 0.99)
     assert builds[-2:] == [("core", 1), ("power", 1)]
     # the memo is no field: equality, hashing, the repr and pickling ignore it
     fresh = build_two_user_scenario(bench_spec, 0.0)

@@ -115,7 +115,7 @@ def test_bisect_transition_matches_one_midpoint_per_step(lo, span, frac, flip, r
         return f(x) < level
 
     want, steps = reference_bisect(pred, x_over, x_under, rtol, max_iter)
-    (got,) = bisect_transition(counted, [(level, x_over, x_under, rtol)], max_iter=max_iter)
+    got = bisect_transition(counted, level, x_over, x_under, rtol, max_iter=max_iter)
     assert got[:2] == want
     assert got[2:] == (f(got[0]), f(got[1]))
     # every call takes the DEPTH steps of its tree at least, more where it asked ahead
@@ -125,56 +125,20 @@ def test_bisect_transition_matches_one_midpoint_per_step(lo, span, frac, flip, r
     _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol, max_iter)
 
 
-@given(
-    starts=st.lists(
-        st.tuples(st.floats(-1e3, 1e3), st.floats(1e-9, 1e3), st.floats(0.0, 1.0)), min_size=2, max_size=2
-    ),
-    rtols=st.lists(st.floats(1e-13, 1e-3), min_size=2, max_size=2),
-    max_iter=st.integers(0, 60),
-)
-def test_bisect_transition_levels_search_as_if_alone(starts, rtols, max_iter):
-    # f non-increasing, as the aggregate share; the first level is the higher one
-    f = _cube(-1.0)
-    cross = sorted(lo + frac * span for lo, span, frac in starts)
-    searches = []
-    for (lo, span, _), t, rtol in zip(starts, cross, rtols):
-        assume(lo < t < lo + span)
-        searches.append((-(t**3), lo, lo + span, rtol))
-    calls = []
-
-    def counted(xs):
-        calls.append(len(xs))
-        return f(xs)
-
-    alone = [bisect_transition(f, [search], max_iter=max_iter)[0] for search in searches]
-    got = bisect_transition(counted, searches, max_iter=max_iter)
-    assert got[0] == alone[0]
-    if got[1] is None:
-        # stopped: the first search's final bracket also brackets the second level
-        assert alone[0][2] >= searches[1][0] > alone[0][3]
-    else:
-        assert got[1] == alone[1]
-    for r in filter(None, got):
-        assert r[2:] == (f(r[0]), f(r[1]))
-    # the first call asks both trees, each point once
-    assert calls[0] == len({*_tree(*searches[0][1:3]), *_tree(*searches[1][1:3])})
-
-
-def test_bisect_transition_stops_a_level_crossed_inside_an_earlier_bracket():
-    # f jumps across both levels at 1: once the coarse first search ends,
-    # its bracket holds the second crossing as well
+def test_bisect_transition_brackets_a_jump_to_rtol():
+    # f jumps across the level at 1: the bracket closes on the jump to rtol
     def f(xs):
         return np.where(xs < 1.0, 2.0, 0.0)
 
-    first, second = bisect_transition(f, [(1.5, 0.0, 3.0, 1e-3), (0.5, 0.0, 3.0, 1e-12)])
-    assert first[0] < 1.0 <= first[1] and first[2:] == (2.0, 0.0) and second is None
-    assert bisect_transition(f, [(0.5, 0.0, 3.0, 1e-12)])[0][1] - 1.0 <= 3e-12
+    got = bisect_transition(f, 0.5, 0.0, 3.0, 1e-12)
+    assert got[0] < 1.0 <= got[1] and got[2:] == (2.0, 0.0)
+    assert got[1] - 1.0 <= 3e-12
 
 
 def test_bisect_transition_rejects_true_start():
     # f(x_over) < level: the start on the over side already lies past the drop
     with pytest.raises(ValueError, match="x_over"):
-        bisect_transition(lambda xs: -xs, [(0.0, 1.0, 2.0, 1e-9)])
+        bisect_transition(lambda xs: -xs, 0.0, 1.0, 2.0, 1e-9)
 
 
 def _counted(f, calls):
@@ -229,7 +193,7 @@ def test_bisect_transition_asks_ahead_without_moving_a_result(
         return f(xs)
 
     want, steps = reference_bisect(pred, x_over, x_under, rtol, max_iter)
-    (got,) = bisect_transition(recorded, [(level, x_over, x_under, rtol)], max_iter, jumps)
+    got = bisect_transition(recorded, level, x_over, x_under, rtol, max_iter, jumps)
     assert got[:2] == want
     assert got[2:] == (f(got[0]), f(got[1]))
     assert len(asked) <= max(1, math.ceil(steps / DEPTH))
@@ -259,7 +223,7 @@ def test_bisect_transition_finishes_a_step_at_its_given_jump_in_two_calls(
     jumps = tuple(sorted([t, *past, *(x for x in outside if not lo <= x <= hi)]))
     calls = []
     want, _ = reference_bisect(lambda x: f(x) < 0.5, x_over, x_under, rtol, max_iter)
-    (got,) = bisect_transition(_counted(f, calls), [(0.5, x_over, x_under, rtol)], max_iter, jumps)
+    got = bisect_transition(_counted(f, calls), 0.5, x_over, x_under, rtol, max_iter, jumps)
     assert got[:2] == want
     assert len(calls) <= 2
 
@@ -274,6 +238,6 @@ def test_bisect_transition_asks_no_path_from_non_finite_values(over, under):
 
     calls = []
     want, steps = reference_bisect(lambda x: f(x) < 0.5, 0.0, 1.0, 1e-12)
-    (got,) = bisect_transition(_counted(f, calls), [(0.5, 0.0, 1.0, 1e-12)])
+    got = bisect_transition(_counted(f, calls), 0.5, 0.0, 1.0, 1e-12)
     assert got[:2] == want
     assert calls == [2**DEPTH + 1] + [2**DEPTH - 1] * (math.ceil(steps / DEPTH) - 1)

@@ -30,9 +30,17 @@ from relayauction import (
     vcg_auction,
 )
 from relayauction.auction import _Core, _UserArrays
-from relayauction.channel import _LinkArrays, power_for_relayed_snr, relayed_snr_limit
+from relayauction.channel import _LinkArrays, relayed_snr_limit
 
-from conftest import BENCH_SYSTEM, breakeven_power, make_random_scenario, reference_bisect, snr_marginal_rate
+from conftest import (
+    BENCH_SYSTEM,
+    breakeven_power,
+    make_random_scenario,
+    power_for_relayed_snr,
+    reference_bisect,
+    snr_marginal_rate,
+    without_user,
+)
 
 BUDGET = 0.1
 
@@ -570,7 +578,7 @@ def test_forced_out_solve_equals_the_scenario_without_the_user(bench_spec, delta
     for sc in _forced_out_scenarios(bench_spec):
         welfare, users = oracles._Welfare(sc, delta), np.arange(sc.n_users)
         for i in users:
-            got, want = welfare.solve(users == i), efficient_allocation(sc.without_user(i), delta)
+            got, want = welfare.solve(users == i), efficient_allocation(without_user(sc, i), delta)
             assert got.nodes == want.nodes and got.powers[i] == 0.0
             rtol = 0.0 if sc.n_users < 8 else 1e-15  # numpy sums 8 terms or more pairwise
             total = want.total_rate_increase_bps
