@@ -175,10 +175,9 @@ def _power_slope(p, g, b, c, k):
 
 
 def _power_coefficients(core) -> tuple:
-    """The power demand's price-free terms: 1+g, 4 q2, q1, q1^2, K c b / (b+1) and (b+1) / c."""
-    g, b = core.g, core.b
-    q1 = 2.0 + 2.0 * g + b
-    return 1.0 + g, 4.0 * (1.0 + g + b), q1, q1 * q1, core.k * core.c * b / (b + 1.0), (b + 1.0) / core.c
+    """The power demand's price-free terms: 1+g, 4 q2, q1, b^2, K c b / (b+1) and (b+1) / c."""
+    g, b, c = core.g, core.b, core.c
+    return 1.0 + g, 4.0 * (1.0 + g + b), 2.0 + 2.0 * g + b, b * b, core.k * c * b / (b + 1.0), (b + 1.0) / c
 
 
 def _power_demand(users: "_UserArrays", price) -> np.ndarray:
@@ -190,23 +189,25 @@ def _power_demand(users: "_UserArrays", price) -> np.ndarray:
     (1+g+b) a^2 + (b+1)(2+2g+b) a + (b+1)^2 (1+g) - K c b (b+1) / price = 0.
     It is solved in t = a / (b+1) (divided through by (b+1)^2, which keeps the
     coefficients in range) as q2 t^2 + q1 t + q0 = 0, q2 = 1+g+b, q1 = 2+2g+b,
-    q0 = 1+g - K c b / ((b+1) price), taking the positive root in the form free
-    of cancellation.  The discriminant is at least b^2, so the root is real.
+    q0 = 1+g - X, X = K c b / ((b+1) price), taking the positive root in the
+    form free of cancellation.  The discriminant q1^2 - 4 q2 q0 equals
+    b^2 + 4 q2 X, a sum of positive terms, so it is computed as that: the
+    difference rounds below 0 where b << 1+g.
     u is concave, so the clamped root maximizes u(p) - price * p over
     [0, budget] (the power auction clamps it to the breakeven as well).  The
-    price may be an array broadcasting against the users; only q0 depends on
+    price may be an array broadcasting against the users; only X depends on
     it, and the rest is read from users.coef.
     """
-    g1, q2x4, q1, q1sq, kcb1, b1c = users.coef
-    q0 = g1 - kcb1 / price
-    t = -2.0 * q0 / (q1 + np.sqrt(q1sq - q2x4 * q0))
+    g1, q2x4, q1, bsq, kcb1, b1c = users.coef
+    x = kcb1 / price
+    t = -2.0 * (g1 - x) / (q1 + np.sqrt(bsq + q2x4 * x))
     return np.minimum(np.maximum(t * b1c, 0.0), users.budget)
 
 
 def _power_demand_slope(users: "_UserArrays", price) -> np.ndarray:
-    """d x / d price of _power_demand's root: d t / d q0 = -1 / sqrt(q1^2 - 4 q2 q0) = -1 / (2 q2 t + q1)."""
-    g1, q2x4, q1, q1sq, kcb1, b1c = users.coef
-    return -b1c * kcb1 / (price * price * np.sqrt(q1sq - q2x4 * (g1 - kcb1 / price)))
+    """d x / d price of _power_demand's root: d t / d q0 = -1 / sqrt(b^2 + 4 q2 X) = -1 / (2 q2 t + q1)."""
+    g1, q2x4, q1, bsq, kcb1, b1c = users.coef
+    return -b1c * kcb1 / (price * price * np.sqrt(bsq + q2x4 * (kcb1 / price)))
 
 
 def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:

@@ -28,7 +28,10 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100)
     Every iterate narrows the bracket to the sign change; a Newton step that
     would leave it is replaced by the bracket's midpoint, so the search
     converges like bisection at worst and quadratically near a simple root.
-    It stops once every step is within rtol of its point.
+    An element stops at the first step within rtol of its point and keeps that
+    step; the search ends once every element has stopped.  No element's root
+    depends on the others, so a batch of problems gives each the root it gets
+    alone, to the bit.
     """
     lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     (flo, fhi), (dflo, dfhi) = fdf(np.stack([lo, hi]))
@@ -37,15 +40,17 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100)
     at_hi = fhi == 0.0
     x, fx, dfx = np.where(at_hi, hi, lo), np.where(at_hi, fhi, flo), np.where(at_hi, dfhi, dflo)
     up = flo < 0.0  # f increases through the root
+    live = np.ones_like(up)
     for _ in range(max_iter):
         above = (fx > 0.0) == up  # the root lies below x
         lo, hi = np.where(above, lo, x), np.where(above, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             nxt = x - fx / dfx
         nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        done = np.abs(nxt - x) <= rtol * np.abs(nxt)
-        x = nxt
-        if done.all():
+        moving = np.abs(nxt - x) > rtol * np.abs(nxt)
+        x = np.where(live, nxt, x)
+        live &= moving
+        if not live.any():
             break
         fx, dfx = fdf(x)
     return x

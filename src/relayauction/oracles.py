@@ -11,10 +11,12 @@ water-filling is the power auction's own demand at one multiplier per node, and 
 value bounds every set below it.  A node whose relaxed split uses the whole budget is
 solved outright; otherwise it branches on the free user whose envelope demand jumps
 across the multiplier.  The welfare the others reach without a user, which its pivot
-payment needs, is the same search with that user forced out from the root, on the same
-arrays.  The fair allocation equalizes the marginal rate gain per unit of relayed SNR
-across participants, which pins a common SNR level; the largest feasible level is found
-by bisection on the budget constraint.
+payment needs, is the same problem with that user forced out from the root.  The
+efficient problem and every such leave-one-out problem run as one search on the same
+arrays: each level of all of them is one relaxation solve, and each problem sees the
+nodes it would see alone.  The fair allocation equalizes the marginal rate gain per unit
+of relayed SNR across participants, which pins a common SNR level; the largest feasible
+level is found by bisection on the budget constraint.
 """
 
 from __future__ import annotations
@@ -138,32 +140,39 @@ class _Relaxation:
         return lam, x, lam * budget + gain.sum(axis=1), welfare
 
 
-def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """Efficient split of the budget among the free users, the nodes solved, and the certified gap.
+def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Efficient splits of the budget, nodes solved and certified gaps of a stack of problems.
 
-    Each level is solved as one array of nodes.  A node's split, scaled
-    onto the budget, is a candidate.  A node whose bound the incumbent does
-    not meet branches on the free user whose pi_hat is nearest its
-    multiplier, forcing it in and out; the water-filling of its
-    participants (those forced in, the free ones with positive demand and
-    that user) joins the next level as a node with none free.  The search
-    ends when every open bound is at most the incumbent times
-    (1 + BOUND_RTOL).  A user never free is never let in: its column adds
-    exact zeros to every sum and neutral values to every reduction.
+    Row p of free marks the users problem p may let in.  Each level of
+    every problem is solved as one array of nodes, each tagged with its
+    problem.  A node's split, scaled onto the budget, is a candidate for its
+    problem.  A node whose bound its problem's incumbent does not meet
+    branches on the free user whose pi_hat is nearest its multiplier,
+    forcing it in and out; the water-filling of its participants (those
+    forced in, the free ones with positive demand and that user) joins the
+    next level as a node with none free.  A problem ends when every open
+    bound is at most its incumbent times (1 + BOUND_RTOL).  A user never
+    free is never let in: its column adds exact zeros to every sum and
+    neutral values to every reduction.  Nodes keep their problem's order
+    within a level and the multiplier search solves each node as if alone,
+    so every problem sees the nodes and results it would see alone.
     """
-    n = free.size
-    best_x, best = np.zeros(n), 0.0
-    inn, free = np.zeros((1, n), dtype=bool), free[None, :]
-    nodes, closed = 0, 0.0
+    problems, n = free.shape
+    each = np.arange(problems)[:, None]
+    best_x, best = np.zeros((problems, n)), np.zeros(problems)
+    inn, tag = np.zeros_like(free), each[:, 0]
+    tags, closed = [], []  # every node's problem, and its bound where it closed (else 0)
     while len(inn):
-        nodes += len(inn)
         lam, x, bound, value = relax.solve(inn, free)
-        k = int(value.argmax())
-        if value[k] > best:
-            best_x, best = x[k], float(value[k])
-        branch = (bound > best * (1.0 + BOUND_RTOL)) & free.any(axis=1)
-        closed = max(closed, float(bound[~branch].max(initial=0.0)))
-        inn, free, lam, x = inn[branch], free[branch], lam[branch], x[branch]
+        # each problem's largest value, at the first of its nodes that reaches it
+        mine = np.where(tag == each, value, -np.inf)
+        k, top = mine.argmax(axis=1), mine.max(axis=1)
+        better = top > best
+        best_x[better], best = x[k[better]], np.maximum(best, top)
+        branch = (bound > best[tag] * (1.0 + BOUND_RTOL)) & free.any(axis=1)
+        tags.append(tag)
+        closed.append(np.where(branch, 0.0, bound))
+        inn, free, tag, lam, x = inn[branch], free[branch], tag[branch], lam[branch], x[branch]
         rows = np.arange(len(inn))
         pick = np.where(free, np.abs(relax.jumps - lam[:, None]), np.inf).argmin(axis=1)
         filled = inn | (free & (x > 0.0))
@@ -172,18 +181,21 @@ def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray,
         rest[rows, pick] = False
         inn = np.concatenate([forced, inn, filled])
         free = np.concatenate([rest, rest, np.zeros_like(filled)])
+        tag = np.concatenate([tag, tag, tag])
         # a node without participants is worth 0, which no incumbent is below
         keep = (inn | free).any(axis=1)
-        inn, free = inn[keep], free[keep]
-    return best_x, nodes, max(closed / best - 1.0, 0.0)
+        inn, free, tag = inn[keep], free[keep], tag[keep]
+    mine = np.concatenate(tags) == each
+    closed = np.where(mine, np.concatenate(closed), 0.0).max(axis=1)
+    return best_x, mine.sum(axis=1), np.maximum(closed / best - 1.0, 0.0)
 
 
 class _Welfare:
-    """Efficient allocations on one scenario at budget P*(1-delta), with chosen users forced out.
+    """Efficient allocations on one scenario at budget P*(1-delta), each with its own users let in.
 
     One core serves every solve; the power-auction arrays and their relaxation are built once,
-    at the first solve with two users or more who can gain from the relay.  With one such
-    user or none the allocation is a closed form: that user takes the whole budget.
+    at the first solve of a problem with two users or more who can gain from the relay.  With
+    one such user or none the allocation is a closed form: that user takes the whole budget.
     """
 
     def __init__(self, scenario: NetworkScenario, delta: float):
@@ -200,12 +212,17 @@ class _Welfare:
         scenario, delta = self.scenario, self.delta
         return _Relaxation(_UserArrays.of(scenario, POWER) if delta == 0.0 else _UserArrays(self.core, POWER))
 
-    def solve(self, out: np.ndarray) -> OracleAllocation:
-        """The efficient allocation when the users where out is true take no power."""
-        free = self.live & ~out
-        if free.sum() <= 1:
-            return _finish(self.core, np.where(free, self.budget, 0.0))
-        return _finish(self.core, *_branch_and_bound(self.relax, free))
+    def solve(self, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Splits, nodes and gaps of the problems where row p of allowed marks the users problem p
+        may let in; all problems with two live users or more run in one search."""
+        free = self.live & allowed
+        many = free.sum(axis=1) > 1
+        if many.all():
+            return _branch_and_bound(self.relax, free)
+        x, nodes, gaps = np.where(free, self.budget, 0.0), np.ones(len(free), dtype=int), np.zeros(len(free))
+        if many.any():
+            x[many], nodes[many], gaps[many] = _branch_and_bound(self.relax, free[many])
+        return x, nodes, gaps
 
 
 def efficient_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
@@ -217,7 +234,9 @@ def efficient_allocation(scenario: NetworkScenario, delta: float = 0.01) -> Orac
     relay is a closed form: that user takes the whole budget.  Power that
     buys no rate increase is released, so the budget may go partly unused.
     """
-    return _Welfare(scenario, delta).solve(np.zeros(scenario.n_users, dtype=bool))
+    welfare = _Welfare(scenario, delta)
+    x, nodes, gaps = welfare.solve(welfare.live[None])
+    return _finish(welfare.core, x[0], int(nodes[0]), float(gaps[0]))
 
 
 def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
@@ -269,17 +288,22 @@ def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 40
     """Efficient allocation with pivot payments.
 
     Each user pays the welfare the others lose from its presence: the best
-    total the others could reach alone, minus what they actually get.  A
-    user the efficient split gives no power leaves the optimum unchanged and
-    pays exactly 0; for every other user one more welfare maximization runs
-    with that user forced out, on the same core and arrays as the efficient
-    split.  grid_n is ignored, kept for callers that still pass it.
+    total the others could reach alone, minus what they actually get.  The
+    efficient split and, for every user who can gain from the relay, the
+    efficient split with that user left out are solved as the problems of
+    one branch-and-bound, on one core and one set of arrays.  A user the
+    efficient split gives no power pays exactly 0.  grid_n is ignored, kept
+    for callers that still pass it.
     """
-    welfare, users = _Welfare(scenario, delta), np.arange(scenario.n_users)
-    base = welfare.solve(users < 0)  # nobody forced out
-    payments = np.zeros(scenario.n_users)
-    for i in np.flatnonzero(base.powers > 0.0):
-        others_gain = float(base.total_rate_increase_bps - base.per_user_rate_increase_bps[i])
-        alone = welfare.solve(users == i)
-        payments[i] = max(alone.total_rate_increase_bps - others_gain, 0.0)
+    welfare, n = _Welfare(scenario, delta), scenario.n_users
+    core, live = welfare.core, np.flatnonzero(welfare.live)
+    allowed = np.ones((live.size + 1, n), dtype=bool)
+    allowed[np.arange(1, live.size + 1), live] = False  # problem 1 + j leaves live user j out
+    x, nodes, gaps = welfare.solve(allowed)
+    base = _finish(core, x[0], int(nodes[0]), float(gaps[0]))
+    snr = _relayed_snr(core.links, x[1:], core.b, core.sys)
+    alone = np.zeros(n)
+    alone[live] = np.maximum(_log_gain(snr, core.g, core.k), 0.0).sum(axis=1)
+    others = base.total_rate_increase_bps - base.per_user_rate_increase_bps
+    payments = np.where(base.powers > 0.0, np.maximum(alone - others, 0.0), 0.0)
     return VcgResult(allocation=base, payments=payments)

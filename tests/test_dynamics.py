@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import relayauction.dynamics as dynamics
 from relayauction import (
     KINDS,
     AuctionParams,
@@ -443,22 +444,33 @@ def test_calibration_evaluates_factors_few_times(monkeypatch):
     assert len(evaluations) == 32 and np.mean(evaluations) <= 4
 
 
-def test_calibration_asks_no_price_twice_in_a_call(monkeypatch, bench_spec):
-    # a call's tree and the path of its guess share no price
+def test_calibration_search_asks_no_price_twice(monkeypatch, bench_spec):
+    # after the ladder, every call of a calibration's search asks only prices that
+    # no earlier call of it asked: each tree and path lies inside the open bracket
     asked = []
-    shares = _UserArrays.shares
+    shares, search = _UserArrays.shares, dynamics.bisect_transition
 
     def recorded(self, prices):
         asked.append(list(prices))
         return shares(self, prices)
 
+    def searched(*args, **kwargs):
+        asked.clear()  # forget the ladder
+        return search(*args, **kwargs)
+
     monkeypatch.setattr(_UserArrays, "shares", recorded)
+    monkeypatch.setattr(dynamics, "bisect_transition", searched)
     sweep = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
-    for sc in sweep + study_scenarios():
+    calibrations = prices = 0
+    for sc in sweep + study_scenarios(25):
         for kind in KINDS:
+            if not _UserArrays.of(sc, kind).regular.any():
+                continue
             calibrate_price(sc, kind, 0.99)
-    assert len(asked) >= 300
-    assert all(len(set(prices)) == len(prices) for prices in asked)
+            flat = [p for call in asked for p in call]
+            assert len(set(flat)) == len(flat)
+            calibrations, prices = calibrations + 1, prices + len(flat)
+    assert calibrations == 296 and prices >= 40000
 
 
 def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):

@@ -41,6 +41,27 @@ def test_newton_root_asks_both_ends_in_one_call():
     assert asked[0] == (2, 2) and asked[1:] == [(2,)] * (len(asked) - 1)
 
 
+def test_newton_root_of_a_row_is_the_same_beside_rows_that_need_more_steps():
+    def cube_roots(c, rtol=1e-4):
+        """Cube roots of c and the calls they took."""
+        calls = []
+
+        def fdf(x):
+            calls.append(x.shape)
+            return x**3 - c, 3.0 * x * x
+
+        return newton_root(fdf, np.zeros(c.size), np.maximum(c, 1.0), rtol=rtol).tolist(), len(calls)
+
+    c = np.array([2.0, 1e6, 3.0, 1e-9])
+    together, calls = cube_roots(c)
+    alone = [cube_roots(c[k : k + 1]) for k in range(c.size)]
+    assert together == [root for (root,), _ in alone]
+    # the rows stop at different steps, and a row that took more steps than it needs
+    # at this loose rtol would end elsewhere
+    assert len({n for _, n in alone}) > 1 and max(n for _, n in alone) == calls
+    assert all(cube_roots(c[k : k + 1], 1e-15)[0] != root for k, (root, _) in enumerate(alone))
+
+
 def test_newton_root_rejects_unbracketed():
     with pytest.raises(ValueError):
         newton_root(lambda x: (x * x + 1.0, 2.0 * x), np.array([-1.0]), 1.0)

@@ -1,5 +1,7 @@
 """Centralized benchmarks: exact efficient split, fair level, pivot payments."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from relayauction import (
     EquilibriumResult,
     MultiUserSpec,
     NetworkScenario,
+    SystemParams,
     TwoUserSweepSpec,
     UserLink,
     build_two_user_scenario,
@@ -29,7 +32,7 @@ from relayauction import (
     threshold_price,
     vcg_auction,
 )
-from relayauction.auction import _Core, _UserArrays
+from relayauction.auction import _Core, _power_demand, _UserArrays
 from relayauction.channel import _LinkArrays, relayed_snr_limit
 
 from conftest import (
@@ -39,6 +42,7 @@ from conftest import (
     power_for_relayed_snr,
     reference_bisect,
     snr_marginal_rate,
+    study_scenarios,
     without_user,
 )
 
@@ -172,11 +176,10 @@ def test_efficient_matches_participant_set_enumeration():
     for delta in (0.0, 0.01):
         for sc in scenarios:
             alloc = efficient_allocation(sc, delta=delta)
-            assert alloc.total_rate_increase_bps == pytest.approx(
-                enumerated_welfare(sc, delta), rel=1e-12, abs=0.0
-            )
+            total = enumerated_welfare(sc, delta)
+            assert abs(alloc.total_rate_increase_bps - total) <= 1e-15 * total
             assert alloc.powers.sum() <= sc.relay_budget_w * (1 - delta) * (1 + 1e-12)
-            assert 1 <= alloc.nodes and 0.0 <= alloc.certified_gap <= 1e-12
+            assert 1 <= alloc.nodes and 0.0 <= alloc.certified_gap <= oracles.BOUND_RTOL
             shared += int(np.count_nonzero(alloc.powers) >= 2)
     assert shared >= 20
 
@@ -499,36 +502,47 @@ def test_vcg_zero_allocation_user_pays_nothing(scenario_y25):
     assert res.payments[2] == 0.0
 
 
-def _count_builds_and_solves(monkeypatch) -> dict:
-    """Record the users each welfare solve leaves in, and count the _Core and _UserArrays builds."""
-    counts = {"solves": [], "cores": 0, "arrays": 0}
-    solve, core_init, arrays_init = oracles._Welfare.solve, _Core.__init__, _UserArrays.__init__
+def _count_searches(monkeypatch) -> dict:
+    """Count the branch-and-bound searches, relaxation solves, _Core builds and _UserArrays builds."""
+    counts = {"searches": 0, "solves": 0, "cores": 0, "arrays": 0}
+    search, solve = oracles._branch_and_bound, oracles._Relaxation.solve
+    core_init, arrays_init = _Core.__init__, _UserArrays.__init__
 
-    def counting_solve(self, out):
-        counts["solves"].append(int(np.count_nonzero(~out)))
-        return solve(self, out)
+    def counting(name, f):
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
 
-    def counting_core(self, *args):
-        counts["cores"] += 1
-        core_init(self, *args)
+        return counted
 
-    def counting_arrays(self, *args):
-        counts["arrays"] += 1
-        arrays_init(self, *args)
-
-    monkeypatch.setattr(oracles._Welfare, "solve", counting_solve)
-    monkeypatch.setattr(_Core, "__init__", counting_core)
-    monkeypatch.setattr(_UserArrays, "__init__", counting_arrays)
+    monkeypatch.setattr(oracles, "_branch_and_bound", counting("searches", search))
+    monkeypatch.setattr(oracles._Relaxation, "solve", counting("solves", solve))
+    monkeypatch.setattr(_Core, "__init__", counting("cores", core_init))
+    monkeypatch.setattr(_UserArrays, "__init__", counting("arrays", arrays_init))
     return counts
 
 
-def test_vcg_solves_nothing_more_for_users_given_no_power(monkeypatch, scenario_y25):
-    users = scenario_y25.users + (UserLink(2, 0.01, 6.25e-10, 1e-12, 1e-12),)
-    sc = NetworkScenario(users, BUDGET, BENCH_SYSTEM)
-    counts = _count_builds_and_solves(monkeypatch)
-    res = oracles.vcg_auction(sc, delta=0.0)
-    assert counts["solves"] == [3] + [2] * int(np.count_nonzero(res.allocation.powers))
-    assert res.allocation.powers[2] == 0.0 and res.payments[2] == 0.0
+def _vcg_problems(welfare, n):
+    """The users each VCG problem may let in: everyone, then each live user left out."""
+    live = np.flatnonzero(welfare.live)
+    allowed = np.ones((live.size + 1, n), dtype=bool)
+    allowed[np.arange(1, live.size + 1), live] = False
+    return allowed
+
+
+def test_vcg_charges_live_users_given_no_power_exactly_zero():
+    rng = np.random.default_rng(16)
+    unpaid = 0
+    for _ in range(30):
+        sc = make_random_scenario(rng, 6)
+        res = vcg_auction(sc, delta=0.0)
+        live = oracles._Welfare(sc, 0.0).live
+        given = res.allocation.powers > 0.0
+        # their leave-one-out problem ran in the search, yet they pay exactly 0.0
+        assert np.array_equal(res.payments[~given], np.zeros(np.count_nonzero(~given)))
+        assert not np.signbit(res.payments).any()
+        unpaid += int(np.count_nonzero(live & ~given))
+    assert unpaid >= 10
 
 
 def test_vcg_allocation_is_efficient(scenario_y25):
@@ -549,21 +563,41 @@ def test_vcg_payments_nonnegative_and_individually_rational():
         assert np.all(res.payments <= res.allocation.per_user_rate_increase_bps + slack)
 
 
-def test_vcg_runs_one_welfare_solve_per_user_plus_one(monkeypatch, scenario_y0):
-    for delta in (0.0, 0.01):
-        counts = _count_builds_and_solves(monkeypatch)
-        oracles.vcg_auction(scenario_y0, delta=delta)
-        assert len(counts["solves"]) == scenario_y0.n_users + 1
-    # every solve runs on one core and one set of power-auction arrays
-    assert (counts["cores"], counts["arrays"]) == (1, 1)
+def test_vcg_runs_one_search_on_one_build(monkeypatch, bench_spec):
+    rng = np.random.default_rng(15)
+    # new scenarios, whose core and arrays no earlier call has built
+    scenarios = [make_random_scenario(rng, n) for n in (3, 4, 5, 6, 8)]
+    scenarios.insert(0, build_two_user_scenario(bench_spec, 0.0))
+    searched = deep = 0  # deep: the problems' depths differ
+    for sc in scenarios:
+        for delta in (0.0, 0.01):
+            counts = _count_searches(monkeypatch)
+            oracles.vcg_auction(sc, delta=delta)
+            built = (counts["searches"], counts["cores"], counts["arrays"])
+            welfare = oracles._Welfare(sc, delta)
+            if welfare.live.sum() < 2:
+                assert built == (0, 1, 0)
+                continue
+            assert built == (1, 1, 1)
+            # the problems advance together: one relaxation solve per level of the deepest
+            solves, levels = counts["solves"], []
+            for free in welfare.live & _vcg_problems(welfare, sc.n_users):
+                if free.sum() > 1:
+                    before = counts["solves"]
+                    oracles._branch_and_bound(welfare.relax, free[None])
+                    levels.append(counts["solves"] - before)
+            assert solves == max(levels)
+            searched += 1
+            deep += len(set(levels)) > 1
+    assert searched >= 8 and deep >= 2
 
 
 def test_vcg_builds_no_arrays_for_at_most_one_live_user(monkeypatch, scenario_y0):
     hopeless = UserLink(2, 0.01, 6.25e-10, 1e-12, 1e-12)
     for users in ((scenario_y0.users[1],), (scenario_y0.users[1], hopeless), (hopeless,)):
-        counts = _count_builds_and_solves(monkeypatch)
+        counts = _count_searches(monkeypatch)
         oracles.vcg_auction(NetworkScenario(users, BUDGET, BENCH_SYSTEM), delta=0.01)
-        assert (counts["cores"], counts["arrays"]) == (1, 0)
+        assert (counts["cores"], counts["arrays"], counts["searches"]) == (1, 0, 0)
 
 
 def _forced_out_scenarios(bench_spec):
@@ -576,14 +610,86 @@ def _forced_out_scenarios(bench_spec):
 @pytest.mark.parametrize("delta", [0.0, 0.01])
 def test_forced_out_solve_equals_the_scenario_without_the_user(bench_spec, delta):
     for sc in _forced_out_scenarios(bench_spec):
-        welfare, users = oracles._Welfare(sc, delta), np.arange(sc.n_users)
-        for i in users:
-            got, want = welfare.solve(users == i), efficient_allocation(without_user(sc, i), delta)
-            assert got.nodes == want.nodes and got.powers[i] == 0.0
+        welfare = oracles._Welfare(sc, delta)
+        allowed = _vcg_problems(welfare, sc.n_users)
+        x, nodes, _ = welfare.solve(allowed)
+        for p, i in enumerate(np.flatnonzero(welfare.live), start=1):
+            want = efficient_allocation(without_user(sc, i), delta)
+            got = oracles._finish(welfare.core, x[p])
+            assert nodes[p] == want.nodes and got.powers[i] == 0.0
             rtol = 0.0 if sc.n_users < 8 else 1e-15  # numpy sums 8 terms or more pairwise
             total = want.total_rate_increase_bps
             assert abs(got.total_rate_increase_bps - total) <= rtol * total
-            np.testing.assert_allclose(got.powers[users != i], want.powers, rtol=rtol, atol=0.0)
+            np.testing.assert_allclose(got.powers[np.arange(sc.n_users) != i], want.powers, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+def test_batched_search_equals_each_problem_alone(bench_spec, delta):
+    # the efficient problem and every leave-one-out problem share one search, yet each
+    # gets the nodes, split and total it gets alone, and the payments read those totals
+    for sc in _forced_out_scenarios(bench_spec):
+        welfare, n = oracles._Welfare(sc, delta), sc.n_users
+        allowed = _vcg_problems(welfare, n)
+        x, nodes, gaps = welfare.solve(allowed)
+        rtol = 0.0 if n < 8 else 1e-15
+        totals = []
+        for p, row in enumerate(allowed):
+            x_alone, nodes_alone, _ = welfare.solve(row[None])
+            assert nodes[p] == nodes_alone[0] and gaps[p] <= oracles.BOUND_RTOL
+            np.testing.assert_allclose(x[p], x_alone[0], rtol=rtol, atol=0.0)
+            got, want = (oracles._finish(welfare.core, v).total_rate_increase_bps for v in (x[p], x_alone[0]))
+            assert abs(got - want) <= rtol * want
+            totals.append(want)
+        res = vcg_auction(sc, delta)
+        base = res.allocation
+        assert base.total_rate_increase_bps == totals[0] and base.nodes == nodes[0]
+        alone = np.zeros(n)
+        alone[welfare.live] = totals[1:]
+        others = base.total_rate_increase_bps - base.per_user_rate_increase_bps
+        want = np.where(base.powers > 0.0, np.maximum(alone - others, 0.0), 0.0)
+        assert np.abs(res.payments - want).max() <= 1e-15 * base.total_rate_increase_bps
+
+
+def test_branch_and_bound_solves_few_nodes_on_the_study():
+    # branching on the free user whose pi_hat is nearest the multiplier closes most
+    # study problems at the root; branching on the smallest pi_hat takes up to 58 nodes
+    nodes = [efficient_allocation(sc, delta=0.0).nodes for sc in study_scenarios(100)]
+    assert len(nodes) == 400
+    assert np.median(nodes) == 1 and max(nodes) <= 12
+
+
+# users whose SNR limit b is far below 1 + g, their direct SNR term; the power demand's
+# discriminant q1^2 - 4 q2 q0 rounds below 0 (tangent of the first) or to 0 (multiplier
+# Newton of the second) when computed as a difference
+_ROUNDING_DISCRIMINANTS = [
+    NetworkScenario((
+        UserLink(0, 0.00797443301527275, 1.9894601652236967e-15, 4.579342078638605e-13, 6.44190136444881e-13),
+        UserLink(1, 0.000942518755655713, 8.782892663603417e-14, 1.581933824146781e-12, 4.1938601975107614e-07),
+        UserLink(2, 0.00012920033055492794, 4.5650588715823e-10, 1.5934076985843168e-14, 5.81034356492182e-11),
+    ), 14.397769631605458, SystemParams(1e6, 1.8089625381937484e-10, 4.0)),
+    NetworkScenario((
+        UserLink(0, 0.10529682838945403, 7.77933367028574e-23, 8.283208340987847e-21, 1.0345741993786811e-16),
+        UserLink(1, 0.5097494942833384, 6.431351054742326e-15, 2.6868560588581456e-11, 9.555779635164331e-08),
+        UserLink(2, 0.0011951711462907277, 8.388523162969385e-16, 6.139166706610623e-07, 2.0878043208732037e-08),
+    ), 0.22199211715257683, SystemParams(1e6, 1.9187286957311675e-11, 4.0)),
+]
+
+
+@pytest.mark.parametrize("sc", _ROUNDING_DISCRIMINANTS, ids=["tangent", "newton"])
+def test_power_demand_with_tiny_snr_limit_raises_no_warning(sc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for delta in (0.0, 0.01):
+            alloc = efficient_allocation(sc, delta=delta)
+            total = enumerated_welfare(sc, delta)
+            assert abs(alloc.total_rate_increase_bps - total) <= 1e-15 * total
+            assert alloc.certified_gap <= oracles.BOUND_RTOL
+            assert vcg_auction(sc, delta=delta).allocation.total_rate_increase_bps == alloc.total_rate_increase_bps
+        users = _UserArrays.of(sc, POWER)
+        demand = _power_demand(users, oracles._Relaxation(users).jumps)
+        assert np.isfinite(demand).all()
+        for kind in KINDS:
+            calibrate_price(sc, kind, 0.99)
 
 
 def test_efficient_matches_brute_force_on_random_pairs():
