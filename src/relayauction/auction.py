@@ -44,8 +44,6 @@ from .channel import (
     _log_gain,
     _power_for_snr,
     _relayed_snr,
-    rate_increase,
-    relayed_snr,
 )
 
 SNR = "snr"
@@ -87,30 +85,6 @@ def allocate(bids, reserve_bid: float, budget: float) -> np.ndarray:
     if not budget > 0.0:
         raise ValueError("budget must be strictly positive")
     return b / (b.sum() + reserve_bid) * budget
-
-
-def payment(kind: str, price: float, link: UserLink, p_rd, sys: SystemParams):
-    """Charge for an allocated relay power under the given payment rule.
-
-    Elementwise when the powers, or the link's gains, are arrays.
-    """
-    return price * _rule(kind).charged(p_rd, relayed_snr(link, p_rd, sys))
-
-
-def payoff(
-    link: UserLink,
-    bid: float,
-    opponents_bid_sum: float,
-    params: AuctionParams,
-    budget: float,
-    sys: SystemParams,
-) -> float:
-    """Rate increase minus payment at the power this bid wins."""
-    if bid < 0.0 or opponents_bid_sum < 0.0:
-        raise ValueError("bids must be nonnegative")
-    p_rd = bid / (bid + opponents_bid_sum + params.reserve_bid) * budget
-    gain = float(rate_increase(link, p_rd, sys))
-    return gain - float(payment(params.kind, params.price, link, p_rd, sys))
 
 
 # ---------------------------------------------------------------------------

@@ -87,13 +87,19 @@ class NetworkScenario:
                 raise ValueError(
                     f"user {u.user_id}: gain_sd gives a breakeven SNR level g^2 + g that overflows"
                 )
-            if not math.isfinite(relayed_snr_limit(u, self.system)):
+            limit = relayed_snr_limit(u, self.system)
+            if not math.isfinite(limit):
                 raise ValueError(f"user {u.user_id}: gain_sr gives an SNR limit that overflows")
-            if not math.isfinite(self.relay_budget_w * u.gain_rd / self.system.noise_w):
+            a = self.relay_budget_w * u.gain_rd / self.system.noise_w
+            if not math.isfinite(a):
                 raise ValueError(
                     f"user {u.user_id}: gain_rd gives a relay-destination SNR at the budget "
                     "that overflows"
                 )
+            # the relayed SNR a b / (a + b + 1), b the limit, rounds below b at every budget up to
+            # this one while a < (b + 1) 2^50; the SNR auction and the fair oracle need it below b
+            if not a < (limit + 1.0) * 2.0**50:
+                raise ValueError(f"user {u.user_id}: relayed SNR at the budget rounds to its limit {limit!r}")
 
     @property
     def n_users(self) -> int:

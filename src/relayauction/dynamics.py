@@ -221,14 +221,15 @@ def estimate_geometric_rate(trace: IterationTrace, tail: int = 20) -> float:
 
 
 def _search(users: _UserArrays, level: float, rtol: float) -> tuple[tuple, int]:
-    """bisect_transition on S at level to rtol from the doubling ladder, and the evaluations of S.
+    """bisect_transition on S at level to rtol, and the evaluations of S.
 
     At or below a user's divergence cutoff its factor diverges (factors()
     tests price <= cutoff), so S >= 1 on (0, cutoff.max()]; the bracket starts
     1e-7 below it, inside that set and within a tenth of THRESHOLD_RTOL of a
-    threshold at its edge.  The ladder doubles from max(pi_hat.max(), 2 *
-    start) to zero_from.max(), where (past cutoff.max() too) S = 0 unevaluated.
-    The bisection guesses the crossing from S's jumps, users.breaks.
+    threshold at its edge.  It ends at max(pi_hat.max(), 2 * start), where S =
+    0: no user diverges past cutoff.max(), and each user demands 0 from its
+    zero_from (its pi_hat or its cutoff) on.  The bisection guesses the
+    crossing from S's jumps, users.breaks.
     """
     if not users.regular.any():
         raise ValueError(f"scenario is not {users.kind}-regular: only the all-zero outcome exists")
@@ -239,13 +240,8 @@ def _search(users: _UserArrays, level: float, rtol: float) -> tuple[tuple, int]:
         return users.shares(prices)
 
     lo = float(users.cutoff.max()) * (1.0 - 1e-7)
-    top, ladder = float(users.zero_from.max()), [max(float(users.pi_hat.max()), 2.0 * lo)]
-    while ladder[-1] < top:
-        ladder.append(2.0 * ladder[-1])
-    rungs, below = [lo, *ladder], ladder[:-1]
-    s = [*shares(below).tolist(), 0.0] if below else [0.0]
-    k = next(k for k, sk in enumerate(s) if sk < level)
-    return bisect_transition(shares, level, rungs[k], rungs[k + 1], rtol, jumps=users.breaks), len(calls)
+    hi = max(float(users.pi_hat.max()), 2.0 * lo)
+    return bisect_transition(shares, level, lo, hi, rtol, jumps=users.breaks), len(calls)
 
 
 def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = THRESHOLD_RTOL) -> float:

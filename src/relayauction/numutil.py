@@ -39,10 +39,10 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100)
         raise ValueError(f"root not bracketed on [{lo!r}, {hi!r}]")
     at_hi = fhi == 0.0
     x, fx, dfx = np.where(at_hi, hi, lo), np.where(at_hi, fhi, flo), np.where(at_hi, dfhi, dflo)
-    up = flo < 0.0  # f increases through the root
-    live = np.ones_like(up)
+    rising = flo < 0.0  # f increases through the root
+    live = np.ones_like(rising)
     for _ in range(max_iter):
-        above = (fx > 0.0) == up  # the root lies below x
+        above = (fx > 0.0) == rising  # the root lies below x
         lo, hi = np.where(above, lo, x), np.where(above, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
             nxt = x - fx / dfx
@@ -77,40 +77,35 @@ def _interpolated_root(points) -> float:
 
 
 def _guess(level, a, b, fa, fb, beyond, jumps) -> Optional[float]:
-    """Where f < level most likely begins in the bracket (a, b] (or [b, a)), or None.
+    """Where f < level most likely begins in the bracket (a, b], or None.
 
-    The first of the jumps in it, going from a; else, once f is known at a
-    and b, the inverse interpolation through them and the (x, f(x)) known
-    nearest beyond them, cubic with both, else the secant, if strictly inside.
+    The first of the jumps in it; else, once f is known at a and b, the
+    inverse interpolation through them and the (x, f(x)) known nearest beyond
+    them, cubic with both, else the secant, if strictly inside.
     """
-    if a < b:
-        k = bisect.bisect_right(jumps, a)
-        if k < len(jumps) and jumps[k] <= b:
-            return jumps[k]
-    else:
-        k = bisect.bisect_left(jumps, a) - 1
-        if k >= 0 and jumps[k] >= b:
-            return jumps[k]
+    k = bisect.bisect_right(jumps, a)
+    if k < len(jumps) and jumps[k] <= b:
+        return jumps[k]
     if fa is None:
         return None
     points = [(a, fa - level), (b, fb - level), *((x, y - level) for x, y in beyond if x is not None)]
     r = _interpolated_root(points)
-    if not (a < r < b or b < r < a):
+    if not a < r < b:
         r = _interpolated_root(points[:2])
-    return r if a < r < b or b < r < a else None
+    return r if a < r < b else None
 
 
 def _path(a, b, r, n) -> list:
     """The midpoints one-midpoint bisection visits after DEPTH steps, within n steps, if f < level
     begins at r; up to a midpoint that repeats an end."""
-    path, up = [], a < b
+    path = []
     for k in range(n):
         m = 0.5 * (a + b)
         if m == a or m == b:
             break
         if k >= DEPTH:
             path.append(m)
-        if (m >= r) if up else (m <= r):
+        if m >= r:
             b = m
         else:
             a = m
@@ -122,16 +117,16 @@ def bisect_transition(
 ) -> tuple:
     """Bracket where f drops below level: (x_over, x_under, f(x_over), f(x_under)), tightened.
 
-    f(x_over) >= level > f(x_under), in either order.  The search descends on
-    f < level to the bit as with one midpoint 0.5 * (a + b) per step, until
-    |b - a| <= rtol * max(|a|, |b|) or max_iter steps.  Each call asks f about
-    the 2**DEPTH - 1 dyadic midpoints of the bracket (the first call about its
-    ends too), so that every call takes DEPTH steps at least, and about the
-    midpoints after that tree which the descent meets if f drops at a guess r
-    (_guess).  The descent takes those while its decisions are the ones r
-    predicts, so the guess moves no result.  jumps, sorted, are points where f
-    may jump, each the first point past its jump.  Raises ValueError if
-    f(x_over) < level.
+    f(x_over) >= level > f(x_under) on an ascending bracket, x_over < x_under.
+    The search descends on f < level to the bit as with one midpoint
+    0.5 * (a + b) per step, until |b - a| <= rtol * max(|a|, |b|) or max_iter
+    steps.  Each call asks f about the 2**DEPTH - 1 dyadic midpoints of the
+    bracket (the first call about its ends too), so that every call takes
+    DEPTH steps at least, and about the midpoints after that tree which the
+    descent meets if f drops at a guess r (_guess).  The descent takes those
+    while its decisions are the ones r predicts, so the guess moves no result.
+    jumps, sorted, are points where f may jump, each the first point past its
+    jump.  Raises ValueError if f(x_over) < level.
     """
     n, a, b, steps, fa, fb = 2**DEPTH, x_over, x_under, 0, None, None
     a_out = b_out = (None, None)  # the (x, f(x)) known nearest beyond a and b
@@ -155,7 +150,7 @@ def bisect_transition(
         # cannot end the search at a step k from (a, b) where |b - a| / 2**k is above tol
         tol = (rtol * (1.0 + 1e-15) + 1e-15) * max(abs(a), abs(b)) + 1e-300
         safe = steps + min(max_iter - steps, int(math.log2(min(max(abs(b - a) / tol, 1.0), 1e300))))
-        up, lo, hi = a < b, 0, n
+        lo, hi = 0, n
         while hi - lo > 1 and (steps < safe or steps < max_iter and (
                 abs(pts[hi] - pts[lo]) > rtol * max(abs(pts[lo]), abs(pts[hi])))):
             m = (lo + hi) // 2
@@ -173,7 +168,7 @@ def bisect_transition(
                     b_out, b, fb = (b, fb), x, fx
                 else:
                     a_out, a, fa = (a, fa), x, fx
-                if (fx < level) != ((x >= r) if up else (x <= r)):
+                if (fx < level) != (x >= r):
                     break  # where the guess said otherwise, its path turns away from the descent
         if steps >= safe and not (steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))):
             return a, b, fa, fb

@@ -21,8 +21,6 @@ level is found by bisection on the budget constraint.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,53 +188,40 @@ def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray,
     return best_x, mine.sum(axis=1), np.maximum(closed / best - 1.0, 0.0)
 
 
-class _Welfare:
-    """Efficient allocations on one scenario at budget P*(1-delta), each with its own users let in.
+def _solve(scenario: NetworkScenario, delta: float, pivots: bool):
+    """The core, the live users, and each problem's efficient split, nodes and gap on budget P*(1-delta).
 
-    One core serves every solve; the power-auction arrays and their relaxation are built once,
-    at the first solve of a problem with two users or more who can gain from the relay.  With
-    one such user or none the allocation is a closed form: that user takes the whole budget.
+    Problem 0 may let in every live user (one who can gain from the relay); with pivots, problem
+    1 + j leaves live user j out.  A problem with at most one live user is a closed form, that user
+    taking the whole budget; the rest run as one branch-and-bound on the power-auction arrays.
     """
-
-    def __init__(self, scenario: NetworkScenario, delta: float):
-        if not 0.0 <= delta < 1.0:
-            raise ValueError("delta must lie in [0, 1)")
-        self.scenario, self.delta = scenario, delta
-        budget = self.budget = scenario.relay_budget_w * (1.0 - delta)
-        # at the relay budget the scenario's core and power-auction arrays serve
-        self.core = _Core.of(scenario) if delta == 0.0 else _Core(scenario.users, budget, scenario.system)
-        self.live = self.core.gain_max > 0.0
-
-    @functools.cached_property
-    def relax(self) -> _Relaxation:
-        scenario, delta = self.scenario, self.delta
-        return _Relaxation(_UserArrays.of(scenario, POWER) if delta == 0.0 else _UserArrays(self.core, POWER))
-
-    def solve(self, allowed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Splits, nodes and gaps of the problems where row p of allowed marks the users problem p
-        may let in; all problems with two live users or more run in one search."""
-        free = self.live & allowed
-        many = free.sum(axis=1) > 1
-        if many.all():
-            return _branch_and_bound(self.relax, free)
-        x, nodes, gaps = np.where(free, self.budget, 0.0), np.ones(len(free), dtype=int), np.zeros(len(free))
-        if many.any():
-            x[many], nodes[many], gaps[many] = _branch_and_bound(self.relax, free[many])
-        return x, nodes, gaps
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("delta must lie in [0, 1)")
+    budget = scenario.relay_budget_w * (1.0 - delta)
+    # at the relay budget the scenario's core and power-auction arrays serve
+    core = _Core.of(scenario) if delta == 0.0 else _Core(scenario.users, budget, scenario.system)
+    live = np.flatnonzero(core.gain_max > 0.0)
+    free = np.tile(core.gain_max > 0.0, (1 + live.size * pivots, 1))
+    free[np.arange(1, len(free)), live[: len(free) - 1]] = False  # problem 1 + j leaves live user j out
+    x, nodes, gaps = np.where(free, budget, 0.0), np.ones(len(free), dtype=int), np.zeros(len(free))
+    many = free.sum(axis=1) > 1
+    if many.any():
+        users = _UserArrays.of(scenario, POWER) if delta == 0.0 else _UserArrays(core, POWER)
+        x[many], nodes[many], gaps[many] = _branch_and_bound(_Relaxation(users), free[many])
+    return core, live, x, nodes, gaps
 
 
 def efficient_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
     """Power split maximizing the total rate increase on budget P*(1-delta).
 
-    Exact, by branch-and-bound over the participant set (see the module
-    docstring); the result reports the nodes solved and the certified gap,
-    at most 1e-12.  A scenario with at most one user who can gain from the
-    relay is a closed form: that user takes the whole budget.  Power that
-    buys no rate increase is released, so the budget may go partly unused.
+    Exact, by branch-and-bound over the participant set (_solve, and the
+    module docstring); the result reports the nodes solved and the certified
+    gap, at most 1e-12.  With at most one user who can gain from the relay it
+    is a closed form: that user takes the whole budget.  Power that buys no
+    rate increase is released, so the budget may go partly unused.
     """
-    welfare = _Welfare(scenario, delta)
-    x, nodes, gaps = welfare.solve(welfare.live[None])
-    return _finish(welfare.core, x[0], int(nodes[0]), float(gaps[0]))
+    core, _, x, nodes, gaps = _solve(scenario, delta, pivots=False)
+    return _finish(core, x[0], int(nodes[0]), float(gaps[0]))
 
 
 def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
@@ -266,16 +251,14 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
         p = _power_for_snr(links, np.where(inside, target, 0.0), limit, sys)
         return np.where(inside, p, np.where(need, np.inf, 0.0))
 
-    def total(levels) -> np.ndarray:
-        return powers_at(levels).sum(axis=1)
+    def spare(levels) -> np.ndarray:  # the budget left at each level: >= 0 exactly where the powers fit
+        return budget - powers_at(levels).sum(axis=1)
 
-    # the least total over the budget: a total fits exactly where it is below this
-    over = math.nextafter(budget, math.inf)
     level = 1.0
     while active.any():
         hi = float((1.0 + g + limit)[active].min()) * (1.0 - 1e-12)
         # at level 1 nobody needs power
-        level = hi if total([hi])[0] < over else bisect_transition(total, over, hi, 1.0, 1e-13)[1]
+        level = hi if spare([hi])[0] >= 0.0 else bisect_transition(spare, 0.0, 1.0, hi, 1e-13)[0]
         drops = active & (level <= (1.0 + g) ** 2)
         if not drops.any():
             break
@@ -291,18 +274,14 @@ def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 40
     total the others could reach alone, minus what they actually get.  The
     efficient split and, for every user who can gain from the relay, the
     efficient split with that user left out are solved as the problems of
-    one branch-and-bound, on one core and one set of arrays.  A user the
-    efficient split gives no power pays exactly 0.  grid_n is ignored, kept
-    for callers that still pass it.
+    one branch-and-bound, on one core and one set of arrays (_solve).  A
+    user the efficient split gives no power pays exactly 0.  grid_n is
+    ignored, kept for callers that still pass it.
     """
-    welfare, n = _Welfare(scenario, delta), scenario.n_users
-    core, live = welfare.core, np.flatnonzero(welfare.live)
-    allowed = np.ones((live.size + 1, n), dtype=bool)
-    allowed[np.arange(1, live.size + 1), live] = False  # problem 1 + j leaves live user j out
-    x, nodes, gaps = welfare.solve(allowed)
+    core, live, x, nodes, gaps = _solve(scenario, delta, pivots=True)
     base = _finish(core, x[0], int(nodes[0]), float(gaps[0]))
     snr = _relayed_snr(core.links, x[1:], core.b, core.sys)
-    alone = np.zeros(n)
+    alone = np.zeros(scenario.n_users)
     alone[live] = np.maximum(_log_gain(snr, core.g, core.k), 0.0).sum(axis=1)
     others = base.total_rate_increase_bps - base.per_user_rate_increase_bps
     payments = np.where(base.powers > 0.0, np.maximum(alone - others, 0.0), 0.0)

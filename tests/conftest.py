@@ -4,20 +4,31 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 from relayauction import (
     MultiUserSpec,
     NetworkScenario,
     SystemParams,
     TwoUserSweepSpec,
+    UserLink,
     build_two_user_scenario,
     link_from_geometry,
     run_two_user_sweep,
     sample_topologies,
     scenario_from_topology,
 )
-from relayauction.auction import POWER, SNR, _Core, _power_cutoff_points, _power_gain, _power_slope, _UserArrays
+from relayauction.auction import (
+    POWER,
+    SNR,
+    _Core,
+    _power_cutoff_points,
+    _power_gain,
+    _power_slope,
+    _rule,
+    _UserArrays,
+)
 from relayauction.channel import (
     LN2,
     _power_for_snr,
@@ -43,6 +54,26 @@ def make_random_scenario(rng: np.random.Generator, n_users: int) -> NetworkScena
         dst = (float(rng.uniform(-150, 150)), float(rng.uniform(-150, 150)))
         users.append(link_from_geometry(i, src, dst, (0.0, 0.0), 0.01, BENCH_SYSTEM))
     return NetworkScenario(tuple(users), 0.1, BENCH_SYSTEM)
+
+
+@st.composite
+def wide_scenarios(draw, max_users=6):
+    """Scenarios over many decades, each quantity log-uniform: 1 to max_users users, noise
+    1e-30 to 1e-9 W, gains 1e-16 to 1e-3, source powers 1e-4 to 1 W, budget 1e-6 to 1e3 W.
+
+    The values come from a generator on a drawn seed: Hypothesis's own floats crowd the ends
+    of a range and rarely meet its corners together.  Only draws that NetworkScenario rejects
+    are assumed away.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, max_users + 1))
+    system = SystemParams(1e6, 10.0 ** rng.uniform(-30, -9), 4.0)
+    powers, gains = 10.0 ** rng.uniform(-4, 0, n), 10.0 ** rng.uniform(-16, -3, (n, 3))
+    users = tuple(UserLink(i, float(powers[i]), *gains[i].tolist()) for i in range(n))
+    try:
+        return NetworkScenario(users, 10.0 ** rng.uniform(-6, 3), system)
+    except ValueError:
+        assume(False)
 
 
 def without_user(scenario: NetworkScenario, index: int) -> NetworkScenario:
@@ -127,6 +158,23 @@ def aggregate_share(factors) -> float:
     if np.isinf(f).any():
         raise ValueError("aggregate share undefined with divergent factors")
     return float((f / (1.0 + f)).sum())
+
+
+def payment(kind, price, link, p_rd, sys):
+    """Charge for an allocated relay power under the given payment rule.
+
+    Elementwise when the powers, or the link's gains, are arrays.
+    """
+    return price * _rule(kind).charged(p_rd, relayed_snr(link, p_rd, sys))
+
+
+def payoff(link, bid, opponents_bid_sum, params, budget, sys) -> float:
+    """Rate increase minus payment at the power this bid wins."""
+    if bid < 0.0 or opponents_bid_sum < 0.0:
+        raise ValueError("bids must be nonnegative")
+    p_rd = bid / (bid + opponents_bid_sum + params.reserve_bid) * budget
+    gain = float(rate_increase(link, p_rd, sys))
+    return gain - float(payment(params.kind, params.price, link, p_rd, sys))
 
 
 def reference_bisect(pred, x_false, x_true, rtol, max_iter=200):

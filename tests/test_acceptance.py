@@ -27,7 +27,6 @@ from relayauction import (
     estimate_geometric_rate,
     fair_allocation,
     iterate_best_response,
-    payoff,
     rate_increase,
     relayed_snr,
     relayed_snr_limit,
@@ -45,6 +44,7 @@ from conftest import (
     BENCH_SYSTEM,
     make_random_scenario,
     make_snr_regular_scenarios,
+    payoff,
     snr_equal_level_prediction,
 )
 

@@ -12,8 +12,6 @@ from relayauction import (
     allocate,
     build_two_user_scenario,
     direct_snr,
-    payment,
-    payoff,
     rate_increase,
     relayed_snr,
     relayed_snr_limit,
@@ -36,6 +34,8 @@ from conftest import (
     g_snr,
     make_random_scenario,
     one_user,
+    payment,
+    payoff,
     power_cutoff_point,
     power_for_relayed_snr,
     rate_increase_power_slope,

@@ -349,6 +349,8 @@ def test_scenario_dict_rejects_infinite_gain():
         ({"gain_sr": 1e300}, "user 1: gain_sr gives an SNR limit that overflows"),
         # 0.1 W * 1e300 / 1e-11 at the relay-destination hop
         ({"gain_rd": 1e300}, "user 1: gain_rd gives a relay-destination SNR at the budget"),
+        # a = 1e19 at the relay-destination hop: a b / (a + b + 1) rounds to the limit b = 20
+        ({"gain_rd": 1e9}, "user 1: relayed SNR at the budget rounds to its limit 20.000000000000004"),
     ],
 )
 def test_scenario_rejects_snr_out_of_range(gains, message):

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,6 @@ from relayauction import (
     fair_allocation,
     iterate_best_response,
     ne_bids_from_factors,
-    payment,
-    payoff,
     rate_increase,
     relayed_snr,
     solve_ne,
@@ -41,9 +40,12 @@ from conftest import (
     aggregate_share,
     make_random_scenario,
     make_snr_regular_scenarios,
+    payment,
+    payoff,
     reference_bisect,
     snr_equal_level_prediction,
     study_scenarios,
+    wide_scenarios,
     without_user,
 )
 
@@ -418,6 +420,46 @@ def test_equilibrium_read_out_agrees_with_channel_functions(bench_spec):
     assert checked >= 290
 
 
+def _search_end(sc, kind):
+    """The upper end of the bracket the price search starts from."""
+    ends, search = [], dynamics.bisect_transition
+
+    def spy(f, level, x_over, x_under, *args, **kwargs):
+        ends.append(x_under)
+        return search(f, level, x_over, x_under, *args, **kwargs)
+
+    with mock.patch.object(dynamics, "bisect_transition", spy):
+        threshold_price(sc, kind)
+    return ends[0]
+
+
+def _assert_nobody_bids_at_the_search_end(sc, kind):
+    users = _UserArrays.of(sc, kind)
+    hi = _search_end(sc, kind)
+    # past every user's zero_from (its pi_hat, or its divergence cutoff where it is not regular)
+    assert hi >= users.zero_from.max() and hi > users.cutoff.max()
+    assert users.shares([hi])[0] == 0.0
+
+
+def test_price_search_starts_below_a_price_where_nobody_bids(bench_spec):
+    # the bracket needs no search for its upper end: S is already 0 there
+    sweep = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
+    checked = 0
+    for sc in sweep + study_scenarios(100):
+        for kind in KINDS:
+            if _UserArrays.of(sc, kind).regular.any():
+                _assert_nobody_bids_at_the_search_end(sc, kind)
+                checked += 1
+    assert checked >= 890
+
+
+@given(sc=wide_scenarios())
+def test_price_search_starts_below_a_price_where_nobody_bids_on_wide_draws(sc):
+    for kind in KINDS:
+        if _UserArrays.of(sc, kind).regular.any():
+            _assert_nobody_bids_at_the_search_end(sc, kind)
+
+
 def test_share_at_threshold_search_start_is_at_least_one(bench_spec):
     # any price at or below the largest divergence cutoff has a divergent user
     for sc, kind in _regular_cases(bench_spec):
@@ -437,16 +479,16 @@ def test_calibration_evaluates_factors_few_times(monkeypatch):
 
     monkeypatch.setattr(_UserArrays, "shares", counted)
     res = calibrate_price(sc, "power", 0.99)
-    # at most one ladder call, then calls of five steps of the search at least, most
-    # of them more where the jumps of S or its interpolation guess the crossing
+    # calls of five steps of the search at least, most of them more where the
+    # jumps of S or its interpolation guess the crossing
     assert len(calls) == res.evaluations <= 5
     evaluations = [calibrate_price(s, kind, 0.99).evaluations for s in study_scenarios() for kind in KINDS]
     assert len(evaluations) == 32 and np.mean(evaluations) <= 4
 
 
 def test_calibration_search_asks_no_price_twice(monkeypatch, bench_spec):
-    # after the ladder, every call of a calibration's search asks only prices that
-    # no earlier call of it asked: each tree and path lies inside the open bracket
+    # every call of a calibration's search asks only prices that no earlier call
+    # of it asked: each tree and path lies inside the open bracket
     asked = []
     shares, search = _UserArrays.shares, dynamics.bisect_transition
 
@@ -455,7 +497,7 @@ def test_calibration_search_asks_no_price_twice(monkeypatch, bench_spec):
         return shares(self, prices)
 
     def searched(*args, **kwargs):
-        asked.clear()  # forget the ladder
+        asked.clear()  # forget the earlier calibrations
         return search(*args, **kwargs)
 
     monkeypatch.setattr(_UserArrays, "shares", recorded)

@@ -21,7 +21,7 @@ from relayauction import (
     scenario_from_topology,
 )
 
-from conftest import BENCH_SYSTEM
+from conftest import BENCH_SYSTEM, payoff
 
 
 SMALL_MULTI = MultiUserSpec(n_users=4, n_topologies=3, relay_powers=(0.04, 0.1), seed=7)
@@ -131,7 +131,7 @@ def test_sweep_utilization_below_one(small_sweep_report):
 
 def test_sweep_rows_are_equilibria(small_sweep_report, bench_spec):
     # reported auction rows withstand a unilateral-deviation scan
-    from relayauction import AuctionParams, EquilibriumResult, payoff, solve_ne
+    from relayauction import AuctionParams, EquilibriumResult, solve_ne
 
     for row in small_sweep_report.rows[2:7:2]:
         sc = build_two_user_scenario(bench_spec, row["relay_y_m"])

@@ -67,9 +67,9 @@ def test_newton_root_rejects_unbracketed():
         newton_root(lambda x: (x * x + 1.0, 2.0 * x), np.array([-1.0]), 1.0)
 
 
-def _cube(sign):
-    """A strictly monotone f: non-increasing for sign -1, non-decreasing for +1."""
-    return lambda x: sign * np.asarray(x, dtype=float) ** 3
+def _cube(x):
+    """A strictly decreasing f."""
+    return -np.asarray(x, dtype=float) ** 3
 
 
 def _tree(a, b):
@@ -114,18 +114,16 @@ def _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol, ma
     lo=st.floats(-1e3, 1e3),
     span=st.floats(1e-9, 1e3),
     frac=st.floats(0.0, 1.0),
-    flip=st.booleans(),
     rtol=st.floats(1e-13, 1e-3),
     max_iter=st.integers(0, 60),
 )
-def test_bisect_transition_matches_one_midpoint_per_step(lo, span, frac, flip, rtol, max_iter):
+def test_bisect_transition_matches_one_midpoint_per_step(lo, span, frac, rtol, max_iter):
     hi = lo + span
     threshold = lo + frac * span
     assume(lo < threshold < hi)
-    # f drops below the level above the threshold, or (flipped) below it
-    sign = 1.0 if flip else -1.0
-    f, level = _cube(sign), sign * threshold**3
-    x_over, x_under = (hi, lo) if flip else (lo, hi)
+    # f drops below the level above the threshold
+    f, level = _cube, -(threshold**3)
+    x_over, x_under = lo, hi
     asked = []
 
     def counted(xs):
@@ -170,16 +168,15 @@ def _counted(f, calls):
     return counted
 
 
-def _step(t, flip):
-    """1 on the x_over side of t, 0 from t on: t is the first point past the jump."""
-    return lambda x: np.where((np.asarray(x) > t) if flip else (np.asarray(x) < t), 1.0, 0.0)
+def _step(t):
+    """1 below t, 0 from t on: t is the first point past the jump."""
+    return lambda x: np.where(np.asarray(x) < t, 1.0, 0.0)
 
 
 @given(
     lo=st.floats(-1e3, 1e3),
     span=st.floats(1e-9, 1e3),
     frac=st.floats(0.0, 1.0),
-    flip=st.booleans(),
     shape=st.sampled_from(("cube", "step", "wave")),
     others=st.lists(st.floats(-2e3, 2e3), max_size=4),
     exact=st.booleans(),
@@ -187,19 +184,18 @@ def _step(t, flip):
     max_iter=st.integers(0, 60),
 )
 def test_bisect_transition_asks_ahead_without_moving_a_result(
-    lo, span, frac, flip, shape, others, exact, rtol, max_iter
+    lo, span, frac, shape, others, exact, rtol, max_iter
 ):
     # jumps right (the crossing), wrong, outside the bracket or none, on monotone
     # and non-monotone f: the same brackets as one midpoint per step, in no more calls
     hi = lo + span
     t = lo + frac * span
     assume(lo < t < hi)
-    sign = 1.0 if flip else -1.0
-    x_over, x_under = (hi, lo) if flip else (lo, hi)
+    x_over, x_under = lo, hi
     if shape == "cube":
-        f, level = _cube(sign), sign * t**3
+        f, level = _cube, -(t**3)
     elif shape == "step":
-        f, level = _step(t, flip), 0.5
+        f, level = _step(t), 0.5
     else:  # crosses zero about six times on the bracket
         f, level = (lambda x: np.sin((np.asarray(x) - t) * (20.0 / span))), 0.0
         assume(f(x_over) >= level > f(x_under))
@@ -225,21 +221,20 @@ def test_bisect_transition_asks_ahead_without_moving_a_result(
     lo=st.floats(-1e3, 1e3),
     span=st.floats(1e-9, 1e3),
     frac=st.floats(0.0, 1.0),
-    flip=st.booleans(),
     outside=st.lists(st.floats(-2e3, 2e3), max_size=3),
     later=st.lists(st.floats(-12.0, 0.0), max_size=3),
     rtol=st.floats(1e-13, 1e-3),
     max_iter=st.integers(0, 60),
 )
 def test_bisect_transition_finishes_a_step_at_its_given_jump_in_two_calls(
-    lo, span, frac, flip, outside, later, rtol, max_iter
+    lo, span, frac, outside, later, rtol, max_iter
 ):
     hi = lo + span
     t = lo + frac * span
     assume(lo < t < hi)
-    f = _step(t, flip)
-    x_over, x_under = (hi, lo) if flip else (lo, hi)
-    # jumps past t on the way to x_under, some close to it, come after t from either end
+    f = _step(t)
+    x_over, x_under = lo, hi
+    # jumps past t on the way to x_under, some close to it, come after t
     past = [t + 10.0**e * (x_under - t) for e in later]
     jumps = tuple(sorted([t, *past, *(x for x in outside if not lo <= x <= hi)]))
     calls = []

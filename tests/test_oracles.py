@@ -1,5 +1,6 @@
 """Centralized benchmarks: exact efficient split, fair level, pivot payments."""
 
+import math
 import warnings
 
 import numpy as np
@@ -43,6 +44,7 @@ from conftest import (
     reference_bisect,
     snr_marginal_rate,
     study_scenarios,
+    wide_scenarios,
     without_user,
 )
 
@@ -522,12 +524,17 @@ def _count_searches(monkeypatch) -> dict:
     return counts
 
 
-def _vcg_problems(welfare, n):
-    """The users each VCG problem may let in: everyone, then each live user left out."""
-    live = np.flatnonzero(welfare.live)
-    allowed = np.ones((live.size + 1, n), dtype=bool)
-    allowed[np.arange(1, live.size + 1), live] = False
-    return allowed
+def _vcg_problems(live, n):
+    """The users each VCG problem may let in: every live user, then each live user left out."""
+    free = np.zeros((live.size + 1, n), dtype=bool)
+    free[:, live] = True
+    free[np.arange(1, live.size + 1), live] = False
+    return free
+
+
+def _relaxation(sc, core, delta):
+    """The relaxation the oracles search on at this delta."""
+    return oracles._Relaxation(_UserArrays.of(sc, POWER) if delta == 0.0 else _UserArrays(core, POWER))
 
 
 def test_vcg_charges_live_users_given_no_power_exactly_zero():
@@ -536,12 +543,12 @@ def test_vcg_charges_live_users_given_no_power_exactly_zero():
     for _ in range(30):
         sc = make_random_scenario(rng, 6)
         res = vcg_auction(sc, delta=0.0)
-        live = oracles._Welfare(sc, 0.0).live
+        live = oracles._solve(sc, 0.0, pivots=False)[1]
         given = res.allocation.powers > 0.0
         # their leave-one-out problem ran in the search, yet they pay exactly 0.0
         assert np.array_equal(res.payments[~given], np.zeros(np.count_nonzero(~given)))
         assert not np.signbit(res.payments).any()
-        unpaid += int(np.count_nonzero(live & ~given))
+        unpaid += int(np.count_nonzero(~given[live]))
     assert unpaid >= 10
 
 
@@ -574,17 +581,18 @@ def test_vcg_runs_one_search_on_one_build(monkeypatch, bench_spec):
             counts = _count_searches(monkeypatch)
             oracles.vcg_auction(sc, delta=delta)
             built = (counts["searches"], counts["cores"], counts["arrays"])
-            welfare = oracles._Welfare(sc, delta)
-            if welfare.live.sum() < 2:
+            solves, levels = counts["solves"], []
+            core, live, *_ = oracles._solve(sc, delta, pivots=False)
+            if live.size < 2:
                 assert built == (0, 1, 0)
                 continue
             assert built == (1, 1, 1)
             # the problems advance together: one relaxation solve per level of the deepest
-            solves, levels = counts["solves"], []
-            for free in welfare.live & _vcg_problems(welfare, sc.n_users):
+            relax = _relaxation(sc, core, delta)
+            for free in _vcg_problems(live, sc.n_users):
                 if free.sum() > 1:
                     before = counts["solves"]
-                    oracles._branch_and_bound(welfare.relax, free[None])
+                    oracles._branch_and_bound(relax, free[None])
                     levels.append(counts["solves"] - before)
             assert solves == max(levels)
             searched += 1
@@ -610,12 +618,10 @@ def _forced_out_scenarios(bench_spec):
 @pytest.mark.parametrize("delta", [0.0, 0.01])
 def test_forced_out_solve_equals_the_scenario_without_the_user(bench_spec, delta):
     for sc in _forced_out_scenarios(bench_spec):
-        welfare = oracles._Welfare(sc, delta)
-        allowed = _vcg_problems(welfare, sc.n_users)
-        x, nodes, _ = welfare.solve(allowed)
-        for p, i in enumerate(np.flatnonzero(welfare.live), start=1):
+        core, live, x, nodes, _ = oracles._solve(sc, delta, pivots=True)
+        for p, i in enumerate(live, start=1):
             want = efficient_allocation(without_user(sc, i), delta)
-            got = oracles._finish(welfare.core, x[p])
+            got = oracles._finish(core, x[p])
             assert nodes[p] == want.nodes and got.powers[i] == 0.0
             rtol = 0.0 if sc.n_users < 8 else 1e-15  # numpy sums 8 terms or more pairwise
             total = want.total_rate_increase_bps
@@ -628,23 +634,26 @@ def test_batched_search_equals_each_problem_alone(bench_spec, delta):
     # the efficient problem and every leave-one-out problem share one search, yet each
     # gets the nodes, split and total it gets alone, and the payments read those totals
     for sc in _forced_out_scenarios(bench_spec):
-        welfare, n = oracles._Welfare(sc, delta), sc.n_users
-        allowed = _vcg_problems(welfare, n)
-        x, nodes, gaps = welfare.solve(allowed)
+        n = sc.n_users
+        core, live, x, nodes, gaps = oracles._solve(sc, delta, pivots=True)
+        relax = _relaxation(sc, core, delta)
         rtol = 0.0 if n < 8 else 1e-15
         totals = []
-        for p, row in enumerate(allowed):
-            x_alone, nodes_alone, _ = welfare.solve(row[None])
+        for p, free in enumerate(_vcg_problems(live, n)):
+            if free.sum() > 1:
+                x_alone, nodes_alone, _ = oracles._branch_and_bound(relax, free[None])
+            else:  # the closed form: the live user, if any, takes the whole budget
+                x_alone, nodes_alone = np.where(free, core.budget, 0.0)[None], [1]
             assert nodes[p] == nodes_alone[0] and gaps[p] <= oracles.BOUND_RTOL
             np.testing.assert_allclose(x[p], x_alone[0], rtol=rtol, atol=0.0)
-            got, want = (oracles._finish(welfare.core, v).total_rate_increase_bps for v in (x[p], x_alone[0]))
+            got, want = (oracles._finish(core, v).total_rate_increase_bps for v in (x[p], x_alone[0]))
             assert abs(got - want) <= rtol * want
             totals.append(want)
         res = vcg_auction(sc, delta)
         base = res.allocation
         assert base.total_rate_increase_bps == totals[0] and base.nodes == nodes[0]
         alone = np.zeros(n)
-        alone[welfare.live] = totals[1:]
+        alone[live] = totals[1:]
         others = base.total_rate_increase_bps - base.per_user_rate_increase_bps
         want = np.where(base.powers > 0.0, np.maximum(alone - others, 0.0), 0.0)
         assert np.abs(res.payments - want).max() <= 1e-15 * base.total_rate_increase_bps
@@ -690,6 +699,37 @@ def test_power_demand_with_tiny_snr_limit_raises_no_warning(sc):
         assert np.isfinite(demand).all()
         for kind in KINDS:
             calibrate_price(sc, kind, 0.99)
+
+
+@given(sc=wide_scenarios())
+def test_entry_points_hold_their_invariants_without_warning_on_wide_draws(sc):
+    # the invariants the benchmark checks, on scenarios far outside the study's range
+    w = sc.system.bandwidth_hz
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for kind in KINDS:
+            res = calibrate_price(sc, kind, 0.99)
+            assert 0.0 <= res.utilization < 1.0
+            if not _UserArrays.of(sc, kind).regular.any():
+                with pytest.raises(ValueError, match="regular"):
+                    threshold_price(sc, kind)
+            else:
+                assert 0.0 < threshold_price(sc, kind) < math.inf
+            eq = solve_ne(sc, AuctionParams(kind, res.price))
+            assert isinstance(eq, EquilibriumResult)
+            assert eq.payoffs.min() / w >= -1e-12
+            assert eq.powers.min() >= 0.0 and eq.powers.sum() <= sc.relay_budget_w * (1 + 1e-12)
+            assert math.isfinite(eq.total_rate_increase_bps)
+        for delta in (0.0, 0.01):
+            budget = sc.relay_budget_w * (1 - delta)
+            eff, fair, vcg = (f(sc, delta) for f in (efficient_allocation, fair_allocation, vcg_auction))
+            for alloc in (eff, fair, vcg.allocation):
+                assert alloc.powers.min() >= 0.0 and alloc.powers.sum() <= budget * (1 + 1e-12)
+                assert math.isfinite(alloc.total_rate_increase_bps)
+            assert vcg.payments.min() >= 0.0 and np.isfinite(vcg.payments).all()
+            if sc.n_users <= 4:
+                total = enumerated_welfare(sc, delta)
+                assert abs(eff.total_rate_increase_bps - total) <= 1e-15 * total
 
 
 def test_efficient_matches_brute_force_on_random_pairs():
