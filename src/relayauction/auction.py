@@ -154,8 +154,8 @@ def _power_coefficients(core) -> tuple:
     return 1.0 + g, 4.0 * (1.0 + g + b), 2.0 + 2.0 * g + b, b * b, core.k * c * b / (b + 1.0), (b + 1.0) / c
 
 
-def _power_demand(users: "_UserArrays", price) -> np.ndarray:
-    """Relay power at which u'(p) = price, clamped to [0, budget].
+def _power_demand(users: "_UserArrays", price, terms: bool = False):
+    """Relay power at which u'(p) = price, clamped to [0, budget]; with terms, also X and the root.
 
     With a = p c, c = gain_rd / noise, b the SNR limit, g the direct SNR and
     K = W / (2 ln 2), u'(p) = K c b (b+1) / ((a+b+1) ((1+g)(a+b+1) + a b)), so
@@ -166,22 +166,17 @@ def _power_demand(users: "_UserArrays", price) -> np.ndarray:
     q0 = 1+g - X, X = K c b / ((b+1) price), taking the positive root in the
     form free of cancellation.  The discriminant q1^2 - 4 q2 q0 equals
     b^2 + 4 q2 X, a sum of positive terms, so it is computed as that: the
-    difference rounds below 0 where b << 1+g.
-    u is concave, so the clamped root maximizes u(p) - price * p over
-    [0, budget] (the power auction clamps it to the breakeven as well).  The
-    price may be an array broadcasting against the users; only X depends on
-    it, and the rest is read from users.coef.
+    difference rounds below 0 where b << 1+g.  Its root, sqrt(b^2 + 4 q2 X) =
+    2 q2 t + q1, gives the slope d t / d X = 1 / root.  u is concave, so the
+    clamped root maximizes u(p) - price * p over [0, budget] (the power auction
+    clamps it to the breakeven as well).  Only X depends on the price, which may
+    be an array broadcasting against the users; the rest is read from users.coef.
     """
     g1, q2x4, q1, bsq, kcb1, b1c = users.coef
     x = kcb1 / price
-    t = -2.0 * (g1 - x) / (q1 + np.sqrt(bsq + q2x4 * x))
-    return np.minimum(np.maximum(t * b1c, 0.0), users.budget)
-
-
-def _power_demand_slope(users: "_UserArrays", price) -> np.ndarray:
-    """d x / d price of _power_demand's root: d t / d q0 = -1 / sqrt(b^2 + 4 q2 X) = -1 / (2 q2 t + q1)."""
-    g1, q2x4, q1, bsq, kcb1, b1c = users.coef
-    return -b1c * kcb1 / (price * price * np.sqrt(bsq + q2x4 * (kcb1 / price)))
+    root = np.sqrt(bsq + q2x4 * x)
+    d = np.minimum(np.maximum(-2.0 * (g1 - x) / (q1 + root) * b1c, 0.0), users.budget)
+    return (d, x, root) if terms else d
 
 
 def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:

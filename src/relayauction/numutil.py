@@ -126,7 +126,8 @@ def bisect_transition(
     descent meets if f drops at a guess r (_guess).  The descent takes those
     while its decisions are the ones r predicts, so the guess moves no result.
     jumps, sorted, are points where f may jump, each the first point past its
-    jump.  Raises ValueError if f(x_over) < level.
+    jump.  Raises ValueError if f(x_over) < level.  If f(x_under) >= level, f does
+    not drop, and the first call returns (x_under, x_under, f(x_under), f(x_under)).
     """
     n, a, b, steps, fa, fb = 2**DEPTH, x_over, x_under, 0, None, None
     a_out = b_out = (None, None)  # the (x, f(x)) known nearest beyond a and b
@@ -146,6 +147,8 @@ def bisect_transition(
         v = vals[: n + 1] if fa is None else [fa, *vals[: n - 1], fb]
         if v[0] < level:
             raise ValueError(f"f(x_over) = {v[0]!r} must not be below the level {level!r}")
+        if v[n] >= level:  # only on the first call: later ones know f(b) < level
+            return b, b, v[n], v[n]
         # each midpoint is within an ulp of max(|a|, |b|) of the exact one, so the stop test
         # cannot end the search at a step k from (a, b) where |b - a| / 2**k is above tol
         tol = (rtol * (1.0 + 1e-15) + 1e-15) * max(abs(a), abs(b)) + 1e-300

@@ -7,16 +7,15 @@ the largest, over sets of participants, of a concave water-filling on the set (E
 multiplier method), and `efficient_allocation` finds it exactly by branch-and-bound over
 the sets (Udell & Boyd, "Maximizing a sum of sigmoids").  A node forces some users in,
 some out and leaves the rest free, relaxed to the concave envelope of r_i; its
-water-filling is the power auction's own demand at one multiplier per node, and its dual
-value bounds every set below it.  A node whose relaxed split uses the whole budget is
-solved outright; otherwise it branches on the free user whose envelope demand jumps
-across the multiplier.  The welfare the others reach without a user, which its pivot
-payment needs, is the same problem with that user forced out from the root.  The
-efficient problem and every such leave-one-out problem run as one search on the same
-arrays: each level of all of them is one relaxation solve, and each problem sees the
-nodes it would see alone.  The fair allocation equalizes the marginal rate gain per unit
-of relayed SNR across participants, which pins a common SNR level; the largest feasible
-level is found by bisection on the budget constraint.
+water-filling is the power auction's own demand at one multiplier per node, found by
+Newton in lam^(-1/2), and its dual value bounds every set below it.  A node whose relaxed
+split uses the whole budget is solved outright; otherwise it branches on the free user
+whose envelope demand jumps across the multiplier.  A user's pivot payment needs the
+welfare of the others without it: the same problem with that user forced out from the
+root.  The efficient problem and every such leave-one-out problem run as one search on
+the same arrays, one relaxation solve per level, and each problem sees the nodes it would
+see alone.  The fair allocation equalizes the marginal rate gain per unit of relayed SNR
+across participants at one SNR level, the largest the budget allows, found by bisection.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import POWER, _Core, _power_demand, _power_demand_slope, _power_gain, _power_slope, _UserArrays
+from .auction import POWER, _Core, _power_demand, _power_gain, _power_slope, _UserArrays
 from .channel import NetworkScenario, _log_gain, _power_for_snr, _relayed_snr
 from .numutil import bisect_transition, newton_root
 
@@ -89,11 +88,11 @@ class _Relaxation:
         self.slope_zero = _power_slope(0.0, *self.shape)
 
     def _split(self, price, inn: np.ndarray, free: np.ndarray):
-        """Demands at prices broadcast against the masks, and the forced-in demands d."""
-        d = _power_demand(self.users, price)
+        """Demands at prices broadcast against the masks, then the forced-in demands d, X and root."""
+        d, x, root = _power_demand(self.users, price, terms=True)
         # below pi_hat the envelope's demand is d, at least the tangent point
         relaxed = np.where(price < self.jumps, d, 0.0)
-        return np.where(inn, d, np.where(free, relaxed, 0.0)), d
+        return np.where(inn, d, np.where(free, relaxed, 0.0)), d, x, root
 
     def solve(self, inn: np.ndarray, free: np.ndarray):
         """Multiplier, split, dual bound and welfare of every node; each needs a participant.
@@ -102,11 +101,12 @@ class _Relaxation:
         falls by a free user's tangent point at its pi_hat.  Evaluating f at
         every free pi_hat either finds the root on such a jump, where the
         relaxed split misses the budget, or brackets it between two jumps,
-        where one Newton search for all those rows finds it, with d x_i / d lam
-        read from the demand's quadratic where x_i lies on a curved piece.  The
-        bound lam B + sum_i max_x (f_i(x) - lam x), f_i the user's term,
-        holds at any lam >= 0.  The split is returned scaled onto the budget,
-        with the welfare sum_i r_i it yields.
+        where one Newton search for all those rows finds it, in z = -lam^(-1/2)
+        from lam = lo.  X (_power_demand) grows as z^2, so each curved x_i is a
+        hyperbola in z with a linear asymptote, f is nearly linear, and
+        d x_i / d z = 2 X (b+1) / (c root z).  The bound lam B + sum_i max_x
+        (f_i(x) - lam x), f_i the user's term, holds at any lam >= 0.  The
+        split is returned scaled onto the budget, with the welfare sum_i r_i.
         """
         budget, jumps, slope_full = self.users.budget, self.jumps, self.users.slope_full
         after = self._split(jumps[:, None], inn[:, None, :], free[:, None, :])[0].sum(axis=2) - budget
@@ -119,17 +119,18 @@ class _Relaxation:
         lam = np.where(free & (after <= 0.0) & (before >= 0.0), jumps, np.inf).min(axis=1)
         rows = np.isinf(lam)
         if rows.any():
-            inn_r, free_r = inn[rows], free[rows]
+            inn_r, free_r, b1c = inn[rows], free[rows], self.users.coef[-1]
 
-            def excess(lam):
-                lam = lam[..., None]
-                x, d = self._split(lam, inn_r, free_r)
+            def excess(z):
+                z = z[..., None]
+                x, d, big_x, root = self._split(1.0 / (z * z), inn_r, free_r)
                 curved = (x == d) & (x > 0.0) & (x < budget)
-                dx = np.where(curved, _power_demand_slope(self.users, lam), 0.0)
+                dx = np.where(curved, 2.0 * b1c * big_x / (root * z), 0.0)
                 return x.sum(axis=-1) - budget, dx.sum(axis=-1)
 
-            lam[rows] = newton_root(excess, lo[rows], hi[rows])
-        x, _ = self._split(lam[:, None], inn, free)
+            z = newton_root(excess, -lo[rows] ** -0.5, -hi[rows] ** -0.5)
+            lam[rows] = 1.0 / (z * z)
+        x = self._split(lam[:, None], inn, free)[0]
         gain = _power_gain(x, *self.shape) - lam[:, None] * x
         gain = np.where(inn, gain, np.where(free, np.maximum(gain, 0.0), 0.0))
         total = x.sum(axis=1, keepdims=True)
@@ -160,7 +161,7 @@ def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray,
     best_x, best = np.zeros((problems, n)), np.zeros(problems)
     inn, tag = np.zeros_like(free), each[:, 0]
     tags, closed = [], []  # every node's problem, and its bound where it closed (else 0)
-    while len(inn):
+    while True:
         lam, x, bound, value = relax.solve(inn, free)
         # each problem's largest value, at the first of its nodes that reaches it
         mine = np.where(tag == each, value, -np.inf)
@@ -170,6 +171,8 @@ def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray,
         branch = (bound > best[tag] * (1.0 + BOUND_RTOL)) & free.any(axis=1)
         tags.append(tag)
         closed.append(np.where(branch, 0.0, bound))
+        if not branch.any():
+            break
         inn, free, tag, lam, x = inn[branch], free[branch], tag[branch], lam[branch], x[branch]
         rows = np.arange(len(inn))
         pick = np.where(free, np.abs(relax.jumps - lam[:, None]), np.inf).argmin(axis=1)
@@ -257,8 +260,7 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
     level = 1.0
     while active.any():
         hi = float((1.0 + g + limit)[active].min()) * (1.0 - 1e-12)
-        # at level 1 nobody needs power
-        level = hi if spare([hi])[0] >= 0.0 else bisect_transition(spare, 0.0, 1.0, hi, 1e-13)[0]
+        level = bisect_transition(spare, 0.0, 1.0, hi, 1e-13)[0]  # at level 1 nobody needs power
         drops = active & (level <= (1.0 + g) ** 2)
         if not drops.any():
             break

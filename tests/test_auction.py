@@ -409,19 +409,6 @@ def test_power_pi_lower_is_full_budget_marginal():
     )
 
 
-def test_power_demand_slope_matches_central_difference():
-    # where the demand is curved, strictly inside (0, budget): between u'(budget) and u'(0)
-    rng = np.random.default_rng(3)
-    for sc in [make_random_scenario(rng, 6) for _ in range(10)] + study_scenarios(1):
-        users = _UserArrays.of(sc, POWER)
-        top = _power_slope(0.0, users.g, users.b, users.c, users.k)
-        for t in np.linspace(0.1, 0.9, 9):
-            price = users.slope_full ** (1.0 - t) * top**t
-            h = 1e-5 * price
-            step = auction._power_demand(users, price + h) - auction._power_demand(users, price - h)
-            np.testing.assert_allclose(auction._power_demand_slope(users, price), step / (2.0 * h), rtol=1e-7)
-
-
 # property tests: closed form against the brute-force argmax
 
 # one user per draw: node distances in meters at the benchmark's source power

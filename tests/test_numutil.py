@@ -160,6 +160,14 @@ def test_bisect_transition_rejects_true_start():
         bisect_transition(lambda xs: -xs, 0.0, 1.0, 2.0, 1e-9)
 
 
+@pytest.mark.parametrize("level", [0.5, 1.0])
+def test_bisect_transition_without_a_drop_answers_x_under_in_one_call(level):
+    # f(x_under) = 1 >= level: f does not drop in the bracket, and the first call says so
+    calls = []
+    got = bisect_transition(_counted(lambda xs: 2.0 - xs, calls), level, 0.0, 1.0, 1e-13)
+    assert got == (1.0, 1.0, 1.0, 1.0) and calls == [2**DEPTH + 1]
+
+
 def _counted(f, calls):
     def counted(xs):
         calls.append(len(xs))

@@ -79,12 +79,12 @@ def brute_force_welfare(scenario, budget, n=241):
     raise NotImplementedError
 
 
-def enumerated_welfare(scenario, delta):
-    """Best welfare over every nonempty participant set, one forced-in water-filling each.
+def set_splits(scenario, delta):
+    """Every nonempty participant set, a row of a mask each, and the water-filling of the budget on it.
 
     The efficient welfare is the largest, over participant sets, of the
     concave water-filling on the set; this enumerates all 2^n - 1 sets as
-    rows of one solve, so it is meant for n <= 8.
+    rows of one forced-in solve, so it is meant for n <= 8.
     """
     n = scenario.n_users
     budget = scenario.relay_budget_w * (1.0 - delta)
@@ -92,7 +92,22 @@ def enumerated_welfare(scenario, delta):
     sets = (np.arange(1, 2**n)[:, None] >> np.arange(n) & 1).astype(bool)
     x = relax.solve(sets, np.zeros_like(sets))[1]
     assert np.all(x.sum(axis=1) <= budget * (1 + 1e-12))
-    return float(welfare(scenario, x).max())
+    return sets, x
+
+
+def enumerated_welfare(scenario, delta):
+    """Best welfare over every nonempty participant set (set_splits)."""
+    return float(welfare(scenario, set_splits(scenario, delta)[1]).max())
+
+
+def water_filling_values(scenario, sets, x):
+    """The concave objective of each set's water-filling: its members' unclamped rate increases.
+
+    A member given no power, or too little to break even, counts a negative increase.
+    """
+    links, sys = _LinkArrays.of(scenario.users), scenario.system
+    snr, g, w = relayed_snr(links, x, sys), direct_snr(links, sys), sys.bandwidth_hz
+    return np.where(sets, 0.5 * w * np.log2(1.0 + g + snr) - w * np.log2(1.0 + g), 0.0).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +680,89 @@ def test_branch_and_bound_solves_few_nodes_on_the_study():
     nodes = [efficient_allocation(sc, delta=0.0).nodes for sc in study_scenarios(100)]
     assert len(nodes) == 400
     assert np.median(nodes) == 1 and max(nodes) <= 12
+
+
+def _record_searches(monkeypatch) -> list:
+    """Each multiplier search the oracles run: its excess fdf, its bracket in z and its calls of fdf."""
+    searches, search = [], oracles.newton_root
+
+    def recorded(fdf, lo, hi):
+        record = {"fdf": fdf, "lo": lo, "hi": hi, "calls": 0}
+        searches.append(record)
+
+        def counted(z):
+            record["calls"] += 1
+            return fdf(z)
+
+        return search(counted, lo, hi)
+
+    monkeypatch.setattr(oracles, "newton_root", recorded)
+    return searches
+
+
+def test_multiplier_excess_slope_in_z_matches_central_difference(monkeypatch):
+    # the search runs in z = -lam^(-1/2); where no demand clamps or jumps within h of z
+    # (the slope is the same on both sides), the slope it reads is that of its values
+    searches = _record_searches(monkeypatch)
+    rng = np.random.default_rng(3)
+    for sc in [make_random_scenario(rng, 6) for _ in range(10)] + study_scenarios(1):
+        vcg_auction(sc, delta=0.0)
+    checked = 0
+    for search in searches:
+        excess = search["fdf"]
+        for t in np.linspace(0.1, 0.9, 9):
+            z = search["lo"] + t * (search["hi"] - search["lo"])
+            h = 1e-5 * np.abs(z)
+            (below, above), (slope_below, slope_above) = excess(np.stack([z - h, z + h]))
+            slope = excess(z)[1]
+            smooth = np.abs(slope_above - slope_below) <= 1e-3 * np.abs(slope)
+            np.testing.assert_allclose(slope[smooth], ((above - below) / (2.0 * h))[smooth], rtol=1e-7)
+            checked += np.count_nonzero(smooth)
+    assert len(searches) >= 15 and checked >= 500
+
+
+def test_multiplier_search_takes_few_evaluations(monkeypatch):
+    # Newton in z = -lam^(-1/2) asks the excess 5.29 times per search here, at most 7;
+    # Newton in lam asked it 7.98 times, at most 18
+    searches = _record_searches(monkeypatch)
+    rng = np.random.default_rng(14)
+    scenarios = [make_random_scenario(rng, 4) for _ in range(30)]
+    for delta in (0.0, 0.01):
+        for sc in scenarios:
+            vcg_auction(sc, delta)
+    calls = [search["calls"] for search in searches]
+    assert len(calls) == 48
+    assert np.mean(calls) <= 6.5 and max(calls) <= 10
+
+
+def test_relaxation_bound_dominates_every_set_below_its_node(monkeypatch, bench_spec):
+    # each node's dual bound is at least the water-filling value of every participant set
+    # between its forced-in users and its free ones, in the efficient and leave-one-out
+    # problems; forced-in users count u_i, so a set's clamped welfare may exceed it
+    nodes, solve = [], oracles._Relaxation.solve
+
+    def recorded(relax, inn, free):
+        out = solve(relax, inn, free)
+        nodes.extend(zip(inn, free, out[2]))
+        return out
+
+    monkeypatch.setattr(oracles._Relaxation, "solve", recorded)
+    rng = np.random.default_rng(19)
+    sweep = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
+    scenarios = sweep + [make_random_scenario(rng, n) for n in range(2, 7) for _ in range(8)]
+    seen = forced = 0
+    for delta in (0.0, 0.01):
+        for sc in scenarios:
+            sets, x = set_splits(sc, delta)
+            values = water_filling_values(sc, sets, x)
+            nodes.clear()
+            vcg_auction(sc, delta)
+            for inn, free, bound in nodes:
+                below = (sets >= inn).all(axis=1) & (sets <= inn | free).all(axis=1)
+                assert values[below].max() <= bound * (1 + 1e-12)
+            seen += len(nodes)
+            forced += sum(inn.any() for inn, _, _ in nodes)
+    assert seen >= 300 and forced >= 50
 
 
 # users whose SNR limit b is far below 1 + g, their direct SNR term; the power demand's
