@@ -17,12 +17,12 @@ SNR auction's pi_hat (by Lambert's W) are closed forms; the power auction's
 pi_hat, the peak of rate per watt, is a monotone Newton iteration.
 
 Every user of a scenario is held in read-only arrays, built in closed form
-once per scenario.  One `_Core` holds what no payment rule changes (the link
-fields, K = W / (2 ln 2), g, b, c, the relayed SNR, rate increase and slope at
-the full budget, and the breakeven power) and serves both auctions; on it, one
-`_UserArrays` per rule adds that rule's demand constants and critical prices,
-so that all factors at a price, or at a column of prices, are one array
-expression.
+once per scenario and budget.  One `_Core` holds what no payment rule changes
+and owns the model's formulas on those arrays (the relayed SNR, its inverse,
+the rate increase and its slope); it serves both auctions and the oracles.
+On it, one `_UserArrays` per rule adds that rule's demand constants and
+critical prices, so that all factors at a price, or at a column of prices,
+are one array expression.
 """
 
 from __future__ import annotations
@@ -35,16 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import (
-    LN2,
-    NetworkScenario,
-    SystemParams,
-    UserLink,
-    _LinkArrays,
-    _log_gain,
-    _power_for_snr,
-    _relayed_snr,
-)
+from .channel import LN2, NetworkScenario, SystemParams, UserLink, _log_gain
 
 SNR = "snr"
 POWER = "power"
@@ -117,12 +108,10 @@ def _snr_demand(users: "_UserArrays", price) -> np.ndarray:
     """Relay power buying the demanded SNR increase, held within [0, budget].
 
     The marginal rate per unit SNR, K / (1 + g + s), meets the price at
-    s = K / price - (1 + g), bought with the power s (b + 1) / ((b - s) c).
-    coef holds 1 + g and (b + 1) / c.
+    s = K / price - (1 + g), bought with the power users.power(s).  coef holds 1 + g.
     """
-    g1, b1c = users.coef
-    s = np.minimum(np.maximum(users.k / price - g1, 0.0), users.snr_max)
-    return s * b1c / (users.b - s)
+    (g1,) = users.coef
+    return users.power(np.minimum(np.maximum(users.k / price - g1, 0.0), users.snr_max))
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +124,10 @@ def _snr_demand(users: "_UserArrays", price) -> np.ndarray:
 # where p r'(p) = r(p).
 
 
-def _power_gain(p, g, b, c, k):
-    """u(p), elementwise: the rate increase at the relayed SNR a b / (a+b+1), a = p c."""
-    a = p * c
-    return _log_gain(a * b / (a + b + 1.0), g, k)
-
-
-def _power_slope(p, g, b, c, k):
-    """u'(p) = K c b (b+1) / (D1 D2), elementwise, with a = p c, D1 = a+b+1 and D2 = (1+g) D1 + a b."""
-    a = p * c
-    d1 = a + b + 1.0
-    return k * c * b * (b + 1.0) / (d1 * ((1.0 + g) * d1 + a * b))
-
-
 def _power_coefficients(core) -> tuple:
-    """The power demand's price-free terms: 1+g, 4 q2, q1, b^2, K c b / (b+1) and (b+1) / c."""
+    """The power demand's price-free terms: 1+g, 4 q2, q1, b^2 and K c b / (b+1)."""
     g, b, c = core.g, core.b, core.c
-    return 1.0 + g, 4.0 * (1.0 + g + b), 2.0 + 2.0 * g + b, b * b, core.k * c * b / (b + 1.0), (b + 1.0) / c
+    return 1.0 + g, 4.0 * (1.0 + g + b), 2.0 + 2.0 * g + b, b * b, core.k * c * b / (b + 1.0)
 
 
 def _power_demand(users: "_UserArrays", price, terms: bool = False):
@@ -170,12 +146,12 @@ def _power_demand(users: "_UserArrays", price, terms: bool = False):
     2 q2 t + q1, gives the slope d t / d X = 1 / root.  u is concave, so the
     clamped root maximizes u(p) - price * p over [0, budget] (the power auction
     clamps it to the breakeven as well).  Only X depends on the price, which may
-    be an array broadcasting against the users; the rest is read from users.coef.
+    be an array broadcasting against the users; the rest is read from users.coef, b1c.
     """
-    g1, q2x4, q1, bsq, kcb1, b1c = users.coef
+    g1, q2x4, q1, bsq, kcb1 = users.coef
     x = kcb1 / price
     root = np.sqrt(bsq + q2x4 * x)
-    d = np.minimum(np.maximum(-2.0 * (g1 - x) / (q1 + root) * b1c, 0.0), users.budget)
+    d = np.minimum(np.maximum(-2.0 * (g1 - x) / (q1 + root) * users.b1c, 0.0), users.budget)
     return (d, x, root) if terms else d
 
 
@@ -208,8 +184,7 @@ def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
         last = np.where(go, step, 0.0)
     inner = w < w_max
     s = np.where(inner, g1 * (g1 * np.expm1(w) + g), 0.0)
-    p = _power_for_snr(users.links, s, users.b, users.sys)
-    return np.where(inner, p, np.where(users.gain_max > 0.0, users.budget, np.nan))
+    return np.where(inner, users.power(s), np.where(users.gain_max > 0.0, users.budget, np.nan))
 
 
 def _power_pi_hat(users: "_UserArrays") -> np.ndarray:
@@ -218,8 +193,7 @@ def _power_pi_hat(users: "_UserArrays") -> np.ndarray:
     u in log1p form, not r = 0.5 W log2(1+g+s) - W log2(1+g), which cancels as g -> 0.
     """
     p = _power_cutoff_points(users)
-    u = _power_gain(p, users.g, users.b, users.c, users.k)
-    return np.where(users.gain_max > 0.0, u / p, 0.0)
+    return np.where(users.gain_max > 0.0, users.gain(p) / p, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +214,7 @@ class _Rule:
 _RULES = {
     SNR: _Rule(
         charged=lambda p, s: s,
-        coefficients=lambda core: (1.0 + core.g, (core.b + 1.0) / core.c),
+        coefficients=lambda core: (1.0 + core.g,),
         pi_lower=lambda users: users.k / (1.0 + users.g + users.snr_max),
         pi_hat=_snr_pi_hat,
         demand=_snr_demand,
@@ -268,48 +242,69 @@ def _read_only(*arrays) -> None:
 
 
 class _Core:
-    """The arrays of one scenario's users that no payment rule changes.
+    """The arrays of one scenario's users at one budget that no payment rule changes.
 
-    links, the users' link fields; k = W / (2 ln 2), the rate per unit log SNR;
-    g, the direct SNR; b, the relayed SNR's limit; c = gain_rd / noise; at the
-    full budget, the relayed SNR snr_max, the rate increase gain_max and the
-    unclamped slope u'(budget), slope_full; and x0, the breakeven power, or
-    about the budget when the budget cannot reach it.  Closed forms of the
-    module, free of the channel functions' checks, which the scenario has made.
+    k = W / (2 ln 2), the rate per unit log SNR; g, the direct SNR; b, the relayed
+    SNR's limit; rd, the relay-destination gains; noise; c = rd / noise; b1c =
+    (b + 1) / c; at the full budget, the relayed SNR snr_max, the rate increase
+    gain_max and the unclamped slope u'(budget), slope_full; and x0, the breakeven
+    power, or about the budget when the budget cannot reach it.  Its methods are
+    the model's formulas on them, free of the checks the scenario has made.
     """
 
     def __init__(self, users: Sequence[UserLink], budget: float, sys: SystemParams):
-        self.links = links = _LinkArrays.of(users)
-        self.budget, self.sys = budget, sys
+        p_s, sd, sr, rd = np.array([(u.source_power_w, u.gain_sd, u.gain_sr, u.gain_rd) for u in users]).T
+        self.budget, self.noise, self.rd = budget, sys.noise_w, rd
         self.k = sys.bandwidth_hz / (2.0 * LN2)
-        self.g = g = links.source_power_w * links.gain_sd / sys.noise_w
-        self.b = b = links.source_power_w * links.gain_sr / sys.noise_w
-        self.c = links.gain_rd / sys.noise_w
-        self.snr_max = _relayed_snr(links, budget, b, sys)
+        self.g = g = p_s * sd / sys.noise_w
+        self.b = b = p_s * sr / sys.noise_w
+        self.c = rd / sys.noise_w
+        self.b1c = (b + 1.0) / self.c
+        self.snr_max = self.snr(budget)
         self.gain_max = np.maximum(_log_gain(self.snr_max, g, self.k), 0.0)
-        self.slope_full = _power_slope(budget, g, b, self.c, self.k)
-        self.x0 = _power_for_snr(links, np.minimum(g * g + g, self.snr_max), b, sys)
-        _read_only(*vars(self).values(), *links)
+        self.slope_full = self.slope(budget)
+        self.x0 = self.power(np.minimum(g * g + g, self.snr_max))
+        _read_only(*vars(self).values())
 
     @classmethod
-    def of(cls, scenario: NetworkScenario) -> "_Core":
-        """The scenario's core at its relay budget, built once per scenario."""
+    def of(cls, scenario: NetworkScenario, budget: float | None = None) -> "_Core":
+        """The scenario's core at a budget, its relay budget by default, built once per scenario and budget."""
+        budget = scenario.relay_budget_w if budget is None else budget
         memo = scenario._derived
-        if "core" not in memo:
-            memo["core"] = cls(scenario.users, scenario.relay_budget_w, scenario.system)
-        return memo["core"]
+        if ("core", budget) not in memo:
+            memo["core", budget] = cls(scenario.users, budget, scenario.system)
+        return memo["core", budget]
+
+    def snr(self, p):
+        """Relayed SNR a b / (a + b + 1) at relay power p, a = p rd / noise, rounded as channel.relayed_snr."""
+        a = p * self.rd / self.noise
+        return a * self.b / (a + self.b + 1.0)
+
+    def power(self, s):
+        """Relay power s (b + 1) / ((b - s) c) buying the relayed SNR s, 0 <= s < b: snr's inverse."""
+        return s * self.b1c / (self.b - s)
+
+    def gain(self, p):
+        """The unclamped rate increase u(p) at relay power p; the rate increase is max(u, 0)."""
+        return _log_gain(self.snr(p), self.g, self.k)
+
+    def slope(self, p):
+        """u'(p) = K c b (b+1) / (D1 D2), with a = p c, D1 = a+b+1 and D2 = (1+g) D1 + a b."""
+        a = p * self.c
+        d1 = a + self.b + 1.0
+        return self.k * self.c * self.b * (self.b + 1.0) / (d1 * ((1.0 + self.g) * d1 + a * self.b))
 
 
-class _UserArrays:
-    """Every user of one scenario as arrays, under one payment rule.
+class _UserArrays(_Core):
+    """Every user of one scenario at one budget as arrays, under one payment rule.
 
-    Holds the arrays of a _Core themselves, so that one core serves both
-    rules, and adds the rule's demand constants, coef, and the critical
-    prices of every user: pi_lower, the marginal rate per unit charged at the
-    full budget; pi_hat, the participation cutoff; and the divergence cutoff,
-    which is pi_lower for a regular user (pi_hat > pi_lower) and otherwise the
-    price at which the whole budget stops paying, the only profitable demand
-    such a user has.
+    Holds the arrays of a _Core themselves, and its formulas by inheritance, so
+    that one core serves both rules; it adds the rule's demand constants, coef,
+    and the critical prices of every user: pi_lower, the marginal rate per unit
+    charged at the full budget; pi_hat, the participation cutoff; and the
+    divergence cutoff, which is pi_lower for a regular user (pi_hat > pi_lower)
+    and otherwise the price at which the whole budget stops paying, the only
+    profitable demand such a user has.
     """
 
     def __init__(self, core: _Core, kind: str):
@@ -331,12 +326,13 @@ class _UserArrays:
         return array("d", sorted([*self.zero_from.tolist(), *np.nextafter(self.cutoff, math.inf).tolist()]))
 
     @classmethod
-    def of(cls, scenario: NetworkScenario, kind: str) -> "_UserArrays":
-        """The scenario's users under this rule, built once per scenario and kind on its core."""
+    def of(cls, scenario: NetworkScenario, kind: str, budget: float | None = None) -> "_UserArrays":
+        """The scenario's users under this rule on its core at a budget (_Core.of), built once per kind."""
+        core = _Core.of(scenario, budget)
         memo = scenario._derived
-        if kind not in memo:
-            memo[kind] = cls(_Core.of(scenario), kind)
-        return memo[kind]
+        if (kind, core.budget) not in memo:
+            memo[kind, core.budget] = cls(core, kind)
+        return memo[kind, core.budget]
 
     def demands(self, price) -> np.ndarray:
         """Power demanded at a price, or a row per price of a column: the budget where divergent."""

@@ -8,8 +8,8 @@ relay occupying the second phase.
 
 All quantities are SI: watts, hertz, meters, bits/s.  Functions are pure.
 The rate and SNR formulas also evaluate elementwise on arrays: a relay-power
-array, and a link whose source power and gains are arrays (one entry per
-user), as the auction code builds them.
+array, and a link whose source power and gains are arrays.  The auction and
+oracle code reads them on per-user arrays from auction._Core, sharing _log_gain.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,6 +100,15 @@ class NetworkScenario:
             # this one while a < (b + 1) 2^50; the SNR auction and the fair oracle need it below b
             if not a < (limit + 1.0) * 2.0**50:
                 raise ValueError(f"user {u.user_id}: relayed SNR at the budget rounds to its limit {limit!r}")
+            # the largest terms of auction._Core's formulas up to the budget: in the slope, K c b (b+1) and
+            # D1 D2 = D1 ((1+g) D1 + a b) > b^2, D1 = a+b+1, a = P c; in the power for an SNR s < b, b (b+1) / c
+            c = u.gain_rd / self.system.noise_w
+            d1 = self.relay_budget_w * c + limit + 1.0
+            k = self.system.bandwidth_hz / (2.0 * LN2)
+            terms = (k * c * limit * (limit + 1.0), d1 * ((1.0 + g) * d1 + self.relay_budget_w * c * limit),
+                     limit * ((limit + 1.0) / c))
+            if not all(map(math.isfinite, terms)):
+                raise ValueError(f"user {u.user_id}: SNR limit {limit!r} overflows the rate and power formulas")
 
     @property
     def n_users(self) -> int:
@@ -112,19 +121,6 @@ class NetworkScenario:
 
     def __getstate__(self) -> dict:  # the derived arrays are rebuilt, not pickled
         return {k: v for k, v in vars(self).items() if k != "_derived"}
-
-
-class _LinkArrays(NamedTuple):
-    """The users' link fields as arrays; the channel formulas take it as a link."""
-
-    source_power_w: np.ndarray
-    gain_sd: np.ndarray
-    gain_sr: np.ndarray
-    gain_rd: np.ndarray
-
-    @classmethod
-    def of(cls, users: Sequence[UserLink]) -> "_LinkArrays":
-        return cls(*(np.array([getattr(u, name) for u in users]) for name in cls._fields))
 
 
 def path_gain(a: Sequence[float], b: Sequence[float], exponent: float) -> float:
@@ -157,20 +153,9 @@ def relayed_snr(link: UserLink, p_rd, sys: SystemParams):
     """
     if (np.asarray(p_rd) < 0.0).any():
         raise ValueError("relay power must be nonnegative")
-    return _relayed_snr(link, p_rd, relayed_snr_limit(link, sys), sys)
-
-
-def _relayed_snr(link: UserLink, p_rd, limit, sys: SystemParams):
-    """relayed_snr without its checks, given the SNR limit b: a b / (a + b + 1), a = p_rd gain_rd / noise."""
     a = p_rd * link.gain_rd / sys.noise_w
-    return a * limit / (a + limit + 1.0)
-
-
-def _power_for_snr(link: UserLink, target, limit, sys: SystemParams):
-    """Relay power achieving the relayed SNR target (inverse of relayed_snr), given the SNR limit:
-    0 <= target < limit, unchecked."""
-    a = target * (limit + 1.0) / (limit - target)
-    return a * sys.noise_w / link.gain_rd
+    b = relayed_snr_limit(link, sys)
+    return a * b / (a + b + 1.0)
 
 
 def rate_increase(link: UserLink, p_rd, sys: SystemParams):

@@ -33,13 +33,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .auction import AuctionParams, _UserArrays, allocate
-from .channel import NetworkScenario, _log_gain, _relayed_snr
+from .channel import NetworkScenario, _log_gain
 from .numutil import bisect_transition
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DIVERGENCE_CAP_FACTOR = 1e12
 THRESHOLD_RTOL = 1e-6
+CALIBRATE_RTOL = 1e-9
+RATE_TAIL = 20  # residuals the contraction-rate fit reads, the last ones
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ def equilibrium_from_bids(
     """
     powers = allocate(bids, params.reserve_bid, scenario.relay_budget_w)
     users = _UserArrays.of(scenario, params.kind)
-    snr = _relayed_snr(users.links, powers, users.b, users.sys)
+    snr = users.snr(powers)
     gains = np.maximum(_log_gain(snr, users.g, users.k), 0.0)
     pays = params.price * users.rule.charged(powers, snr)
     return EquilibriumResult(
@@ -144,16 +146,12 @@ def equilibrium_from_bids(
 
 
 def iterate_best_response(
-    scenario: NetworkScenario,
-    params: AuctionParams,
-    b0: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    scenario: NetworkScenario, params: AuctionParams, b0: Sequence[float], tol: float = DEFAULT_TOL
 ) -> IterationTrace:
     """Synchronous updates: every user best-responds to the previous profile.
 
     Stops when the max-norm bid change falls below tol relative to the bid
-    scale, when any bid passes the divergence cap, or after max_iter steps.
+    scale, when any bid passes the divergence cap, or after DEFAULT_MAX_ITER steps.
     A divergent best response at this price marks the trace diverged
     immediately.
     """
@@ -173,7 +171,7 @@ def iterate_best_response(
     residuals: list[float] = []
     converged = False
     diverged = False
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         b_next = f * (b.sum() - b + params.reserve_bid)
         res = float(np.max(np.abs(b_next - b)))
         residuals.append(res)
@@ -201,8 +199,8 @@ def solve_ne(scenario: NetworkScenario, params: AuctionParams) -> SolveResult:
     return equilibrium_from_bids(scenario, params, ne_bids_from_factors(f, params.reserve_bid))
 
 
-def estimate_geometric_rate(trace: IterationTrace, tail: int = 20) -> float:
-    """Per-step residual contraction ratio from a least-squares fit of log residuals."""
+def estimate_geometric_rate(trace: IterationTrace) -> float:
+    """Per-step residual contraction ratio from a least-squares fit of the last RATE_TAIL log residuals."""
     if not trace.converged:
         raise ValueError("rate estimation needs a converged trace")
     res = np.asarray(trace.residuals, dtype=float)
@@ -214,8 +212,7 @@ def estimate_geometric_rate(trace: IterationTrace, tail: int = 20) -> float:
     res, steps = res[keep], steps[keep]
     if res.size < 5:
         raise ValueError("too few usable residuals for a rate estimate")
-    if res.size > tail:
-        res, steps = res[-tail:], steps[-tail:]
+    res, steps = res[-RATE_TAIL:], steps[-RATE_TAIL:]
     slope = np.polyfit(steps, np.log(res), 1)[0]
     return float(math.exp(slope))
 
@@ -244,25 +241,20 @@ def _search(users: _UserArrays, level: float, rtol: float) -> tuple[tuple, int]:
     return bisect_transition(shares, level, lo, hi, rtol, jumps=users.breaks), len(calls)
 
 
-def threshold_price(scenario: NetworkScenario, kind: str, rtol: float = THRESHOLD_RTOL) -> float:
+def threshold_price(scenario: NetworkScenario, kind: str) -> float:
     """Price above which an equilibrium exists and below which none does.
 
-    The midpoint of the bisection bracket on S(p) < 1 that starts just below
-    the largest divergence cutoff.
+    The midpoint of the bisection bracket on S(p) < 1, THRESHOLD_RTOL wide,
+    that starts just below the largest divergence cutoff.
     """
-    p_none, p_some, _, _ = _search(_UserArrays.of(scenario, kind), 1.0, rtol)[0]
+    p_none, p_some, _, _ = _search(_UserArrays.of(scenario, kind), 1.0, THRESHOLD_RTOL)[0]
     return 0.5 * (p_none + p_some)
 
 
-def calibrate_price(
-    scenario: NetworkScenario,
-    kind: str,
-    target_utilization: float = 0.99,
-    rtol: float = 1e-9,
-) -> PriceSearchResult:
+def calibrate_price(scenario: NetworkScenario, kind: str, target_utilization: float = 0.99) -> PriceSearchResult:
     """Largest price whose equilibrium still meets the target utilization.
 
-    One search brackets where S drops below the target, to rtol: S(t0) >=
+    One search brackets where S drops below the target, to CALIBRATE_RTOL: S(t0) >=
     target > S(t1).  If S(t0) < 1, an equilibrium exists at t0 and meets the
     target.  Otherwise S falls from at least one to below the target within
     the bracket, which therefore holds the existence threshold: no price meets
@@ -276,7 +268,7 @@ def calibrate_price(
     users = _UserArrays.of(scenario, kind)
     if not users.regular.any():
         return PriceSearchResult(max(float(users.pi_hat.max()) * 1.01, 1.0), 0.0, False)
-    (t0, t1, s0, s1), evaluations = _search(users, target_utilization, rtol)
+    (t0, t1, s0, s1), evaluations = _search(users, target_utilization, CALIBRATE_RTOL)
     if s0 < 1.0:
         return PriceSearchResult(t0, s0, True, (t0, t1), evaluations)
     return PriceSearchResult(t1, s1, False, (t0, t1), evaluations)

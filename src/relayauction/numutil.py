@@ -112,23 +112,24 @@ def _path(a, b, r, n) -> list:
     return path
 
 
-def bisect_transition(
-    f: Callable, level, x_over, x_under, rtol: float, max_iter: int = 200, jumps: Sequence[float] = ()
-) -> tuple:
+def bisect_transition(f: Callable, level, x_over, x_under, rtol: float, jumps: Sequence[float] = ()) -> tuple:
     """Bracket where f drops below level: (x_over, x_under, f(x_over), f(x_under)), tightened.
 
-    f(x_over) >= level > f(x_under) on an ascending bracket, x_over < x_under.
+    f(x_over) >= level > f(x_under) on an ascending bracket, 0 < x_over < x_under.
     The search descends on f < level to the bit as with one midpoint
-    0.5 * (a + b) per step, until |b - a| <= rtol * max(|a|, |b|) or max_iter
-    steps.  Each call asks f about the 2**DEPTH - 1 dyadic midpoints of the
-    bracket (the first call about its ends too), so that every call takes
-    DEPTH steps at least, and about the midpoints after that tree which the
-    descent meets if f drops at a guess r (_guess).  The descent takes those
-    while its decisions are the ones r predicts, so the guess moves no result.
+    0.5 * (a + b) per step, until |b - a| <= rtol * max(|a|, |b|): a test that
+    ends every search, as x_over >= 2^-1022 and rtol >= 2^-52 (else ValueError).
+    Each call asks f about the 2**DEPTH - 1 dyadic midpoints of the bracket
+    (the first call about its ends too), so that every call takes DEPTH steps
+    at least, and about the midpoints after that tree which the descent meets
+    if f drops at a guess r (_guess).  The descent takes those while its
+    decisions are the ones r predicts, so the guess moves no result.
     jumps, sorted, are points where f may jump, each the first point past its
     jump.  Raises ValueError if f(x_over) < level.  If f(x_under) >= level, f does
     not drop, and the first call returns (x_under, x_under, f(x_under), f(x_under)).
     """
+    if not (x_over >= 2.0**-1022 and rtol >= 2.0**-52):
+        raise ValueError(f"x_over must be at least 2^-1022 and rtol at least 2^-52, got {x_over!r} and {rtol!r}")
     n, a, b, steps, fa, fb = 2**DEPTH, x_over, x_under, 0, None, None
     a_out = b_out = (None, None)  # the (x, f(x)) known nearest beyond a and b
     while True:
@@ -139,9 +140,8 @@ def bisect_transition(
         r = _guess(level, a, b, fa, fb, (a_out, b_out), jumps)
         path = []
         if r is not None:  # as many steps as narrow the bracket to rtol |r|, and one for rounding
-            ratio = abs(b - a) / (rtol * abs(r)) if rtol * abs(r) > 0.0 else math.inf
-            need = max_iter if ratio == math.inf else steps + math.ceil(math.log2(max(ratio, 1.0))) + 1
-            path = _path(a, b, r, min(need, max_iter) - steps)
+            ratio = abs(b - a) / (rtol * r)
+            path = _path(a, b, r, math.ceil(math.log2(min(max(ratio, 1.0), 1e300))) + 1)
         j = len(asked)
         vals = np.asarray(f(np.fromiter(asked + path, float, j + len(path)))).tolist()
         v = vals[: n + 1] if fa is None else [fa, *vals[: n - 1], fb]
@@ -152,10 +152,9 @@ def bisect_transition(
         # each midpoint is within an ulp of max(|a|, |b|) of the exact one, so the stop test
         # cannot end the search at a step k from (a, b) where |b - a| / 2**k is above tol
         tol = (rtol * (1.0 + 1e-15) + 1e-15) * max(abs(a), abs(b)) + 1e-300
-        safe = steps + min(max_iter - steps, int(math.log2(min(max(abs(b - a) / tol, 1.0), 1e300))))
+        safe = steps + int(math.log2(min(max(abs(b - a) / tol, 1.0), 1e300)))
         lo, hi = 0, n
-        while hi - lo > 1 and (steps < safe or steps < max_iter and (
-                abs(pts[hi] - pts[lo]) > rtol * max(abs(pts[lo]), abs(pts[hi])))):
+        while hi - lo > 1 and (steps < safe or abs(pts[hi] - pts[lo]) > rtol * max(abs(pts[lo]), abs(pts[hi]))):
             m = (lo + hi) // 2
             lo, hi = (lo, m) if v[m] < level else (m, hi)
             steps += 1
@@ -164,7 +163,7 @@ def bisect_transition(
         b_out = (pts[hi + 1], v[hi + 1]) if hi < n else b_out
         if path and path[0] == 0.5 * (a + b):  # the descent reached the cell the path starts in
             for x, fx in zip(path, vals[j:]):
-                if steps >= safe and not (steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))):
+                if steps >= safe and not abs(b - a) > rtol * max(abs(a), abs(b)):
                     break
                 steps += 1
                 if fx < level:
@@ -173,5 +172,5 @@ def bisect_transition(
                     a_out, a, fa = (a, fa), x, fx
                 if (fx < level) != (x >= r):
                     break  # where the guess said otherwise, its path turns away from the descent
-        if steps >= safe and not (steps < max_iter and abs(b - a) > rtol * max(abs(a), abs(b))):
+        if steps >= safe and not abs(b - a) > rtol * max(abs(a), abs(b)):
             return a, b, fa, fb

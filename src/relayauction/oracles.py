@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import POWER, _Core, _power_demand, _power_gain, _power_slope, _UserArrays
-from .channel import NetworkScenario, _log_gain, _power_for_snr, _relayed_snr
+from .auction import POWER, _Core, _power_demand, _UserArrays
+from .channel import NetworkScenario, _log_gain
 from .numutil import bisect_transition, newton_root
 
 # a node is closed once its bound is at most the incumbent times (1 + BOUND_RTOL)
@@ -54,7 +54,7 @@ class VcgResult:
 
 def _finish(core: _Core, powers: np.ndarray, nodes: int = 1, gap: float = 0.0) -> OracleAllocation:
     """Zero out users whose power buys no rate increase, then package; the SNR is computed once."""
-    snr = _relayed_snr(core.links, powers, core.b, core.sys)
+    snr = core.snr(powers)
     gains = np.maximum(_log_gain(snr, core.g, core.k), 0.0)
     buys = gains > 0.0
     return OracleAllocation(
@@ -76,16 +76,19 @@ class _Relaxation:
     between the forced-in users and the free ones, the water-filling of A is
     at most the node's relaxation.  Users whose rate increase stays 0 up to
     the budget (pi_hat = 0) are never worth forcing in or leaving free.
+    at_jumps[j, i] is user i's demand at user j's pi_hat, computed once, and
+    relaxed_at_jumps its envelope demand there, 0 from user i's own on.
     """
 
     def __init__(self, users: _UserArrays):
         self.users = users
         # where a free user's demand drops from its tangent point to 0
-        self.jumps = np.where(users.gain_max > 0.0, users.pi_hat, np.inf)
+        self.jumps = jumps = np.where(users.gain_max > 0.0, users.pi_hat, np.inf)
+        self.at_jumps = _power_demand(users, jumps[:, None])
+        self.relaxed_at_jumps = np.where(jumps[:, None] < jumps, self.at_jumps, 0.0)
         # the demand at pi_hat: u' meets pi_hat there, or stays above it up to the budget
-        self.tangent = _power_demand(users, self.jumps)
-        self.shape = (users.g, users.b, users.c, users.k)
-        self.slope_zero = _power_slope(0.0, *self.shape)
+        self.tangent = np.diagonal(self.at_jumps)
+        self.slope_zero = users.slope(0.0)
 
     def _split(self, price, inn: np.ndarray, free: np.ndarray):
         """Demands at prices broadcast against the masks, then the forced-in demands d, X and root."""
@@ -108,8 +111,9 @@ class _Relaxation:
         (f_i(x) - lam x), f_i the user's term, holds at any lam >= 0.  The
         split is returned scaled onto the budget, with the welfare sum_i r_i.
         """
-        budget, jumps, slope_full = self.users.budget, self.jumps, self.users.slope_full
-        after = self._split(jumps[:, None], inn[:, None, :], free[:, None, :])[0].sum(axis=2) - budget
+        users, jumps, budget, slope_full = self.users, self.jumps, self.users.budget, self.users.slope_full
+        after = np.where(inn[:, None, :], self.at_jumps, np.where(free[:, None, :], self.relaxed_at_jumps, 0.0))
+        after = after.sum(axis=2) - budget
         before = after + self.tangent
         # at top every demand is 0; at half of full some user's is the budget
         top = np.where(inn, self.slope_zero, np.where(free, jumps, 0.0)).max(axis=1)
@@ -119,23 +123,23 @@ class _Relaxation:
         lam = np.where(free & (after <= 0.0) & (before >= 0.0), jumps, np.inf).min(axis=1)
         rows = np.isinf(lam)
         if rows.any():
-            inn_r, free_r, b1c = inn[rows], free[rows], self.users.coef[-1]
+            inn_r, free_r = inn[rows], free[rows]
 
             def excess(z):
                 z = z[..., None]
                 x, d, big_x, root = self._split(1.0 / (z * z), inn_r, free_r)
                 curved = (x == d) & (x > 0.0) & (x < budget)
-                dx = np.where(curved, 2.0 * b1c * big_x / (root * z), 0.0)
+                dx = np.where(curved, 2.0 * users.b1c * big_x / (root * z), 0.0)
                 return x.sum(axis=-1) - budget, dx.sum(axis=-1)
 
             z = newton_root(excess, -lo[rows] ** -0.5, -hi[rows] ** -0.5)
             lam[rows] = 1.0 / (z * z)
         x = self._split(lam[:, None], inn, free)[0]
-        gain = _power_gain(x, *self.shape) - lam[:, None] * x
+        gain = users.gain(x) - lam[:, None] * x
         gain = np.where(inn, gain, np.where(free, np.maximum(gain, 0.0), 0.0))
         total = x.sum(axis=1, keepdims=True)
         x = x * np.divide(budget, total, out=np.zeros_like(total), where=total > 0.0)
-        welfare = np.maximum(_power_gain(x, *self.shape), 0.0).sum(axis=1)
+        welfare = np.maximum(users.gain(x), 0.0).sum(axis=1)
         return lam, x, lam * budget + gain.sum(axis=1), welfare
 
 
@@ -191,6 +195,13 @@ def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray,
     return best_x, mine.sum(axis=1), np.maximum(closed / best - 1.0, 0.0)
 
 
+def _core(scenario: NetworkScenario, delta: float) -> _Core:
+    """The scenario's core at the budget P*(1-delta) the oracles solve on."""
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("delta must lie in [0, 1)")
+    return _Core.of(scenario, scenario.relay_budget_w * (1.0 - delta))
+
+
 def _solve(scenario: NetworkScenario, delta: float, pivots: bool):
     """The core, the live users, and each problem's efficient split, nodes and gap on budget P*(1-delta).
 
@@ -198,19 +209,15 @@ def _solve(scenario: NetworkScenario, delta: float, pivots: bool):
     1 + j leaves live user j out.  A problem with at most one live user is a closed form, that user
     taking the whole budget; the rest run as one branch-and-bound on the power-auction arrays.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    budget = scenario.relay_budget_w * (1.0 - delta)
-    # at the relay budget the scenario's core and power-auction arrays serve
-    core = _Core.of(scenario) if delta == 0.0 else _Core(scenario.users, budget, scenario.system)
+    core = _core(scenario, delta)
     live = np.flatnonzero(core.gain_max > 0.0)
     free = np.tile(core.gain_max > 0.0, (1 + live.size * pivots, 1))
     free[np.arange(1, len(free)), live[: len(free) - 1]] = False  # problem 1 + j leaves live user j out
-    x, nodes, gaps = np.where(free, budget, 0.0), np.ones(len(free), dtype=int), np.zeros(len(free))
+    x, nodes, gaps = np.where(free, core.budget, 0.0), np.ones(len(free), dtype=int), np.zeros(len(free))
     many = free.sum(axis=1) > 1
     if many.any():
-        users = _UserArrays.of(scenario, POWER) if delta == 0.0 else _UserArrays(core, POWER)
-        x[many], nodes[many], gaps[many] = _branch_and_bound(_Relaxation(users), free[many])
+        relax = _Relaxation(_UserArrays.of(scenario, POWER, core.budget))
+        x[many], nodes[many], gaps[many] = _branch_and_bound(relax, free[many])
     return core, live, x, nodes, gaps
 
 
@@ -234,28 +241,20 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
     relayed), which equalizes the marginal rate gain per unit of SNR; the
     level is pushed as high as the budget allows.  Users whose rate increase
     would not be positive at the resulting level are dropped and the level
-    recomputed, until the participant set is stable.
+    recomputed, from the users who can gain from the relay until the set is stable.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must lie in [0, 1)")
-    budget = scenario.relay_budget_w * (1.0 - delta)
-    core = _Core.of(scenario)
-    links, g, limit, sys = core.links, core.g, core.b, core.sys
-    # users whose breakeven power (relayed SNR g^2 + g) lies within the budget
-    even = g * g + g
-    reach = even < limit
-    active = reach & (_power_for_snr(links, np.where(reach, even, 0.0), limit, sys) < budget)
+    core = _core(scenario, delta)
+    g, limit, active = core.g, core.b, core.gain_max > 0.0
 
     def powers_at(levels) -> np.ndarray:
         """Each active user's power at each level: 0 below its direct level, inf at its limit."""
         target = np.asarray(levels, dtype=float)[:, None] - 1.0 - g
         need = active & (target > 0.0)
         inside = need & (target < limit)
-        p = _power_for_snr(links, np.where(inside, target, 0.0), limit, sys)
-        return np.where(inside, p, np.where(need, np.inf, 0.0))
+        return np.where(inside, core.power(np.where(inside, target, 0.0)), np.where(need, np.inf, 0.0))
 
     def spare(levels) -> np.ndarray:  # the budget left at each level: >= 0 exactly where the powers fit
-        return budget - powers_at(levels).sum(axis=1)
+        return core.budget - powers_at(levels).sum(axis=1)
 
     level = 1.0
     while active.any():
@@ -282,9 +281,8 @@ def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 40
     """
     core, live, x, nodes, gaps = _solve(scenario, delta, pivots=True)
     base = _finish(core, x[0], int(nodes[0]), float(gaps[0]))
-    snr = _relayed_snr(core.links, x[1:], core.b, core.sys)
     alone = np.zeros(scenario.n_users)
-    alone[live] = np.maximum(_log_gain(snr, core.g, core.k), 0.0).sum(axis=1)
+    alone[live] = np.maximum(core.gain(x[1:]), 0.0).sum(axis=1)
     others = base.total_rate_increase_bps - base.per_user_rate_increase_bps
     payments = np.where(base.powers > 0.0, np.maximum(alone - others, 0.0), 0.0)
     return VcgResult(allocation=base, payments=payments)

@@ -1,6 +1,7 @@
 """Shared fixtures: the benchmark two-user geometry and random scenarios."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,14 +25,12 @@ from relayauction.auction import (
     SNR,
     _Core,
     _power_cutoff_points,
-    _power_gain,
-    _power_slope,
     _rule,
     _UserArrays,
 )
 from relayauction.channel import (
     LN2,
-    _power_for_snr,
+    _log_gain,
     direct_snr,
     rate_increase,
     relayed_snr,
@@ -44,6 +43,19 @@ settings.register_profile("relayauction", derandomize=True, max_examples=200, de
 settings.load_profile("relayauction")
 
 BENCH_SYSTEM = SystemParams(bandwidth_hz=1e6, noise_w=1e-11, pathloss_exponent=4.0)
+
+
+class LinkArrays(NamedTuple):
+    """The users' link fields as arrays: a link the public channel functions evaluate elementwise."""
+
+    source_power_w: np.ndarray
+    gain_sd: np.ndarray
+    gain_sr: np.ndarray
+    gain_rd: np.ndarray
+
+    @classmethod
+    def of(cls, users) -> "LinkArrays":
+        return cls(*(np.array([getattr(u, name) for u in users]) for name in cls._fields))
 
 
 def make_random_scenario(rng: np.random.Generator, n_users: int) -> NetworkScenario:
@@ -177,10 +189,10 @@ def payoff(link, bid, opponents_bid_sum, params, budget, sys) -> float:
     return gain - float(payment(params.kind, params.price, link, p_rd, sys))
 
 
-def reference_bisect(pred, x_false, x_true, rtol, max_iter=200):
+def reference_bisect(pred, x_false, x_true, rtol, max_iter=math.inf):
     """Bisection asking pred about one midpoint per step: what bisect_transition must return.
 
-    Returns the tightened pair and the number of steps taken.
+    Returns the tightened pair and the number of steps taken, at most max_iter.
     """
     if pred(x_false):
         raise ValueError("pred(x_false) must be False")
@@ -214,8 +226,10 @@ def coop_rate(link, p_rd, sys):
 
 
 def power_for_relayed_snr(link, target, sys):
-    """Relay power achieving a relayed SNR target below the limit (inverse of relayed_snr)."""
-    return _power_for_snr(link, target, relayed_snr_limit(link, sys), sys)
+    """Relay power achieving a relayed SNR target s below the limit b (inverse of relayed_snr):
+    s ((b + 1) / c) / (b - s), c = gain_rd / noise."""
+    b = relayed_snr_limit(link, sys)
+    return target * ((b + 1.0) / (link.gain_rd / sys.noise_w)) / (b - target)
 
 
 def breakeven_power(link, sys):
@@ -250,17 +264,17 @@ def g_snr(link, price, sys):
     return price * (1.0 + g) - 0.5 * w * (np.log2(2.0 * price * LN2 * (1.0 + g) ** 2 / w) + 1.0 / LN2)
 
 
-def reference_snr_pi_hat(users):
+def reference_snr_pi_hat(scenario):
     """SNR participation cutoffs by a bracketed Newton search: what the closed form must return.
 
     g_snr is convex and decreasing below pi_star = K / (1+g), negative there
     and positive at pi_star / (2e (1+g)), which brackets its smallest root.
     """
-    pi_star = snr_marginal_rate(users.links, 0.0, users.sys)
-    lo = pi_star / (2.0 * math.e * (1.0 + users.g))
-    return newton_root(
-        lambda p: (g_snr(users.links, p, users.sys), 1.0 + users.g - users.k / p), lo, pi_star
-    )
+    links, sys = LinkArrays.of(scenario.users), scenario.system
+    g, k = direct_snr(links, sys), sys.bandwidth_hz / (2.0 * LN2)
+    pi_star = snr_marginal_rate(links, 0.0, sys)
+    lo = pi_star / (2.0 * math.e * (1.0 + g))
+    return newton_root(lambda p: (g_snr(links, p, sys), 1.0 + g - k / p), lo, pi_star)
 
 
 def reference_power_cutoff_points(users):
@@ -273,10 +287,11 @@ def reference_power_cutoff_points(users):
 
     def phi(p, g, b, c):
         # u'' = -c u' w, w = 1 / D1 + (1+g+b) / D2, with a = p c, D1 = a+b+1, D2 = (1+g) D1 + a b
-        u, slope = _power_gain(p, g, b, c, k), _power_slope(p, g, b, c, k)
-        d1 = p * c + b + 1.0
-        bend = 1.0 / d1 + (1.0 + g + b) / ((1.0 + g) * d1 + p * c * b)
-        return p * slope - u, -p * c * slope * bend
+        a = p * c
+        d1 = a + b + 1.0
+        d2 = (1.0 + g) * d1 + a * b
+        u, slope = _log_gain(a * b / d1, g, k), k * c * b * (b + 1.0) / (d1 * d2)
+        return p * slope - u, -p * c * slope * (1.0 / d1 + (1.0 + g + b) / d2)
 
     live = users.gain_max > 0.0
     p = np.where(live, users.budget, np.nan)
@@ -287,10 +302,12 @@ def reference_power_cutoff_points(users):
     return p
 
 
-def reference_power_pi_hat(users):
+def reference_power_pi_hat(scenario):
     """Power-auction participation cutoffs read at the reference cutoff points."""
+    users = _UserArrays.of(scenario, POWER)
     p = reference_power_cutoff_points(users)
-    return np.where(users.gain_max > 0.0, rate_increase(users.links, p, users.sys) / p, 0.0)
+    rate = rate_increase(LinkArrays.of(scenario.users), p, scenario.system)
+    return np.where(users.gain_max > 0.0, rate / p, 0.0)
 
 
 def rate_increase_power_slope(link, p_rd, sys):

@@ -23,14 +23,13 @@ from relayauction.auction import (
     SNR,
     _Core,
     _power_cutoff_points,
-    _power_gain,
-    _power_slope,
     _UserArrays,
 )
-from relayauction.channel import LN2, NetworkScenario, UserLink, _LinkArrays
+from relayauction.channel import LN2, NetworkScenario, UserLink
 
 from conftest import (
     BENCH_SYSTEM,
+    LinkArrays,
     g_snr,
     make_random_scenario,
     one_user,
@@ -512,8 +511,8 @@ def test_cutoffs_equal_bracketed_newton_reference(bench_spec):
     assert len(scenarios) == 81 + 16
     for sc in scenarios:
         snr, power = _UserArrays.of(sc, SNR), _UserArrays.of(sc, POWER)
-        _assert_rel(snr.pi_hat, reference_snr_pi_hat(snr), 1e-13)
-        _assert_rel(power.pi_hat, reference_power_pi_hat(power), 1e-13)
+        _assert_rel(snr.pi_hat, reference_snr_pi_hat(sc), 1e-13)
+        _assert_rel(power.pi_hat, reference_power_pi_hat(sc), 1e-13)
         points = reference_power_cutoff_points(power)
         _assert_rel(_power_cutoff_points(power), points, 1e-13)
     for link, point in zip(sc.users, points):  # the one-user view of the last scenario
@@ -530,7 +529,7 @@ def test_closed_form_build_agrees_with_channel_functions(bench_spec):
         for budget in 10.0 ** np.arange(-6.0, 4.0):
             sc = NetworkScenario(base.users, budget, base.system)
             snr, power = _UserArrays.of(sc, SNR), _UserArrays.of(sc, POWER)
-            links, sys = _LinkArrays.of(sc.users), sc.system
+            links, sys = LinkArrays.of(sc.users), sc.system
             s_max = relayed_snr(links, budget, sys)
             gain = rate_increase(links, budget, sys)
             _assert_rel(snr.g, direct_snr(links, sys), 1e-13)
@@ -558,6 +557,15 @@ def test_closed_form_build_agrees_with_channel_functions(bench_spec):
                     interior += int(inner.sum())
             built += 1
     assert built == (81 + 7) * 10 and interior > 4000, interior
+
+
+def test_core_snr_is_the_channel_relayed_snr_to_the_bit(bench_spec):
+    # the core's relayed SNR rounds as channel.relayed_snr does, at every power up to the budget
+    for sc in _study_and_sweep_scenarios(bench_spec):
+        powers = np.linspace(0.0, sc.relay_budget_w, 33)[:, None] * np.ones(sc.n_users)
+        want = relayed_snr(LinkArrays.of(sc.users), powers, sc.system)
+        assert np.array_equal(_Core.of(sc).snr(powers), want)
+        assert np.array_equal(_Core.of(sc).snr_max, want[-1])
 
 
 def test_user_arrays_build_makes_no_newton_search(monkeypatch, bench_spec):
@@ -624,7 +632,7 @@ def _decimal_power_pi_hat(users) -> float:
         budget = decimal.Decimal(users.budget)
         k = decimal.Decimal(BENCH_SYSTEM.bandwidth_hz) / (2 * decimal.Decimal(2).ln())
 
-        def curve(p):  # u(p) and u'(p) of auction._power_gain and _power_slope
+        def curve(p):  # u(p) and u'(p) of _Core.gain and _Core.slope
             a = p * c
             d1 = a + b + one
             u = k * ((one + g + a * b / d1).ln() - 2 * (one + g).ln())
@@ -663,12 +671,11 @@ def test_power_cutoff_point_maximizes_rate_per_watt(link, budget):
     users = _UserArrays(_Core((link,), budget, BENCH_SYSTEM), POWER)
     p = power_cutoff_point(link, budget, BENCH_SYSTEM)
     assume(p is not None)
-    shape = (users.g[0], users.b[0], users.c[0], users.k)
 
     def per_watt(x):  # u(x) / x, with u free of the cancellation in rate_increase at small g
-        return _power_gain(x, *shape) / x
+        return users.gain(x)[0] / x
 
-    u, slope = _power_gain(p, *shape), _power_slope(p, *shape)
+    u, slope = users.gain(p)[0], users.slope(p)[0]
     event("interior" if p < budget else "at budget")
     if p < budget:
         # phi(p) = p u'(p) - u(p) vanishes; 1e-12 covers the rounding of u, a

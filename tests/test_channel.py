@@ -22,10 +22,10 @@ from relayauction import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from relayauction.auction import POWER, _power_cutoff_points, _UserArrays
-from relayauction.channel import LN2, NetworkScenario, SystemParams, UserLink, _log_gain, _power_for_snr
+from relayauction.auction import POWER, _Core, _power_cutoff_points, _UserArrays
+from relayauction.channel import LN2, NetworkScenario, SystemParams, UserLink, _log_gain
 
-from conftest import BENCH_SYSTEM, breakeven_power, coop_rate, direct_rate, rate_increase_power_slope
+from conftest import BENCH_SYSTEM, LinkArrays, breakeven_power, coop_rate, direct_rate, rate_increase_power_slope
 
 
 def test_path_gain_unit_distance():
@@ -105,9 +105,9 @@ def test_relayed_snr_monotone_and_bounded():
 
 def test_power_for_relayed_snr_inverts():
     link = _link()
-    limit = relayed_snr_limit(link, BENCH_SYSTEM)
+    core = _Core((link,), 0.1, BENCH_SYSTEM)
     for target in (0.1, 1.0, 10.0, 20.0):
-        p = _power_for_snr(link, target, limit, BENCH_SYSTEM)
+        p = float(core.power(target)[0])
         assert float(relayed_snr(link, p, BENCH_SYSTEM)) == pytest.approx(target, rel=1e-12)
 
 
@@ -183,7 +183,7 @@ def test_rate_increase_exact_on_weak_direct_links(budget):
     users = tuple(UserLink(i, 0.01, g * sys.noise_w / 0.01, 60.0**-4, 90.0**-4) for i, g in enumerate(gs))
     arrays = _UserArrays.of(NetworkScenario(users, budget, sys), POWER)
     points = _power_cutoff_points(arrays)
-    got = rate_increase(arrays.links, points, sys)
+    got = rate_increase(LinkArrays.of(users), points, sys)
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         d = decimal.Decimal
@@ -351,6 +351,8 @@ def test_scenario_dict_rejects_infinite_gain():
         ({"gain_rd": 1e300}, "user 1: gain_rd gives a relay-destination SNR at the budget"),
         # a = 1e19 at the relay-destination hop: a b / (a + b + 1) rounds to the limit b = 20
         ({"gain_rd": 1e9}, "user 1: relayed SNR at the budget rounds to its limit 20.000000000000004"),
+        # SNR limit 1e150: the slope's K c b (b+1) = 3.6e8 * 1e300 overflows
+        ({"gain_sr": 1e141}, "user 1: SNR limit 1.0000000000000002e+150 overflows the rate and power formulas"),
     ],
 )
 def test_scenario_rejects_snr_out_of_range(gains, message):

@@ -32,11 +32,11 @@ from relayauction import (
     update_matrix,
 )
 from relayauction.auction import POWER, SNR, _Core, _UserArrays
-from relayauction.channel import _LinkArrays
 from relayauction.dynamics import THRESHOLD_RTOL, IterationTrace
 
 from conftest import (
     BENCH_SYSTEM,
+    LinkArrays,
     aggregate_share,
     make_random_scenario,
     make_snr_regular_scenarios,
@@ -409,7 +409,7 @@ def test_equilibrium_read_out_agrees_with_channel_functions(bench_spec):
     checked = 0
     for sc, kind in _regular_cases(bench_spec):
         eq = solve_ne(sc, AuctionParams(kind, calibrate_price(sc, kind, 0.99).price))
-        links, sys = _LinkArrays.of(sc.users), sc.system
+        links, sys = LinkArrays.of(sc.users), sc.system
         for got, want in (
             (eq.delta_snr, relayed_snr(links, eq.powers, sys)),
             (eq.rate_increase_bps, rate_increase(links, eq.powers, sys)),
@@ -538,10 +538,11 @@ def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):
         iterate_best_response(sc, params, [0.0, 0.0])
     efficient_allocation(sc, delta=0.0)
     fair_allocation(sc)
-    # one core per scenario, then the per-auction part once per auction, on that core
-    assert builds == [("core", 2), *((kind, 2) for kind in KINDS)]
+    # one core per scenario and budget, then the per-auction part once per auction, on that
+    # core; fair_allocation's default delta solves on a core at 0.99 of the relay budget
+    assert builds == [("core", 2), *((kind, 2) for kind in KINDS), ("core", 2)]
     snr, power = _UserArrays.of(sc, SNR), _UserArrays.of(sc, POWER)
-    assert snr.g is power.g and snr.links is power.links and snr.x0 is power.x0
+    assert snr.g is power.g and snr.rd is power.rd and snr.x0 is power.x0
     assert snr.g is _Core.of(sc).g
     calibrate_price(without_user(sc, 0), "power", 0.99)
     assert builds[-2:] == [("core", 1), ("power", 1)]
@@ -554,9 +555,9 @@ def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):
 def test_user_arrays_are_read_only(scenario_y0):
     for kind in KINDS:
         users = _UserArrays.of(scenario_y0, kind)
-        values = (*vars(users).values(), *users.links, *users.coef)
+        values = (*vars(users).values(), *users.coef)
         arrays = [a for a in values if isinstance(a, np.ndarray)]
-        assert len(arrays) >= 16 + len(users.coef)
+        assert len(arrays) >= 14 + len(users.coef)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0

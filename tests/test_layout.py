@@ -70,3 +70,18 @@ def test_every_private_definition_is_referenced():
                 if not any(node.name in _used(t) | set(_imported(t)) for t in (rest, *others)):
                     unreferenced.append(f"{name}: {node.name}")
     assert not unreferenced, f"private definitions no other code names: {unreferenced}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_log_gain_crosses_from_channel_privately(path):
+    # the model's formulas on per-user arrays live behind auction._Core; _log_gain is the
+    # one private channel formula it shares with the scalar channel functions
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "channel" and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name != "_log_gain"
+    ]
+    assert not private, f"{path.name} imports private channel names {private}"

@@ -82,7 +82,7 @@ def _tree(a, b):
     return pts
 
 
-def _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol, max_iter):
+def _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol):
     """Each call asks the tree of the bracket that one-midpoint bisection has reached,
     then a bisection path down from one of the tree's cells, and moves the search on
     by DEPTH steps and by every leading price of the path that is its next midpoint."""
@@ -90,7 +90,7 @@ def _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol, ma
     def bracket(s):
         return reference_bisect(pred, x_over, x_under, rtol, s)[0]
 
-    _, steps = reference_bisect(pred, x_over, x_under, rtol, max_iter)
+    _, steps = reference_bisect(pred, x_over, x_under, rtol)
     s = 0
     for j, xs in enumerate(asked):
         pts = _tree(*bracket(s))
@@ -111,13 +111,12 @@ def _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol, ma
 
 
 @given(
-    lo=st.floats(-1e3, 1e3),
+    lo=st.floats(1e-3, 1e3),
     span=st.floats(1e-9, 1e3),
     frac=st.floats(0.0, 1.0),
     rtol=st.floats(1e-13, 1e-3),
-    max_iter=st.integers(0, 60),
 )
-def test_bisect_transition_matches_one_midpoint_per_step(lo, span, frac, rtol, max_iter):
+def test_bisect_transition_matches_one_midpoint_per_step(lo, span, frac, rtol):
     hi = lo + span
     threshold = lo + frac * span
     assume(lo < threshold < hi)
@@ -133,15 +132,15 @@ def test_bisect_transition_matches_one_midpoint_per_step(lo, span, frac, rtol, m
     def pred(x):
         return f(x) < level
 
-    want, steps = reference_bisect(pred, x_over, x_under, rtol, max_iter)
-    got = bisect_transition(counted, level, x_over, x_under, rtol, max_iter=max_iter)
+    want, steps = reference_bisect(pred, x_over, x_under, rtol)
+    got = bisect_transition(counted, level, x_over, x_under, rtol)
     assert got[:2] == want
     assert got[2:] == (f(got[0]), f(got[1]))
     # every call takes the DEPTH steps of its tree at least, more where it asked ahead
     assert len(asked) <= max(1, math.ceil(steps / DEPTH))
     # the first call asks about both ends and the midpoints, later ones the midpoints,
     # each call then about the path its guess predicts
-    _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol, max_iter)
+    _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol)
 
 
 def test_bisect_transition_brackets_a_jump_to_rtol():
@@ -149,7 +148,7 @@ def test_bisect_transition_brackets_a_jump_to_rtol():
     def f(xs):
         return np.where(xs < 1.0, 2.0, 0.0)
 
-    got = bisect_transition(f, 0.5, 0.0, 3.0, 1e-12)
+    got = bisect_transition(f, 0.5, 0.5, 3.0, 1e-12)
     assert got[0] < 1.0 <= got[1] and got[2:] == (2.0, 0.0)
     assert got[1] - 1.0 <= 3e-12
 
@@ -160,11 +159,23 @@ def test_bisect_transition_rejects_true_start():
         bisect_transition(lambda xs: -xs, 0.0, 1.0, 2.0, 1e-9)
 
 
+@pytest.mark.parametrize(
+    "x_over, rtol", [(0.0, 1e-9), (-1.0, 1e-9), (math.nan, 1e-9), (1e-310, 1e-9), (1.0, 1e-17), (1.0, 0.0)]
+)
+def test_bisect_transition_rejects_a_bracket_its_stop_test_cannot_end(x_over, rtol):
+    # the relative stop test ends every search only on a positive normal x_over and an
+    # rtol of at least one ulp of 1; the search asks f nothing before it checks them
+    calls = []
+    with pytest.raises(ValueError, match="2\\^-1022"):
+        bisect_transition(_counted(lambda xs: 2.0 - xs, calls), 0.5, x_over, 2.0, rtol)
+    assert calls == []
+
+
 @pytest.mark.parametrize("level", [0.5, 1.0])
 def test_bisect_transition_without_a_drop_answers_x_under_in_one_call(level):
     # f(x_under) = 1 >= level: f does not drop in the bracket, and the first call says so
     calls = []
-    got = bisect_transition(_counted(lambda xs: 2.0 - xs, calls), level, 0.0, 1.0, 1e-13)
+    got = bisect_transition(_counted(lambda xs: 2.0 - xs, calls), level, 0.5, 1.0, 1e-13)
     assert got == (1.0, 1.0, 1.0, 1.0) and calls == [2**DEPTH + 1]
 
 
@@ -182,18 +193,15 @@ def _step(t):
 
 
 @given(
-    lo=st.floats(-1e3, 1e3),
+    lo=st.floats(1e-3, 1e3),
     span=st.floats(1e-9, 1e3),
     frac=st.floats(0.0, 1.0),
     shape=st.sampled_from(("cube", "step", "wave")),
     others=st.lists(st.floats(-2e3, 2e3), max_size=4),
     exact=st.booleans(),
     rtol=st.floats(1e-13, 1e-3),
-    max_iter=st.integers(0, 60),
 )
-def test_bisect_transition_asks_ahead_without_moving_a_result(
-    lo, span, frac, shape, others, exact, rtol, max_iter
-):
+def test_bisect_transition_asks_ahead_without_moving_a_result(lo, span, frac, shape, others, exact, rtol):
     # jumps right (the crossing), wrong, outside the bracket or none, on monotone
     # and non-monotone f: the same brackets as one midpoint per step, in no more calls
     hi = lo + span
@@ -217,26 +225,23 @@ def test_bisect_transition_asks_ahead_without_moving_a_result(
         asked.append(xs.tolist())
         return f(xs)
 
-    want, steps = reference_bisect(pred, x_over, x_under, rtol, max_iter)
-    got = bisect_transition(recorded, level, x_over, x_under, rtol, max_iter, jumps)
+    want, steps = reference_bisect(pred, x_over, x_under, rtol)
+    got = bisect_transition(recorded, level, x_over, x_under, rtol, jumps)
     assert got[:2] == want
     assert got[2:] == (f(got[0]), f(got[1]))
     assert len(asked) <= max(1, math.ceil(steps / DEPTH))
-    _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol, max_iter)
+    _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol)
 
 
 @given(
-    lo=st.floats(-1e3, 1e3),
+    lo=st.floats(1e-3, 1e3),
     span=st.floats(1e-9, 1e3),
     frac=st.floats(0.0, 1.0),
     outside=st.lists(st.floats(-2e3, 2e3), max_size=3),
     later=st.lists(st.floats(-12.0, 0.0), max_size=3),
     rtol=st.floats(1e-13, 1e-3),
-    max_iter=st.integers(0, 60),
 )
-def test_bisect_transition_finishes_a_step_at_its_given_jump_in_two_calls(
-    lo, span, frac, outside, later, rtol, max_iter
-):
+def test_bisect_transition_finishes_a_step_at_its_given_jump_in_two_calls(lo, span, frac, outside, later, rtol):
     hi = lo + span
     t = lo + frac * span
     assume(lo < t < hi)
@@ -246,8 +251,8 @@ def test_bisect_transition_finishes_a_step_at_its_given_jump_in_two_calls(
     past = [t + 10.0**e * (x_under - t) for e in later]
     jumps = tuple(sorted([t, *past, *(x for x in outside if not lo <= x <= hi)]))
     calls = []
-    want, _ = reference_bisect(lambda x: f(x) < 0.5, x_over, x_under, rtol, max_iter)
-    got = bisect_transition(_counted(f, calls), 0.5, x_over, x_under, rtol, max_iter, jumps)
+    want, _ = reference_bisect(lambda x: f(x) < 0.5, x_over, x_under, rtol)
+    got = bisect_transition(_counted(f, calls), 0.5, x_over, x_under, rtol, jumps)
     assert got[:2] == want
     assert len(calls) <= 2
 
@@ -261,7 +266,7 @@ def test_bisect_transition_asks_no_path_from_non_finite_values(over, under):
         return np.where(np.asarray(x) < 0.3, over, under)
 
     calls = []
-    want, steps = reference_bisect(lambda x: f(x) < 0.5, 0.0, 1.0, 1e-12)
-    got = bisect_transition(_counted(f, calls), 0.5, 0.0, 1.0, 1e-12)
+    want, steps = reference_bisect(lambda x: f(x) < 0.5, 0.25, 1.0, 1e-12)
+    got = bisect_transition(_counted(f, calls), 0.5, 0.25, 1.0, 1e-12)
     assert got[:2] == want
     assert calls == [2**DEPTH + 1] + [2**DEPTH - 1] * (math.ceil(steps / DEPTH) - 1)

@@ -34,10 +34,11 @@ from relayauction import (
     vcg_auction,
 )
 from relayauction.auction import _Core, _power_demand, _UserArrays
-from relayauction.channel import _LinkArrays, relayed_snr_limit
+from relayauction.channel import relayed_snr_limit
 
 from conftest import (
     BENCH_SYSTEM,
+    LinkArrays,
     breakeven_power,
     make_random_scenario,
     power_for_relayed_snr,
@@ -58,7 +59,7 @@ def _useless_scenario(n=2):
 
 def welfare(scenario, powers):
     """Total rate increase of a split, or of every row of a stack of splits."""
-    return rate_increase(_LinkArrays.of(scenario.users), powers, scenario.system).sum(axis=-1)
+    return rate_increase(LinkArrays.of(scenario.users), powers, scenario.system).sum(axis=-1)
 
 
 def brute_force_welfare(scenario, budget, n=241):
@@ -105,7 +106,7 @@ def water_filling_values(scenario, sets, x):
 
     A member given no power, or too little to break even, counts a negative increase.
     """
-    links, sys = _LinkArrays.of(scenario.users), scenario.system
+    links, sys = LinkArrays.of(scenario.users), scenario.system
     snr, g, w = relayed_snr(links, x, sys), direct_snr(links, sys), sys.bandwidth_hz
     return np.where(sets, 0.5 * w * np.log2(1.0 + g + snr) - w * np.log2(1.0 + g), 0.0).sum(axis=1)
 
@@ -399,6 +400,23 @@ def test_fair_drops_user_whose_gain_would_vanish():
     assert alloc.per_user_rate_increase_bps[0] > 0.0
 
 
+def test_fair_level_search_spans_a_huge_snr_limit():
+    # SNR limits of 1e69 put the level bracket at (1, about 1e69); a search capped at 200
+    # steps stopped at level 1 and gave nobody power, though the relayed SNR is the same
+    # to 1e-29 as with limits of 1e49, where the split is [0.05, 0.049]
+    sys = SystemParams(1e6, 1e-11, 4.0)
+
+    def pair(gain_sr):
+        users = tuple(UserLink(i, 0.01, g, gain_sr, 1e-8) for i, g in enumerate((1e-9, 2e-9)))
+        return NetworkScenario(users, BUDGET, sys)
+
+    wide, narrow = fair_allocation(pair(1e60)), fair_allocation(pair(1e40))
+    np.testing.assert_allclose(narrow.powers, [0.05, 0.049], rtol=1e-12)
+    np.testing.assert_allclose(wide.powers, narrow.powers, rtol=1e-12)
+    efficient = efficient_allocation(pair(1e60)).total_rate_increase_bps
+    assert wide.total_rate_increase_bps == pytest.approx(efficient, rel=1e-12)
+
+
 def reference_fair_powers(scenario, delta):
     """The fair split user by user: one user's power per call, one level per bisection step."""
     budget = scenario.relay_budget_w * (1.0 - delta)
@@ -537,6 +555,17 @@ def _count_searches(monkeypatch) -> dict:
     monkeypatch.setattr(_Core, "__init__", counting("cores", core_init))
     monkeypatch.setattr(_UserArrays, "__init__", counting("arrays", arrays_init))
     return counts
+
+
+def test_vcg_and_fair_share_one_core_per_delta(monkeypatch):
+    # both oracles solve on P (1 - delta) and read the one core built there
+    sc = make_random_scenario(np.random.default_rng(20), 4)
+    for delta in (0.0, 0.01):
+        counts = _count_searches(monkeypatch)
+        vcg_auction(sc, delta)
+        fair_allocation(sc, delta)
+        assert counts["cores"] == 1
+    assert _Core.of(sc, sc.relay_budget_w * 0.99).budget == sc.relay_budget_w * 0.99
 
 
 def _vcg_problems(live, n):
