@@ -318,7 +318,7 @@ class _UserArrays(_Core):
         whole = np.divide(self.gain_max, charged, out=np.zeros_like(self.gain_max), where=charged > 0.0)
         self.cutoff = np.where(self.regular, self.pi_lower, whole)
         self.zero_from = np.where(self.regular, self.pi_hat, self.cutoff)
-        _read_only(*vars(self).values(), *self.coef)
+        _read_only(self.pi_lower, self.pi_hat, self.regular, self.cutoff, self.zero_from, *self.coef)
 
     @functools.cached_property
     def breaks(self) -> array:

@@ -28,9 +28,13 @@ LN2 = math.log(2.0)
 Point = tuple[float, float]
 
 
-def _require_positive_finite(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+def _require_positive_finite(obj, *names: str) -> None:
+    """Check each named field is finite and positive; store it as a float, which overflows without numpy's warnings."""
+    for name in names:
+        value = getattr(obj, name)
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+        object.__setattr__(obj, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,7 @@ class SystemParams:
     pathloss_exponent: float
 
     def __post_init__(self) -> None:
-        for name in ("bandwidth_hz", "noise_w", "pathloss_exponent"):
-            _require_positive_finite(name, getattr(self, name))
+        _require_positive_finite(self, "bandwidth_hz", "noise_w", "pathloss_exponent")
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,7 @@ class UserLink:
     destination: Optional[Point] = None
 
     def __post_init__(self) -> None:
-        for name in ("source_power_w", "gain_sd", "gain_sr", "gain_rd"):
-            _require_positive_finite(name, getattr(self, name))
+        _require_positive_finite(self, "source_power_w", "gain_sd", "gain_sr", "gain_rd")
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class NetworkScenario:
     relay: Optional[Point] = None
 
     def __post_init__(self) -> None:
-        _require_positive_finite("relay_budget_w", self.relay_budget_w)
+        _require_positive_finite(self, "relay_budget_w")
         if not self.users:
             raise ValueError("scenario needs at least one user")
         for u in self.users:

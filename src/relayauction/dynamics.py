@@ -4,8 +4,9 @@ With linear best responses bid_i = f_i * (opponents + reserve), an
 equilibrium exists exactly when every factor is finite and the aggregate
 share S = sum f_i/(1+f_i) stays below one.  It is then unique: with total
 bid B, b_i = f_i/(1+f_i) (B + reserve), which allocates user i the fraction
-f_i/(1+f_i) of the budget, so S is also the utilization.  solve_ne evaluates
-this fixed point directly for both auctions.
+f_i/(1+f_i) = x_i / budget of the budget: exactly its demand x_i.  So S is the
+utilization, and solve_ne reads either auction's equilibrium from one demand
+row, with the price search's existence test: nobody diverges and S < 1.
 
 S is also the total demand over the budget, counting a divergent factor as
 share one, and does not increase with the price: the existence threshold is
@@ -119,30 +120,20 @@ def update_matrix(factors: Sequence[float]) -> np.ndarray:
     return m
 
 
-def equilibrium_from_bids(
-    scenario: NetworkScenario, params: AuctionParams, bids: np.ndarray
-) -> EquilibriumResult:
-    """Powers, SNRs, rates, payments and payoffs that a bid profile implies.
-
-    The relayed SNR is computed once; the rate increase and the payment are read from it.
-    """
-    powers = allocate(bids, params.reserve_bid, scenario.relay_budget_w)
-    users = _UserArrays.of(scenario, params.kind)
+def _equilibrium(users: _UserArrays, params: AuctionParams, powers, bids, utilization: float) -> EquilibriumResult:
+    """The result of an allocation: the relayed SNR once, then the rate increases, payments and payoffs."""
     snr = users.snr(powers)
     gains = np.maximum(_log_gain(snr, users.g, users.k), 0.0)
     pays = params.price * users.rule.charged(powers, snr)
-    return EquilibriumResult(
-        kind=params.kind,
-        price=params.price,
-        reserve_bid=params.reserve_bid,
-        bids=np.asarray(bids, dtype=float),
-        powers=powers,
-        delta_snr=snr,
-        rate_increase_bps=gains,
-        payments=pays,
-        payoffs=gains - pays,
-        utilization=float(powers.sum() / scenario.relay_budget_w),
-    )
+    return EquilibriumResult(params.kind, params.price, params.reserve_bid, bids, powers, snr, gains, pays,
+                             gains - pays, utilization)
+
+
+def equilibrium_from_bids(scenario: NetworkScenario, params: AuctionParams, bids: np.ndarray) -> EquilibriumResult:
+    """Powers, SNRs, rates, payments and payoffs that a bid profile implies."""
+    powers = allocate(bids, params.reserve_bid, scenario.relay_budget_w)
+    users = _UserArrays.of(scenario, params.kind)
+    return _equilibrium(users, params, powers, np.asarray(bids, dtype=float), float(powers.sum() / users.budget))
 
 
 def iterate_best_response(
@@ -188,15 +179,20 @@ def iterate_best_response(
 def solve_ne(scenario: NetworkScenario, params: AuctionParams) -> SolveResult:
     """The unique equilibrium at this price, or a no-equilibrium marker.
 
-    Both auctions are solved by the aggregate-share fixed point
-    (ne_bids_from_factors) of their closed-form best-response factors.
+    Both auctions are read from the demand row x at the price: a user diverges
+    where x is the whole budget P, and otherwise the equilibrium exists iff
+    S = sum x / P < 1, the reduction of _UserArrays.shares and so the price
+    search's S to the bit.  The powers are then x, and the bids
+    x / P * reserve / (1 - S), which allocate x.
     """
-    f = _UserArrays.of(scenario, params.kind).factors(params.price)
-    if np.isinf(f).any():
+    users = _UserArrays.of(scenario, params.kind)
+    x = users.demands(params.price)
+    if (x == users.budget).any():
         return NoEquilibrium("a best response diverges at this price")
-    if float((f / (1.0 + f)).sum()) >= 1.0:
+    s = float(x.sum() / users.budget)
+    if s >= 1.0:
         return NoEquilibrium("aggregate demand meets or exceeds the budget")
-    return equilibrium_from_bids(scenario, params, ne_bids_from_factors(f, params.reserve_bid))
+    return _equilibrium(users, params, x, x / users.budget * (params.reserve_bid / (1.0 - s)), s)
 
 
 def estimate_geometric_rate(trace: IterationTrace) -> float:

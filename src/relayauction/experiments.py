@@ -105,7 +105,7 @@ def build_two_user_scenario(spec: TwoUserSweepSpec, relay_y: float) -> NetworkSc
 
 def positive_increase_variance(values: Iterable[float]) -> float:
     """Population variance of the strictly positive entries; 0 below two entries."""
-    v = np.asarray(list(values), dtype=float)
+    v = np.asarray(values, dtype=float) if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
     pos = v[v > 0.0]
     if pos.size < 2:
         return 0.0

@@ -358,3 +358,18 @@ def test_scenario_dict_rejects_infinite_gain():
 def test_scenario_rejects_snr_out_of_range(gains, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         scenario_from_dict(_gain_doc(**gains))
+
+
+@pytest.mark.parametrize(
+    "link, message",
+    [
+        (UserLink(0, 0.01, np.float64(1e150), 2e-8, 5e-9), "user 0: gain_sd gives a breakeven SNR level"),
+        (UserLink(0, 0.01, 6.25e-10, np.float64(1e141), 5e-9),
+         "user 0: SNR limit 1.0000000000000002e+150 overflows the rate and power formulas"),
+    ],
+)
+def test_scenario_rejects_numpy_scalar_links_by_name(link, message):
+    # fields are stored as Python floats, so the overflow checks raise rather than warn of the overflow
+    assert type(link.gain_sd) is float and type(link.gain_sr) is float
+    with pytest.raises(ValueError, match=re.escape(message)):
+        NetworkScenario((link,), np.float64(0.1), BENCH_SYSTEM)

@@ -21,6 +21,7 @@ from relayauction import (
     build_two_user_scenario,
     calibrate_price,
     efficient_allocation,
+    equilibrium_from_bids,
     estimate_geometric_rate,
     fair_allocation,
     iterate_best_response,
@@ -402,6 +403,28 @@ def test_calibrated_price_has_the_reported_equilibrium(bench_spec):
             # S falls from at least one to below the target inside the bracket: at the threshold
             assert res.price == t1 and res.utilization < 0.99
             assert abs(res.price / threshold_price(sc, kind) - 1.0) <= THRESHOLD_RTOL
+
+
+def test_equilibrium_is_the_demand_row_at_the_calibrated_price(bench_spec):
+    # solve_ne reads the search's S: at every regular calibration the same utilization to the bit,
+    # the demands themselves as powers, and bids that allocate them
+    for sc, kind in _regular_cases(bench_spec):
+        res = calibrate_price(sc, kind, 0.99)
+        params = AuctionParams(kind, res.price)
+        eq = solve_ne(sc, params)
+        assert isinstance(eq, EquilibriumResult)
+        assert eq.utilization == res.utilization
+        np.testing.assert_array_equal(eq.powers, _UserArrays.of(sc, kind).demands(res.price))
+        allocated = allocate(eq.bids, params.reserve_bid, sc.relay_budget_w)
+        np.testing.assert_allclose(allocated, eq.powers, rtol=1e-15, atol=0.0)
+        # the public read-out from the bids agrees; a payoff is a difference, so it is held to its terms
+        again = equilibrium_from_bids(sc, params, eq.bids)
+        np.testing.assert_array_equal(again.bids, eq.bids)
+        for name in ("powers", "delta_snr", "rate_increase_bps", "payments"):
+            np.testing.assert_allclose(getattr(again, name), getattr(eq, name), rtol=1e-15, atol=0.0)
+        scale = np.maximum(eq.rate_increase_bps, eq.payments)
+        assert np.all(np.abs(again.payoffs - eq.payoffs) <= 1e-15 * scale)
+        assert again.utilization == pytest.approx(eq.utilization, rel=1e-15, abs=0.0)
 
 
 def test_equilibrium_read_out_agrees_with_channel_functions(bench_spec):

@@ -92,6 +92,15 @@ def test_positive_variance_hand_value():
     assert positive_increase_variance([0.5, 1.5, 0.0]) == pytest.approx(0.25, rel=1e-12)
 
 
+def test_positive_variance_takes_arrays_lists_and_generators_alike():
+    values = np.random.default_rng(3).uniform(-0.5, 2.0, 20)
+    want = float(values[values > 0.0].var())
+    assert want > 0.0
+    assert positive_increase_variance(values) == want
+    assert positive_increase_variance(values.tolist()) == want
+    assert positive_increase_variance(float(v) for v in values) == want
+
+
 # ---------------------------------------------------------------------------
 # sweeps (small configurations for speed)
 
