@@ -14,7 +14,8 @@ whole budget) at or below the divergence cutoff, zero at or above the
 participation cutoff pi_hat, and in between f = x / (budget - x) at the
 power x where the marginal rate per unit charged equals the price.  x and the
 SNR auction's pi_hat (by Lambert's W) are closed forms; the power auction's
-pi_hat, the peak of rate per watt, is a monotone Newton iteration.
+pi_hat, the peak of rate per watt, is a monotone Newton iteration.  A third
+price, full_from, at or below which a user demands the whole budget, is closed.
 
 Every user of a scenario is held in read-only arrays, built in closed form
 once per scenario and budget.  One `_Core` holds what no payment rule changes
@@ -41,9 +42,9 @@ SNR = "snr"
 POWER = "power"
 KINDS = (SNR, POWER)
 
-# A demand x within this fraction of the budget is the whole budget: the factor
-# x / (budget - x) >= 1e9 would multiply the ~1e-15 relative error of the closed
-# form x by 1e9, and counting the share x / budget as one moves S by <= 1e-9.
+# A demand x within this fraction of the budget is the whole budget, so full_from
+# is the price where x reaches the mark: the factor x / (budget - x) >= 1e9 would
+# multiply the ~1e-15 relative error of x by 1e9; S counts x / budget as one.
 FULL_BUDGET_RTOL = 1e-9
 
 
@@ -86,32 +87,23 @@ def _snr_pi_hat(users: "_UserArrays") -> np.ndarray:
     """Smallest positive root of K (u - ln u - ln(1+g) - 1), u = price (1+g) / K.
 
     That is the best attainable SNR-auction payoff at a price, convex in the price and
-    diverging at both ends.  u = -W0(z), z = -1 / (e (1+g)), by four Halley steps on
-    w e^w = z from the branch-point series (Corless et al. 1996, "On the Lambert W
-    function").  Near the branch point (w < -1/2) the residual w - z e^-w is taken as
-    d + expm1(-d - ln(1+g)), d = w + 1, which never rounds 1 + g; u is then good to
-    about 1e-15 relative at every g > 0.
+    diverging at both ends.  u = -W0(z), z = -1 / (e (1+g)), by two Halley steps on w e^w = z
+    from Winitzki's e z / (1 + 1 / (1/y - 1/sqrt(2) + 1/(e-1))), y = sqrt(2 (e z + 1)), exact at
+    both ends of (-1/e, 0) and within 0.7% between ("Uniform approximations for transcendental
+    functions", 2003).  Near the branch point (w < -1/2) the residual w - z e^-w is taken as
+    d + expm1(-d - ln(1+g)), d = w + 1, which never rounds 1 + g; u is then within 6e-16 of a
+    50-digit Lambert W at every g from 1e-300 to 1e30.
     """
     g = users.g
     ln1g = np.log1p(g)
     z = -math.exp(-1.0) / (1.0 + g)
-    p = np.sqrt(2.0 * g / (1.0 + g))  # p = sqrt(2 (e z + 1))
-    w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    for _ in range(4):
+    y = np.sqrt(2.0 * g / (1.0 + g))
+    w = -1.0 / ((1.0 + g) * (1.0 + y / (1.0 + (1.0 / (math.e - 1.0) - math.sqrt(0.5)) * y)))
+    for _ in range(2):
         d = w + 1.0
         t = np.where(w < -0.5, d + np.expm1(-d - ln1g), w - z * np.exp(-w))
         w = w - 2.0 * d * t / (2.0 * d * d - (w + 2.0) * t)
     return -w * users.k / (1.0 + g)
-
-
-def _snr_demand(users: "_UserArrays", price) -> np.ndarray:
-    """Relay power buying the demanded SNR increase, held within [0, budget].
-
-    The marginal rate per unit SNR, K / (1 + g + s), meets the price at
-    s = K / price - (1 + g), bought with the power users.power(s).  coef holds 1 + g.
-    """
-    (g1,) = users.coef
-    return users.power(np.minimum(np.maximum(users.k / price - g1, 0.0), users.snr_max))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +123,7 @@ def _power_coefficients(core) -> tuple:
 
 
 def _power_demand(users: "_UserArrays", price, terms: bool = False):
-    """Relay power at which u'(p) = price, clamped to [0, budget]; with terms, also X and the root.
+    """Relay power at which u'(p) = price, unclamped; with terms, also X and the root.
 
     With a = p c, c = gain_rd / noise, b the SNR limit, g the direct SNR and
     K = W / (2 ln 2), u'(p) = K c b (b+1) / ((a+b+1) ((1+g)(a+b+1) + a b)), so
@@ -144,14 +136,14 @@ def _power_demand(users: "_UserArrays", price, terms: bool = False):
     b^2 + 4 q2 X, a sum of positive terms, so it is computed as that: the
     difference rounds below 0 where b << 1+g.  Its root, sqrt(b^2 + 4 q2 X) =
     2 q2 t + q1, gives the slope d t / d X = 1 / root.  u is concave, so the
-    clamped root maximizes u(p) - price * p over [0, budget] (the power auction
-    clamps it to the breakeven as well).  Only X depends on the price, which may
-    be an array broadcasting against the users; the rest is read from users.coef, b1c.
+    root clamped to [0, budget] maximizes u(p) - price * p there.  Only X depends
+    on the price, which may be an array broadcasting against the users; the rest
+    is read from users.coef, b1c.
     """
     g1, q2x4, q1, bsq, kcb1 = users.coef
     x = kcb1 / price
     root = np.sqrt(bsq + q2x4 * x)
-    d = np.minimum(np.maximum(-2.0 * (g1 - x) / (q1 + root) * users.b1c, 0.0), users.budget)
+    d = -2.0 * (g1 - x) / (q1 + root) * users.b1c
     return (d, x, root) if terms else d
 
 
@@ -164,24 +156,26 @@ def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
     with the convex H(w) = (1+g)^2 m^2 e^w / b + m + w > w - 1, whose root lies in (0, 1).  Plain
     Newton in w, which no step rounds ln(1+g) into, from min(w(budget), 1), where H > 0, falls
     monotonically onto the root; it stops once a step is not positive or not shorter than the
-    last, which only rounding brings about.
+    last, which only rounding brings about.  p is within 1e-14 relative of the 50-digit root
+    of p u'(p) = u(p) on the population study's users.  The loop runs on v = -w.
     """
-    g = users.g
-    g1 = 1.0 + g
+    g, g1 = users.g, 1.0 + users.g
     a = g1 * g1 / users.b
     w_max = users.gain_max / users.k  # 0 where r stays 0
-    w = np.minimum(w_max, 1.0)
+    v = -np.minimum(w_max, 1.0)
     last = np.where(users.gain_max > 0.0, np.inf, 0.0)  # the last step; 0 stays at the budget
     for _ in range(64):
-        e = np.expm1(-w)
+        e = np.expm1(v)
         m = (e - g) / g1
-        r = a / (1.0 + e)
-        step = (r * m * m + m + w) / (-m * (r * (2.0 + m) + 1.0))  # H / H'
+        rm = a / (1.0 + e) * m
+        t = m * (rm + 1.0)
+        step = (v - t) / (2.0 * rm + t)  # H / H', as (m (r m + 1) + w) / (-2 r m - m (r m + 1))
         go = (step > 0.0) & (step < last)  # false on nan; at first, where H > 0 at the start
         if not go.any():
             break
-        w = np.where(go, w - step, w)
         last = np.where(go, step, 0.0)
+        v += last
+    w = -v
     inner = w < w_max
     s = np.where(inner, g1 * (g1 * np.expm1(w) + g), 0.0)
     return np.where(inner, users.power(s), np.where(users.gain_max > 0.0, users.budget, np.nan))
@@ -208,7 +202,8 @@ class _Rule:
     coefficients: Callable  # (core) -> the demand's price-free constants
     pi_lower: Callable  # (users) -> marginal rate per unit charged at the full budget
     pi_hat: Callable  # (users) -> participation cutoffs
-    demand: Callable  # (users, price) -> power where the marginal rate meets the price
+    full_price: Callable  # (users) -> price where the demand is (1 - FULL_BUDGET_RTOL) of the budget
+    demand: Callable  # (users, price) -> power where the marginal rate meets the price, read past full_from
 
 
 _RULES = {
@@ -217,14 +212,17 @@ _RULES = {
         coefficients=lambda core: (1.0 + core.g,),
         pi_lower=lambda users: users.k / (1.0 + users.g + users.snr_max),
         pi_hat=_snr_pi_hat,
-        demand=_snr_demand,
+        full_price=lambda users: users.k / (1.0 + users.g + users.snr(users.budget * (1.0 - FULL_BUDGET_RTOL))),
+        # the power of s = K / price - (1+g) (coef[0]), at most P: near the SNR limit it can round past P
+        demand=lambda users, price: np.minimum(users.power(users.k / price - users.coef[0]), users.budget),
     ),
     POWER: _Rule(
         charged=lambda p, s: p,
         coefficients=_power_coefficients,
         pi_lower=lambda users: np.where(users.gain_max > 0.0, users.slope_full, 0.0),
         pi_hat=_power_pi_hat,
-        demand=lambda users, price: np.maximum(_power_demand(users, price), users.x0),
+        full_price=lambda users: users.slope(users.budget * (1.0 - FULL_BUDGET_RTOL)),
+        demand=_power_demand,
     ),
 }
 
@@ -246,10 +244,9 @@ class _Core:
 
     k = W / (2 ln 2), the rate per unit log SNR; g, the direct SNR; b, the relayed
     SNR's limit; rd, the relay-destination gains; noise; c = rd / noise; b1c =
-    (b + 1) / c; at the full budget, the relayed SNR snr_max, the rate increase
-    gain_max and the unclamped slope u'(budget), slope_full; and x0, the breakeven
-    power, or about the budget when the budget cannot reach it.  Its methods are
-    the model's formulas on them, free of the checks the scenario has made.
+    (b + 1) / c; and at the full budget, the relayed SNR snr_max, the rate
+    increase gain_max and the unclamped slope u'(budget), slope_full.  Its methods
+    are the model's formulas on them, free of the checks the scenario has made.
     """
 
     def __init__(self, users: Sequence[UserLink], budget: float, sys: SystemParams):
@@ -263,7 +260,6 @@ class _Core:
         self.snr_max = self.snr(budget)
         self.gain_max = np.maximum(_log_gain(self.snr_max, g, self.k), 0.0)
         self.slope_full = self.slope(budget)
-        self.x0 = self.power(np.minimum(g * g + g, self.snr_max))
         _read_only(*vars(self).values())
 
     @classmethod
@@ -303,8 +299,10 @@ class _UserArrays(_Core):
     and the critical prices of every user: pi_lower, the marginal rate per unit
     charged at the full budget; pi_hat, the participation cutoff; and the
     divergence cutoff, which is pi_lower for a regular user (pi_hat > pi_lower)
-    and otherwise the price at which the whole budget stops paying, the only
-    profitable demand such a user has.
+    and otherwise the price at which the whole budget stops paying, the only profitable
+    demand such a user has.  It demands the budget up to full_from, the larger of the
+    cutoff and the rule's full_price below zero_from, then the rule's demand, and
+    nothing from zero_from (pi_hat, or the cutoff if irregular) on.
     """
 
     def __init__(self, core: _Core, kind: str):
@@ -318,12 +316,14 @@ class _UserArrays(_Core):
         whole = np.divide(self.gain_max, charged, out=np.zeros_like(self.gain_max), where=charged > 0.0)
         self.cutoff = np.where(self.regular, self.pi_lower, whole)
         self.zero_from = np.where(self.regular, self.pi_hat, self.cutoff)
-        _read_only(self.pi_lower, self.pi_hat, self.regular, self.cutoff, self.zero_from, *self.coef)
+        below_zero = np.minimum(self.rule.full_price(self), np.nextafter(self.zero_from, 0.0))
+        self.full_from = np.maximum(below_zero, self.cutoff)
+        _read_only(self.pi_lower, self.pi_hat, self.regular, self.cutoff, self.zero_from, self.full_from, *self.coef)
 
     @functools.cached_property
     def breaks(self) -> array:
         """Sorted prices past which S may jump: where a user leaves, or stops diverging."""
-        return array("d", sorted([*self.zero_from.tolist(), *np.nextafter(self.cutoff, math.inf).tolist()]))
+        return array("d", np.sort(np.concatenate((self.zero_from, np.nextafter(self.cutoff, math.inf)))).tobytes())
 
     @classmethod
     def of(cls, scenario: NetworkScenario, kind: str, budget: float | None = None) -> "_UserArrays":
@@ -337,8 +337,7 @@ class _UserArrays(_Core):
     def demands(self, price) -> np.ndarray:
         """Power demanded at a price, or a row per price of a column: the budget where divergent."""
         x = np.where(price >= self.zero_from, 0.0, self.rule.demand(self, price))
-        whole = (x >= self.budget * (1.0 - FULL_BUDGET_RTOL)) | (price <= self.cutoff)
-        return np.where(whole, self.budget, x)
+        return np.where(price <= self.full_from, self.budget, x)
 
     def factors(self, price) -> np.ndarray:
         """Factors x / (budget - x) of the demands x: inf where divergent, 0 where zero."""

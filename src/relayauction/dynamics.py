@@ -216,8 +216,8 @@ def estimate_geometric_rate(trace: IterationTrace) -> float:
 def _search(users: _UserArrays, level: float, rtol: float) -> tuple[tuple, int]:
     """bisect_transition on S at level to rtol, and the evaluations of S.
 
-    At or below a user's divergence cutoff its factor diverges (factors()
-    tests price <= cutoff), so S >= 1 on (0, cutoff.max()]; the bracket starts
+    At or below a user's divergence cutoff its factor diverges (demands()
+    tests price <= full_from), so S >= 1 on (0, cutoff.max()]; the bracket starts
     1e-7 below it, inside that set and within a tenth of THRESHOLD_RTOL of a
     threshold at its edge.  It ends at max(pi_hat.max(), 2 * start), where S =
     0: no user diverges past cutoff.max(), and each user demands 0 from its

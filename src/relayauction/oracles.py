@@ -84,15 +84,16 @@ class _Relaxation:
         self.users = users
         # where a free user's demand drops from its tangent point to 0
         self.jumps = jumps = np.where(users.gain_max > 0.0, users.pi_hat, np.inf)
-        self.at_jumps = _power_demand(users, jumps[:, None])
+        self.at_jumps = self._split(jumps[:, None], True, False)[1]
         self.relaxed_at_jumps = np.where(jumps[:, None] < jumps, self.at_jumps, 0.0)
         # the demand at pi_hat: u' meets pi_hat there, or stays above it up to the budget
         self.tangent = np.diagonal(self.at_jumps)
         self.slope_zero = users.slope(0.0)
 
     def _split(self, price, inn: np.ndarray, free: np.ndarray):
-        """Demands at prices broadcast against the masks, then the forced-in demands d, X and root."""
+        """Demands at prices broadcast against the masks, then every user's demand d, X and root."""
         d, x, root = _power_demand(self.users, price, terms=True)
+        d = np.minimum(np.maximum(d, 0.0), self.users.budget)
         # below pi_hat the envelope's demand is d, at least the tangent point
         relaxed = np.where(price < self.jumps, d, 0.0)
         return np.where(inn, d, np.where(free, relaxed, 0.0)), d, x, root

@@ -3,6 +3,7 @@
 import math
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, settings
@@ -21,10 +22,12 @@ from relayauction import (
     scenario_from_topology,
 )
 from relayauction.auction import (
+    FULL_BUDGET_RTOL,
     POWER,
     SNR,
     _Core,
     _power_cutoff_points,
+    _power_demand,
     _rule,
     _UserArrays,
 )
@@ -298,8 +301,32 @@ def reference_power_cutoff_points(users):
     inner = live & (phi(users.budget, users.g, users.b, users.c)[0] < 0.0)
     if inner.any():
         g, b, c = users.g[inner], users.b[inner], users.c[inner]
-        p[inner] = newton_root(lambda x: phi(x, g, b, c), users.x0[inner], users.budget)
+        p[inner] = newton_root(lambda x: phi(x, g, b, c), breakeven_powers(users)[inner], users.budget)
     return p
+
+
+def breakeven_powers(core):
+    """Each user's breakeven power on a core, where the relayed SNR reaches g^2 + g; about the
+    budget where the budget cannot reach it."""
+    return core.power(np.minimum(core.g * core.g + core.g, core.snr_max))
+
+
+def reference_demands(users, price):
+    """Demand rows from each closed form clamped, the whole budget read from the clamped demand:
+    the reference the thresholds of _UserArrays.demands must reproduce.
+
+    The SNR demand's SNR is held within [0, snr_max], the power demand within [0, budget] and
+    then raised to the breakeven; a demand of (1 - FULL_BUDGET_RTOL) of the budget or more,
+    or any demand at or below the divergence cutoff, is the whole budget.
+    """
+    if users.kind == SNR:
+        x = users.power(np.minimum(np.maximum(users.k / price - users.coef[0], 0.0), users.snr_max))
+    else:
+        x = np.minimum(np.maximum(_power_demand(users, price), 0.0), users.budget)
+        x = np.maximum(x, breakeven_powers(users))
+    x = np.where(price >= users.zero_from, 0.0, x)
+    whole = (x >= users.budget * (1.0 - FULL_BUDGET_RTOL)) | (price <= users.cutoff)
+    return np.where(whole, users.budget, x)
 
 
 def reference_power_pi_hat(scenario):
@@ -324,3 +351,50 @@ def power_cutoff_point(link, budget, sys):
     """One user's relay power p in (0, budget] maximizing r(p) / p; None if r stays 0."""
     p = float(_power_cutoff_points(one_user(link, POWER, budget, sys))[0])
     return None if math.isnan(p) else p
+
+
+# the model's critical points at 50 digits, on the float64 inputs taken exactly
+
+
+def mp_snr_pi_hat(g, k):
+    """SNR participation cutoffs -W0(z) K / (1+g), z = -1 / (e (1+g)), by mpmath.lambertw at 50 digits.
+
+    Where z rounds to -1/e or just below it (g < 1e-50), W0 is -1 to within 1e-25, and its
+    real part is taken.
+    """
+    with mpmath.workdps(50):
+        out = []
+        for x in np.asarray(g, dtype=float).tolist():
+            x = mpmath.mpf(x)
+            w = mpmath.re(mpmath.lambertw(-mpmath.exp(-1 - mpmath.log1p(x))))
+            out.append(float(-w * mpmath.mpf(k) / (1 + x)))
+    return np.array(out)
+
+
+def mp_power_cutoff_points(users):
+    """Power-auction cutoff points at 50 digits: the root of p u'(p) = u(p) on [breakeven, budget],
+    the budget where p u'(p) >= u(p) there, and nan where u(budget) <= 0.
+
+    u and u' are those of _Core.gain and _Core.slope, on the users' g, b, c and K.
+    """
+    with mpmath.workdps(50):
+        k, budget, out = mpmath.mpf(users.k), mpmath.mpf(users.budget), []
+        for g, b, c in zip(*([mpmath.mpf(v) for v in x.tolist()] for x in (users.g, users.b, users.c))):
+
+            def u(p):
+                a = p * c
+                return k * (mpmath.log(1 + g + a * b / (a + b + 1)) - 2 * mpmath.log1p(g))
+
+            def phi(p):
+                a = p * c
+                d1 = a + b + 1
+                return p * k * c * b * (b + 1) / (d1 * ((1 + g) * d1 + a * b)) - u(p)
+
+            if u(budget) <= 0:
+                out.append(math.nan)
+            elif phi(budget) >= 0:
+                out.append(float(budget))
+            else:
+                breakeven = (g * g + g) * (b + 1) / ((b - g * g - g) * c)
+                out.append(float(mpmath.findroot(phi, (breakeven, budget), solver="anderson")))
+    return np.array(out)

@@ -1,6 +1,7 @@
 """Auction mechanics: allocation, payments, best responses, critical prices."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,38 +19,45 @@ from relayauction import (
 )
 from relayauction import auction, numutil, oracles
 from relayauction.auction import (
+    FULL_BUDGET_RTOL,
     KINDS,
     POWER,
     SNR,
     _Core,
     _power_cutoff_points,
+    _snr_pi_hat,
     _UserArrays,
 )
-from relayauction.channel import LN2, NetworkScenario, UserLink
+from relayauction.channel import LN2, NetworkScenario, SystemParams, UserLink
 
 from conftest import (
     BENCH_SYSTEM,
     LinkArrays,
+    breakeven_powers,
     g_snr,
     make_random_scenario,
+    mp_power_cutoff_points,
+    mp_snr_pi_hat,
     one_user,
     payment,
     payoff,
     power_cutoff_point,
     power_for_relayed_snr,
     rate_increase_power_slope,
+    reference_demands,
     reference_power_cutoff_points,
     reference_power_pi_hat,
     reference_snr_pi_hat,
     snr_marginal_rate,
     study_scenarios,
+    wide_scenarios,
 )
 
 BUDGET = 0.1
 
 
-def numeric_best_power(link, price, kind, budget, sys):
-    """Brute-force payoff argmax over allocated power: dense grid + local refine.
+def argmax_grid(link, budget, sys):
+    """The dense grid of numeric_best_power and the rate increases on it, which no price changes.
 
     The grid is uniform plus geometric (down to 1e-12 of the budget), so a
     small optimum or a narrow profitable band is resolved at budgets from
@@ -57,7 +65,13 @@ def numeric_best_power(link, price, kind, budget, sys):
     """
     top = budget * (1 - 1e-12)
     grid = np.union1d(np.linspace(0.0, top, 100001), np.geomspace(top * 1e-12, top, 100001))
-    gains = np.asarray(rate_increase(link, grid, sys))
+    return grid, np.asarray(rate_increase(link, grid, sys))
+
+
+def numeric_best_power(link, price, kind, budget, sys, grid=None):
+    """Brute-force payoff argmax over allocated power: the dense grid (argmax_grid, or its
+    result passed as grid) + local refine."""
+    grid, gains = argmax_grid(link, budget, sys) if grid is None else grid
     if kind == "snr":
         pays = price * np.asarray(relayed_snr(link, grid, sys))
     else:
@@ -440,9 +454,10 @@ def test_power_best_response_closed_form_matches_numeric_argmax(link, budget, t_
     def net(p):
         return float(rate_increase(link, p, BENCH_SYSTEM)) - price * p
 
+    grid = argmax_grid(link, budget, BENCH_SYSTEM)
     for price in _probe_prices(users, t_span, t_band):
         f = float(users.factors(price)[0])
-        x_star, v_star = numeric_best_power(link, price, "power", budget, BENCH_SYSTEM)
+        x_star, v_star = numeric_best_power(link, price, "power", budget, BENCH_SYSTEM, grid)
         event("zero" if f == 0.0 else "divergent" if math.isinf(f) else "finite")
         # the closed form's power (the end of the budget where divergent) and net gain
         top = budget * (1 - 1e-12)
@@ -537,7 +552,8 @@ def test_closed_form_build_agrees_with_channel_functions(bench_spec):
             _assert_rel(snr.c, links.gain_rd / sys.noise_w, 1e-13)
             _assert_rel(snr.snr_max, s_max, 1e-13)
             _assert_rel(snr.gain_max, gain, 1e-13)
-            _assert_rel(snr.x0, power_for_relayed_snr(links, np.minimum(snr.g**2 + snr.g, s_max), sys), 1e-13)
+            floor = breakeven_powers(power)
+            _assert_rel(floor, power_for_relayed_snr(links, np.minimum(snr.g**2 + snr.g, s_max), sys), 1e-13)
             slope = rate_increase_power_slope(links, budget, sys)
             _assert_rel(power.pi_lower, slope, 1e-13)
             _assert_rel(np.where(gain > 0.0, power.slope_full, 0.0), slope, 1e-13)
@@ -547,11 +563,11 @@ def test_closed_form_build_agrees_with_channel_functions(bench_spec):
             # the demand constants: each interior demand meets its price
             for users, floor, marginal in (
                 (snr, 0.0, lambda x: snr_marginal_rate(links, relayed_snr(links, x, sys), sys)),
-                (power, power.x0, lambda x: rate_increase_power_slope(links, x, sys)),
+                (power, floor, lambda x: rate_increase_power_slope(links, x, sys)),
             ):
                 for t in (0.1, 0.5, 0.9):  # a price per user inside its band (pi_lower, pi_hat)
                     price = np.where(users.regular, users.pi_lower ** (1 - t) * users.pi_hat**t, 1.0)
-                    x = users.rule.demand(users, price)
+                    x = users.demands(price)
                     inner = (x > floor) & (x < budget * (1 - 1e-6)) & users.regular
                     _assert_rel(marginal(x)[inner], price[inner], 1e-13)
                     interior += int(inner.sum())
@@ -621,6 +637,21 @@ def test_snr_pi_hat_accurate_as_direct_snr_vanishes():
         assert abs(got / _decimal_snr_pi_hat(g) - 1.0) <= 2e-15
 
 
+def test_snr_pi_hat_matches_50_digit_lambert_w():
+    # g a quarter decade apart from 1e-300 to 1e30: at most 4.4e-16 off here, 5.6e-16 on 8301 g
+    g = 10.0 ** np.arange(-300.0, 30.25, 0.25)
+    got = _snr_pi_hat(SimpleNamespace(g=g, k=K))
+    assert np.all(np.abs(got / mp_snr_pi_hat(g, K) - 1.0) <= 6e-16)
+
+
+def test_power_cutoff_points_match_50_digit_root():
+    # at most 6.7e-16 off on these users; over the whole study (4193 users and budgets with
+    # r(budget) > 0) at most 8.3e-15
+    for sc in study_scenarios():
+        users = _UserArrays.of(sc, POWER)
+        _assert_rel(_power_cutoff_points(users), mp_power_cutoff_points(users), 1e-15)
+
+
 def _decimal_power_pi_hat(users) -> float:
     """pi_hat to 40 digits: u(p) / p where p u'(p) = u(p) on (breakeven, budget], by bisection."""
     import decimal
@@ -685,6 +716,84 @@ def test_power_cutoff_point_maximizes_rate_per_watt(link, budget):
     else:
         assert p * slope - u >= -1e-12 * p * slope
     assert per_watt(p * (1 - 1e-6)) <= per_watt(p) * (1 + 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# demand rows from the per-user thresholds
+
+
+def _assert_rows_equal_clamped_reference(sc, slack):
+    """demands equals the clamped rows of reference_demands at every user's cutoff and
+    the ulp above, its zero_from and the ulp below, its full_from and the ulps on both sides,
+    and 64 prices spanning them, except where the two rules read the rounding of one demand.
+
+    Within a few ulps of a user's full_from its interior demand is (1 - FULL_BUDGET_RTOL) P only
+    to its rounding.  The reference tested the rounded demand against that mark and the rows
+    test the price against full_from, so there one may take the budget P where the other takes
+    the demand (seen up to 9 ulps from full_from).  The demand is then within slack of P:
+    1.0001e-9 seen on the study and the sweep, 5.6e-5 on wide draws, whose users near their SNR
+    limit round the demand more coarsely.
+    """
+    up, down = (lambda x: np.nextafter(x, math.inf)), (lambda x: np.nextafter(x, -math.inf))
+    for kind in KINDS:
+        users = _UserArrays.of(sc, kind)
+        c, z, f = (x[users.zero_from > 0.0] for x in (users.cutoff, users.zero_from, users.full_from))
+        if not z.size:
+            continue
+        prices = np.concatenate([c, up(c), z, down(z), down(f), f, up(f)])
+        prices = prices[prices > 0.0]
+        prices = np.concatenate([prices, np.geomspace(prices.min() / 2.0, 2.0 * prices.max(), 64)])[:, None]
+        with np.errstate(all="ignore"):  # a wide draw's prices can overflow another user's closed form
+            new, ref = users.demands(prices), reference_demands(users, prices)
+        differ = (new != ref) & ~(np.isnan(new) & np.isnan(ref))
+        near = np.abs(prices - users.full_from) <= 16.0 * np.spacing(users.full_from)
+        assert not (differ & ~near).any(), (kind, np.argwhere(differ & ~near))
+        assert np.all(np.maximum(new, ref)[differ] == users.budget)
+        assert np.all(np.minimum(new, ref)[differ] >= (1.0 - slack) * users.budget)
+
+
+def test_demand_rows_equal_clamped_reference_on_study_and_sweep(bench_spec):
+    sweep = [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()]
+    for sc in sweep + study_scenarios(100):
+        _assert_rows_equal_clamped_reference(sc, 2e-9)
+
+
+@given(sc=wide_scenarios())
+def test_demand_rows_equal_clamped_reference_on_wide_draws(sc):
+    _assert_rows_equal_clamped_reference(sc, 1e-4)
+
+
+def test_demand_rows_never_exceed_the_budget_past_full_from():
+    # a wide draw's user at 1 - 2.5e-9 of its SNR limit: unclamped, its SNR demand rounds
+    # past the budget, by up to 3.5e-6 P, within 200 ulps above full_from
+    sys = SystemParams(1e6, 7.11960621066766e-11, 4.0)
+    link = UserLink(0, 0.0077374620365855094, 4.401330041794602e-14, 6.442508559664186e-11, 2.068214727141741e-4)
+    users = one_user(link, SNR, 138.67811125543045, sys)
+    assert users.snr_max[0] > (1.0 - 1e-8) * users.b[0] and users.regular[0]
+    prices = users.full_from[0] * (1.0 + np.arange(1.0, 200.0) * 2.0**-52)
+    assert np.all(users.demands(prices[:, None]) <= users.budget)
+
+
+def test_full_budget_mark_is_one_part_in_a_billion():
+    # a demand x of (1 - 1e-8) P lies between (1 - 1e-7) P and (1 - FULL_BUDGET_RTOL) P: it is
+    # interior, its factor finite and counted in S as x / P; at and just below full_from the
+    # user takes the budget, and just above it demands about (1 - FULL_BUDGET_RTOL) P
+    link = _bench_link_2()
+    x = BUDGET * (1.0 - 1e-8)
+    for users, price in (
+        (_power_user(link), rate_increase_power_slope(link, x, BENCH_SYSTEM)),
+        (_snr_user(link), snr_marginal_rate(link, relayed_snr(link, x, BENCH_SYSTEM), BENCH_SYSTEM)),
+    ):
+        assert users.regular[0]
+        demand = users.demands(price)[0]
+        assert (1.0 - 1e-7) * BUDGET < demand < (1.0 - 1e-9) * BUDGET
+        assert demand == pytest.approx(x, rel=1e-12)
+        assert np.isfinite(users.factors(price)[0])
+        assert users.shares([price])[0] == demand / BUDGET
+        full_from = users.full_from[0]
+        assert users.demands(full_from)[0] == users.demands(np.nextafter(full_from, 0.0))[0] == BUDGET
+        above = users.demands(np.nextafter(full_from, math.inf))[0]
+        assert above / BUDGET == pytest.approx(1.0 - FULL_BUDGET_RTOL, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------

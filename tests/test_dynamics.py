@@ -565,7 +565,7 @@ def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):
     # core; fair_allocation's default delta solves on a core at 0.99 of the relay budget
     assert builds == [("core", 2), *((kind, 2) for kind in KINDS), ("core", 2)]
     snr, power = _UserArrays.of(sc, SNR), _UserArrays.of(sc, POWER)
-    assert snr.g is power.g and snr.rd is power.rd and snr.x0 is power.x0
+    assert snr.g is power.g and snr.rd is power.rd and snr.slope_full is power.slope_full
     assert snr.g is _Core.of(sc).g
     calibrate_price(without_user(sc, 0), "power", 0.99)
     assert builds[-2:] == [("core", 1), ("power", 1)]

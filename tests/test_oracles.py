@@ -614,6 +614,32 @@ def test_vcg_payments_nonnegative_and_individually_rational():
         assert np.all(res.payments <= res.allocation.per_user_rate_increase_bps + slack)
 
 
+def _benchmark_vcg_scenarios(seed):
+    """The oracle_vcg benchmark's 30 four-user scenarios at a seed: nodes drawn once from seed 0
+    over the study's field, each moved by N(0, 1 cm) drawn from the seed, at a 0.1 W budget."""
+    spec = MultiUserSpec(n_users=4)
+    base = np.random.default_rng(0).uniform(spec.field_min, spec.field_max, size=(30, 4, 4))
+    nodes = base + np.random.default_rng(seed).normal(0.0, 0.01, size=base.shape)
+    return [scenario_from_topology(spec, topology, 0.1) for topology in nodes]
+
+
+def test_vcg_clamp_absorbs_only_rounding():
+    # alone - others, the loss user i's presence causes the others, computed as the efficient
+    # total without i: at least -1e-15 of the total for every paid user, so max(., 0) in
+    # vcg_auction clears rounding only (on these inputs it reads >= 0 exactly, 0 where i is
+    # the only live user)
+    rng = np.random.default_rng(31)
+    benchmark = [sc for seed in range(3) for sc in _benchmark_vcg_scenarios(seed)]
+    for sc in benchmark + [make_random_scenario(rng, int(rng.integers(2, 7))) for _ in range(30)]:
+        res = vcg_auction(sc, delta=0.01)
+        total = res.allocation.total_rate_increase_bps
+        others = total - res.allocation.per_user_rate_increase_bps
+        for i in np.flatnonzero(res.allocation.powers > 0.0):
+            alone = efficient_allocation(without_user(sc, i), delta=0.01).total_rate_increase_bps
+            assert alone - others[i] >= -1e-15 * total
+        assert np.all(res.payments >= 0.0)
+
+
 def test_vcg_runs_one_search_on_one_build(monkeypatch, bench_spec):
     rng = np.random.default_rng(15)
     # new scenarios, whose core and arrays no earlier call has built
