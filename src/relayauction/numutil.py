@@ -1,10 +1,11 @@
 """Bracketed Newton roots, and a batched bisection on one level.
 
-The bisection asks its function about many points per call, each once: a tree
-of midpoints of the open bracket, and the midpoints that a guess of the
-transition (a known jump of the function, or an inverse interpolation of its
-values) says the bisection will meet after the tree.  Its results are those of
-one midpoint per step, to the bit; only the number of calls depends on the
+The bisection is one midpoint per step under one relative stop test, and asks
+its function about many points per call, each once: a tree of midpoints of the
+open bracket, and the midpoints that a guess of the transition (a known jump of
+the function, or an inverse interpolation of its values) says the bisection
+will meet after the tree, up to the stop test.  Its results are those of one
+midpoint per step, to the bit; only the number of calls depends on the
 guesses.  All routines are deterministic and hold no state.
 """
 
@@ -17,9 +18,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 DEPTH = 5  # bisection steps per predicate call
+NEWTON_MAX_ITER = 100  # Newton steps at most, on the slowest element
 
 
-def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100):
+def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12):
     """Root of f on [lo, hi] by Newton steps from lo kept inside a shrinking bracket.
 
     Elementwise: lo and hi are arrays (or broadcast to one) and fdf(x)
@@ -29,9 +31,9 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100)
     would leave it is replaced by the bracket's midpoint, so the search
     converges like bisection at worst and quadratically near a simple root.
     An element stops at the first step within rtol of its point and keeps that
-    step; the search ends once every element has stopped.  No element's root
-    depends on the others, so a batch of problems gives each the root it gets
-    alone, to the bit.
+    step; the search ends once every element has stopped, or after
+    NEWTON_MAX_ITER steps.  No element's root depends on the others, so a
+    batch of problems gives each the root it gets alone, to the bit.
     """
     lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     (flo, fhi), (dflo, dfhi) = fdf(np.stack([lo, hi]))
@@ -41,7 +43,7 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12, max_iter: int = 100)
     x, fx, dfx = np.where(at_hi, hi, lo), np.where(at_hi, fhi, flo), np.where(at_hi, dfhi, dflo)
     rising = flo < 0.0  # f increases through the root
     live = np.ones_like(rising)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         above = (fx > 0.0) == rising  # the root lies below x
         lo, hi = np.where(above, lo, x), np.where(above, x, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -95,42 +97,36 @@ def _guess(level, a, b, fa, fb, beyond, jumps) -> Optional[float]:
     return r if a < r < b else None
 
 
-def _path(a, b, r, n) -> list:
-    """The midpoints one-midpoint bisection visits after DEPTH steps, within n steps, if f < level
-    begins at r; up to a midpoint that repeats an end."""
+def _path(a, b, r, rtol) -> list:
+    """The midpoints one-midpoint bisection visits after DEPTH steps, up to its stop test, if f <
+    level begins at r."""
     path = []
-    for k in range(n):
+    while b - a > rtol * b:
         m = 0.5 * (a + b)
-        if m == a or m == b:
-            break
-        if k >= DEPTH:
-            path.append(m)
-        if m >= r:
-            b = m
-        else:
-            a = m
-    return path
+        path.append(m)
+        a, b = (a, m) if m >= r else (m, b)
+    return path[DEPTH:]
 
 
 def bisect_transition(f: Callable, level, x_over, x_under, rtol: float, jumps: Sequence[float] = ()) -> tuple:
     """Bracket where f drops below level: (x_over, x_under, f(x_over), f(x_under)), tightened.
 
-    f(x_over) >= level > f(x_under) on an ascending bracket, 0 < x_over < x_under.
-    The search descends on f < level to the bit as with one midpoint
-    0.5 * (a + b) per step, until |b - a| <= rtol * max(|a|, |b|): a test that
-    ends every search, as x_over >= 2^-1022 and rtol >= 2^-52 (else ValueError).
+    f(x_over) >= level > f(x_under) on the bracket.  The search is one-midpoint
+    bisection on f < level, to the bit: while b - a > rtol * b it asks about
+    0.5 * (a + b) and keeps the half where f drops.  That stop test ends every
+    search, as 2^-1022 <= x_over < x_under and rtol >= 2^-52 (else ValueError).
     Each call asks f about the 2**DEPTH - 1 dyadic midpoints of the bracket
     (the first call about its ends too), so that every call takes DEPTH steps
-    at least, and about the midpoints after that tree which the descent meets
-    if f drops at a guess r (_guess).  The descent takes those while its
-    decisions are the ones r predicts, so the guess moves no result.
-    jumps, sorted, are points where f may jump, each the first point past its
-    jump.  Raises ValueError if f(x_over) < level.  If f(x_under) >= level, f does
-    not drop, and the first call returns (x_under, x_under, f(x_under), f(x_under)).
+    at least, and about the midpoints after that tree which the search meets
+    if f drops at a guess r (_guess).  The search takes each of those while it
+    is the next midpoint, so the guess moves no result.  jumps, sorted, are
+    points where f may jump, each the first point past its jump.  Raises
+    ValueError if f(x_over) < level.  If f(x_under) >= level, f does not drop,
+    and the first call returns (x_under, x_under, f(x_under), f(x_under)).
     """
-    if not (x_over >= 2.0**-1022 and rtol >= 2.0**-52):
-        raise ValueError(f"x_over must be at least 2^-1022 and rtol at least 2^-52, got {x_over!r} and {rtol!r}")
-    n, a, b, steps, fa, fb = 2**DEPTH, x_over, x_under, 0, None, None
+    if not (2.0**-1022 <= x_over < x_under and rtol >= 2.0**-52):
+        raise ValueError(f"need 2^-1022 <= x_over < x_under and rtol >= 2^-52, got {x_over!r}, {x_under!r}, {rtol!r}")
+    n, a, b, fa, fb = 2**DEPTH, x_over, x_under, None, None
     a_out = b_out = (None, None)  # the (x, f(x)) known nearest beyond a and b
     while True:
         pts = [a] * n + [b]
@@ -138,10 +134,7 @@ def bisect_transition(f: Callable, level, x_over, x_under, rtol: float, jumps: S
             pts[m] = 0.5 * (pts[lo] + pts[hi])
         asked = pts if fa is None else pts[1:n]
         r = _guess(level, a, b, fa, fb, (a_out, b_out), jumps)
-        path = []
-        if r is not None:  # as many steps as narrow the bracket to rtol |r|, and one for rounding
-            ratio = abs(b - a) / (rtol * r)
-            path = _path(a, b, r, math.ceil(math.log2(min(max(ratio, 1.0), 1e300))) + 1)
+        path = [] if r is None else _path(a, b, r, rtol)
         j = len(asked)
         vals = np.asarray(f(np.fromiter(asked + path, float, j + len(path)))).tolist()
         v = vals[: n + 1] if fa is None else [fa, *vals[: n - 1], fb]
@@ -149,28 +142,19 @@ def bisect_transition(f: Callable, level, x_over, x_under, rtol: float, jumps: S
             raise ValueError(f"f(x_over) = {v[0]!r} must not be below the level {level!r}")
         if v[n] >= level:  # only on the first call: later ones know f(b) < level
             return b, b, v[n], v[n]
-        # each midpoint is within an ulp of max(|a|, |b|) of the exact one, so the stop test
-        # cannot end the search at a step k from (a, b) where |b - a| / 2**k is above tol
-        tol = (rtol * (1.0 + 1e-15) + 1e-15) * max(abs(a), abs(b)) + 1e-300
-        safe = steps + int(math.log2(min(max(abs(b - a) / tol, 1.0), 1e300)))
         lo, hi = 0, n
-        while hi - lo > 1 and (steps < safe or abs(pts[hi] - pts[lo]) > rtol * max(abs(pts[lo]), abs(pts[hi]))):
+        while hi - lo > 1 and pts[hi] - pts[lo] > rtol * pts[hi]:
             m = (lo + hi) // 2
             lo, hi = (lo, m) if v[m] < level else (m, hi)
-            steps += 1
         a, b, fa, fb = pts[lo], pts[hi], v[lo], v[hi]
         a_out = (pts[lo - 1], v[lo - 1]) if lo > 0 else a_out
         b_out = (pts[hi + 1], v[hi + 1]) if hi < n else b_out
-        if path and path[0] == 0.5 * (a + b):  # the descent reached the cell the path starts in
-            for x, fx in zip(path, vals[j:]):
-                if steps >= safe and not abs(b - a) > rtol * max(abs(a), abs(b)):
-                    break
-                steps += 1
-                if fx < level:
-                    b_out, b, fb = (b, fb), x, fx
-                else:
-                    a_out, a, fa = (a, fa), x, fx
-                if (fx < level) != (x >= r):
-                    break  # where the guess said otherwise, its path turns away from the descent
-        if steps >= safe and not abs(b - a) > rtol * max(abs(a), abs(b)):
+        for x, fx in zip(path, vals[j:]):
+            if not (b - a > rtol * b and x == 0.5 * (a + b)):
+                break  # the search has stopped, or turned away from the guess's path
+            if fx < level:
+                b_out, b, fb = (b, fb), x, fx
+            else:
+                a_out, a, fa = (a, fa), x, fx
+        if not b - a > rtol * b:
             return a, b, fa, fb

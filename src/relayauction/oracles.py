@@ -113,8 +113,7 @@ class _Relaxation:
         split is returned scaled onto the budget, with the welfare sum_i r_i.
         """
         users, jumps, budget, slope_full = self.users, self.jumps, self.users.budget, self.users.slope_full
-        after = np.where(inn[:, None, :], self.at_jumps, np.where(free[:, None, :], self.relaxed_at_jumps, 0.0))
-        after = after.sum(axis=2) - budget
+        after = inn @ self.at_jumps.T + free @ self.relaxed_at_jumps.T - budget
         before = after + self.tangent
         # at top every demand is 0; at half of full some user's is the budget
         top = np.where(inn, self.slope_zero, np.where(free, jumps, 0.0)).max(axis=1)
@@ -259,7 +258,9 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
 
     level = 1.0
     while active.any():
-        hi = float((1.0 + g + limit)[active].min()) * (1.0 - 1e-12)
+        hi = 1.0 + float((g + limit * (1.0 - 1e-12))[active].min())
+        if hi == 1.0:  # no level above 1 is a float: nobody can be given power
+            return _finish(core, np.zeros(scenario.n_users))
         level = bisect_transition(spare, 0.0, 1.0, hi, 1e-13)[0]  # at level 1 nobody needs power
         drops = active & (level <= (1.0 + g) ** 2)
         if not drops.any():

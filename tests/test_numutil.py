@@ -82,10 +82,16 @@ def _tree(a, b):
     return pts
 
 
+def _open(a, b, rtol):
+    """Whether one-midpoint bisection on the ascending bracket (a, b) takes another step."""
+    return b - a > rtol * b
+
+
 def _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol):
     """Each call asks the tree of the bracket that one-midpoint bisection has reached,
-    then a bisection path down from one of the tree's cells, and moves the search on
-    by DEPTH steps and by every leading price of the path that is its next midpoint."""
+    then a bisection path down from one of the tree's cells, up to the first midpoint after
+    which the path's own bracket meets the stop test, and moves the search on by DEPTH
+    steps and by every leading price of the path that is its next midpoint."""
 
     def bracket(s):
         return reference_bisect(pred, x_over, x_under, rtol, s)[0]
@@ -101,7 +107,10 @@ def _assert_asks_as_one_midpoint_per_step(asked, pred, x_over, x_under, rtol):
         for x in path:
             cell = next((c for c in cells if x == 0.5 * (c[0] + c[1])), None)
             assert cell is not None, f"{x!r} is no midpoint of a half of the last cell"
+            assert _open(*cell, rtol), f"{x!r} halves a bracket that meets the stop test"
             cells = [(cell[0], x), (x, cell[1])]
+        # the path's bracket after its last price is one of that price's halves
+        assert not path or not all(_open(*c, rtol) for c in cells), "the path ends before its stop test"
         s = min(s + DEPTH, steps)
         for x in path:
             if s == steps or x != 0.5 * sum(bracket(s)):
@@ -160,11 +169,13 @@ def test_bisect_transition_rejects_true_start():
 
 
 @pytest.mark.parametrize(
-    "x_over, rtol", [(0.0, 1e-9), (-1.0, 1e-9), (math.nan, 1e-9), (1e-310, 1e-9), (1.0, 1e-17), (1.0, 0.0)]
+    "x_over, rtol",
+    [(0.0, 1e-9), (-1.0, 1e-9), (math.nan, 1e-9), (1e-310, 1e-9), (1.0, 1e-17), (1.0, 0.0), (2.0, 1e-9), (3.0, 1e-9)],
 )
 def test_bisect_transition_rejects_a_bracket_its_stop_test_cannot_end(x_over, rtol):
-    # the relative stop test ends every search only on a positive normal x_over and an
-    # rtol of at least one ulp of 1; the search asks f nothing before it checks them
+    # the relative stop test ends every search only on an ascending bracket from a positive
+    # normal x_over (x_under is 2.0 here) and an rtol of at least one ulp of 1; the search
+    # asks f nothing before it checks them
     calls = []
     with pytest.raises(ValueError, match="2\\^-1022"):
         bisect_transition(_counted(lambda xs: 2.0 - xs, calls), 0.5, x_over, 2.0, rtol)

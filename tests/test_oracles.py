@@ -1,6 +1,7 @@
 """Centralized benchmarks: exact efficient split, fair level, pivot payments."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -438,8 +439,7 @@ def reference_fair_powers(scenario, delta):
     ]
     level = 1.0
     while active:
-        hi = min(1.0 + direct_snr(users[i], sys) + relayed_snr_limit(users[i], sys) for i in active)
-        hi *= 1.0 - 1e-12
+        hi = 1.0 + min(direct_snr(users[i], sys) + relayed_snr_limit(users[i], sys) * (1.0 - 1e-12) for i in active)
 
         def fits(k):
             return sum(power_needed(i, k) for i in active) <= budget
@@ -461,6 +461,24 @@ def test_fair_equals_user_by_user_reference(bench_spec):
             scenarios.append(NetworkScenario(sc.users, budget, BENCH_SYSTEM))
     for sc in scenarios:
         assert np.array_equal(fair_allocation(sc, delta=0.01).powers, reference_fair_powers(sc, 0.01))
+
+
+@pytest.mark.parametrize("gain_sd, gain_sr", [(1e-22, 5e-22), (1e-20, 3e-20)])
+def test_fair_level_reaches_a_lone_user_limit_below_one_part_in_1e11(gain_sd, gain_sr):
+    # direct and relayed SNR limit g + b = 6e-13 and 4e-11: cutting 1e-12 off the level
+    # rather than off b left the first user no power and the second 0.95 of its welfare
+    sc = NetworkScenario((UserLink(0, 1.0, gain_sd, gain_sr, 1e-3),), 1e3, SystemParams(1e6, 1e-9, 4.0))
+    fair, efficient = fair_allocation(sc), efficient_allocation(sc)
+    assert fair.powers[0] > 0.0
+    assert fair.total_rate_increase_bps >= 0.99 * efficient.total_rate_increase_bps
+    assert np.array_equal(fair.powers, reference_fair_powers(sc, 0.01))
+
+
+def test_fair_gives_no_power_where_no_level_above_one_is_a_float():
+    # g + b = 3e-17: 1 + g + b rounds to 1, so every level the search could ask is 1
+    sc = NetworkScenario((UserLink(0, 1.0, 1e-26, 2e-26, 1e-3),), 1e3, SystemParams(1e6, 1e-9, 4.0))
+    assert efficient_allocation(sc).powers[0] > 0.0
+    assert np.array_equal(fair_allocation(sc).powers, [0.0])
 
 
 def test_fair_participation_matches_subset_search(scenario_y0, scenario_y25):
@@ -727,6 +745,27 @@ def test_batched_search_equals_each_problem_alone(bench_spec, delta):
         others = base.total_rate_increase_bps - base.per_user_rate_increase_bps
         want = np.where(base.powers > 0.0, np.maximum(alone - others, 0.0), 0.0)
         assert np.abs(res.payments - want).max() <= 1e-15 * base.total_rate_increase_bps
+
+
+def test_vcg_at_200_users_needs_memory_linear_in_n_per_node():
+    # 1 + 112 problems at the root and up to 22 nodes per problem: the excesses at the
+    # jumps summed from a (nodes, n, n) array peaked at 398 MB here, the products at 11 MB
+    spec = MultiUserSpec(n_users=200)
+    sc = scenario_from_topology(spec, sample_topologies(spec)[0], 0.04)
+    tracemalloc.start()
+    try:
+        vcg_auction(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+    core, live, x, nodes, gaps = oracles._solve(sc, 0.01, pivots=True)
+    relax = _relaxation(sc, core, 0.01)
+    problems = _vcg_problems(live, sc.n_users)
+    for p in (0, int(nodes.argmin()), int(nodes.argmax()), len(problems) - 1):
+        x_alone, nodes_alone, _ = oracles._branch_and_bound(relax, problems[p][None])
+        assert nodes[p] == nodes_alone[0] and gaps[p] <= oracles.BOUND_RTOL
+        np.testing.assert_allclose(x[p], x_alone[0], rtol=1e-15, atol=0.0)
 
 
 def test_branch_and_bound_solves_few_nodes_on_the_study():
