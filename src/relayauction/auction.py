@@ -158,6 +158,14 @@ def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
     monotonically onto the root; it stops once a step is not positive or not shorter than the
     last, which only rounding brings about.  p is within 1e-14 relative of the 50-digit root
     of p u'(p) = u(p) on the population study's users.  The loop runs on v = -w.
+
+    As g -> 0 the root nears sqrt(2 g b / (b + 2)) and p loses digits: H sums terms of size w
+    to a value of size w^2, so w carries an absolute error near 1e-16 and p a relative one
+    that grows as 1 / w (d_sr 80 m, d_rd 120 m, 1 mW to 10 W: 4e-13 to 1.6e-11 at g = 1e-11,
+    6e-4 to 1.7e-3 at g = 1e-27).  Below g = 1e-32 or so w stops between 1e-16 and 6e-16
+    after 51 or 52 passes, however small the root: p is off by a factor of 6e133 at g =
+    1e-299.  pi_hat = u(p) / p keeps its digits: u(p) / p = K c b / (b + 1) (1 - O(s)) - K g / p,
+    and both corrections stay below 1e-16 relative at such a w, so any such p reads the max.
     """
     g, g1 = users.g, 1.0 + users.g
     a = g1 * g1 / users.b

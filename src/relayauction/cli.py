@@ -28,10 +28,6 @@ from .experiments import (
 from .oracles import efficient_allocation, fair_allocation, vcg_auction
 
 
-def _emit_formats(fmt: str) -> tuple[str, ...]:
-    return ("csv", "json") if fmt == "both" else (fmt,)
-
-
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -60,25 +56,21 @@ def _equilibrium_payload(eq: EquilibriumResult) -> dict:
     }
 
 
-def _cmd_two_user_sweep(args: argparse.Namespace) -> int:
-    spec = TwoUserSweepSpec(relay_y_step=args.step)
-    report = run_two_user_sweep(spec)
-    paths = emit_report(report, args.out, _emit_formats(args.format))
-    for p in paths:
-        print(p)
+def _emit(report, args: argparse.Namespace) -> int:
+    for path in emit_report(report, args.out, ("csv", "json") if args.format == "both" else (args.format,)):
+        print(path)
     return 0
+
+
+def _cmd_two_user_sweep(args: argparse.Namespace) -> int:
+    return _emit(run_two_user_sweep(TwoUserSweepSpec(relay_y_step=args.step)), args)
 
 
 def _cmd_multi_user(args: argparse.Namespace) -> int:
     kwargs = {"seed": args.seed, "n_users": args.users, "n_topologies": args.topologies}
     if args.power:
         kwargs["relay_powers"] = tuple(args.power)
-    spec = MultiUserSpec(**kwargs)
-    report = run_multi_user(spec)
-    paths = emit_report(report, args.out, _emit_formats(args.format))
-    for p in paths:
-        print(p)
-    return 0
+    return _emit(run_multi_user(MultiUserSpec(**kwargs)), args)
 
 
 def _cmd_ne_solve(args: argparse.Namespace) -> int:

@@ -4,8 +4,11 @@ The two-user sweep moves a relay along a vertical line through a fixed
 four-node geometry and reports, per position, the centralized pivot-auction
 benchmark and both share auctions at prices tuned for 99% utilization.  The
 multi-user experiment averages both auctions over seeded random topologies
-for several relay power budgets.  Reports are deterministic functions of
-(spec, seed) and are written as CSV plus a full-precision JSON mirror.
+for several relay power budgets.  Both read each auction through one
+readout, `_auction_columns`: the sweep writes its columns per position, and
+the study's row is the column means of its per-topology rows.  Reports are
+deterministic functions of (spec, seed) and are written as CSV plus a
+full-precision JSON mirror.
 """
 
 from __future__ import annotations
@@ -52,8 +55,11 @@ class TwoUserSweepSpec:
         return SystemParams(self.bandwidth_hz, self.noise_w, self.pathloss_exponent)
 
     def relay_ys(self) -> np.ndarray:
-        n = int(round((self.relay_y_max - self.relay_y_min) / self.relay_y_step)) + 1
-        return self.relay_y_min + self.relay_y_step * np.arange(n)
+        """The relay's y positions: relay_y_min and round((max - min) / step) steps past it."""
+        lo, hi, step = self.relay_y_min, self.relay_y_max, self.relay_y_step
+        if not (np.isfinite([lo, hi, step]).all() and step > 0 and lo <= hi):
+            raise ValueError(f"need a finite step > 0 and y_min <= y_max, got {lo}, {hi}, {step}")
+        return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
 
 
 @dataclass(frozen=True)
@@ -112,44 +118,38 @@ def positive_increase_variance(values: Iterable[float]) -> float:
     return float(pos.var())
 
 
-def _calibrated_equilibrium(
-    scenario: NetworkScenario, kind: str, target: float, reserve_bid: float
-) -> tuple[EquilibriumResult, float, bool]:
-    search = calibrate_price(scenario, kind, target_utilization=target)
-    params = AuctionParams(kind, search.price, reserve_bid)
-    eq = solve_ne(scenario, params)
-    if isinstance(eq, EquilibriumResult):
-        return eq, search.price, search.feasible
-    raise RuntimeError(f"no equilibrium at calibrated price {search.price!r}")
+def _auction_columns(scenario: NetworkScenario, kind: str, spec: TwoUserSweepSpec | MultiUserSpec) -> dict:
+    """Calibrate one auction to the spec's target utilization: its columns, users 1-2's rates among them."""
+    search = calibrate_price(scenario, kind, target_utilization=spec.target_utilization)
+    eq = solve_ne(scenario, AuctionParams(kind, search.price, spec.reserve_bid))
+    if not isinstance(eq, EquilibriumResult):
+        raise RuntimeError(f"no equilibrium at calibrated price {search.price!r}")
+    per_user = eq.rate_increase_bps / spec.bandwidth_hz
+    columns = {
+        "price": search.price,
+        "total_bits_per_hz": float(per_user.sum()),
+        **{f"user{i}_bits_per_hz": float(v) for i, v in enumerate(per_user[:2], 1)},
+        "utilization": eq.utilization,
+        "calibrated": float(search.feasible),
+        "positive_variance": positive_increase_variance(per_user),
+    }
+    return {f"{kind}_{col}": value for col, value in columns.items()}
 
 
 def run_two_user_sweep(spec: TwoUserSweepSpec = TwoUserSweepSpec()) -> Report:
     """Sweep the relay along its line and benchmark all three mechanisms."""
-    w = spec.bandwidth_hz
     rows = []
     for y in spec.relay_ys():
         scenario = build_two_user_scenario(spec, float(y))
         row: dict = {"relay_y_m": float(y)}
-
         vcg = vcg_auction(scenario, delta=spec.vcg_delta)
-        gains = vcg.allocation.per_user_rate_increase_bps / w
+        gains = vcg.allocation.per_user_rate_increase_bps / spec.bandwidth_hz
         row["vcg_total_bits_per_hz"] = float(gains.sum())
         row["vcg_user1_bits_per_hz"] = float(gains[0])
         row["vcg_user2_bits_per_hz"] = float(gains[1])
         row["vcg_utilization"] = float(vcg.allocation.powers.sum() / spec.relay_budget_w)
-
         for kind in (POWER, SNR):
-            eq, price, feasible = _calibrated_equilibrium(
-                scenario, kind, spec.target_utilization, spec.reserve_bid
-            )
-            per_user = eq.rate_increase_bps / w
-            row[f"{kind}_price"] = price
-            row[f"{kind}_total_bits_per_hz"] = float(per_user.sum())
-            row[f"{kind}_user1_bits_per_hz"] = float(per_user[0])
-            row[f"{kind}_user2_bits_per_hz"] = float(per_user[1])
-            row[f"{kind}_utilization"] = eq.utilization
-            row[f"{kind}_calibrated"] = float(feasible)
-            row[f"{kind}_positive_variance"] = positive_increase_variance(per_user)
+            row.update(_auction_columns(scenario, kind, spec))
         rows.append(row)
 
     columns = tuple(rows[0].keys())
@@ -192,6 +192,16 @@ def scenario_from_topology(
     )
 
 
+# study column -> the per-topology column it averages, for each auction kind
+_STUDY_COLUMNS = (
+    ("mean_total_bits_per_hz", "total_bits_per_hz"),
+    ("mean_positive_variance", "positive_variance"),
+    ("mean_utilization", "utilization"),
+    ("mean_price", "price"),
+    ("calibrated_fraction", "calibrated"),
+)
+
+
 def run_multi_user(spec: MultiUserSpec = MultiUserSpec()) -> Report:
     """Average both auctions over seeded topologies for each power budget.
 
@@ -201,40 +211,26 @@ def run_multi_user(spec: MultiUserSpec = MultiUserSpec()) -> Report:
     study's rows with its own per-unit rows for equality, so a column at
     full scale waits for a change of the benchmark.
     """
-    w = spec.bandwidth_hz
-    topologies = sample_topologies(spec)
+    if spec.n_topologies < 1 or not spec.relay_powers:
+        raise ValueError(f"need at least one topology and one budget, got {spec.n_topologies}, {spec.relay_powers}")
     with_oracle = spec.n_users <= 3
+    means = [(f"{kind}_{mean}", f"{kind}_{col}") for kind in (POWER, SNR) for mean, col in _STUDY_COLUMNS]
+    means += [("efficient_mean_total_bits_per_hz", "efficient_total_bits_per_hz")] if with_oracle else []
+    topologies = sample_topologies(spec)
     rows = []
     for budget in spec.relay_powers:
-        acc = {
-            kind: {"total": [], "variance": [], "utilization": [], "price": [], "feasible": []}
-            for kind in (POWER, SNR)
-        }
-        oracle_totals = []
-        for t in range(spec.n_topologies):
-            scenario = scenario_from_topology(spec, topologies[t], float(budget))
+        units = []
+        for nodes in topologies:
+            scenario = scenario_from_topology(spec, nodes, float(budget))
+            unit = {}
             for kind in (POWER, SNR):
-                eq, price, feasible = _calibrated_equilibrium(
-                    scenario, kind, spec.target_utilization, spec.reserve_bid
-                )
-                per_user = eq.rate_increase_bps / w
-                acc[kind]["total"].append(float(per_user.sum()))
-                acc[kind]["variance"].append(positive_increase_variance(per_user))
-                acc[kind]["utilization"].append(eq.utilization)
-                acc[kind]["price"].append(price)
-                acc[kind]["feasible"].append(1.0 if feasible else 0.0)
+                unit.update(_auction_columns(scenario, kind, spec))
             if with_oracle:
                 eff = efficient_allocation(scenario, delta=0.0)
-                oracle_totals.append(eff.total_rate_increase_bps / w)
-        row: dict = {"relay_power_w": float(budget)}
-        for kind in (POWER, SNR):
-            row[f"{kind}_mean_total_bits_per_hz"] = float(np.mean(acc[kind]["total"]))
-            row[f"{kind}_mean_positive_variance"] = float(np.mean(acc[kind]["variance"]))
-            row[f"{kind}_mean_utilization"] = float(np.mean(acc[kind]["utilization"]))
-            row[f"{kind}_mean_price"] = float(np.mean(acc[kind]["price"]))
-            row[f"{kind}_calibrated_fraction"] = float(np.mean(acc[kind]["feasible"]))
-        if with_oracle:
-            row["efficient_mean_total_bits_per_hz"] = float(np.mean(oracle_totals))
+                unit["efficient_total_bits_per_hz"] = eff.total_rate_increase_bps / spec.bandwidth_hz
+            units.append(unit)
+        row = {"relay_power_w": float(budget)}
+        row.update((mean, float(np.mean([u[col] for u in units]))) for mean, col in means)
         rows.append(row)
 
     columns = tuple(rows[0].keys())

@@ -37,6 +37,7 @@ from conftest import (
     g_snr,
     make_random_scenario,
     mp_power_cutoff_points,
+    mp_power_pi_hat,
     mp_snr_pi_hat,
     one_user,
     payment,
@@ -687,6 +688,16 @@ def test_power_pi_hat_accurate_on_weak_direct_links():
         for budget in (1e-3, BUDGET, 10.0):
             users = _power_user(link, budget)
             assert abs(users.pi_hat[0] / _decimal_power_pi_hat(users) - 1.0) <= 2e-15
+
+
+def test_power_pi_hat_holds_as_direct_snr_vanishes():
+    # g four decades apart from 1e-3 to 1e-299 at 1 mW, 0.1 W and 10 W: at most 2.2e-16 off
+    # the 30-digit max, while the cutoff point itself is up to 1.6e-11 off at g = 1e-11 and
+    # off by a factor of 6e133 at g = 1e-299 (see _power_cutoff_points)
+    for g in 10.0 ** np.arange(-3.0, -300.0, -4.0):
+        for budget in (1e-3, BUDGET, 10.0):
+            users = _power_user(_link_with_direct_snr(g), budget)
+            assert abs(users.pi_hat[0] / mp_power_pi_hat(users)[0] - 1.0) <= 4.5e-16
 
 
 # one user per draw: node distances from 1 m to 10 km (direct SNR 1e-7 to 1e9)

@@ -129,6 +129,20 @@ def _bad_input(capsys, argv, *expected):
         assert text in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["two-user-sweep", "--step", "0"], "finite step > 0"),  # divided by the step
+        (["two-user-sweep", "--step", "-5"], "finite step > 0"),  # no positions at all
+        (["multi-user", "--users", "3", "--topologies", "0"], "at least one topology"),  # nan means
+    ],
+)
+def test_experiment_settings_without_rows_are_rejected(tmp_path, capsys, argv, message):
+    out = tmp_path / "reports"
+    _bad_input(capsys, [*argv, "--out", str(out)], message)
+    assert not out.exists()
+
+
 def _write_doc(tmp_path, doc):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))

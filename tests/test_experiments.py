@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from relayauction import (
+    POWER,
+    SNR,
+    AuctionParams,
+    EquilibriumResult,
     MultiUserSpec,
     TwoUserSweepSpec,
     build_two_user_scenario,
+    calibrate_price,
     direct_snr,
     emit_report,
     positive_increase_variance,
@@ -19,6 +24,8 @@ from relayauction import (
     run_two_user_sweep,
     sample_topologies,
     scenario_from_topology,
+    solve_ne,
+    vcg_auction,
 )
 
 from conftest import BENCH_SYSTEM, payoff
@@ -170,12 +177,78 @@ def test_multi_report_shape(small_multi_report):
 
 
 def test_multi_report_small_population_includes_benchmark():
-    spec = MultiUserSpec(n_users=2, n_topologies=2, relay_powers=(0.1,), seed=5)
+    for n_users in (1, 2):  # one user has no second user's rate to read
+        spec = MultiUserSpec(n_users=n_users, n_topologies=2, relay_powers=(0.1,), seed=5)
+        report = run_multi_user(spec)
+        row = report.rows[0]
+        assert "efficient_mean_total_bits_per_hz" in row
+        assert row["efficient_mean_total_bits_per_hz"] >= row["power_mean_total_bits_per_hz"] - 1e-12
+        assert row["efficient_mean_total_bits_per_hz"] >= row["snr_mean_total_bits_per_hz"] - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the rows recomputed one scenario at a time through the public API, as the
+# benchmark's per-unit drive does (perfbench/workloads.py, selfcheck), on its specs
+
+
+def _auction_row(scenario, kind, spec) -> dict:
+    search = calibrate_price(scenario, kind, target_utilization=spec.target_utilization)
+    eq = solve_ne(scenario, AuctionParams(kind, search.price, spec.reserve_bid))
+    assert isinstance(eq, EquilibriumResult)
+    per_user = eq.rate_increase_bps / spec.bandwidth_hz
+    return {
+        f"{kind}_price": search.price,
+        f"{kind}_total_bits_per_hz": float(per_user.sum()),
+        f"{kind}_user1_bits_per_hz": float(per_user[0]),
+        f"{kind}_user2_bits_per_hz": float(per_user[1]),
+        f"{kind}_utilization": eq.utilization,
+        f"{kind}_calibrated": float(search.feasible),
+        f"{kind}_positive_variance": positive_increase_variance(per_user),
+    }
+
+
+def test_sweep_rows_equal_each_position_solved_alone():
+    spec = TwoUserSweepSpec(relay_y_min=-10.0, relay_y_max=10.0)
+    report = run_two_user_sweep(spec)
+    assert [ref["relay_y_m"] for ref in report.rows] == [-10.0, -5.0, 0.0, 5.0, 10.0]
+    for ref in report.rows:
+        scenario = build_two_user_scenario(spec, ref["relay_y_m"])
+        vcg = vcg_auction(scenario, delta=spec.vcg_delta)
+        gains = vcg.allocation.per_user_rate_increase_bps / spec.bandwidth_hz
+        row = {
+            "relay_y_m": ref["relay_y_m"],
+            "vcg_total_bits_per_hz": float(gains.sum()),
+            "vcg_user1_bits_per_hz": float(gains[0]),
+            "vcg_user2_bits_per_hz": float(gains[1]),
+            "vcg_utilization": float(vcg.allocation.powers.sum() / spec.relay_budget_w),
+        }
+        for kind in (POWER, SNR):
+            row.update(_auction_row(scenario, kind, spec))
+        assert list(row.items()) == list(ref.items())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_study_rows_are_column_means_of_each_topology_solved_alone(seed):
+    spec = MultiUserSpec(n_users=4, n_topologies=2, seed=seed)
     report = run_multi_user(spec)
-    row = report.rows[0]
-    assert "efficient_mean_total_bits_per_hz" in row
-    assert row["efficient_mean_total_bits_per_hz"] >= row["power_mean_total_bits_per_hz"] - 1e-12
-    assert row["efficient_mean_total_bits_per_hz"] >= row["snr_mean_total_bits_per_hz"] - 1e-12
+    assert [ref["relay_power_w"] for ref in report.rows] == list(spec.relay_powers)
+    means = (
+        ("mean_total_bits_per_hz", "total_bits_per_hz"),
+        ("mean_positive_variance", "positive_variance"),
+        ("mean_utilization", "utilization"),
+        ("mean_price", "price"),
+        ("calibrated_fraction", "calibrated"),
+    )
+    for ref in report.rows:
+        units = []
+        for nodes in sample_topologies(spec):
+            scenario = scenario_from_topology(spec, nodes, ref["relay_power_w"])
+            units.append({k: v for kind in (POWER, SNR) for k, v in _auction_row(scenario, kind, spec).items()})
+        row = {"relay_power_w": ref["relay_power_w"]}
+        for kind in (POWER, SNR):
+            for mean, col in means:
+                row[f"{kind}_{mean}"] = float(np.mean([u[f"{kind}_{col}"] for u in units]))
+        assert list(row.items()) == list(ref.items())
 
 
 # ---------------------------------------------------------------------------

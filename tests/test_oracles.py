@@ -482,57 +482,44 @@ def test_fair_gives_no_power_where_no_level_above_one_is_a_float():
 
 
 def test_fair_participation_matches_subset_search(scenario_y0, scenario_y25):
-    # exhaustive subset check: no participant set beats the iterative-drop level
+    # the oracle's level and participant set against a plain bisection of each subset's level
+    # and the drop loop run on it, from every user the relay can help
     for sc in (scenario_y0, scenario_y25):
         alloc = fair_allocation(sc, delta=0.01)
-        chosen = tuple(np.flatnonzero(alloc.powers > 0.0))
         budget = BUDGET * 0.99
+        g = [direct_snr(u, BENCH_SYSTEM) for u in sc.users]
+        b = [relayed_snr_limit(u, BENCH_SYSTEM) for u in sc.users]
 
         def subset_level(members):
-            lo_level, hi_level = 1.0, None
-            hi_level = min(
-                1.0 + direct_snr(sc.users[i], BENCH_SYSTEM)
-                + 0.01 * 0 + (sc.users[i].source_power_w * sc.users[i].gain_sr / BENCH_SYSTEM.noise_w)
-                for i in members
-            ) * (1 - 1e-12)
-
+            # the highest level whose powers fit the budget, below the oracle's top level
             def total(level):
-                s = 0.0
-                for i in members:
-                    u = sc.users[i]
-                    t = level - 1.0 - direct_snr(u, BENCH_SYSTEM)
-                    if t <= 0:
-                        continue
-                    limit = u.source_power_w * u.gain_sr / BENCH_SYSTEM.noise_w
-                    if t >= limit:
-                        return float("inf")
-                    a = t * (limit + 1) / (limit - t)
-                    s += a * BENCH_SYSTEM.noise_w / u.gain_rd
-                return s
+                return sum(
+                    max(level - 1.0 - g[i], 0.0) * (b[i] + 1) / (b[i] - (level - 1.0 - g[i]))
+                    * BENCH_SYSTEM.noise_w / sc.users[i].gain_rd
+                    for i in members
+                )
 
+            lo_level, hi_level = 1.0, 1.0 + min(g[i] + b[i] * (1 - 1e-12) for i in members)
             for _ in range(200):
                 mid = 0.5 * (lo_level + hi_level)
-                if total(mid) <= budget:
-                    lo_level = mid
-                else:
-                    hi_level = mid
+                lo_level, hi_level = (mid, hi_level) if total(mid) <= budget else (lo_level, mid)
             return lo_level
 
-        if chosen:
-            level_chosen = subset_level(chosen)
-            # all-user subsets either match or force some member below breakeven
-            for bits in range(1, 2 ** sc.n_users):
-                members = tuple(i for i in range(sc.n_users) if bits & (1 << i))
-                if not all(
-                    breakeven_power(sc.users[i], BENCH_SYSTEM) is not None
-                    and breakeven_power(sc.users[i], BENCH_SYSTEM) < budget
-                    for i in members
-                ):
-                    continue
-                lvl = subset_level(members)
-                ok = all(lvl > (1 + direct_snr(sc.users[i], BENCH_SYSTEM)) ** 2 for i in members)
-                if ok and set(members) == set(chosen):
-                    assert lvl == pytest.approx(level_chosen, rel=1e-9)
+        members = [i for i, u in enumerate(sc.users) if rate_increase(u, budget, BENCH_SYSTEM) > 0.0]
+        while members:
+            level = subset_level(members)
+            kept = [i for i in members if level > (1.0 + g[i]) ** 2]
+            if kept == members:
+                break
+            members = kept
+
+        chosen = np.flatnonzero(alloc.powers > 0.0).tolist()
+        assert chosen == members and chosen
+        level = subset_level(chosen)
+        for i in chosen:
+            p = float(alloc.powers[i])
+            assert 1.0 + g[i] + relayed_snr(sc.users[i], p, BENCH_SYSTEM) == pytest.approx(level, rel=1e-9)
+            assert rate_increase(sc.users[i], p, BENCH_SYSTEM) > 0.0
 
 
 # ---------------------------------------------------------------------------
