@@ -321,7 +321,7 @@ class _UserArrays(_Core):
         self.pi_hat = self.rule.pi_hat(self)
         self.regular = self.pi_hat > self.pi_lower
         charged = self.rule.charged(self.budget, self.snr_max)
-        whole = np.divide(self.gain_max, charged, out=np.zeros_like(self.gain_max), where=charged > 0.0)
+        whole = np.divide(self.gain_max, charged, out=np.zeros(self.gain_max.shape), where=charged > 0.0)
         self.cutoff = np.where(self.regular, self.pi_lower, whole)
         self.zero_from = np.where(self.regular, self.pi_hat, self.cutoff)
         below_zero = np.minimum(self.rule.full_price(self), np.nextafter(self.zero_from, 0.0))
@@ -331,7 +331,9 @@ class _UserArrays(_Core):
     @functools.cached_property
     def breaks(self) -> array:
         """Sorted prices past which S may jump: where a user leaves, or stops diverging."""
-        return array("d", np.sort(np.concatenate((self.zero_from, np.nextafter(self.cutoff, math.inf)))).tobytes())
+        prices = np.concatenate((self.zero_from, np.nextafter(self.cutoff, math.inf)))
+        prices.sort()
+        return array("d", prices.tobytes())
 
     @classmethod
     def of(cls, scenario: NetworkScenario, kind: str, budget: float | None = None) -> "_UserArrays":

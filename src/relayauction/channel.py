@@ -180,7 +180,7 @@ def _log_gain(s, g, k):
     """
     x = (s - g * g - g) / (1.0 + g) ** 2
     low = x <= -1.0
-    if np.any(low):
+    if low if isinstance(low, bool) else low.any():  # a Python bool where s and g are Python floats
         return k * np.where(low, np.log(1.0 + g + s) - 2.0 * np.log1p(g), np.log1p(np.where(low, 0.0, x)))
     return k * np.log1p(x)
 

@@ -14,6 +14,7 @@ full-precision JSON mirror.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -55,11 +56,11 @@ class TwoUserSweepSpec:
         return SystemParams(self.bandwidth_hz, self.noise_w, self.pathloss_exponent)
 
     def relay_ys(self) -> np.ndarray:
-        """The relay's y positions: relay_y_min and round((max - min) / step) steps past it."""
+        """The relay's y positions: relay_y_min and each whole step (to 1e-9 of one) up to relay_y_max."""
         lo, hi, step = self.relay_y_min, self.relay_y_max, self.relay_y_step
         if not (np.isfinite([lo, hi, step]).all() and step > 0 and lo <= hi):
             raise ValueError(f"need a finite step > 0 and y_min <= y_max, got {lo}, {hi}, {step}")
-        return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+        return np.minimum(lo + step * np.arange(math.floor((hi - lo) / step + 1e-9) + 1), hi)
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,9 @@ def positive_increase_variance(values: Iterable[float]) -> float:
     pos = v[v > 0.0]
     if pos.size < 2:
         return 0.0
-    return float(pos.var())
+    mean = np.add.reduce(pos) / pos.size  # np.var's steps, as ufunc calls
+    dev = pos - mean
+    return float(np.add.reduce(dev * dev) / pos.size)
 
 
 def _auction_columns(scenario: NetworkScenario, kind: str, spec: TwoUserSweepSpec | MultiUserSpec) -> dict:

@@ -35,20 +35,22 @@ def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12):
     NEWTON_MAX_ITER steps.  No element's root depends on the others, so a
     batch of problems gives each the root it gets alone, to the bit.
     """
-    lo, hi = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
-    (flo, fhi), (dflo, dfhi) = fdf(np.stack([lo, hi]))
-    if np.any((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0))):
+    ends = np.empty((2, *np.broadcast(lo, hi).shape))
+    ends[0], ends[1] = lo, hi
+    lo, hi = ends
+    (flo, fhi), (dflo, dfhi) = fdf(ends)
+    if ((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0))).any():
         raise ValueError(f"root not bracketed on [{lo!r}, {hi!r}]")
     at_hi = fhi == 0.0
     x, fx, dfx = np.where(at_hi, hi, lo), np.where(at_hi, fhi, flo), np.where(at_hi, dfhi, dflo)
     rising = flo < 0.0  # f increases through the root
-    live = np.ones_like(rising)
+    live, step = np.ones(rising.shape, dtype=bool), np.zeros(rising.shape)
     for _ in range(NEWTON_MAX_ITER):
         above = (fx > 0.0) == rising  # the root lies below x
         lo, hi = np.where(above, lo, x), np.where(above, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = x - fx / dfx
-        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        sloped = dfx != 0.0  # elsewhere the step keeps an old quotient, and the midpoint is taken
+        nxt = x - np.divide(fx, dfx, out=step, where=sloped)
+        nxt = np.where(sloped & (nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
         moving = np.abs(nxt - x) > rtol * np.abs(nxt)
         x = np.where(live, nxt, x)
         live &= moving

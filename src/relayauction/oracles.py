@@ -87,7 +87,7 @@ class _Relaxation:
         self.at_jumps = self._split(jumps[:, None], True, False)[1]
         self.relaxed_at_jumps = np.where(jumps[:, None] < jumps, self.at_jumps, 0.0)
         # the demand at pi_hat: u' meets pi_hat there, or stays above it up to the budget
-        self.tangent = np.diagonal(self.at_jumps)
+        self.tangent = self.at_jumps.diagonal()
         self.slope_zero = users.slope(0.0)
 
     def _split(self, price, inn: np.ndarray, free: np.ndarray):
@@ -138,7 +138,7 @@ class _Relaxation:
         gain = users.gain(x) - lam[:, None] * x
         gain = np.where(inn, gain, np.where(free, np.maximum(gain, 0.0), 0.0))
         total = x.sum(axis=1, keepdims=True)
-        x = x * np.divide(budget, total, out=np.zeros_like(total), where=total > 0.0)
+        x = x * np.divide(budget, total, out=np.zeros(total.shape), where=total > 0.0)
         welfare = np.maximum(users.gain(x), 0.0).sum(axis=1)
         return lam, x, lam * budget + gain.sum(axis=1), welfare
 
@@ -163,7 +163,7 @@ def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray,
     problems, n = free.shape
     each = np.arange(problems)[:, None]
     best_x, best = np.zeros((problems, n)), np.zeros(problems)
-    inn, tag = np.zeros_like(free), each[:, 0]
+    inn, tag = np.zeros(free.shape, dtype=bool), each[:, 0]
     tags, closed = [], []  # every node's problem, and its bound where it closed (else 0)
     while True:
         lam, x, bound, value = relax.solve(inn, free)
@@ -185,7 +185,7 @@ def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray,
         filled[rows, pick] = forced[rows, pick] = True
         rest[rows, pick] = False
         inn = np.concatenate([forced, inn, filled])
-        free = np.concatenate([rest, rest, np.zeros_like(filled)])
+        free = np.concatenate([rest, rest, np.zeros(filled.shape, dtype=bool)])
         tag = np.concatenate([tag, tag, tag])
         # a node without participants is worth 0, which no incumbent is below
         keep = (inn | free).any(axis=1)
@@ -210,8 +210,9 @@ def _solve(scenario: NetworkScenario, delta: float, pivots: bool):
     taking the whole budget; the rest run as one branch-and-bound on the power-auction arrays.
     """
     core = _core(scenario, delta)
-    live = np.flatnonzero(core.gain_max > 0.0)
-    free = np.tile(core.gain_max > 0.0, (1 + live.size * pivots, 1))
+    can_gain = core.gain_max > 0.0
+    live = can_gain.nonzero()[0]
+    free = np.repeat(can_gain[None], 1 + live.size * pivots, axis=0)
     free[np.arange(1, len(free)), live[: len(free) - 1]] = False  # problem 1 + j leaves live user j out
     x, nodes, gaps = np.where(free, core.budget, 0.0), np.ones(len(free), dtype=int), np.zeros(len(free))
     many = free.sum(axis=1) > 1
@@ -241,7 +242,11 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
     relayed), which equalizes the marginal rate gain per unit of SNR; the
     level is pushed as high as the budget allows.  Users whose rate increase
     would not be positive at the resulting level are dropped and the level
-    recomputed, from the users who can gain from the relay until the set is stable.
+    recomputed, from the users who can gain from the relay until the set is
+    stable; each set is searched once, from the level before up to where its
+    tightest user alone needs the whole budget.  A round that drops only users
+    given no power keeps its level; one that would drop every user keeps the
+    one who gains most alone (the first on ties).
     """
     core = _core(scenario, delta)
     g, limit, active = core.g, core.b, core.gain_max > 0.0
@@ -256,16 +261,18 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
     def spare(levels) -> np.ndarray:  # the budget left at each level: >= 0 exactly where the powers fit
         return core.budget - powers_at(levels).sum(axis=1)
 
-    level = 1.0
+    level = 1.0  # at level 1 nobody needs power; where no level above it is a float, nobody gets any
     while active.any():
-        hi = 1.0 + float((g + limit * (1.0 - 1e-12))[active].min())
-        if hi == 1.0:  # no level above 1 is a float: nobody can be given power
-            return _finish(core, np.zeros(scenario.n_users))
-        level = bisect_transition(spare, 0.0, 1.0, hi, 1e-13)[0]  # at level 1 nobody needs power
+        top = 1.0 + float((g + core.snr_max)[active].min())
+        if top > level:
+            level = bisect_transition(spare, 0.0, level, top, 1e-13)[0]
         drops = active & (level <= (1.0 + g) ** 2)
-        if not drops.any():
+        if not (drops & (level > 1.0 + g)).any():  # nobody dropped is given power: the level stands
             break
-        active &= ~drops
+        if (drops == active).all() and active.sum() > 1:
+            active = np.arange(scenario.n_users) == np.where(active, core.gain_max, 0.0).argmax()
+        else:
+            active &= ~drops
 
     return _finish(core, powers_at([level])[0])
 

@@ -117,6 +117,15 @@ def study_scenarios(n_topologies=4):
     ]
 
 
+def oracle_bench_scenarios(seed: int, units: int = 30, n_users: int = 4, budget: float = 0.1):
+    """The inputs of the benchmark's oracle_vcg workload (perfbench/workloads.py): 4-user
+    topologies drawn once from seed 0 on the study's field, each node moved by N(0, 1 cm) from seed."""
+    base = np.random.default_rng(0).uniform(-150.0, 150.0, size=(units, n_users, 4))
+    nodes = base + np.random.default_rng(seed).normal(0.0, 0.01, size=base.shape)
+    spec = MultiUserSpec(n_users=n_users)
+    return [scenario_from_topology(spec, topology, budget) for topology in nodes]
+
+
 def snr_equal_level_prediction(scenario: NetworkScenario, eq):
     """Rate increases (bits/s/Hz) that the SNR-auction equilibrium must give.
 

@@ -95,6 +95,15 @@ def test_two_user_sweep_command(tmp_path, capsys):
     assert len(csv_path.read_text().strip().splitlines()) == 6  # header + 5 rows
 
 
+def test_two_user_sweep_step_that_does_not_divide_the_range(tmp_path, capsys):
+    # 400 m in steps of 70 m: whole steps end at 150 m, where rounding the step count reached 220 m
+    rc = main(["two-user-sweep", "--step", "70", "--out", str(tmp_path), "--format", "json"])
+    assert rc == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "two_user_sweep.json").read_text())
+    assert [row["relay_y_m"] for row in doc["rows"]] == [-200.0, -130.0, -60.0, 10.0, 80.0, 150.0]
+
+
 def test_multi_user_command(tmp_path, capsys):
     rc = main(
         [

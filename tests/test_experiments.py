@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relayauction import (
     POWER,
@@ -99,6 +101,16 @@ def test_positive_variance_hand_value():
     assert positive_increase_variance([0.5, 1.5, 0.0]) == pytest.approx(0.25, rel=1e-12)
 
 
+@given(st.lists(st.floats(-1e6, 1e6) | st.floats(0.0, 10.0) | st.just(0.0), max_size=40))
+def test_positive_variance_is_numpys_var_to_the_bit(values):
+    # the variance is written as ufunc reductions, which must round as np.var does
+    pos = np.array(values, dtype=float)
+    pos = pos[pos > 0.0]
+    expected = float(np.var(pos)) if pos.size >= 2 else 0.0
+    assert positive_increase_variance(values).hex() == expected.hex()
+    assert positive_increase_variance(np.array(values, dtype=float)).hex() == expected.hex()
+
+
 def test_positive_variance_takes_arrays_lists_and_generators_alike():
     values = np.random.default_rng(3).uniform(-0.5, 2.0, 20)
     want = float(values[values > 0.0].var())
@@ -124,6 +136,21 @@ def small_multi_report():
 
 def test_sweep_row_count(small_sweep_report):
     assert len(small_sweep_report.rows) == 9  # -200..200 step 50
+
+
+def test_sweep_takes_whole_steps_up_to_relay_y_max():
+    # round(400 / 70) = 6 steps reached 220 m, past the range; whole steps stop at 150 m
+    assert TwoUserSweepSpec(relay_y_step=70.0).relay_ys().tolist() == [-200.0, -130.0, -60.0, 10.0, 80.0, 150.0]
+    assert TwoUserSweepSpec(relay_y_step=30.0).relay_ys()[-1] == 190.0
+    # a step that divides the range keeps relay_y_max, also where the quotient rounds below a
+    # whole number (0.3 / 0.1 = 2.9999999999999996) or the last step rounds past it
+    assert np.array_equal(TwoUserSweepSpec().relay_ys(), -200.0 + 5.0 * np.arange(81))
+    assert TwoUserSweepSpec(relay_y_min=0.0, relay_y_max=0.3, relay_y_step=0.1).relay_ys().tolist() == [
+        0.0, 0.1, 0.2, 0.3]
+    for step in (70.0, 30.0, 0.1, 0.7, 400.0 / 3.0):
+        spec = TwoUserSweepSpec(relay_y_step=step)
+        ys = spec.relay_ys()
+        assert ys[0] == spec.relay_y_min and ys[-1] <= spec.relay_y_max < ys[-1] + step
 
 
 def test_sweep_columns_stable(small_sweep_report):

@@ -1,11 +1,27 @@
-"""Package layout: no unused module-level imports or private definitions, and __all__ matches the imports."""
+"""Package layout: no unused module-level imports or private definitions, __all__ matches the imports,
+and no NumPy function written in Python on a benchmark unit's path."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import relayauction
+from relayauction import (
+    KINDS,
+    AuctionParams,
+    MultiUserSpec,
+    TwoUserSweepSpec,
+    build_two_user_scenario,
+    calibrate_price,
+    fair_allocation,
+    positive_increase_variance,
+    sample_topologies,
+    scenario_from_topology,
+    solve_ne,
+    vcg_auction,
+)
 
 PACKAGE = Path(relayauction.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -85,3 +101,76 @@ def test_only_log_gain_crosses_from_channel_privately(path):
         if alias.name.startswith("_") and alias.name != "_log_gain"
     ]
     assert not private, f"{path.name} imports private channel names {private}"
+
+
+# NumPy functions written in Python, each a few microseconds of Python frames before the C call
+# it wraps, and the array methods var, mean and std, which make several NumPy calls in Python;
+# the per-user arrays hold 2-20 users, so such a call costs more than the arithmetic it does.
+PYTHON_LEVEL_NUMPY = {"var", "mean", "any", "all", "full", "tile", "stack", "sort", "diagonal", "flatnonzero", "errstate"}
+PYTHON_LEVEL_METHODS = {"var", "mean", "std"}
+
+# functions that may call them, each because no benchmark unit (an auction calibrated and solved,
+# a sweep row, an oracle call) reaches it
+ALLOWED_PYTHON_LEVEL_NUMPY = {
+    "auction.allocate": "validates a bid profile; only equilibrium_from_bids allocates bids",
+    "auction._UserArrays.factors": "read by iterate_best_response alone; equilibria read demands",
+    "dynamics.update_matrix": "the iteration matrix, a diagnostic",
+    "dynamics.iterate_best_response": "best-response iteration, a diagnostic",
+    "experiments.run_multi_user": "the study's column means, once per budget after its units",
+}
+
+
+def _python_level_numpy_calls(tree: ast.Module, module: str) -> dict:
+    """The banned calls of a module by enclosing module-level function or method (nested ones count to it)."""
+    calls: dict = {}
+
+    def visit(node, owner, in_function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not in_function:
+            owner, in_function = f"{owner}.{node.name}", not isinstance(node, ast.ClassDef)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name, on = node.func.attr, node.func.value
+            numpy = isinstance(on, ast.Name) and on.id == "np"
+            if numpy and (name in PYTHON_LEVEL_NUMPY or name.endswith("_like")) or (
+                not numpy and name in PYTHON_LEVEL_METHODS
+            ):
+                calls.setdefault(owner, []).append(f"line {node.lineno}: .{name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, in_function)
+
+    visit(tree, module, False)
+    return calls
+
+
+def test_no_python_level_numpy_function_outside_the_allowed_functions():
+    found = {}
+    for path in MODULES:
+        found.update(_python_level_numpy_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert {owner: lines for owner, lines in found.items() if owner not in ALLOWED_PYTHON_LEVEL_NUMPY} == {}
+    # every allowance is still used, so that none outlives its reason
+    assert set(ALLOWED_PYTHON_LEVEL_NUMPY) == set(found)
+
+
+def test_the_allowed_functions_stay_off_every_benchmark_path():
+    # the calls a benchmark unit makes, profiled: none may enter an allowed function
+    spec = MultiUserSpec(n_users=4, n_topologies=3)
+    scenarios = [build_two_user_scenario(TwoUserSweepSpec(), y) for y in (-120.0, 0.0, 25.0)]
+    scenarios += [scenario_from_topology(spec, nodes, 0.1) for nodes in sample_topologies(spec)]
+    reached = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(str(PACKAGE)):
+            reached.add(f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}")
+
+    sys.setprofile(profile)
+    try:
+        for sc in scenarios:
+            vcg_auction(sc)
+            fair_allocation(sc)
+            for kind in KINDS:
+                search = calibrate_price(sc, kind)
+                positive_increase_variance(solve_ne(sc, AuctionParams(kind, search.price)).rate_increase_bps)
+    finally:
+        sys.setprofile(None)
+    assert "oracles.fair_allocation" in reached and "dynamics.solve_ne" in reached
+    assert reached & set(ALLOWED_PYTHON_LEVEL_NUMPY) == set()
