@@ -1,4 +1,4 @@
-"""Bracketed Newton roots, and a batched bisection on one level.
+"""A batched bisection on one level: the package's one bracketed search.
 
 The bisection is one midpoint per step under one relative stop test, and asks
 its function about many points per call, each once: a tree of midpoints of the
@@ -6,7 +6,8 @@ open bracket, and the midpoints that a guess of the transition (a known jump of
 the function, or an inverse interpolation of its values) says the bisection
 will meet after the tree, up to the stop test.  Its results are those of one
 midpoint per step, to the bit; only the number of calls depends on the
-guesses.  All routines are deterministic and hold no state.
+guesses.  All routines are deterministic and hold no state.  The package's Newton
+iterations need no bracket: each rises monotonically onto its root on a convex piece.
 """
 
 from __future__ import annotations
@@ -18,47 +19,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 DEPTH = 5  # bisection steps per predicate call
-NEWTON_MAX_ITER = 100  # Newton steps at most, on the slowest element
-
-
-def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12):
-    """Root of f on [lo, hi] by Newton steps from lo kept inside a shrinking bracket.
-
-    Elementwise: lo and hi are arrays (or broadcast to one) and fdf(x)
-    returns the arrays (f(x), f'(x)); f(lo) and f(hi) must differ in sign.
-    fdf gets both ends in one call, stacked on a leading axis: it must broadcast.
-    Every iterate narrows the bracket to the sign change; a Newton step that
-    would leave it is replaced by the bracket's midpoint, so the search
-    converges like bisection at worst and quadratically near a simple root.
-    An element stops at the first step within rtol of its point and keeps that
-    step; the search ends once every element has stopped, or after
-    NEWTON_MAX_ITER steps.  No element's root depends on the others, so a
-    batch of problems gives each the root it gets alone, to the bit.
-    """
-    ends = np.empty((2, *np.broadcast(lo, hi).shape))
-    ends[0], ends[1] = lo, hi
-    lo, hi = ends
-    (flo, fhi), (dflo, dfhi) = fdf(ends)
-    if ((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0))).any():
-        raise ValueError(f"root not bracketed on [{lo!r}, {hi!r}]")
-    at_hi = fhi == 0.0
-    x, fx, dfx = np.where(at_hi, hi, lo), np.where(at_hi, fhi, flo), np.where(at_hi, dfhi, dflo)
-    rising = flo < 0.0  # f increases through the root
-    live, step = np.ones(rising.shape, dtype=bool), np.zeros(rising.shape)
-    for _ in range(NEWTON_MAX_ITER):
-        above = (fx > 0.0) == rising  # the root lies below x
-        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
-        sloped = dfx != 0.0  # elsewhere the step keeps an old quotient, and the midpoint is taken
-        nxt = x - np.divide(fx, dfx, out=step, where=sloped)
-        nxt = np.where(sloped & (nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-        moving = np.abs(nxt - x) > rtol * np.abs(nxt)
-        x = np.where(live, nxt, x)
-        live &= moving
-        if not live.any():
-            break
-        fx, dfx = fdf(x)
-    return x
-
 
 # (m, m - h, m + h) for each dyadic midpoint of pts[0] and pts[2**DEPTH], coarsest first
 _TREE = [(m, m - h, m + h) for k in range(1, DEPTH + 1) for h in [2**DEPTH >> k]

@@ -8,25 +8,27 @@ multiplier method), and `efficient_allocation` finds it exactly by branch-and-bo
 the sets (Udell & Boyd, "Maximizing a sum of sigmoids").  A node forces some users in,
 some out and leaves the rest free, relaxed to the concave envelope of r_i; its
 water-filling is the power auction's own demand at one multiplier per node, found by
-Newton in lam^(-1/2), and its dual value bounds every set below it.  A node whose relaxed
-split uses the whole budget is solved outright; otherwise it branches on the free user
-whose envelope demand jumps across the multiplier.  A user's pivot payment needs the
-welfare of the others without it: the same problem with that user forced out from the
-root.  The efficient problem and every such leave-one-out problem run as one search on
-the same arrays, one relaxation solve per level, and each problem sees the nodes it would
-see alone.  The fair allocation equalizes the marginal rate gain per unit of relayed SNR
-across participants at one SNR level, the largest the budget allows, found by bisection.
+monotone Newton in lam^(-1/2) on the piece between tabulated breakpoints that holds it,
+and its dual value bounds every set below it.  A node whose relaxed split uses the whole
+budget is solved outright; else it branches on the free user whose envelope demand jumps
+across the multiplier.  A user's pivot payment needs the welfare of the others without
+it: the same problem with that user forced out from the root.  The efficient problem and
+every such leave-one-out problem run as one search on the same arrays, one relaxation
+solve per level, and each problem sees the nodes it would see alone.  The fair allocation
+equalizes the marginal rate gain per unit of relayed SNR across participants at one SNR
+level, the largest the budget allows, found by bisection.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .auction import POWER, _Core, _power_demand, _UserArrays
 from .channel import NetworkScenario, _log_gain
-from .numutil import bisect_transition, newton_root
+from .numutil import bisect_transition
 
 # a node is closed once its bound is at most the incumbent times (1 + BOUND_RTOL)
 BOUND_RTOL = 1e-12
@@ -67,6 +69,21 @@ def _finish(core: _Core, powers: np.ndarray, nodes: int = 1, gap: float = 0.0) -
     )
 
 
+def _piece_excess(piece, z):
+    """Each row's excess on its piece at a column z = -lam^(-1/2), and its slope in z.
+
+    piece is (B (m - 1), m the users demanding the whole budget B, then _power_demand's 1+g,
+    4 q2, q1, b^2, K c b / (b+1) and 2 b1c, the last three 1, 0 and 0 off the curved users).
+    X = K c b z^2 / (b+1), so each curved demand 2 b1c (X - 1 - g) / (q1 + root) is a hyperbola
+    in z with a linear asymptote, convex and falling, of slope 2 b1c X / (root z).
+    """
+    const, g1, q2x4, q1, bsq, kcb1, b1c2 = piece
+    x = kcb1 * (z * z)
+    root = np.sqrt(bsq + q2x4 * x)
+    excess = np.add.reduce(b1c2 * (x - g1) / (q1 + root), axis=1, keepdims=True) + const
+    return excess, np.add.reduce(b1c2 * x / root, axis=1, keepdims=True) / z
+
+
 class _Relaxation:
     """Nodes of the efficient problem on one scenario's power-auction arrays.
 
@@ -77,7 +94,8 @@ class _Relaxation:
     at most the node's relaxation.  Users whose rate increase stays 0 up to
     the budget (pi_hat = 0) are never worth forcing in or leaving free.
     at_jumps[j, i] is user i's demand at user j's pi_hat, computed once, and
-    relaxed_at_jumps its envelope demand there, 0 from user i's own on.
+    relaxed_at_jumps its envelope demand there, 0 from user i's own on; clamps
+    holds both at the clamp prices, built at the first node that searches.
     """
 
     def __init__(self, users: _UserArrays):
@@ -88,15 +106,55 @@ class _Relaxation:
         self.relaxed_at_jumps = np.where(jumps[:, None] < jumps, self.at_jumps, 0.0)
         # the demand at pi_hat: u' meets pi_hat there, or stays above it up to the budget
         self.tangent = self.at_jumps.diagonal()
-        self.slope_zero = users.slope(0.0)
+
+    @functools.cached_property
+    def clamps(self) -> tuple:
+        """Each user's slope_full (below it, the whole budget), then slope_zero (from it, 0), and both tables there."""
+        prices = np.concatenate([self.users.slope_full, self.users.slope(0.0)])
+        at = self._split(prices[:, None], True, False)[1]
+        return prices, at, np.where(prices[:, None] < self.jumps, at, 0.0)
 
     def _split(self, price, inn: np.ndarray, free: np.ndarray):
-        """Demands at prices broadcast against the masks, then every user's demand d, X and root."""
-        d, x, root = _power_demand(self.users, price, terms=True)
-        d = np.minimum(np.maximum(d, 0.0), self.users.budget)
+        """Demands at prices broadcast against the masks, then every user's demand d."""
+        d = np.minimum(np.maximum(_power_demand(self.users, price), 0.0), self.users.budget)
         # below pi_hat the envelope's demand is d, at least the tangent point
-        relaxed = np.where(price < self.jumps, d, 0.0)
-        return np.where(inn, d, np.where(free, relaxed, 0.0)), d, x, root
+        return np.where(inn, d, np.where(free, np.where(price < self.jumps, d, 0.0), 0.0)), d
+
+    def _search(self, inn: np.ndarray, free: np.ndarray, after: np.ndarray) -> np.ndarray:
+        """Multipliers of nodes whose excess crosses 0 off every jump (after: the excess at the jumps).
+
+        A node's points, its free users' jumps and its participants' clamp prices, are tabulated
+        with the excess there.  The excess falls in price, so the largest point lo where it is
+        > 0 (else half the smallest, where every participant demands the budget) opens the piece
+        holding the root.  On it each participant demands the budget, nothing or its unclamped
+        closed form, so plain Newton from lo in z = -lam^(-1/2) rises monotonically onto the root
+        (_piece_excess).  A row stops at its first step within 1e-12 of its point and stays
+        frozen, so each row's root is the one it gets alone, to the bit.
+        """
+        users, (prices, at, relaxed) = self.users, self.clamps
+        part = inn | free
+        owned = np.concatenate([free, part, part], axis=1)
+        points = np.concatenate([self.jumps, prices])
+        excess = np.concatenate([after, inn @ at.T + free @ relaxed.T - users.budget], axis=1)
+        lo = np.maximum.reduce(np.where(owned & (excess > 0.0), points, 0.0), axis=1, keepdims=True)
+        lo = np.maximum(lo, 0.5 * np.minimum.reduce(np.where(owned, points, np.inf), axis=1, keepdims=True))
+        # just above lo: who demands something, and of those who less than the budget
+        demands = part & (lo < np.minimum(prices[self.jumps.size :], np.where(free, self.jumps, np.inf)))
+        curved = demands & (users.slope_full <= lo)
+        g1, q2x4, q1, bsq, kcb1 = users.coef
+        piece = ((np.add.reduce(demands ^ curved, axis=1, keepdims=True) - 1.0) * users.budget, g1, q2x4, q1,
+                 np.where(curved, bsq, 1.0), np.where(curved, kcb1, 0.0), np.where(curved, 2.0 * users.b1c, 0.0))
+        z, step = -lo**-0.5, np.zeros(lo.shape)
+        live = np.logical_or.reduce(curved, axis=1, keepdims=True)  # elsewhere the excess is flat: lo is a root
+        for _ in range(64):
+            if not np.logical_or.reduce(live, axis=None):
+                break
+            excess, slope = _piece_excess(piece, z)
+            np.divide(excess, slope, out=step, where=live)
+            nxt = z - step
+            z = np.where(live, nxt, z)
+            live &= np.abs(step) > 1e-12 * np.abs(nxt)
+        return 1.0 / (z * z)[:, 0]
 
     def solve(self, inn: np.ndarray, free: np.ndarray):
         """Multiplier, split, dual bound and welfare of every node; each needs a participant.
@@ -104,36 +162,18 @@ class _Relaxation:
         The multiplier is the root of f(lam) = sum_i x_i(lam) - budget, which
         falls by a free user's tangent point at its pi_hat.  Evaluating f at
         every free pi_hat either finds the root on such a jump, where the
-        relaxed split misses the budget, or brackets it between two jumps,
-        where one Newton search for all those rows finds it, in z = -lam^(-1/2)
-        from lam = lo.  X (_power_demand) grows as z^2, so each curved x_i is a
-        hyperbola in z with a linear asymptote, f is nearly linear, and
-        d x_i / d z = 2 X (b+1) / (c root z).  The bound lam B + sum_i max_x
-        (f_i(x) - lam x), f_i the user's term, holds at any lam >= 0.  The
-        split is returned scaled onto the budget, with the welfare sum_i r_i.
+        relaxed split misses the budget, or shows it lies off every jump,
+        where one monotone Newton search for all those rows finds it (_search).
+        The bound lam B + sum_i max_x (f_i(x) - lam x), f_i the user's term,
+        holds at any lam >= 0.  The split is returned scaled onto the budget,
+        with the welfare sum_i r_i.
         """
-        users, jumps, budget, slope_full = self.users, self.jumps, self.users.budget, self.users.slope_full
+        users, jumps, budget = self.users, self.jumps, self.users.budget
         after = inn @ self.at_jumps.T + free @ self.relaxed_at_jumps.T - budget
-        before = after + self.tangent
-        # at top every demand is 0; at half of full some user's is the budget
-        top = np.where(inn, self.slope_zero, np.where(free, jumps, 0.0)).max(axis=1)
-        full = np.where(free, np.minimum(slope_full, jumps), np.where(inn, slope_full, 0.0))
-        lo = np.maximum(0.5 * full.max(axis=1), np.where(free & (after > 0.0), jumps, 0.0).max(axis=1))
-        hi = np.minimum(top, np.where(free & (before < 0.0), jumps, np.inf).min(axis=1))
-        lam = np.where(free & (after <= 0.0) & (before >= 0.0), jumps, np.inf).min(axis=1)
+        lam = np.where(free & (after <= 0.0) & (after + self.tangent >= 0.0), jumps, np.inf).min(axis=1)
         rows = np.isinf(lam)
         if rows.any():
-            inn_r, free_r = inn[rows], free[rows]
-
-            def excess(z):
-                z = z[..., None]
-                x, d, big_x, root = self._split(1.0 / (z * z), inn_r, free_r)
-                curved = (x == d) & (x > 0.0) & (x < budget)
-                dx = np.where(curved, 2.0 * users.b1c * big_x / (root * z), 0.0)
-                return x.sum(axis=-1) - budget, dx.sum(axis=-1)
-
-            z = newton_root(excess, -lo[rows] ** -0.5, -hi[rows] ** -0.5)
-            lam[rows] = 1.0 / (z * z)
+            lam[rows] = self._search(inn[rows], free[rows], after[rows])
         x = self._split(lam[:, None], inn, free)[0]
         gain = users.gain(x) - lam[:, None] * x
         gain = np.where(inn, gain, np.where(free, np.maximum(gain, 0.0), 0.0))

@@ -1,7 +1,7 @@
 """Shared fixtures: the benchmark two-user geometry and random scenarios."""
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
@@ -39,7 +39,6 @@ from relayauction.channel import (
     relayed_snr,
     relayed_snr_limit,
 )
-from relayauction.numutil import newton_root
 
 # property tests draw the same examples on every run, so tier-1 stays deterministic
 settings.register_profile("relayauction", derandomize=True, max_examples=200, deadline=None)
@@ -276,6 +275,49 @@ def g_snr(link, price, sys):
     return price * (1.0 + g) - 0.5 * w * (np.log2(2.0 * price * LN2 * (1.0 + g) ** 2 / w) + 1.0 / LN2)
 
 
+# the references below find their roots by bracketed Newton, independent of the package's monotone iterations
+NEWTON_MAX_ITER = 100  # Newton steps at most, on the slowest element
+
+
+def newton_root(fdf: Callable, lo, hi, rtol: float = 1e-12):
+    """Root of f on [lo, hi] by Newton steps from lo kept inside a shrinking bracket.
+
+    Elementwise: lo and hi are arrays (or broadcast to one) and fdf(x)
+    returns the arrays (f(x), f'(x)); f(lo) and f(hi) must differ in sign.
+    fdf gets both ends in one call, stacked on a leading axis: it must broadcast.
+    Every iterate narrows the bracket to the sign change; a Newton step that
+    would leave it is replaced by the bracket's midpoint, so the search
+    converges like bisection at worst and quadratically near a simple root.
+    An element stops at the first step within rtol of its point and keeps that
+    step; the search ends once every element has stopped, or after
+    NEWTON_MAX_ITER steps.  No element's root depends on the others, so a
+    batch of problems gives each the root it gets alone, to the bit.
+    """
+    ends = np.empty((2, *np.broadcast(lo, hi).shape))
+    ends[0], ends[1] = lo, hi
+    lo, hi = ends
+    (flo, fhi), (dflo, dfhi) = fdf(ends)
+    if ((flo != 0.0) & (fhi != 0.0) & ((flo > 0.0) == (fhi > 0.0))).any():
+        raise ValueError(f"root not bracketed on [{lo!r}, {hi!r}]")
+    at_hi = fhi == 0.0
+    x, fx, dfx = np.where(at_hi, hi, lo), np.where(at_hi, fhi, flo), np.where(at_hi, dfhi, dflo)
+    rising = flo < 0.0  # f increases through the root
+    live, step = np.ones(rising.shape, dtype=bool), np.zeros(rising.shape)
+    for _ in range(NEWTON_MAX_ITER):
+        above = (fx > 0.0) == rising  # the root lies below x
+        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+        sloped = dfx != 0.0  # elsewhere the step keeps an old quotient, and the midpoint is taken
+        nxt = x - np.divide(fx, dfx, out=step, where=sloped)
+        nxt = np.where(sloped & (nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        moving = np.abs(nxt - x) > rtol * np.abs(nxt)
+        x = np.where(live, nxt, x)
+        live &= moving
+        if not live.any():
+            break
+        fx, dfx = fdf(x)
+    return x
+
+
 def reference_snr_pi_hat(scenario):
     """SNR participation cutoffs by a bracketed Newton search: what the closed form must return.
 
@@ -378,6 +420,29 @@ def mp_snr_pi_hat(g, k):
             w = mpmath.re(mpmath.lambertw(-mpmath.exp(-1 - mpmath.log1p(x))))
             out.append(float(-w * mpmath.mpf(k) / (1 + x)))
     return np.array(out)
+
+
+def mp_node_excess(users, jumps, inn, free):
+    """A relaxation node's excess at a price: the sum over its participants of the power demand
+    solving u'(p) = price, held within [0, budget] and 0 from a free user's jump on, less the
+    budget.  Call it within mpmath.workdps(50); it reads the users' g, b, c and K, the budget and
+    the jumps.
+    """
+    mpf, budget, terms = mpmath.mpf, mpmath.mpf(users.budget), []
+    for i in np.flatnonzero(inn | free).tolist():
+        g, b, c = (mpf(float(v[i])) for v in (users.g, users.b, users.c))
+        q2 = 1 + g + b
+        jump = mpf(float(jumps[i])) if free[i] else mpmath.inf
+        terms.append((mpf(users.k) * c * b / (b + 1), 4 * q2, 2 + 2 * g + b, b * b, (b + 1) / (2 * q2 * c), jump))
+
+    def excess(price):
+        total = -budget
+        for kcb1, q2x4, q1, bsq, scale, jump in terms:
+            if price < jump:  # the root t of q2 t^2 + q1 t + 1 + g - X, X = kcb1 / price, as a power
+                total += min(max((mpmath.sqrt(bsq + q2x4 * kcb1 / price) - q1) * scale, 0), budget)
+        return total
+
+    return excess
 
 
 def mp_power_cutoff_points(users):

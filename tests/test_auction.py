@@ -17,7 +17,7 @@ from relayauction import (
     relayed_snr,
     relayed_snr_limit,
 )
-from relayauction import auction, numutil, oracles
+from relayauction import auction, channel, cli, dynamics, experiments, numutil, oracles
 from relayauction.auction import (
     FULL_BUDGET_RTOL,
     KINDS,
@@ -30,6 +30,7 @@ from relayauction.auction import (
 )
 from relayauction.channel import LN2, NetworkScenario, SystemParams, UserLink
 
+import conftest
 from conftest import (
     BENCH_SYSTEM,
     LinkArrays,
@@ -586,12 +587,16 @@ def test_core_snr_is_the_channel_relayed_snr_to_the_bit(bench_spec):
 
 
 def test_user_arrays_build_makes_no_newton_search(monkeypatch, bench_spec):
+    # the builds are closed forms and monotone Newton iterations: no package module holds the
+    # tests' bracketed Newton, and a build that ran a bracketed search would raise here
     def refuse(*args, **kwargs):
-        raise AssertionError("newton_root called")
+        raise AssertionError("bracketed search called")
 
-    assert not hasattr(auction, "newton_root")
-    for module in (numutil, oracles):
-        monkeypatch.setattr(module, "newton_root", refuse)
+    assert [m.__name__ for m in (auction, channel, cli, dynamics, experiments, numutil, oracles)
+            if hasattr(m, "newton_root")] == []
+    monkeypatch.setattr(conftest, "newton_root", refuse)
+    for module in (numutil, dynamics, oracles):
+        monkeypatch.setattr(module, "bisect_transition", refuse)
     scenarios = _study_and_sweep_scenarios(bench_spec)
     for sc in (scenarios[0], scenarios[40], scenarios[-1]):
         for kind in KINDS:

@@ -1,4 +1,4 @@
-"""Bracketed Newton root finding and the batched bisection."""
+"""The batched bisection, and the bracketed Newton root finding of the tests' references (conftest)."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from relayauction.numutil import DEPTH, bisect_transition, newton_root
+from relayauction.numutil import DEPTH, bisect_transition
 
-from conftest import reference_bisect
+from conftest import newton_root, reference_bisect
 
 
 def test_newton_root_elementwise():
