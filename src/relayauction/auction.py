@@ -122,8 +122,8 @@ def _power_coefficients(core) -> tuple:
     return 1.0 + g, 4.0 * (1.0 + g + b), 2.0 + 2.0 * g + b, b * b, core.k * c * b / (b + 1.0)
 
 
-def _power_demand(users: "_UserArrays", price, terms: bool = False):
-    """Relay power at which u'(p) = price, unclamped; with terms, also X and the root.
+def _power_demand(users: "_UserArrays", price):
+    """Relay power at which u'(p) = price, unclamped.
 
     With a = p c, c = gain_rd / noise, b the SNR limit, g the direct SNR and
     K = W / (2 ln 2), u'(p) = K c b (b+1) / ((a+b+1) ((1+g)(a+b+1) + a b)), so
@@ -143,8 +143,7 @@ def _power_demand(users: "_UserArrays", price, terms: bool = False):
     g1, q2x4, q1, bsq, kcb1 = users.coef
     x = kcb1 / price
     root = np.sqrt(bsq + q2x4 * x)
-    d = -2.0 * (g1 - x) / (q1 + root) * users.b1c
-    return (d, x, root) if terms else d
+    return -2.0 * (g1 - x) / (q1 + root) * users.b1c
 
 
 def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:

@@ -21,7 +21,6 @@ level, the largest the budget allows, found by bisection.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,53 +92,45 @@ class _Relaxation:
     between the forced-in users and the free ones, the water-filling of A is
     at most the node's relaxation.  Users whose rate increase stays 0 up to
     the budget (pi_hat = 0) are never worth forcing in or leaving free.
-    at_jumps[j, i] is user i's demand at user j's pi_hat, computed once, and
-    relaxed_at_jumps its envelope demand there, 0 from user i's own on; clamps
-    holds both at the clamp prices, built at the first node that searches.
+    points holds every breakpoint of a node's excess: each user's jump, then
+    its slope_full (below it, the whole budget), then its slope_zero (from it,
+    0).  at[k, i] is user i's demand at points[k], and relaxed[k, i] its
+    envelope demand there, 0 from user i's own jump on; both are built once.
     """
 
     def __init__(self, users: _UserArrays):
         self.users = users
         # where a free user's demand drops from its tangent point to 0
         self.jumps = jumps = np.where(users.gain_max > 0.0, users.pi_hat, np.inf)
-        self.at_jumps = self._split(jumps[:, None], True, False)[1]
-        self.relaxed_at_jumps = np.where(jumps[:, None] < jumps, self.at_jumps, 0.0)
+        self.points = points = np.concatenate([jumps, users.slope_full, users.slope(0.0)])
+        self.at = self._demand(points[:, None])
+        self.relaxed = np.where(points[:, None] < jumps, self.at, 0.0)
         # the demand at pi_hat: u' meets pi_hat there, or stays above it up to the budget
-        self.tangent = self.at_jumps.diagonal()
+        self.tangent = self.at.diagonal()
 
-    @functools.cached_property
-    def clamps(self) -> tuple:
-        """Each user's slope_full (below it, the whole budget), then slope_zero (from it, 0), and both tables there."""
-        prices = np.concatenate([self.users.slope_full, self.users.slope(0.0)])
-        at = self._split(prices[:, None], True, False)[1]
-        return prices, at, np.where(prices[:, None] < self.jumps, at, 0.0)
+    def _demand(self, price):
+        """Every user's demand at prices broadcast against the users, held within [0, budget]."""
+        return np.minimum(np.maximum(_power_demand(self.users, price), 0.0), self.users.budget)
 
-    def _split(self, price, inn: np.ndarray, free: np.ndarray):
-        """Demands at prices broadcast against the masks, then every user's demand d."""
-        d = np.minimum(np.maximum(_power_demand(self.users, price), 0.0), self.users.budget)
-        # below pi_hat the envelope's demand is d, at least the tangent point
-        return np.where(inn, d, np.where(free, np.where(price < self.jumps, d, 0.0), 0.0)), d
+    def _search(self, inn: np.ndarray, free: np.ndarray, excess: np.ndarray) -> np.ndarray:
+        """Multipliers of nodes whose excess crosses 0 off every jump (excess: at every point).
 
-    def _search(self, inn: np.ndarray, free: np.ndarray, after: np.ndarray) -> np.ndarray:
-        """Multipliers of nodes whose excess crosses 0 off every jump (after: the excess at the jumps).
-
-        A node's points, its free users' jumps and its participants' clamp prices, are tabulated
-        with the excess there.  The excess falls in price, so the largest point lo where it is
-        > 0 (else half the smallest, where every participant demands the budget) opens the piece
-        holding the root.  On it each participant demands the budget, nothing or its unclamped
-        closed form, so plain Newton from lo in z = -lam^(-1/2) rises monotonically onto the root
+        A node's own points are its free users' jumps and its participants' clamp prices.
+        The excess falls in price, so the largest of them lo where it is > 0 (else half the
+        smallest, where every participant demands the budget) opens the piece holding the
+        root.  On it each participant demands the budget, nothing or its unclamped closed
+        form, so plain Newton from lo in z = -lam^(-1/2) rises monotonically onto the root
         (_piece_excess).  A row stops at its first step within 1e-12 of its point and stays
         frozen, so each row's root is the one it gets alone, to the bit.
         """
-        users, (prices, at, relaxed) = self.users, self.clamps
+        users, points, n = self.users, self.points, self.jumps.size
         part = inn | free
-        owned = np.concatenate([free, part, part], axis=1)
-        points = np.concatenate([self.jumps, prices])
-        excess = np.concatenate([after, inn @ at.T + free @ relaxed.T - users.budget], axis=1)
+        owned = part[:, np.arange(points.size) % n]  # a point is its user's while the user takes part,
+        owned[:, :n] = free  # a jump only while the user is free
         lo = np.maximum.reduce(np.where(owned & (excess > 0.0), points, 0.0), axis=1, keepdims=True)
         lo = np.maximum(lo, 0.5 * np.minimum.reduce(np.where(owned, points, np.inf), axis=1, keepdims=True))
         # just above lo: who demands something, and of those who less than the budget
-        demands = part & (lo < np.minimum(prices[self.jumps.size :], np.where(free, self.jumps, np.inf)))
+        demands = part & (lo < np.minimum(points[2 * n :], np.where(free, self.jumps, np.inf)))
         curved = demands & (users.slope_full <= lo)
         g1, q2x4, q1, bsq, kcb1 = users.coef
         piece = ((np.add.reduce(demands ^ curved, axis=1, keepdims=True) - 1.0) * users.budget, g1, q2x4, q1,
@@ -160,21 +151,24 @@ class _Relaxation:
         """Multiplier, split, dual bound and welfare of every node; each needs a participant.
 
         The multiplier is the root of f(lam) = sum_i x_i(lam) - budget, which
-        falls by a free user's tangent point at its pi_hat.  Evaluating f at
-        every free pi_hat either finds the root on such a jump, where the
-        relaxed split misses the budget, or shows it lies off every jump,
-        where one monotone Newton search for all those rows finds it (_search).
-        The bound lam B + sum_i max_x (f_i(x) - lam x), f_i the user's term,
+        falls by a free user's tangent point at its pi_hat.  f at every point
+        is one pair of matrix products on the tables.  Its values at the free
+        users' jumps either find the root on such a jump, where the relaxed
+        split misses the budget, or show it lies off every jump, where one
+        monotone Newton search for all those rows finds it (_search).  The
+        bound lam B + sum_i max_x (f_i(x) - lam x), f_i the user's term,
         holds at any lam >= 0.  The split is returned scaled onto the budget,
         with the welfare sum_i r_i.
         """
         users, jumps, budget = self.users, self.jumps, self.users.budget
-        after = inn @ self.at_jumps.T + free @ self.relaxed_at_jumps.T - budget
+        excess = inn @ self.at.T + free @ self.relaxed.T - budget
+        after = excess[:, : jumps.size]  # at each jump, just after its user's demand drops
         lam = np.where(free & (after <= 0.0) & (after + self.tangent >= 0.0), jumps, np.inf).min(axis=1)
         rows = np.isinf(lam)
         if rows.any():
-            lam[rows] = self._search(inn[rows], free[rows], after[rows])
-        x = self._split(lam[:, None], inn, free)[0]
+            lam[rows] = self._search(inn[rows], free[rows], excess[rows])
+        # below pi_hat the envelope's demand is the demand, at least the tangent point
+        x = np.where(inn | free & (lam[:, None] < jumps), self._demand(lam[:, None]), 0.0)
         gain = users.gain(x) - lam[:, None] * x
         gain = np.where(inn, gain, np.where(free, np.maximum(gain, 0.0), 0.0))
         total = x.sum(axis=1, keepdims=True)

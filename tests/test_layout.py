@@ -1,5 +1,5 @@
-"""Package layout: no unused module-level imports or unexported definitions, __all__ matches the imports,
-and no NumPy function written in Python on a benchmark unit's path."""
+"""Package layout: no unused module-level imports, unexported definitions or defaulted parameters,
+__all__ matches the imports, and no NumPy function written in Python on a benchmark unit's path."""
 
 import ast
 import sys
@@ -87,6 +87,65 @@ def test_every_private_definition_is_referenced():
                 if not any(node.name in _used(t) | set(_imported(t)) for t in (rest, *others)):
                     unreferenced.append(f"{name}: {node.name}")
     assert not unreferenced, f"unexported definitions no other package code names: {unreferenced}"
+
+
+def _calls_by_name(trees) -> dict:
+    """Every call in the trees, by the name it calls: a plain name or the last attribute."""
+    calls: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(node.func, "id", None) or node.func.attr, []).append(node)
+    return calls
+
+
+def _functions(tree: ast.Module):
+    """The module-level functions and methods of a module, each with its class (None for a function)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((node.name, m) for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def _defaulted(owner, fn: ast.FunctionDef) -> list:
+    """A function's defaulted parameters as (position among the passed positional ones, or None, name)."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    if owner and "staticmethod" not in {getattr(d, "id", None) for d in fn.decorator_list}:
+        positional = positional[1:]  # self or cls, which a call does not pass
+    first = len(positional) - len(args.defaults)
+    return [(k, a.arg) for k, a in enumerate(positional) if k >= first] + [
+        (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+
+
+def _passes(call: ast.Call, position, name: str) -> bool:
+    """Whether a call may pass a parameter: by keyword, by position or through * or **."""
+    return (
+        any(keyword.arg in (name, None) for keyword in call.keywords)
+        or any(isinstance(arg, ast.Starred) for arg in call.args)
+        or (position is not None and len(call.args) > position)
+    )
+
+
+def test_every_unexported_default_is_passed_somewhere():
+    # a defaulted parameter of a module-level function or method that __all__ does not export,
+    # which no call in the package or the tests passes, is a dead option: its other branch never
+    # runs.  Calls are matched by name (a method by its attribute, __init__ by its class), so a
+    # call of another function of the same name may hide one, never invent one.
+    tests = Path(__file__).parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in [*MODULES, *tests.glob("*.py")]}
+    calls = _calls_by_name(trees.values())
+    unpassed = [
+        f"{path.stem}.{owner + '.' if owner else ''}{fn.name}({name})"
+        for path in MODULES
+        for owner, fn in _functions(trees[path])
+        if (owner or fn.name) not in relayauction.__all__
+        for position, name in _defaulted(owner, fn)
+        if not any(_passes(call, position, name) for call in calls.get(owner if fn.name == "__init__" else fn.name, []))
+    ]
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

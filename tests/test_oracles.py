@@ -952,26 +952,32 @@ def test_multiplier_search_takes_few_evaluations(monkeypatch):
     assert np.mean(calls) <= 4.21 and max(calls) <= 5
 
 
+def _root_problems(study_topologies):
+    """The root nodes the 50-digit tests read: the study's efficient problems (delta 0), then every
+    VCG problem of the oracle_vcg seed-0 inputs (delta 0.01), as (relaxation, free rows) per scenario
+    with two live users or more."""
+    cases = [(sc, 0.0, False) for sc in study_scenarios(study_topologies)]
+    for sc, delta, pivots in cases + [(sc, 0.01, True) for sc in oracle_bench_scenarios(0)]:
+        core = oracles._core(sc, delta)
+        live = (core.gain_max > 0.0).nonzero()[0]
+        free = _vcg_problems(live, sc.n_users)[: 1 + live.size * pivots]
+        free = free[free.sum(axis=1) > 1]
+        if len(free):
+            yield _relaxation(sc, core, delta), free
+
+
 def test_multiplier_is_within_1e_15_of_the_50_digit_root(monkeypatch):
     # every searched row at the root nodes of the study (the efficient problem, delta 0) and of
     # the oracle_vcg seed-0 inputs (every VCG problem, delta 0.01): lam is within 6.4e-16 of an
     # mpmath root of the node's clamped, enveloped excess (318 rows here), and the search starts
     # where that excess is >= 0 (at least 1.4e-4 of the budget here)
     searches = _record_searches(monkeypatch)
-    cases = [(sc, 0.0, False) for sc in study_scenarios(100)] + [(sc, 0.01, True) for sc in oracle_bench_scenarios(0)]
     rows = 0
-    for sc, delta, pivots in cases:
-        core = oracles._core(sc, delta)
-        live = (core.gain_max > 0.0).nonzero()[0]
-        free = _vcg_problems(live, sc.n_users)[: 1 + live.size * pivots]
-        free = free[free.sum(axis=1) > 1]
-        if not len(free):
-            continue
+    for relax, free in _root_problems(100):
         searches.clear()
-        _relaxation(sc, core, delta).solve(np.zeros_like(free), free)
+        relax.solve(np.zeros_like(free), free)
         for search in searches:
-            relax, start = search["relax"], search["z"][0]
-            for inn, free_r, lam, z in zip(search["inn"], search["free"], search["lam"], start[:, 0]):
+            for inn, free_r, lam, z in zip(search["inn"], search["free"], search["lam"], search["z"][0][:, 0]):
                 with mpmath.workdps(50):
                     excess = mp_node_excess(relax.users, relax.jumps, inn, free_r)
                     assert excess(1 / mpmath.mpf(float(z)) ** 2) >= 0
@@ -982,6 +988,32 @@ def test_multiplier_is_within_1e_15_of_the_50_digit_root(monkeypatch):
                     assert abs(lam - root) <= 1e-15 * root
                 rows += 1
     assert rows >= 300
+
+
+def test_tabulated_excess_matches_the_50_digit_excess_at_every_point():
+    # at the root nodes of 25 study topologies and the oracle_vcg inputs, each node's excess at
+    # every breakpoint, two matrix products on the tables, is within 2.8e-15 of the budget of an
+    # mpmath excess at the point (2.73e-15 at most over 6804 values here); its signs agree where
+    # that excess is not 0, and where it is 0 (a participant clamped at the budget, the rest
+    # demanding nothing; 10 here) the table reads 0 or, 3 times here, a few ulps below it, so
+    # `> 0` agrees everywhere.  The points are built here, in their order: the jumps, slope_full,
+    # slope(0); a user demands nothing at its own jump
+    values = zeros = 0
+    for relax, free in _root_problems(25):
+        users, inn = relax.users, np.zeros_like(free)
+        points = np.concatenate([relax.jumps, users.slope_full, users.slope(0.0)])
+        table = inn @ relax.at.T + free @ relax.relaxed.T - users.budget
+        for row, free_r in zip(table, free):
+            with mpmath.workdps(50):
+                excess = mp_node_excess(users, relax.jumps, np.zeros_like(free_r), free_r)
+                for got, point in zip(row.tolist(), points.tolist()):
+                    want = excess(mpmath.mpf(point))
+                    assert abs(got - want) <= 2.8e-15 * users.budget
+                    sign = (want > 0) - (want < 0)
+                    assert (got > 0) - (got < 0) == sign or (sign == 0 and got <= 0)
+                    zeros += sign == 0
+            values += row.size
+    assert values >= 6000 and zeros >= 5
 
 
 def test_relaxation_bound_dominates_every_set_below_its_node(monkeypatch, bench_spec):
