@@ -49,7 +49,7 @@ class TwoUserSweepSpec:
     reserve_bid: float = 1.0
     target_utilization: float = 0.99
     vcg_delta: float = 0.0
-    oracle_grid_n: int = 4096  # ignored, kept for callers that still pass it
+    oracle_grid_n: int = 4096  # ignored; read by perfbench/workloads.py::_sweep_unit until ROADMAP item 1
 
     @property
     def system(self) -> SystemParams:

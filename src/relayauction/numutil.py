@@ -6,8 +6,8 @@ open bracket, and the midpoints that a guess of the transition (a known jump of
 the function, or an inverse interpolation of its values) says the bisection
 will meet after the tree, up to the stop test.  Its results are those of one
 midpoint per step, to the bit; only the number of calls depends on the
-guesses.  All routines are deterministic and hold no state.  The package's Newton
-iterations need no bracket: each rises monotonically onto its root on a convex piece.
+guesses.  All routines are deterministic and hold no state.  Its one caller is the price search
+(dynamics); the package's Newton iterations need no bracket, each monotone on a convex or concave piece.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ def bisect_transition(f: Callable, level, x_over, x_under, rtol: float, jumps: S
     if f drops at a guess r (_guess).  The search takes each of those while it
     is the next midpoint, so the guess moves no result.  jumps, sorted, are
     points where f may jump, each the first point past its jump.  Raises
-    ValueError if f(x_over) < level.  If f(x_under) >= level, f does not drop,
-    and the first call returns (x_under, x_under, f(x_under), f(x_under)).
+    ValueError if f(x_over) < level or f(x_under) >= level.
     """
     if not (2.0**-1022 <= x_over < x_under and rtol >= 2.0**-52):
         raise ValueError(f"need 2^-1022 <= x_over < x_under and rtol >= 2^-52, got {x_over!r}, {x_under!r}, {rtol!r}")
@@ -100,10 +99,8 @@ def bisect_transition(f: Callable, level, x_over, x_under, rtol: float, jumps: S
         j = len(asked)
         vals = np.asarray(f(np.fromiter(asked + path, float, j + len(path)))).tolist()
         v = vals[: n + 1] if fa is None else [fa, *vals[: n - 1], fb]
-        if v[0] < level:
-            raise ValueError(f"f(x_over) = {v[0]!r} must not be below the level {level!r}")
-        if v[n] >= level:  # only on the first call: later ones know f(b) < level
-            return b, b, v[n], v[n]
+        if v[0] < level or v[n] >= level:  # only the first call asks f at the ends
+            raise ValueError(f"need f(x_over) = {v[0]!r} >= level {level!r} > f(x_under) = {v[n]!r}")
         lo, hi = 0, n
         while hi - lo > 1 and pts[hi] - pts[lo] > rtol * pts[hi]:
             m = (lo + hi) // 2

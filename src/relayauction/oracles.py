@@ -16,7 +16,7 @@ it: the same problem with that user forced out from the root.  The efficient pro
 every such leave-one-out problem run as one search on the same arrays, one relaxation
 solve per level, and each problem sees the nodes it would see alone.  The fair allocation
 equalizes the marginal rate gain per unit of relayed SNR across participants at one SNR
-level, the largest the budget allows, found by bisection.
+level 1 + u, the largest the budget allows, found by monotone Newton in u (_fair_level).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from .auction import POWER, _Core, _power_demand, _UserArrays
 from .channel import NetworkScenario, _log_gain
-from .numutil import bisect_transition
 
 # a node is closed once its bound is at most the incumbent times (1 + BOUND_RTOL)
 BOUND_RTOL = 1e-12
@@ -269,58 +268,62 @@ def efficient_allocation(scenario: NetworkScenario, delta: float = 0.01) -> Orac
     return _finish(core, x[0], int(nodes[0]), float(gaps[0]))
 
 
+def _fair_level(core: _Core, active: np.ndarray) -> tuple[float, np.ndarray]:
+    """The active users' fair level less one, u, and their powers there: the first u that fits.
+
+    User i needs b1c_i t_i / (b_i - t_i) at t_i = u - g_i in (0, b_i), none below, infinite power above,
+    so the spare budget is concave and falls in u.  Plain Newton from min(g + snr_max), where the tightest
+    user alone needs the whole budget, falls monotonically onto its root, as for a secular equation (Bunch,
+    Nielsen & Sorensen, 1978).  Each step lowers u by an ulp at least, by one where some power is infinite.
+    """
+    u = float(np.minimum.reduce(np.where(active, core.g + core.snr_max, np.inf)))
+    for _ in range(64):
+        t = u - core.g
+        inside = active & (t > 0.0) & (t < core.b)
+        room = np.where(inside, core.b - t, 1.0)
+        powers = np.where(inside, core.b1c * t / room, np.where(active & (t > 0.0), np.inf, 0.0))
+        spare = core.budget - np.add.reduce(powers)
+        if spare >= 0.0:
+            break
+        slope = np.add.reduce(np.where(inside, core.b1c / room * (core.b / room), 0.0))
+        below = np.nextafter(u, 0.0)
+        u = below if np.isinf(spare) else min(u + spare / slope, below)
+    return u, powers
+
+
 def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
     """Equal-marginal power split on budget P*(1-delta).
 
-    Every participant ends at the same combined SNR level (direct plus
-    relayed), which equalizes the marginal rate gain per unit of SNR; the
-    level is pushed as high as the budget allows.  Users whose rate increase
-    would not be positive at the resulting level are dropped and the level
-    recomputed, from the users who can gain from the relay until the set is
-    stable; each set is searched once, from the level before up to where its
-    tightest user alone needs the whole budget.  A round that drops only users
-    given no power keeps its level; one that would drop every user keeps the
-    one who gains most alone (the first on ties).
+    Every participant ends at the same combined SNR level 1 + u (direct plus relayed), which equalizes
+    the marginal rate gain per unit of SNR; u is the largest the budget allows, to a few ulps
+    (_fair_level).  Users whose rate increase would not be positive there (u <= g (2 + g)) are dropped
+    and u solved again, from the users who can gain from the relay until the set is stable, each set
+    once.  A round that drops only users given no power (u <= g) keeps its level; one that would drop
+    every user keeps the one who gains most alone (the first on ties).
     """
     core = _core(scenario, delta)
-    g, limit, active = core.g, core.b, core.gain_max > 0.0
-
-    def powers_at(levels) -> np.ndarray:
-        """Each active user's power at each level: 0 below its direct level, inf at its limit."""
-        target = np.asarray(levels, dtype=float)[:, None] - 1.0 - g
-        need = active & (target > 0.0)
-        inside = need & (target < limit)
-        return np.where(inside, core.power(np.where(inside, target, 0.0)), np.where(need, np.inf, 0.0))
-
-    def spare(levels) -> np.ndarray:  # the budget left at each level: >= 0 exactly where the powers fit
-        return core.budget - powers_at(levels).sum(axis=1)
-
-    level = 1.0  # at level 1 nobody needs power; where no level above it is a float, nobody gets any
+    g, active, powers = core.g, core.gain_max > 0.0, np.zeros(scenario.n_users)
     while active.any():
-        top = 1.0 + float((g + core.snr_max)[active].min())
-        if top > level:
-            level = bisect_transition(spare, 0.0, level, top, 1e-13)[0]
-        drops = active & (level <= (1.0 + g) ** 2)
-        if not (drops & (level > 1.0 + g)).any():  # nobody dropped is given power: the level stands
+        u, powers = _fair_level(core, active)
+        drops = active & (u <= g * (2.0 + g))
+        if not (drops & (u > g)).any():  # nobody dropped is given power: the level stands
             break
         if (drops == active).all() and active.sum() > 1:
             active = np.arange(scenario.n_users) == np.where(active, core.gain_max, 0.0).argmax()
         else:
             active &= ~drops
-
-    return _finish(core, powers_at([level])[0])
+    return _finish(core, np.where(active, powers, 0.0))
 
 
 def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 4096) -> VcgResult:
     """Efficient allocation with pivot payments.
 
-    Each user pays the welfare the others lose from its presence: the best
-    total the others could reach alone, minus what they actually get.  The
-    efficient split and, for every user who can gain from the relay, the
-    efficient split with that user left out are solved as the problems of
-    one branch-and-bound, on one core and one set of arrays (_solve).  A
-    user the efficient split gives no power pays exactly 0.  grid_n is
-    ignored, kept for callers that still pass it.
+    Each user pays the welfare the others lose from its presence: the best total the others could
+    reach alone, minus what they actually get.  The efficient split and, for every user who can gain
+    from the relay, the efficient split with that user left out are solved as the problems of one
+    branch-and-bound, on one core and one set of arrays (_solve).  A user the efficient split gives
+    no power pays exactly 0.  grid_n is ignored; its one caller, perfbench/workloads.py::_sweep_unit,
+    stops passing it with ROADMAP item 1, which retires it and TwoUserSweepSpec.oracle_grid_n.
     """
     core, live, x, nodes, gaps = _solve(scenario, delta, pivots=True)
     base = _finish(core, x[0], int(nodes[0]), float(gaps[0]))

@@ -4,6 +4,7 @@ import math
 import pickle
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -403,6 +404,66 @@ def test_calibrated_price_has_the_reported_equilibrium(bench_spec):
             # S falls from at least one to below the target inside the bracket: at the threshold
             assert res.price == t1 and res.utilization < 0.99
             assert abs(res.price / threshold_price(sc, kind) - 1.0) <= THRESHOLD_RTOL
+
+
+def _full_study_and_sweep(bench_spec):
+    """The 81 sweep positions, then the whole 20-user study: 100 topologies at each of its four budgets."""
+    return [build_two_user_scenario(bench_spec, float(y)) for y in bench_spec.relay_ys()] + study_scenarios(100)
+
+
+def test_snr_equilibrium_level_is_k_over_price_at_50_digits(bench_spec):
+    # at every calibrated SNR equilibrium each participant's level 1 + g_i + s_i, from its float
+    # power and the float inputs taken exactly, is K / price (measured: 533 participants of 267
+    # equilibria, within 2.7e-16)
+    checked = 0
+    with mpmath.workdps(50):
+        for sc in _full_study_and_sweep(bench_spec):
+            search = calibrate_price(sc, SNR)
+            if not search.feasible:
+                continue
+            eq = solve_ne(sc, AuctionParams(SNR, search.price))
+            noise, mpf = mpmath.mpf(sc.system.noise_w), mpmath.mpf
+            level = mpf(sc.system.bandwidth_hz) / (2 * mpmath.log(2) * mpf(eq.price))
+            for u, p in zip(sc.users, eq.powers.tolist()):
+                if p > 0.0:
+                    g, b = mpf(u.source_power_w) * mpf(u.gain_sd) / noise, mpf(u.source_power_w) * mpf(u.gain_sr) / noise
+                    a = mpf(p) * mpf(u.gain_rd) / noise
+                    assert abs((1 + g + a * b / (a + b + 1)) / level - 1) <= 5e-16
+                    checked += 1
+    assert checked >= 500
+
+
+def _mp_share(users, price):
+    """S at a price with each interior demand at 50 digits (call within mpmath.workdps(50)): the
+    branch (0, the whole budget, or the rule's closed form held within [0, budget]) is the
+    package's, read from zero_from and full_from; the closed form takes g, b, c and K exactly."""
+    mpf, total = mpmath.mpf, 0
+    k, budget, t = mpf(users.k), mpf(users.budget), mpf(price)
+    for i in np.flatnonzero((price < users.zero_from) & (price > users.full_from)).tolist():
+        g, b, c = (mpf(float(v[i])) for v in (users.g, users.b, users.c))
+        if users.kind == SNR:  # the power of s = K / price - 1 - g
+            s = k / t - 1 - g
+            x = s * (b + 1) / ((b - s) * c)
+        else:  # the root of u'(x) = price, as in conftest.mp_node_excess
+            q2 = 1 + g + b
+            x = (mpmath.sqrt(b * b + 4 * q2 * k * c * b / ((b + 1) * t)) - (2 + 2 * g + b)) * (b + 1) / (2 * q2 * c)
+        total += min(max(x, 0), budget)
+    return total / budget + int(np.count_nonzero(price <= users.full_from))
+
+
+def test_calibrated_bracket_holds_the_50_digit_crossing(bench_spec):
+    # S(t0) >= target > S(t1) holds for S at 50 digits too, on every bracket of both auctions
+    # (measured: 896 brackets, S(t0) - target >= 1.6e-12 and target - S(t1) >= 5.3e-13)
+    brackets = 0
+    with mpmath.workdps(50):
+        for sc in _full_study_and_sweep(bench_spec):
+            for kind in KINDS:
+                res = calibrate_price(sc, kind, 0.99)
+                if res.bracket is not None:
+                    users, (t0, t1) = _UserArrays.of(sc, kind), res.bracket
+                    assert _mp_share(users, t0) >= mpmath.mpf(0.99) > _mp_share(users, t1)
+                    brackets += 1
+    assert brackets >= 890
 
 
 def test_equilibrium_is_the_demand_row_at_the_calibrated_price(bench_spec):

@@ -183,11 +183,12 @@ def test_bisect_transition_rejects_a_bracket_its_stop_test_cannot_end(x_over, rt
 
 
 @pytest.mark.parametrize("level", [0.5, 1.0])
-def test_bisect_transition_without_a_drop_answers_x_under_in_one_call(level):
+def test_bisect_transition_rejects_a_bracket_where_f_does_not_drop(level):
     # f(x_under) = 1 >= level: f does not drop in the bracket, and the first call says so
     calls = []
-    got = bisect_transition(_counted(lambda xs: 2.0 - xs, calls), level, 0.5, 1.0, 1e-13)
-    assert got == (1.0, 1.0, 1.0, 1.0) and calls == [2**DEPTH + 1]
+    with pytest.raises(ValueError, match="x_under"):
+        bisect_transition(_counted(lambda xs: 2.0 - xs, calls), level, 0.5, 1.0, 1e-13)
+    assert calls == [2**DEPTH + 1]
 
 
 def _counted(f, calls):

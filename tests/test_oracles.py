@@ -46,7 +46,6 @@ from conftest import (
     mp_node_excess,
     oracle_bench_scenarios,
     power_for_relayed_snr,
-    reference_bisect,
     snr_marginal_rate,
     study_scenarios,
     wide_scenarios,
@@ -427,13 +426,14 @@ def test_fair_level_search_spans_a_huge_snr_limit():
     assert wide.total_rate_increase_bps == pytest.approx(efficient, rel=1e-12)
 
 
-def reference_fair_powers(scenario, delta):
-    """The fair split user by user: one user's power per call, one level per bisection step.
+def reference_fair_level(scenario, delta):
+    """The fair split user by user: the last round's level less one, u, and each user's power at a u.
 
-    Each participant set is searched once, from the level before (1 at first) up to 1 plus the
-    smallest direct SNR plus relayed SNR at the budget of the set.  A round that drops only users
-    given no power keeps its level; one that would drop every user keeps the one whose rate
-    increase at the budget is largest, the first on ties.
+    Each round takes the largest float u whose powers, one user per call, fit the budget: a
+    bisection from 0, where nobody needs power, to twice the smallest g + b, where the tightest
+    user needs infinite power, down to adjacent floats.  A round that drops only users given no
+    power keeps its level; one that would drop every user keeps the one whose rate increase at
+    the budget is largest, the first on ties.
     """
     budget = scenario.relay_budget_w * (1.0 - delta)
     sys = scenario.system
@@ -441,8 +441,8 @@ def reference_fair_powers(scenario, delta):
     g = [direct_snr(u, sys) for u in users]
     gain_max = [float(rate_increase(u, budget, sys)) for u in users]
 
-    def power_needed(i, level):
-        target = level - 1.0 - g[i]
+    def power_needed(i, u):
+        target = u - g[i]
         if target <= 0.0:
             return 0.0
         if target >= relayed_snr_limit(users[i], sys):
@@ -450,23 +450,34 @@ def reference_fair_powers(scenario, delta):
         return power_for_relayed_snr(users[i], target, sys)
 
     active = [i for i in range(len(users)) if gain_max[i] > 0.0]
-    level = 1.0
+    u = 0.0
     while active:
-        top = 1.0 + min(g[i] + float(relayed_snr(users[i], budget, sys)) for i in active)
-
-        def fits(k):
-            return sum(power_needed(i, k) for i in active) <= budget
-
-        if top > level:
-            level = top if fits(top) else reference_bisect(fits, top, level, 1e-13)[0][1]
-        drops = [i for i in active if level <= (1.0 + g[i]) ** 2]
-        if all(level <= 1.0 + g[i] for i in drops):
+        lo, hi = 0.0, 2.0 * min(g[i] + relayed_snr_limit(users[i], sys) for i in active)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if sum(power_needed(i, mid) for i in active) <= budget else (lo, mid)
+        u = lo
+        drops = [i for i in active if u <= g[i] * (2.0 + g[i])]
+        if all(u <= g[i] for i in drops):
             break
         if len(drops) == len(active) > 1:
             active = [max(active, key=lambda i: (gain_max[i], -i))]
         else:
             active = [i for i in active if i not in drops]
-    return np.array([power_needed(i, level) if i in active else 0.0 for i in range(len(users))])
+    return u, lambda u: np.array([power_needed(i, u) if i in active else 0.0 for i in range(len(users))])
+
+
+def reference_offset(scenario, delta):
+    """How many floats the oracle's level less one lies above the reference's (reference_fair_level):
+    the k nearest 0, within 8, at whose u the reference's powers equal the oracle's to the bit; else None."""
+    u, powers_at = reference_fair_level(scenario, delta)
+    fair = fair_allocation(scenario, delta).powers
+    for k in sorted(range(-8, 9), key=abs):
+        v = u
+        for _ in range(abs(k)):
+            v = math.nextafter(v, math.copysign(math.inf, k))
+        if np.array_equal(fair, powers_at(v)):
+            return k
+    return None
 
 
 def old_rule_fair_powers(scenario, delta):
@@ -509,17 +520,20 @@ def _fair_cases(bench_spec):
 
 
 def test_fair_equals_user_by_user_reference(bench_spec):
-    for sc in _fair_cases(bench_spec):
-        assert np.array_equal(fair_allocation(sc, delta=0.01).powers, reference_fair_powers(sc, 0.01))
+    # the oracle's powers are the reference's at its largest fitting u or one float beside it:
+    # Newton may stop a float below, and a sum over 8 or more users in NumPy's pairwise order
+    # may fit one float above (measured: 198 of the 201 cases at 0, two at -1, one at +1)
+    offsets = [reference_offset(sc, 0.01) for sc in _fair_cases(bench_spec)]
+    assert set(offsets) <= {-1, 0, 1} and offsets.count(0) >= 190
 
 
 def test_fair_moves_the_old_rule_split_within_stated_bounds(bench_spec):
-    # Both rules search the same participant sets (but at y = -120 m, where the old one dropped
-    # everyone) to 1e-13 below the same level, from different brackets, so their levels differ
-    # by less than 1e-13 relative (9.4e-14 measured).  A user just above its direct level turns
-    # that into more in its power.  Measured: powers within 2.65e-9 relative on the sweep, the
-    # study and the oracle benchmark's inputs, 2.06e-8 on the random scenarios (a 20-user one at
-    # 30 W), and totals within 1.67e-11.
+    # Both rules find the same participant sets (but at y = -120 m, where the old one dropped
+    # everyone); the old one bisects to 1e-13 below the level, the oracle takes the largest that
+    # fits, so their levels differ by less than 1e-13 relative (9.6e-14 measured).  A user just
+    # above its direct level turns that into more in its power.  Measured: powers within 2.62e-9
+    # relative on the sweep, the study and the oracle benchmark's inputs, 2.22e-8 on the random
+    # scenarios, and totals within 1.67e-11.
     cases = _fair_cases(bench_spec)
     benchmarks = cases[:81] + study_scenarios(n_topologies=100)
     benchmarks += [sc for seed in range(6) for sc in oracle_bench_scenarios(seed)]
@@ -554,41 +568,37 @@ def test_fair_keeps_the_user_who_gains_most_where_a_round_would_drop_everyone(be
     assert fair.total_rate_increase_bps == pytest.approx(efficient.total_rate_increase_bps, rel=1e-12)
 
 
-def _fair_searches(monkeypatch) -> list:
-    """Every fair level search as (active users, bracket start, level found), the active set
-    read from the leftover-budget function the search is given."""
-    searches = []
-    search = oracles.bisect_transition
+def _fair_rounds(monkeypatch) -> list:
+    """Every fair round as (active users, level less one found), recorded where the oracle solves it."""
+    rounds = []
+    solve = oracles._fair_level
 
-    def recording(f, level, x_over, x_under, rtol, jumps=()):
-        cells = dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))
-        powers_at = cells["powers_at"]
-        cells = dict(zip(powers_at.__code__.co_freevars, (c.cell_contents for c in powers_at.__closure__)))
-        found = search(f, level, x_over, x_under, rtol, jumps)
-        searches.append((tuple(cells["active"].nonzero()[0]), x_over, found[0]))
-        return found
+    def recording(core, active):
+        u, powers = solve(core, active)
+        rounds.append((tuple(active.nonzero()[0]), u))
+        return u, powers
 
-    monkeypatch.setattr(oracles, "bisect_transition", recording)
-    return searches
+    monkeypatch.setattr(oracles, "_fair_level", recording)
+    return rounds
 
 
 def test_fair_searches_each_participant_set_once(monkeypatch, bench_spec):
-    # each search starts at the level the one before found, on a smaller set than before
-    searches = _fair_searches(monkeypatch)
+    # each round solves a smaller set than the one before, at a level no lower
+    rounds = _fair_rounds(monkeypatch)
     scenarios = _fair_cases(bench_spec) + study_scenarios(n_topologies=10)
     scenarios += [sc for seed in range(2) for sc in oracle_bench_scenarios(seed)]
     repeated = 0
     for sc in scenarios:
-        searches.clear()
+        rounds.clear()
         fair_allocation(sc, delta=0.01)
-        sets = [users for users, _, _ in searches]
+        sets, levels = [users for users, _ in rounds], [u for _, u in rounds]
         assert len(set(sets)) == len(sets)
         assert all(set(later) < set(earlier) for earlier, later in zip(sets, sets[1:]))
-        assert [start for _, start, _ in searches] == [1.0, *(found for _, _, found in searches)][: len(sets)]
-        # a round that dropped only users given no power would search an equal level again
+        assert levels == sorted(levels)
+        # a round that dropped only users given no power would solve an equal level again
         g = _Core.of(sc, sc.relay_budget_w * 0.99).g
-        for (earlier, _, level), later in zip(searches, sets[1:]):
-            assert len(later) == 1 or any(level > 1.0 + g[i] for i in set(earlier) - set(later))
+        for (earlier, u), later in zip(rounds, sets[1:]):
+            assert len(later) == 1 or any(u > g[i] for i in set(earlier) - set(later))
         repeated += len(sets) > 1
     assert repeated >= 20
 
@@ -601,14 +611,18 @@ def test_fair_level_reaches_a_lone_user_limit_below_one_part_in_1e11(gain_sd, ga
     fair, efficient = fair_allocation(sc), efficient_allocation(sc)
     assert fair.powers[0] > 0.0
     assert fair.total_rate_increase_bps >= 0.99 * efficient.total_rate_increase_bps
-    assert np.array_equal(fair.powers, reference_fair_powers(sc, 0.01))
+    assert reference_offset(sc, 0.01) == 0
 
 
-def test_fair_gives_no_power_where_no_level_above_one_is_a_float():
-    # g + b = 3e-17: 1 + g + b rounds to 1, so every level the search could ask is 1
-    sc = NetworkScenario((UserLink(0, 1.0, 1e-26, 2e-26, 1e-3),), 1e3, SystemParams(1e6, 1e-9, 4.0))
-    assert efficient_allocation(sc).powers[0] > 0.0
-    assert np.array_equal(fair_allocation(sc).powers, [0.0])
+@pytest.mark.parametrize("gain_sd, gain_sr", [(1e-26, 2e-26), (1e-22, 5e-22), (1e-20, 3e-20)])
+def test_fair_gives_a_lone_user_with_a_weak_direct_link_the_whole_budget(gain_sd, gain_sr):
+    # g = 1e-17 to 1e-11: the level 1 + u keeps few digits of u, so a search on it gave the
+    # user 0.014 W of 990 W at g = 1e-13 and none at g = 1e-17 (1 + g + b rounds to 1); on u
+    # it leaves at most 9.6e-8 of the budget (measured), the largest u that fits
+    sc = NetworkScenario((UserLink(0, 1.0, gain_sd, gain_sr, 1e-3),), 1e3, SystemParams(1e6, 1e-9, 4.0))
+    fair, efficient = fair_allocation(sc), efficient_allocation(sc)
+    assert 990.0 * (1.0 - 1e-7) <= fair.powers[0] <= 990.0
+    assert fair.total_rate_increase_bps == pytest.approx(efficient.total_rate_increase_bps, rel=1e-12)
 
 
 def test_fair_participation_matches_subset_search(scenario_y0, scenario_y25):
@@ -749,22 +763,13 @@ def test_vcg_payments_nonnegative_and_individually_rational():
         assert np.all(res.payments <= res.allocation.per_user_rate_increase_bps + slack)
 
 
-def _benchmark_vcg_scenarios(seed):
-    """The oracle_vcg benchmark's 30 four-user scenarios at a seed: nodes drawn once from seed 0
-    over the study's field, each moved by N(0, 1 cm) drawn from the seed, at a 0.1 W budget."""
-    spec = MultiUserSpec(n_users=4)
-    base = np.random.default_rng(0).uniform(spec.field_min, spec.field_max, size=(30, 4, 4))
-    nodes = base + np.random.default_rng(seed).normal(0.0, 0.01, size=base.shape)
-    return [scenario_from_topology(spec, topology, 0.1) for topology in nodes]
-
-
 def test_vcg_clamp_absorbs_only_rounding():
     # alone - others, the loss user i's presence causes the others, computed as the efficient
     # total without i: at least -1e-15 of the total for every paid user, so max(., 0) in
     # vcg_auction clears rounding only (on these inputs it reads >= 0 exactly, 0 where i is
     # the only live user)
     rng = np.random.default_rng(31)
-    benchmark = [sc for seed in range(3) for sc in _benchmark_vcg_scenarios(seed)]
+    benchmark = [sc for seed in range(3) for sc in oracle_bench_scenarios(seed)]
     for sc in benchmark + [make_random_scenario(rng, int(rng.integers(2, 7))) for _ in range(30)]:
         res = vcg_auction(sc, delta=0.01)
         total = res.allocation.total_rate_increase_bps
