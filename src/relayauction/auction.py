@@ -20,10 +20,11 @@ price, full_from, at or below which a user demands the whole budget, is closed.
 Every user of a scenario is held in read-only arrays, built in closed form
 once per scenario and budget.  One `_Core` holds what no payment rule changes
 and owns the model's formulas on those arrays (the relayed SNR, its inverse,
-the rate increase and its slope); it serves both auctions and the oracles.
-On it, one `_UserArrays` per rule adds that rule's demand constants and
-critical prices, so that all factors at a price, or at a column of prices,
-are one array expression.
+the rate increase and its slope) with their price-free terms, the power
+demand's among them, and the power pi_hat, computed at its first read; it
+serves both auctions and the oracles, which read the core alone.  On it, one
+`_UserArrays` per rule adds that rule's critical prices, so that all factors
+at a price, or at a column of prices, are one array expression.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def allocate(bids, reserve_bid: float, budget: float) -> np.ndarray:
 # SNR auction
 
 
-def _snr_pi_hat(users: "_UserArrays") -> np.ndarray:
+def _snr_pi_hat(core: "_Core") -> np.ndarray:
     """Smallest positive root of K (u - ln u - ln(1+g) - 1), u = price (1+g) / K.
 
     That is the best attainable SNR-auction payoff at a price, convex in the price and
@@ -94,16 +95,16 @@ def _snr_pi_hat(users: "_UserArrays") -> np.ndarray:
     d + expm1(-d - ln(1+g)), d = w + 1, which never rounds 1 + g; u is then within 6e-16 of a
     50-digit Lambert W at every g from 1e-300 to 1e30.
     """
-    g = users.g
+    g, g1 = core.g, core.g1
     ln1g = np.log1p(g)
-    z = -math.exp(-1.0) / (1.0 + g)
-    y = np.sqrt(2.0 * g / (1.0 + g))
-    w = -1.0 / ((1.0 + g) * (1.0 + y / (1.0 + (1.0 / (math.e - 1.0) - math.sqrt(0.5)) * y)))
+    z = -math.exp(-1.0) / g1
+    y = np.sqrt(2.0 * g / g1)
+    w = -1.0 / (g1 * (1.0 + y / (1.0 + (1.0 / (math.e - 1.0) - math.sqrt(0.5)) * y)))
     for _ in range(2):
         d = w + 1.0
         t = np.where(w < -0.5, d + np.expm1(-d - ln1g), w - z * np.exp(-w))
         w = w - 2.0 * d * t / (2.0 * d * d - (w + 2.0) * t)
-    return -w * users.k / (1.0 + g)
+    return -w * core.k / g1
 
 
 # ---------------------------------------------------------------------------
@@ -116,13 +117,7 @@ def _snr_pi_hat(users: "_UserArrays") -> np.ndarray:
 # where p r'(p) = r(p).
 
 
-def _power_coefficients(core) -> tuple:
-    """The power demand's price-free terms: 1+g, 4 q2, q1, b^2 and K c b / (b+1)."""
-    g, b, c = core.g, core.b, core.c
-    return 1.0 + g, 4.0 * (1.0 + g + b), 2.0 + 2.0 * g + b, b * b, core.k * c * b / (b + 1.0)
-
-
-def _power_demand(users: "_UserArrays", price):
+def _power_demand(core: "_Core", price):
     """Relay power at which u'(p) = price, unclamped.
 
     With a = p c, c = gain_rd / noise, b the SNR limit, g the direct SNR and
@@ -138,16 +133,16 @@ def _power_demand(users: "_UserArrays", price):
     2 q2 t + q1, gives the slope d t / d X = 1 / root.  u is concave, so the
     root clamped to [0, budget] maximizes u(p) - price * p there.  Only X depends
     on the price, which may be an array broadcasting against the users; the rest
-    is read from users.coef, b1c.
+    is read from the core's g1, power_coef and b1c.
     """
-    g1, q2x4, q1, bsq, kcb1 = users.coef
+    q2x4, q1, bsq, kcb1 = core.power_coef
     x = kcb1 / price
     root = np.sqrt(bsq + q2x4 * x)
-    return -2.0 * (g1 - x) / (q1 + root) * users.b1c
+    return -2.0 * (core.g1 - x) / (q1 + root) * core.b1c
 
 
-def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
-    """Relay power p in (0, budget] maximizing r(p) / p; nan where r stays 0.
+def _power_cutoff(core: "_Core") -> tuple[np.ndarray, np.ndarray]:
+    """Relay power p in (0, budget] maximizing r(p) / p, nan where r stays 0, and that max, pi_hat, 0 there.
 
     phi(p) = p u'(p) - u(p) falls on [breakeven, budget] (phi' = p u'' <= 0) from a
     positive value, so p is the budget if phi(budget) >= 0 and phi's root otherwise.
@@ -165,12 +160,13 @@ def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
     after 51 or 52 passes, however small the root: p is off by a factor of 6e133 at g =
     1e-299.  pi_hat = u(p) / p keeps its digits: u(p) / p = K c b / (b + 1) (1 - O(s)) - K g / p,
     and both corrections stay below 1e-16 relative at such a w, so any such p reads the max.
+    It is read as K w / p, u(p) = K w by construction, or as r(budget) / budget at the budget.
     """
-    g, g1 = users.g, 1.0 + users.g
-    a = g1 * g1 / users.b
-    w_max = users.gain_max / users.k  # 0 where r stays 0
+    g, g1 = core.g, core.g1
+    a = core.g1sq / core.b
+    w_max = core.gain_max / core.k  # 0 where r stays 0
     v = -np.minimum(w_max, 1.0)
-    last = np.where(users.gain_max > 0.0, np.inf, 0.0)  # the last step; 0 stays at the budget
+    last = np.where(core.gain_max > 0.0, np.inf, 0.0)  # the last step; 0 stays at the budget
     for _ in range(64):
         e = np.expm1(v)
         m = (e - g) / g1
@@ -185,16 +181,8 @@ def _power_cutoff_points(users: "_UserArrays") -> np.ndarray:
     w = -v
     inner = w < w_max
     s = np.where(inner, g1 * (g1 * np.expm1(w) + g), 0.0)
-    return np.where(inner, users.power(s), np.where(users.gain_max > 0.0, users.budget, np.nan))
-
-
-def _power_pi_hat(users: "_UserArrays") -> np.ndarray:
-    """max over (0, budget] of r(p) / p, read as u(p) / p at the cutoff point; 0 if r stays 0.
-
-    u in log1p form, not r = 0.5 W log2(1+g+s) - W log2(1+g), which cancels as g -> 0.
-    """
-    p = _power_cutoff_points(users)
-    return np.where(users.gain_max > 0.0, users.gain(p) / p, 0.0)
+    p = np.where(inner, core.power(s), np.where(core.gain_max > 0.0, core.budget, np.nan))
+    return p, np.where(inner, core.k * w / p, core.gain_max / core.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +194,8 @@ class _Rule:
     """One payment rule: what it charges for and how users answer its price."""
 
     charged: Callable  # (power, relayed SNR) -> units charged
-    coefficients: Callable  # (core) -> the demand's price-free constants
     pi_lower: Callable  # (users) -> marginal rate per unit charged at the full budget
-    pi_hat: Callable  # (users) -> participation cutoffs
+    pi_hat: Callable  # (core) -> participation cutoffs
     full_price: Callable  # (users) -> price where the demand is (1 - FULL_BUDGET_RTOL) of the budget
     demand: Callable  # (users, price) -> power where the marginal rate meets the price, read past full_from
 
@@ -216,18 +203,16 @@ class _Rule:
 _RULES = {
     SNR: _Rule(
         charged=lambda p, s: s,
-        coefficients=lambda core: (1.0 + core.g,),
-        pi_lower=lambda users: users.k / (1.0 + users.g + users.snr_max),
+        pi_lower=lambda users: users.k / (users.g1 + users.snr_max),
         pi_hat=_snr_pi_hat,
-        full_price=lambda users: users.k / (1.0 + users.g + users.snr(users.budget * (1.0 - FULL_BUDGET_RTOL))),
-        # the power of s = K / price - (1+g) (coef[0]), at most P: near the SNR limit it can round past P
-        demand=lambda users, price: np.minimum(users.power(users.k / price - users.coef[0]), users.budget),
+        full_price=lambda users: users.k / (users.g1 + users.snr(users.budget * (1.0 - FULL_BUDGET_RTOL))),
+        # the power of s = K / price - (1+g), at most P: near the SNR limit it can round past P
+        demand=lambda users, price: np.minimum(users.power(users.k / price - users.g1), users.budget),
     ),
     POWER: _Rule(
         charged=lambda p, s: p,
-        coefficients=_power_coefficients,
         pi_lower=lambda users: np.where(users.gain_max > 0.0, users.slope_full, 0.0),
-        pi_hat=_power_pi_hat,
+        pi_hat=lambda core: core.power_pi_hat,
         full_price=lambda users: users.slope(users.budget * (1.0 - FULL_BUDGET_RTOL)),
         demand=_power_demand,
     ),
@@ -251,9 +236,13 @@ class _Core:
 
     k = W / (2 ln 2), the rate per unit log SNR; g, the direct SNR; b, the relayed
     SNR's limit; rd, the relay-destination gains; noise; c = rd / noise; b1c =
-    (b + 1) / c; and at the full budget, the relayed SNR snr_max, the rate
-    increase gain_max and the unclamped slope u'(budget), slope_full.  Its methods
-    are the model's formulas on them, free of the checks the scenario has made.
+    (b + 1) / c; the price-free terms g1 = 1 + g, gsq = g^2, g1sq = (1 + g)^2,
+    kcbb1 = K c b (b + 1) and the power demand's power_coef (_power_demand); and
+    at the full budget, the relayed SNR snr_max, the rate increase gain_max and
+    the unclamped slope u'(budget), slope_full.  Its methods are the model's
+    formulas on them, free of the checks the scenario has made.  power_pi_hat,
+    the power auction's participation cutoffs (_power_cutoff), is computed at
+    its first read, once per core, for the power auction and the oracles alike.
     """
 
     def __init__(self, users: Sequence[UserLink], budget: float, sys: SystemParams):
@@ -262,12 +251,17 @@ class _Core:
         self.k = sys.bandwidth_hz / (2.0 * LN2)
         self.g = g = p_s * sd / sys.noise_w
         self.b = b = p_s * sr / sys.noise_w
-        self.c = rd / sys.noise_w
-        self.b1c = (b + 1.0) / self.c
+        self.c = c = rd / sys.noise_w
+        self.b1c = (b + 1.0) / c
+        self.g1 = g1 = 1.0 + g
+        self.gsq, self.g1sq = g * g, g1 * g1
+        self.kcbb1 = self.k * c * b * (b + 1.0)
+        # 4 q2, q1, b^2 and K c b / (b+1)
+        self.power_coef = (4.0 * (g1 + b), 2.0 + 2.0 * g + b, b * b, self.k * c * b / (b + 1.0))
         self.snr_max = self.snr(budget)
-        self.gain_max = np.maximum(_log_gain(self.snr_max, g, self.k), 0.0)
+        self.gain_max = np.maximum(_log_gain(self.snr_max, g, self.gsq, self.g1sq, self.k), 0.0)
         self.slope_full = self.slope(budget)
-        _read_only(*vars(self).values())
+        _read_only(*vars(self).values(), *self.power_coef)
 
     @classmethod
     def of(cls, scenario: NetworkScenario, budget: float | None = None) -> "_Core":
@@ -289,22 +283,29 @@ class _Core:
 
     def gain(self, p):
         """The unclamped rate increase u(p) at relay power p; the rate increase is max(u, 0)."""
-        return _log_gain(self.snr(p), self.g, self.k)
+        return _log_gain(self.snr(p), self.g, self.gsq, self.g1sq, self.k)
 
     def slope(self, p):
         """u'(p) = K c b (b+1) / (D1 D2), with a = p c, D1 = a+b+1 and D2 = (1+g) D1 + a b."""
         a = p * self.c
         d1 = a + self.b + 1.0
-        return self.k * self.c * self.b * (self.b + 1.0) / (d1 * ((1.0 + self.g) * d1 + a * self.b))
+        return self.kcbb1 / (d1 * (self.g1 * d1 + a * self.b))
+
+    @functools.cached_property
+    def power_pi_hat(self) -> np.ndarray:
+        """The power auction's participation cutoffs, max over (0, budget] of r(p) / p (_power_cutoff)."""
+        pi_hat = _power_cutoff(self)[1]
+        _read_only(pi_hat)
+        return pi_hat
 
 
 class _UserArrays(_Core):
     """Every user of one scenario at one budget as arrays, under one payment rule.
 
     Holds the arrays of a _Core themselves, and its formulas by inheritance, so
-    that one core serves both rules; it adds the rule's demand constants, coef,
-    and the critical prices of every user: pi_lower, the marginal rate per unit
-    charged at the full budget; pi_hat, the participation cutoff; and the
+    that one core serves both rules; it adds the critical prices of every user:
+    pi_lower, the marginal rate per unit charged at the full budget; pi_hat, the
+    participation cutoff (the core's power_pi_hat under the power rule); and the
     divergence cutoff, which is pi_lower for a regular user (pi_hat > pi_lower)
     and otherwise the price at which the whole budget stops paying, the only profitable
     demand such a user has.  It demands the budget up to full_from, the larger of the
@@ -313,11 +314,10 @@ class _UserArrays(_Core):
     """
 
     def __init__(self, core: _Core, kind: str):
-        vars(self).update(vars(core))
         self.kind, self.rule = kind, _rule(kind)
-        self.coef = self.rule.coefficients(core)
+        self.pi_hat = self.rule.pi_hat(core)  # before the copy, which then holds what the core computed for it
+        vars(self).update(vars(core))
         self.pi_lower = self.rule.pi_lower(self)
-        self.pi_hat = self.rule.pi_hat(self)
         self.regular = self.pi_hat > self.pi_lower
         charged = self.rule.charged(self.budget, self.snr_max)
         whole = np.divide(self.gain_max, charged, out=np.zeros(self.gain_max.shape), where=charged > 0.0)
@@ -325,7 +325,7 @@ class _UserArrays(_Core):
         self.zero_from = np.where(self.regular, self.pi_hat, self.cutoff)
         below_zero = np.minimum(self.rule.full_price(self), np.nextafter(self.zero_from, 0.0))
         self.full_from = np.maximum(below_zero, self.cutoff)
-        _read_only(self.pi_lower, self.pi_hat, self.regular, self.cutoff, self.zero_from, self.full_from, *self.coef)
+        _read_only(self.pi_lower, self.pi_hat, self.regular, self.cutoff, self.zero_from, self.full_from)
 
     @functools.cached_property
     def breaks(self) -> array:
@@ -335,9 +335,9 @@ class _UserArrays(_Core):
         return array("d", prices.tobytes())
 
     @classmethod
-    def of(cls, scenario: NetworkScenario, kind: str, budget: float | None = None) -> "_UserArrays":
-        """The scenario's users under this rule on its core at a budget (_Core.of), built once per kind."""
-        core = _Core.of(scenario, budget)
+    def of(cls, scenario: NetworkScenario, kind: str) -> "_UserArrays":
+        """The scenario's users under this rule on its core at its relay budget (_Core.of), built once per kind."""
+        core = _Core.of(scenario)
         memo = scenario._derived
         if (kind, core.budget) not in memo:
             memo[kind, core.budget] = cls(core, kind)

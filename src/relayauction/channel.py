@@ -166,19 +166,20 @@ def rate_increase(link: UserLink, p_rd, sys: SystemParams):
     The cooperative rate 0.5 W log2(1+g+s) less the direct rate W log2(1+g), with g
     the direct SNR and s the relayed SNR: see _log_gain.
     """
-    s = relayed_snr(link, p_rd, sys)
-    return np.maximum(_log_gain(s, direct_snr(link, sys), sys.bandwidth_hz / (2.0 * LN2)), 0.0)
+    s, g = relayed_snr(link, p_rd, sys), direct_snr(link, sys)
+    return np.maximum(_log_gain(s, g, g * g, (1.0 + g) ** 2, sys.bandwidth_hz / (2.0 * LN2)), 0.0)
 
 
-def _log_gain(s, g, k):
+def _log_gain(s, g, gsq, g1sq, k):
     """Unclamped rate increase u = K log1p((s - g^2 - g) / (1+g)^2) at relayed SNR s.
 
-    It equals K ln((1+g+s) / (1+g)^2), K = W / (2 ln 2), without cancelling as the
-    direct SNR g -> 0; the rate increase is max(u, 0).  Where the log1p argument
+    gsq = g * g and g1sq = (1 + g) ** 2 are the caller's, so that per-user arrays can
+    hold them.  u equals K ln((1+g+s) / (1+g)^2), K = W / (2 ln 2), without cancelling
+    as the direct SNR g -> 0; the rate increase is max(u, 0).  Where the log1p argument
     rounds to -1 or below (g about 1e16 or more, s small), u is read from the
     second form, which does not cancel there.
     """
-    x = (s - g * g - g) / (1.0 + g) ** 2
+    x = (s - gsq - g) / g1sq
     low = x <= -1.0
     if low if isinstance(low, bool) else low.any():  # a Python bool where s and g are Python floats
         return k * np.where(low, np.log(1.0 + g + s) - 2.0 * np.log1p(g), np.log1p(np.where(low, 0.0, x)))

@@ -123,7 +123,7 @@ def update_matrix(factors: Sequence[float]) -> np.ndarray:
 def _equilibrium(users: _UserArrays, params: AuctionParams, powers, bids, utilization: float) -> EquilibriumResult:
     """The result of an allocation: the relayed SNR once, then the rate increases, payments and payoffs."""
     snr = users.snr(powers)
-    gains = np.maximum(_log_gain(snr, users.g, users.k), 0.0)
+    gains = np.maximum(_log_gain(snr, users.g, users.gsq, users.g1sq, users.k), 0.0)
     pays = params.price * users.rule.charged(powers, snr)
     return EquilibriumResult(params.kind, params.price, params.reserve_bid, bids, powers, snr, gains, pays,
                              gains - pays, utilization)

@@ -13,8 +13,10 @@ and its dual value bounds every set below it.  A node whose relaxed split uses t
 budget is solved outright; else it branches on the free user whose envelope demand jumps
 across the multiplier.  A user's pivot payment needs the welfare of the others without
 it: the same problem with that user forced out from the root.  The efficient problem and
-every such leave-one-out problem run as one search on the same arrays, one relaxation
-solve per level, and each problem sees the nodes it would see alone.  The fair allocation
+every such leave-one-out problem run as one search on the scenario's core (auction._Core,
+whose power demand and pi_hat it reads; no auction's thresholds are built), one relaxation
+solve per level, and each problem sees the nodes it would see alone.  Each split comes back
+with its per-user gains, which the results and the payments read.  The fair allocation
 equalizes the marginal rate gain per unit of relayed SNR across participants at one SNR
 level 1 + u, the largest the budget allows, found by monotone Newton in u (_fair_level).
 """
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import POWER, _Core, _power_demand, _UserArrays
-from .channel import NetworkScenario, _log_gain
+from .auction import _Core, _power_demand
+from .channel import NetworkScenario
 
 # a node is closed once its bound is at most the incumbent times (1 + BOUND_RTOL)
 BOUND_RTOL = 1e-12
@@ -52,16 +54,14 @@ class VcgResult:
     payments: np.ndarray
 
 
-def _finish(core: _Core, powers: np.ndarray, nodes: int = 1, gap: float = 0.0) -> OracleAllocation:
-    """Zero out users whose power buys no rate increase, then package; the SNR is computed once."""
-    snr = core.snr(powers)
-    gains = np.maximum(_log_gain(snr, core.g, core.k), 0.0)
+def _finish(core: _Core, powers: np.ndarray, gains: np.ndarray, nodes: int = 1, gap: float = 0.0) -> OracleAllocation:
+    """Zero out users whose power buys no rate increase (gains: max(u, 0) at the powers), then package."""
     buys = gains > 0.0
     return OracleAllocation(
         powers=np.where(buys, powers, 0.0),
         total_rate_increase_bps=float(gains.sum()),
         per_user_rate_increase_bps=gains,
-        marginal_utility=np.where(buys, core.k / (1.0 + core.g + snr), 0.0),
+        marginal_utility=np.where(buys, core.k / (core.g1 + core.snr(powers)), 0.0),
         nodes=nodes,
         certified_gap=gap,
     )
@@ -83,7 +83,7 @@ def _piece_excess(piece, z):
 
 
 class _Relaxation:
-    """Nodes of the efficient problem on one scenario's power-auction arrays.
+    """Nodes of the efficient problem on one scenario's core.
 
     A node is a row of two masks: users forced in take u_i, free users take
     the concave envelope of r_i on [0, budget] (the line of slope pi_hat up
@@ -97,11 +97,11 @@ class _Relaxation:
     envelope demand there, 0 from user i's own jump on; both are built once.
     """
 
-    def __init__(self, users: _UserArrays):
-        self.users = users
+    def __init__(self, core: _Core):
+        self.core = core
         # where a free user's demand drops from its tangent point to 0
-        self.jumps = jumps = np.where(users.gain_max > 0.0, users.pi_hat, np.inf)
-        self.points = points = np.concatenate([jumps, users.slope_full, users.slope(0.0)])
+        self.jumps = jumps = np.where(core.gain_max > 0.0, core.power_pi_hat, np.inf)
+        self.points = points = np.concatenate([jumps, core.slope_full, core.slope(0.0)])
         self.at = self._demand(points[:, None])
         self.relaxed = np.where(points[:, None] < jumps, self.at, 0.0)
         # the demand at pi_hat: u' meets pi_hat there, or stays above it up to the budget
@@ -109,7 +109,7 @@ class _Relaxation:
 
     def _demand(self, price):
         """Every user's demand at prices broadcast against the users, held within [0, budget]."""
-        return np.minimum(np.maximum(_power_demand(self.users, price), 0.0), self.users.budget)
+        return np.minimum(np.maximum(_power_demand(self.core, price), 0.0), self.core.budget)
 
     def _search(self, inn: np.ndarray, free: np.ndarray, excess: np.ndarray) -> np.ndarray:
         """Multipliers of nodes whose excess crosses 0 off every jump (excess: at every point).
@@ -122,7 +122,7 @@ class _Relaxation:
         (_piece_excess).  A row stops at its first step within 1e-12 of its point and stays
         frozen, so each row's root is the one it gets alone, to the bit.
         """
-        users, points, n = self.users, self.points, self.jumps.size
+        core, points, n = self.core, self.points, self.jumps.size
         part = inn | free
         owned = part[:, np.arange(points.size) % n]  # a point is its user's while the user takes part,
         owned[:, :n] = free  # a jump only while the user is free
@@ -130,10 +130,10 @@ class _Relaxation:
         lo = np.maximum(lo, 0.5 * np.minimum.reduce(np.where(owned, points, np.inf), axis=1, keepdims=True))
         # just above lo: who demands something, and of those who less than the budget
         demands = part & (lo < np.minimum(points[2 * n :], np.where(free, self.jumps, np.inf)))
-        curved = demands & (users.slope_full <= lo)
-        g1, q2x4, q1, bsq, kcb1 = users.coef
-        piece = ((np.add.reduce(demands ^ curved, axis=1, keepdims=True) - 1.0) * users.budget, g1, q2x4, q1,
-                 np.where(curved, bsq, 1.0), np.where(curved, kcb1, 0.0), np.where(curved, 2.0 * users.b1c, 0.0))
+        curved = demands & (core.slope_full <= lo)
+        q2x4, q1, bsq, kcb1 = core.power_coef
+        piece = ((np.add.reduce(demands ^ curved, axis=1, keepdims=True) - 1.0) * core.budget, core.g1, q2x4, q1,
+                 np.where(curved, bsq, 1.0), np.where(curved, kcb1, 0.0), np.where(curved, 2.0 * core.b1c, 0.0))
         z, step = -lo**-0.5, np.zeros(lo.shape)
         live = np.logical_or.reduce(curved, axis=1, keepdims=True)  # elsewhere the excess is flat: lo is a root
         for _ in range(64):
@@ -147,7 +147,7 @@ class _Relaxation:
         return 1.0 / (z * z)[:, 0]
 
     def solve(self, inn: np.ndarray, free: np.ndarray):
-        """Multiplier, split, dual bound and welfare of every node; each needs a participant.
+        """Multiplier, split, dual bound, welfare and per-user gains of every node; each needs a participant.
 
         The multiplier is the root of f(lam) = sum_i x_i(lam) - budget, which
         falls by a free user's tangent point at its pi_hat.  f at every point
@@ -157,9 +157,9 @@ class _Relaxation:
         monotone Newton search for all those rows finds it (_search).  The
         bound lam B + sum_i max_x (f_i(x) - lam x), f_i the user's term,
         holds at any lam >= 0.  The split is returned scaled onto the budget,
-        with the welfare sum_i r_i.
+        with each user's r_i there and the welfare sum_i r_i.
         """
-        users, jumps, budget = self.users, self.jumps, self.users.budget
+        core, jumps, budget = self.core, self.jumps, self.core.budget
         excess = inn @ self.at.T + free @ self.relaxed.T - budget
         after = excess[:, : jumps.size]  # at each jump, just after its user's demand drops
         lam = np.where(free & (after <= 0.0) & (after + self.tangent >= 0.0), jumps, np.inf).min(axis=1)
@@ -168,16 +168,16 @@ class _Relaxation:
             lam[rows] = self._search(inn[rows], free[rows], excess[rows])
         # below pi_hat the envelope's demand is the demand, at least the tangent point
         x = np.where(inn | free & (lam[:, None] < jumps), self._demand(lam[:, None]), 0.0)
-        gain = users.gain(x) - lam[:, None] * x
+        gain = core.gain(x) - lam[:, None] * x
         gain = np.where(inn, gain, np.where(free, np.maximum(gain, 0.0), 0.0))
         total = x.sum(axis=1, keepdims=True)
         x = x * np.divide(budget, total, out=np.zeros(total.shape), where=total > 0.0)
-        welfare = np.maximum(users.gain(x), 0.0).sum(axis=1)
-        return lam, x, lam * budget + gain.sum(axis=1), welfare
+        gains = np.maximum(core.gain(x), 0.0)
+        return lam, x, lam * budget + gain.sum(axis=1), gains.sum(axis=1), gains
 
 
-def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Efficient splits of the budget, nodes solved and certified gaps of a stack of problems.
+def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Efficient splits of the budget, their per-user gains, nodes solved and certified gaps of a stack of problems.
 
     Row p of free marks the users problem p may let in.  Each level of
     every problem is solved as one array of nodes, each tagged with its
@@ -195,16 +195,17 @@ def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray,
     """
     problems, n = free.shape
     each = np.arange(problems)[:, None]
-    best_x, best = np.zeros((problems, n)), np.zeros(problems)
+    best_x, best_gains, best = np.zeros((problems, n)), np.zeros((problems, n)), np.zeros(problems)
     inn, tag = np.zeros(free.shape, dtype=bool), each[:, 0]
     tags, closed = [], []  # every node's problem, and its bound where it closed (else 0)
     while True:
-        lam, x, bound, value = relax.solve(inn, free)
+        lam, x, bound, value, gains = relax.solve(inn, free)
         # each problem's largest value, at the first of its nodes that reaches it
         mine = np.where(tag == each, value, -np.inf)
         k, top = mine.argmax(axis=1), mine.max(axis=1)
         better = top > best
-        best_x[better], best = x[k[better]], np.maximum(best, top)
+        node = k[better]
+        best_x[better], best_gains[better], best = x[node], gains[node], np.maximum(best, top)
         branch = (bound > best[tag] * (1.0 + BOUND_RTOL)) & free.any(axis=1)
         tags.append(tag)
         closed.append(np.where(branch, 0.0, bound))
@@ -225,7 +226,7 @@ def _branch_and_bound(relax: _Relaxation, free: np.ndarray) -> tuple[np.ndarray,
         inn, free, tag = inn[keep], free[keep], tag[keep]
     mine = np.concatenate(tags) == each
     closed = np.where(mine, np.concatenate(closed), 0.0).max(axis=1)
-    return best_x, mine.sum(axis=1), np.maximum(closed / best - 1.0, 0.0)
+    return best_x, best_gains, mine.sum(axis=1), np.maximum(closed / best - 1.0, 0.0)
 
 
 def _core(scenario: NetworkScenario, delta: float) -> _Core:
@@ -236,23 +237,23 @@ def _core(scenario: NetworkScenario, delta: float) -> _Core:
 
 
 def _solve(scenario: NetworkScenario, delta: float, pivots: bool):
-    """The core, the live users, and each problem's efficient split, nodes and gap on budget P*(1-delta).
+    """The core, the live users, and each problem's efficient split, its gains, nodes and gap on budget P*(1-delta).
 
     Problem 0 may let in every live user (one who can gain from the relay); with pivots, problem
     1 + j leaves live user j out.  A problem with at most one live user is a closed form, that user
-    taking the whole budget; the rest run as one branch-and-bound on the power-auction arrays.
+    taking the whole budget and gaining gain_max; the rest run as one branch-and-bound on the core.
     """
     core = _core(scenario, delta)
     can_gain = core.gain_max > 0.0
     live = can_gain.nonzero()[0]
     free = np.repeat(can_gain[None], 1 + live.size * pivots, axis=0)
     free[np.arange(1, len(free)), live[: len(free) - 1]] = False  # problem 1 + j leaves live user j out
-    x, nodes, gaps = np.where(free, core.budget, 0.0), np.ones(len(free), dtype=int), np.zeros(len(free))
+    x, gains = np.where(free, core.budget, 0.0), np.where(free, core.gain_max, 0.0)
+    nodes, gaps = np.ones(len(free), dtype=int), np.zeros(len(free))
     many = free.sum(axis=1) > 1
     if many.any():
-        relax = _Relaxation(_UserArrays.of(scenario, POWER, core.budget))
-        x[many], nodes[many], gaps[many] = _branch_and_bound(relax, free[many])
-    return core, live, x, nodes, gaps
+        x[many], gains[many], nodes[many], gaps[many] = _branch_and_bound(_Relaxation(core), free[many])
+    return core, live, x, gains, nodes, gaps
 
 
 def efficient_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
@@ -264,8 +265,8 @@ def efficient_allocation(scenario: NetworkScenario, delta: float = 0.01) -> Orac
     is a closed form: that user takes the whole budget.  Power that buys no
     rate increase is released, so the budget may go partly unused.
     """
-    core, _, x, nodes, gaps = _solve(scenario, delta, pivots=False)
-    return _finish(core, x[0], int(nodes[0]), float(gaps[0]))
+    core, _, x, gains, nodes, gaps = _solve(scenario, delta, pivots=False)
+    return _finish(core, x[0], gains[0], int(nodes[0]), float(gaps[0]))
 
 
 def _fair_level(core: _Core, active: np.ndarray) -> tuple[float, np.ndarray]:
@@ -312,7 +313,8 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
             active = np.arange(scenario.n_users) == np.where(active, core.gain_max, 0.0).argmax()
         else:
             active &= ~drops
-    return _finish(core, np.where(active, powers, 0.0))
+    powers = np.where(active, powers, 0.0)
+    return _finish(core, powers, np.maximum(core.gain(powers), 0.0))
 
 
 def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 4096) -> VcgResult:
@@ -321,14 +323,14 @@ def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 40
     Each user pays the welfare the others lose from its presence: the best total the others could
     reach alone, minus what they actually get.  The efficient split and, for every user who can gain
     from the relay, the efficient split with that user left out are solved as the problems of one
-    branch-and-bound, on one core and one set of arrays (_solve).  A user the efficient split gives
-    no power pays exactly 0.  grid_n is ignored; its one caller, perfbench/workloads.py::_sweep_unit,
+    branch-and-bound on one core (_solve), whose splits come with their gains.  A user the efficient
+    split gives no power pays exactly 0.  grid_n is ignored; its one caller, perfbench/workloads.py::_sweep_unit,
     stops passing it with ROADMAP item 1, which retires it and TwoUserSweepSpec.oracle_grid_n.
     """
-    core, live, x, nodes, gaps = _solve(scenario, delta, pivots=True)
-    base = _finish(core, x[0], int(nodes[0]), float(gaps[0]))
+    core, live, x, gains, nodes, gaps = _solve(scenario, delta, pivots=True)
+    base = _finish(core, x[0], gains[0], int(nodes[0]), float(gaps[0]))
     alone = np.zeros(scenario.n_users)
-    alone[live] = np.maximum(core.gain(x[1:]), 0.0).sum(axis=1)
+    alone[live] = gains[1:].sum(axis=1)
     others = base.total_rate_increase_bps - base.per_user_rate_increase_bps
     payments = np.where(base.powers > 0.0, np.maximum(alone - others, 0.0), 0.0)
     return VcgResult(allocation=base, payments=payments)

@@ -26,7 +26,7 @@ from relayauction.auction import (
     POWER,
     SNR,
     _Core,
-    _power_cutoff_points,
+    _power_cutoff,
     _power_demand,
     _rule,
     _UserArrays,
@@ -344,7 +344,7 @@ def reference_power_cutoff_points(users):
         a = p * c
         d1 = a + b + 1.0
         d2 = (1.0 + g) * d1 + a * b
-        u, slope = _log_gain(a * b / d1, g, k), k * c * b * (b + 1.0) / (d1 * d2)
+        u, slope = _log_gain(a * b / d1, g, g * g, (1.0 + g) ** 2, k), k * c * b * (b + 1.0) / (d1 * d2)
         return p * slope - u, -p * c * slope * (1.0 / d1 + (1.0 + g + b) / d2)
 
     live = users.gain_max > 0.0
@@ -371,7 +371,7 @@ def reference_demands(users, price):
     or any demand at or below the divergence cutoff, is the whole budget.
     """
     if users.kind == SNR:
-        x = users.power(np.minimum(np.maximum(users.k / price - users.coef[0], 0.0), users.snr_max))
+        x = users.power(np.minimum(np.maximum(users.k / price - users.g1, 0.0), users.snr_max))
     else:
         x = np.minimum(np.maximum(_power_demand(users, price), 0.0), users.budget)
         x = np.maximum(x, breakeven_powers(users))
@@ -400,7 +400,7 @@ def rate_increase_power_slope(link, p_rd, sys):
 
 def power_cutoff_point(link, budget, sys):
     """One user's relay power p in (0, budget] maximizing r(p) / p; None if r stays 0."""
-    p = float(_power_cutoff_points(one_user(link, POWER, budget, sys))[0])
+    p = float(_power_cutoff(one_user(link, POWER, budget, sys))[0][0])
     return None if math.isnan(p) else p
 
 

@@ -22,7 +22,7 @@ from relayauction import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from relayauction.auction import POWER, _Core, _power_cutoff_points, _UserArrays
+from relayauction.auction import POWER, _Core, _power_cutoff, _UserArrays
 from relayauction.channel import LN2, NetworkScenario, SystemParams, UserLink, _log_gain
 
 from conftest import BENCH_SYSTEM, LinkArrays, breakeven_power, coop_rate, direct_rate, rate_increase_power_slope
@@ -182,7 +182,7 @@ def test_rate_increase_exact_on_weak_direct_links(budget):
     gs = np.geomspace(1e-7, 1e-3, 13)
     users = tuple(UserLink(i, 0.01, g * sys.noise_w / 0.01, 60.0**-4, 90.0**-4) for i, g in enumerate(gs))
     arrays = _UserArrays.of(NetworkScenario(users, budget, sys), POWER)
-    points = _power_cutoff_points(arrays)
+    points = _power_cutoff(arrays)[0]
     got = rate_increase(LinkArrays.of(users), points, sys)
     with decimal.localcontext() as ctx:
         ctx.prec = 40
@@ -209,7 +209,8 @@ def test_dead_user_with_huge_direct_snr_gains_nothing_without_warnings():
         assert rate_increase(link, 1.0, sys) == 0.0
         assert efficient_allocation(sc).total_rate_increase_bps == 0.0
         # u stays exact where it is negative, and bit-equal to the log1p form beside such a user
-        u = _log_gain(np.array([s, 3.0]), np.array([g, 1.0]), k)
+        gs = np.array([g, 1.0])
+        u = _log_gain(np.array([s, 3.0]), gs, gs * gs, (1.0 + gs) ** 2, k)
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         d = decimal.Decimal

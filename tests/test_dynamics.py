@@ -639,9 +639,9 @@ def test_user_arrays_built_once_per_scenario_and_kind(monkeypatch, bench_spec):
 def test_user_arrays_are_read_only(scenario_y0):
     for kind in KINDS:
         users = _UserArrays.of(scenario_y0, kind)
-        values = (*vars(users).values(), *users.coef)
+        values = (*vars(users).values(), *users.power_coef)
         arrays = [a for a in values if isinstance(a, np.ndarray)]
-        assert len(arrays) >= 14 + len(users.coef)
+        assert len(arrays) >= 18 + len(users.power_coef)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0

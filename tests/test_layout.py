@@ -163,6 +163,20 @@ def test_only_log_gain_crosses_from_channel_privately(path):
     assert not private, f"{path.name} imports private channel names {private}"
 
 
+def test_oracles_import_no_per_rule_name_from_auction():
+    # the oracles read the scenario's core (auction._Core) and the power demand on it, never an
+    # auction's per-rule arrays, rules or kinds
+    tree = ast.parse((PACKAGE / "oracles.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "auction" and node.level == 1
+        for alias in node.names
+    ]
+    per_rule = {"_UserArrays", "_rule", "_RULES", "POWER", "SNR"}
+    assert "_Core" in imported and not per_rule & set(imported), f"oracles.py imports {imported} from auction"
+
+
 # NumPy functions written in Python, each a few microseconds of Python frames before the C call
 # it wraps, and the array methods var, mean and std, which make several NumPy calls in Python;
 # the per-user arrays hold 2-20 users, so such a call costs more than the arithmetic it does.

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import relayauction.auction as auction
 import relayauction.oracles as oracles
 from relayauction import (
     KINDS,
@@ -29,6 +30,7 @@ from relayauction import (
     fair_allocation,
     rate_increase,
     relayed_snr,
+    run_two_user_sweep,
     sample_topologies,
     scenario_from_topology,
     solve_ne,
@@ -92,7 +94,7 @@ def set_splits(scenario, delta):
     """
     n = scenario.n_users
     budget = scenario.relay_budget_w * (1.0 - delta)
-    relax = oracles._Relaxation(_UserArrays(_Core(scenario.users, budget, scenario.system), POWER))
+    relax = oracles._Relaxation(_Core(scenario.users, budget, scenario.system))
     sets = (np.arange(1, 2**n)[:, None] >> np.arange(n) & 1).astype(bool)
     x = relax.solve(sets, np.zeros_like(sets))[1]
     assert np.all(x.sum(axis=1) <= budget * (1 + 1e-12))
@@ -725,11 +727,6 @@ def _vcg_problems(live, n):
     return free
 
 
-def _relaxation(sc, core, delta):
-    """The relaxation the oracles search on at this delta."""
-    return oracles._Relaxation(_UserArrays.of(sc, POWER) if delta == 0.0 else _UserArrays(core, POWER))
-
-
 def test_vcg_charges_live_users_given_no_power_exactly_zero():
     rng = np.random.default_rng(16)
     unpaid = 0
@@ -796,9 +793,9 @@ def test_vcg_runs_one_search_on_one_build(monkeypatch, bench_spec):
             if live.size < 2:
                 assert built == (0, 1, 0)
                 continue
-            assert built == (1, 1, 1)
+            assert built == (1, 1, 0)  # the oracles build no auction's arrays
             # the problems advance together: one relaxation solve per level of the deepest
-            relax = _relaxation(sc, core, delta)
+            relax = oracles._Relaxation(core)
             for free in _vcg_problems(live, sc.n_users):
                 if free.sum() > 1:
                     before = counts["solves"]
@@ -818,6 +815,49 @@ def test_vcg_builds_no_arrays_for_at_most_one_live_user(monkeypatch, scenario_y0
         assert (counts["cores"], counts["arrays"], counts["searches"]) == (1, 0, 0)
 
 
+def test_oracles_read_the_core_and_the_sweep_runs_the_cutoff_once(monkeypatch, bench_spec):
+    # the oracles leave no auction's arrays behind; in the sweep's order (VCG at delta 0, then the
+    # power auction's calibration on the same core) the power cutoff's Newton runs once per scenario
+    rng = np.random.default_rng(21)
+    for sc in (build_two_user_scenario(bench_spec, 25.0), make_random_scenario(rng, 4), make_random_scenario(rng, 6)):
+        for delta in (0.0, 0.01):
+            vcg_auction(sc, delta)
+            efficient_allocation(sc, delta)
+            fair_allocation(sc, delta)
+        assert [key[0] for key in sc._derived] == ["core", "core"]
+    cores, cutoff = [], auction._power_cutoff
+    monkeypatch.setattr(auction, "_power_cutoff", lambda core: cores.append(core) or cutoff(core))
+    spec = TwoUserSweepSpec(relay_y_step=50.0)
+    for y in spec.relay_ys():
+        sc = build_two_user_scenario(spec, float(y))
+        vcg_auction(sc, delta=spec.vcg_delta)
+        calibrate_price(sc, POWER, spec.target_utilization)
+        assert len(cores) == 1 and cores.pop() is _Core.of(sc)
+    assert len(run_two_user_sweep(spec).rows) == len(spec.relay_ys()) == 9
+    assert len(cores) == 9 and len(set(map(id, cores))) == 9
+
+
+def test_oracle_gains_are_their_powers_gains_to_the_bit(bench_spec):
+    # each split's gains come from the relaxation solve that found it (or are gain_max on a closed
+    # form): they equal max(u, 0) at the returned powers, and the payments those read from
+    # leave-one-out gains evaluated again, to the bit
+    cases = [(build_two_user_scenario(bench_spec, float(y)), 0.0) for y in bench_spec.relay_ys()]
+    cases += [(sc, 0.01) for seed in (0, 1) for sc in oracle_bench_scenarios(seed)]
+    paid = 0
+    for sc, delta in cases:
+        core, res = oracles._core(sc, delta), vcg_auction(sc, delta)
+        for alloc in (res.allocation, efficient_allocation(sc, delta), fair_allocation(sc, delta)):
+            assert np.array_equal(alloc.per_user_rate_increase_bps, np.maximum(core.gain(alloc.powers), 0.0))
+        _, live, x, *_ = oracles._solve(sc, delta, pivots=True)
+        alone = np.zeros(sc.n_users)
+        alone[live] = np.maximum(core.gain(x[1:]), 0.0).sum(axis=1)
+        base = res.allocation
+        others = base.total_rate_increase_bps - base.per_user_rate_increase_bps
+        assert np.array_equal(res.payments, np.where(base.powers > 0.0, np.maximum(alone - others, 0.0), 0.0))
+        paid += int(np.count_nonzero(res.payments))
+    assert paid >= 100
+
+
 def _forced_out_scenarios(bench_spec):
     """The 81 sweep positions, 30 random 4-user scenarios and three of 8 to 10 users."""
     rng = np.random.default_rng(14)
@@ -828,10 +868,10 @@ def _forced_out_scenarios(bench_spec):
 @pytest.mark.parametrize("delta", [0.0, 0.01])
 def test_forced_out_solve_equals_the_scenario_without_the_user(bench_spec, delta):
     for sc in _forced_out_scenarios(bench_spec):
-        core, live, x, nodes, _ = oracles._solve(sc, delta, pivots=True)
+        core, live, x, gains, nodes, _ = oracles._solve(sc, delta, pivots=True)
         for p, i in enumerate(live, start=1):
             want = efficient_allocation(without_user(sc, i), delta)
-            got = oracles._finish(core, x[p])
+            got = oracles._finish(core, x[p], gains[p])
             assert nodes[p] == want.nodes and got.powers[i] == 0.0
             rtol = 0.0 if sc.n_users < 8 else 1e-15  # numpy sums 8 terms or more pairwise
             total = want.total_rate_increase_bps
@@ -842,21 +882,23 @@ def test_forced_out_solve_equals_the_scenario_without_the_user(bench_spec, delta
 @pytest.mark.parametrize("delta", [0.0, 0.01])
 def test_batched_search_equals_each_problem_alone(bench_spec, delta):
     # the efficient problem and every leave-one-out problem share one search, yet each
-    # gets the nodes, split and total it gets alone, and the payments read those totals
+    # gets the nodes, split, gains and total it gets alone, and the payments read those totals
     for sc in _forced_out_scenarios(bench_spec):
         n = sc.n_users
-        core, live, x, nodes, gaps = oracles._solve(sc, delta, pivots=True)
-        relax = _relaxation(sc, core, delta)
+        core, live, x, gains, nodes, gaps = oracles._solve(sc, delta, pivots=True)
+        relax = oracles._Relaxation(core)
         rtol = 0.0 if n < 8 else 1e-15
         totals = []
         for p, free in enumerate(_vcg_problems(live, n)):
             if free.sum() > 1:
-                x_alone, nodes_alone, _ = oracles._branch_and_bound(relax, free[None])
+                x_alone, gains_alone, nodes_alone, _ = oracles._branch_and_bound(relax, free[None])
             else:  # the closed form: the live user, if any, takes the whole budget
-                x_alone, nodes_alone = np.where(free, core.budget, 0.0)[None], [1]
+                x_alone, gains_alone = np.where(free, core.budget, 0.0)[None], np.where(free, core.gain_max, 0.0)[None]
+                nodes_alone = [1]
             assert nodes[p] == nodes_alone[0] and gaps[p] <= oracles.BOUND_RTOL
             np.testing.assert_allclose(x[p], x_alone[0], rtol=rtol, atol=0.0)
-            got, want = (oracles._finish(core, v).total_rate_increase_bps for v in (x[p], x_alone[0]))
+            np.testing.assert_allclose(gains[p], gains_alone[0], rtol=rtol, atol=0.0)
+            got, want = (float(np.maximum(core.gain(v), 0.0).sum()) for v in (x[p], x_alone[0]))
             assert abs(got - want) <= rtol * want
             totals.append(want)
         res = vcg_auction(sc, delta)
@@ -881,11 +923,11 @@ def test_vcg_at_200_users_needs_memory_linear_in_n_per_node():
     finally:
         tracemalloc.stop()
     assert peak < 64e6
-    core, live, x, nodes, gaps = oracles._solve(sc, 0.01, pivots=True)
-    relax = _relaxation(sc, core, 0.01)
+    core, live, x, _, nodes, gaps = oracles._solve(sc, 0.01, pivots=True)
+    relax = oracles._Relaxation(core)
     problems = _vcg_problems(live, sc.n_users)
     for p in (0, int(nodes.argmin()), int(nodes.argmax()), len(problems) - 1):
-        x_alone, nodes_alone, _ = oracles._branch_and_bound(relax, problems[p][None])
+        x_alone, _, nodes_alone, _ = oracles._branch_and_bound(relax, problems[p][None])
         assert nodes[p] == nodes_alone[0] and gaps[p] <= oracles.BOUND_RTOL
         np.testing.assert_allclose(x[p], x_alone[0], rtol=1e-15, atol=0.0)
 
@@ -968,7 +1010,7 @@ def _root_problems(study_topologies):
         free = _vcg_problems(live, sc.n_users)[: 1 + live.size * pivots]
         free = free[free.sum(axis=1) > 1]
         if len(free):
-            yield _relaxation(sc, core, delta), free
+            yield oracles._Relaxation(core), free
 
 
 def test_multiplier_is_within_1e_15_of_the_50_digit_root(monkeypatch):
@@ -984,7 +1026,7 @@ def test_multiplier_is_within_1e_15_of_the_50_digit_root(monkeypatch):
         for search in searches:
             for inn, free_r, lam, z in zip(search["inn"], search["free"], search["lam"], search["z"][0][:, 0]):
                 with mpmath.workdps(50):
-                    excess = mp_node_excess(relax.users, relax.jumps, inn, free_r)
+                    excess = mp_node_excess(relax.core, relax.jumps, inn, free_r)
                     assert excess(1 / mpmath.mpf(float(z)) ** 2) >= 0
                     lam = mpmath.mpf(float(lam))
                     bracket = (lam * (1 - mpmath.mpf(1e-9)), lam * (1 + mpmath.mpf(1e-9)))
@@ -1005,7 +1047,7 @@ def test_tabulated_excess_matches_the_50_digit_excess_at_every_point():
     # slope(0); a user demands nothing at its own jump
     values = zeros = 0
     for relax, free in _root_problems(25):
-        users, inn = relax.users, np.zeros_like(free)
+        users, inn = relax.core, np.zeros_like(free)
         points = np.concatenate([relax.jumps, users.slope_full, users.slope(0.0)])
         table = inn @ relax.at.T + free @ relax.relaxed.T - users.budget
         for row, free_r in zip(table, free):
@@ -1078,8 +1120,8 @@ def test_power_demand_with_tiny_snr_limit_raises_no_warning(sc):
             assert abs(alloc.total_rate_increase_bps - total) <= 1e-15 * total
             assert alloc.certified_gap <= oracles.BOUND_RTOL
             assert vcg_auction(sc, delta=delta).allocation.total_rate_increase_bps == alloc.total_rate_increase_bps
-        users = _UserArrays.of(sc, POWER)
-        demand = _power_demand(users, oracles._Relaxation(users).jumps)
+        core = _Core.of(sc)
+        demand = _power_demand(core, oracles._Relaxation(core).jumps)
         assert np.isfinite(demand).all()
         for kind in KINDS:
             calibrate_price(sc, kind, 0.99)
