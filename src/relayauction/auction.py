@@ -24,14 +24,14 @@ the rate increase and its slope) with their price-free terms, the power
 demand's among them, and the power pi_hat, computed at its first read; it
 serves both auctions and the oracles, which read the core alone.  On it, one
 `_UserArrays` per rule adds that rule's critical prices, so that all factors
-at a price, or at a column of prices, are one array expression.
+at a price, or at a column of prices, are one array expression; each rule
+also inverts its demand and writes it on a piece of S in z = -price^(-1/2).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -107,6 +107,16 @@ def _snr_pi_hat(core: "_Core") -> np.ndarray:
     return -w * core.k / g1
 
 
+def _snr_piece_excess(piece, z):
+    """_piece_excess of the SNR rule, piece (const, K, 1+g, b, b1c) on the users on the curve: each demand
+    b1c s / (b - s), s = K z^2 - 1 - g, is convex and falls in z, of slope 2 K z b1c b / (b - s)^2."""
+    const, k, g1, b, b1c = piece
+    s = k * (z * z) - g1
+    room = b - s
+    excess = np.add.reduce(b1c * s / room, axis=-1, keepdims=True) + const
+    return excess, np.add.reduce(b1c * b / (room * room), axis=-1, keepdims=True) * (2.0 * k * z)
+
+
 # ---------------------------------------------------------------------------
 # power auction
 #
@@ -139,6 +149,21 @@ def _power_demand(core: "_Core", price):
     x = kcb1 / price
     root = np.sqrt(bsq + q2x4 * x)
     return -2.0 * (core.g1 - x) / (q1 + root) * core.b1c
+
+
+def _piece_excess(piece, z):
+    """Each row's excess on its piece at a column z = -price^(-1/2), and its slope in z.
+
+    piece is (const, the rest of the excess, then _power_demand's 1+g, 4 q2, q1, b^2,
+    K c b / (b+1) and 2 b1c, the last three 1, 0 and 0 off the users on the curve).
+    X = K c b z^2 / (b+1), so each curved demand 2 b1c (X - 1 - g) / (q1 + root) is a hyperbola
+    in z with a linear asymptote, convex and falling, of slope 2 b1c X / (root z).
+    """
+    const, g1, q2x4, q1, bsq, kcb1, b1c2 = piece
+    x = kcb1 * (z * z)
+    root = np.sqrt(bsq + q2x4 * x)
+    excess = np.add.reduce(b1c2 * (x - g1) / (q1 + root), axis=-1, keepdims=True) + const
+    return excess, np.add.reduce(b1c2 * x / root, axis=-1, keepdims=True) / z
 
 
 def _power_cutoff(core: "_Core") -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +221,10 @@ class _Rule:
     charged: Callable  # (power, relayed SNR) -> units charged
     pi_lower: Callable  # (users) -> marginal rate per unit charged at the full budget
     pi_hat: Callable  # (core) -> participation cutoffs
-    full_price: Callable  # (users) -> price where the demand is (1 - FULL_BUDGET_RTOL) of the budget
+    price: Callable  # (users, power) -> price at which the demand is that power: the demand's inverse
     demand: Callable  # (users, price) -> power where the marginal rate meets the price, read past full_from
+    piece: Callable  # (users, on) -> the arrays of the demand's piece form for the users on the curve
+    excess: Callable  # ((const, *piece), z) -> const + their demands at z = -price^(-1/2), and its slope in z
 
 
 _RULES = {
@@ -205,16 +232,20 @@ _RULES = {
         charged=lambda p, s: s,
         pi_lower=lambda users: users.k / (users.g1 + users.snr_max),
         pi_hat=_snr_pi_hat,
-        full_price=lambda users: users.k / (users.g1 + users.snr(users.budget * (1.0 - FULL_BUDGET_RTOL))),
+        price=lambda users, x: users.k / (users.g1 + users.snr(x)),
         # the power of s = K / price - (1+g), at most P: near the SNR limit it can round past P
         demand=lambda users, price: np.minimum(users.power(users.k / price - users.g1), users.budget),
+        piece=lambda users, on: (users.k, users.g1[on], users.b[on], users.b1c[on]),
+        excess=_snr_piece_excess,
     ),
     POWER: _Rule(
         charged=lambda p, s: p,
         pi_lower=lambda users: np.where(users.gain_max > 0.0, users.slope_full, 0.0),
         pi_hat=lambda core: core.power_pi_hat,
-        full_price=lambda users: users.slope(users.budget * (1.0 - FULL_BUDGET_RTOL)),
+        price=lambda users, x: users.slope(x),
         demand=_power_demand,
+        piece=lambda users, on: (users.g1[on], *(c[on] for c in users.power_coef), 2.0 * users.b1c[on]),
+        excess=_piece_excess,
     ),
 }
 
@@ -309,8 +340,8 @@ class _UserArrays(_Core):
     divergence cutoff, which is pi_lower for a regular user (pi_hat > pi_lower)
     and otherwise the price at which the whole budget stops paying, the only profitable
     demand such a user has.  It demands the budget up to full_from, the larger of the
-    cutoff and the rule's full_price below zero_from, then the rule's demand, and
-    nothing from zero_from (pi_hat, or the cutoff if irregular) on.
+    cutoff and the rule's price of (1 - FULL_BUDGET_RTOL) of the budget (below zero_from),
+    then the rule's demand, and nothing from zero_from (pi_hat, or the cutoff if irregular) on.
     """
 
     def __init__(self, core: _Core, kind: str):
@@ -323,16 +354,9 @@ class _UserArrays(_Core):
         whole = np.divide(self.gain_max, charged, out=np.zeros(self.gain_max.shape), where=charged > 0.0)
         self.cutoff = np.where(self.regular, self.pi_lower, whole)
         self.zero_from = np.where(self.regular, self.pi_hat, self.cutoff)
-        below_zero = np.minimum(self.rule.full_price(self), np.nextafter(self.zero_from, 0.0))
-        self.full_from = np.maximum(below_zero, self.cutoff)
+        full_price = self.rule.price(self, self.budget * (1.0 - FULL_BUDGET_RTOL))
+        self.full_from = np.maximum(np.minimum(full_price, np.nextafter(self.zero_from, 0.0)), self.cutoff)
         _read_only(self.pi_lower, self.pi_hat, self.regular, self.cutoff, self.zero_from, self.full_from)
-
-    @functools.cached_property
-    def breaks(self) -> array:
-        """Sorted prices past which S may jump: where a user leaves, or stops diverging."""
-        prices = np.concatenate((self.zero_from, np.nextafter(self.cutoff, math.inf)))
-        prices.sort()
-        return array("d", prices.tobytes())
 
     @classmethod
     def of(cls, scenario: NetworkScenario, kind: str) -> "_UserArrays":

@@ -11,13 +11,11 @@ row, with the price search's existence test: nobody diverges and S < 1.
 S is also the total demand over the budget, counting a divergent factor as
 share one, and does not increase with the price: the existence threshold is
 where S drops below one, the calibrated price where it drops below the
-target.  A calibration bisects the target level alone; its final bracket also
-decides whether the target is met above the threshold.  Each array call of S
-also asks ahead along the path a guess of the crossing predicts: S's jumps (a
-user leaving at its participation cutoff, or ceasing to diverge just past its
-divergence cutoff), else an interpolation of S.  A 20-user calibration takes
-1-4 array calls (2.7 on average), each of about 52 prices, with the prices
-of one midpoint per step.
+target.  One search serves both levels (_search): it narrows to the two knots,
+users' full_from and zero_from prices, between which S crosses the level and
+is a sum of closed forms, solves S = level there, and ends at adjacent floats
+t0 < t1 with S(t0) >= level > S(t1).  The threshold is t1; a calibration's
+bracket also decides whether the target is met above the threshold.
 
 Synchronous best-response iteration is kept as a diagnostic.  It is a linear
 fixed-point iteration whose matrix has f_i in row i off the diagonal; its
@@ -28,6 +26,7 @@ geometrically from any positive start to the same bids.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -35,13 +34,11 @@ import numpy as np
 
 from .auction import AuctionParams, _UserArrays, allocate
 from .channel import NetworkScenario, _log_gain
-from .numutil import bisect_transition
+from .numutil import rising_newton
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 DIVERGENCE_CAP_FACTOR = 1e12
-THRESHOLD_RTOL = 1e-6
-CALIBRATE_RTOL = 1e-9
 RATE_TAIL = 20  # residuals the contraction-rate fit reads, the last ones
 
 
@@ -96,7 +93,7 @@ class PriceSearchResult:
     price: float
     utilization: float
     feasible: bool
-    # the last bracket (S >= target, S < target) and the array evaluations of S
+    # the final bracket, adjacent floats (S >= target, S < target), and the array evaluations of S
     bracket: Optional[tuple[float, float]] = None
     evaluations: int = 0
 
@@ -213,48 +210,85 @@ def estimate_geometric_rate(trace: IterationTrace) -> float:
     return float(math.exp(slope))
 
 
-def _search(users: _UserArrays, level: float, rtol: float) -> tuple[tuple, int]:
-    """bisect_transition on S at level to rtol, and the evaluations of S.
+def _narrow(users: _UserArrays, level: float, prices, bracket: tuple, ks) -> tuple[tuple, int]:
+    """The bracket (i, j, S(i), S(j)) of sorted indices, S(i) >= level > S(j), closed in to adjacent ones by calls
+    of S at the prices of indices ks in it (given, then up to 32 evenly spaced), and the calls."""
+    calls = 0
+    while ks:
+        i, j, si, sj = bracket
+        for k, sk in zip(ks, users.shares(prices(ks)).tolist()):
+            if sk < level:
+                j, sj = k, sk
+                break
+            i, si = k, sk
+        bracket, calls, n = (i, j, si, sj), calls + 1, min(j - i - 1, 32)
+        ks = [i + (j - i) * m // (n + 1) for m in range(1, n + 1)]
+    return bracket, calls
 
-    At or below a user's divergence cutoff its factor diverges (demands()
-    tests price <= full_from), so S >= 1 on (0, cutoff.max()]; the bracket starts
-    1e-7 below it, inside that set and within a tenth of THRESHOLD_RTOL of a
-    threshold at its edge.  It ends at max(pi_hat.max(), 2 * start), where S =
-    0: no user diverges past cutoff.max(), and each user demands 0 from its
-    zero_from (its pi_hat or its cutoff) on.  The bisection guesses the
-    crossing from S's jumps, users.breaks.
+
+def _floats(bits) -> tuple:
+    """The floats of the bit patterns, which order the positive floats as integers."""
+    return struct.unpack(f"<{len(bits)}d", struct.pack(f"<{len(bits)}q", *bits))
+
+
+def _bits(floats) -> tuple:
+    """The bit patterns of the floats: _floats' inverse."""
+    return struct.unpack(f"<{len(floats)}q", struct.pack(f"<{len(floats)}d", *floats))
+
+
+def _search(users: _UserArrays, level: float) -> tuple[tuple, int]:
+    """Adjacent floats t0 < t1 with S(t0) >= level > S(t1), as (t0, t1, S(t0), S(t1)), and the array calls of S.
+
+    For users with a regular one: S >= 1 at the largest divergence cutoff lo, and S = 0 at the last knot
+    (the users' full_from and zero_from and next(lo)).  Between knots each user demands the budget, nothing
+    or its rule's closed form.  The search narrows to the knots a < b that hold the crossing.  With one user
+    on the curve, its inverse demand gives the root; else the excess's piece form (_Rule.excess) just inside
+    a and b shows a jump at either end, or rising Newton in z = -price^(-1/2), where every demand on the
+    curve is convex and falls, solves S = level.  S is then asked at the 13 floats around that price.
     """
-    if not users.regular.any():
-        raise ValueError(f"scenario is not {users.kind}-regular: only the all-zero outcome exists")
-    calls = []
-
-    def shares(prices) -> np.ndarray:
-        calls.append(len(prices))
-        return users.shares(prices)
-
-    lo = float(users.cutoff.max()) * (1.0 - 1e-7)
-    hi = max(float(users.pi_hat.max()), 2.0 * lo)
-    return bisect_transition(shares, level, lo, hi, rtol, jumps=users.breaks), len(calls)
+    lo = float(users.cutoff.max())
+    knots = np.concatenate((users.full_from, users.zero_from, (lo, math.nextafter(lo, math.inf))))
+    knots.sort()
+    knots = knots[np.concatenate(((True,), knots[1:] != knots[:-1]))]  # a knot that users share is asked once
+    i, j = int(knots.searchsorted(lo)), knots.size - 1
+    n = min(j - i - 1, 32)  # the first call asks both ends too
+    ks = [i + (j - i) * m // (n + 1) for m in range(n + 2)]
+    (i, j, si, sj), calls = _narrow(users, level, knots.take, (i, j, None, None), ks)
+    a, b = knots[i], knots[j]
+    i, j = _bits((a, b))
+    if j - i > 1:
+        on, m = (users.full_from <= a) & (users.zero_from >= b), np.count_nonzero(users.full_from >= b)
+        if np.count_nonzero(on) == 1 and m < level:  # S = m + x / budget: the inverse demand at x is the root
+            r = users.rule.price(users, (level - m) * users.budget)[on].item()
+        else:
+            piece = ((m - level) * users.budget, *users.rule.piece(users, on))
+            excess, (za, zb) = users.rule.excess, (-x**-0.5 for x in _floats((i + 1, j - 1)))
+            (ea, eb), (da, db) = (v[:, 0].tolist() for v in excess(piece, np.array([[za], [zb]])))
+            r = b if eb >= 0.0 else a  # S jumps at b, else at a unless it crosses the level between
+            if eb < 0.0 <= ea:  # Newton from the larger root of the tangents at both ends, each below the root
+                start = max(za - ea / da, zb - eb / db)
+                r = 1.0 / rising_newton(lambda z: [float(v[0]) for v in excess(piece, z)], start)[0] ** 2
+        r = min(max(_bits((r,))[0], i + 1), j - 1)
+        (i, j, si, sj), asked = _narrow(users, level, _floats, (i, j, si, sj), range(max(r - 6, i + 1), min(r + 7, j)))
+        calls += asked
+    return (*_floats((i, j)), si, sj), calls
 
 
 def threshold_price(scenario: NetworkScenario, kind: str) -> float:
-    """Price above which an equilibrium exists and below which none does.
-
-    The midpoint of the bisection bracket on S(p) < 1, THRESHOLD_RTOL wide,
-    that starts just below the largest divergence cutoff.
-    """
-    p_none, p_some, _, _ = _search(_UserArrays.of(scenario, kind), 1.0, THRESHOLD_RTOL)[0]
-    return 0.5 * (p_none + p_some)
+    """Price above which an equilibrium exists and below which none does: the first float with one."""
+    users = _UserArrays.of(scenario, kind)
+    if not users.regular.any():
+        raise ValueError(f"scenario is not {kind}-regular: only the all-zero outcome exists")
+    return _search(users, 1.0)[0][1]
 
 
 def calibrate_price(scenario: NetworkScenario, kind: str, target_utilization: float = 0.99) -> PriceSearchResult:
     """Largest price whose equilibrium still meets the target utilization.
 
-    One search brackets where S drops below the target, to CALIBRATE_RTOL: S(t0) >=
+    One search brackets where S drops below the target between adjacent floats: S(t0) >=
     target > S(t1).  If S(t0) < 1, an equilibrium exists at t0 and meets the
-    target.  Otherwise S falls from at least one to below the target within
-    the bracket, which therefore holds the existence threshold: no price meets
-    the target, and t1, just above the threshold, is reported with
+    target.  Otherwise S falls from at least one to below the target
+    at t1, the existence threshold: no price meets the target, and t1 is reported with
     feasible=False.  Where nobody ever bids, zero utilization at a price above
     every participation cutoff.  The result carries the bracket and the array
     evaluations of S.
@@ -264,7 +298,7 @@ def calibrate_price(scenario: NetworkScenario, kind: str, target_utilization: fl
     users = _UserArrays.of(scenario, kind)
     if not users.regular.any():
         return PriceSearchResult(max(float(users.pi_hat.max()) * 1.01, 1.0), 0.0, False)
-    (t0, t1, s0, s1), evaluations = _search(users, target_utilization, CALIBRATE_RTOL)
+    (t0, t1, s0, s1), evaluations = _search(users, target_utilization)
     if s0 < 1.0:
         return PriceSearchResult(t0, s0, True, (t0, t1), evaluations)
     return PriceSearchResult(t1, s1, False, (t0, t1), evaluations)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import _Core, _power_demand
+from .auction import _Core, _piece_excess, _power_demand
 from .channel import NetworkScenario
 
 # a node is closed once its bound is at most the incumbent times (1 + BOUND_RTOL)
@@ -65,21 +65,6 @@ def _finish(core: _Core, powers: np.ndarray, gains: np.ndarray, nodes: int = 1, 
         nodes=nodes,
         certified_gap=gap,
     )
-
-
-def _piece_excess(piece, z):
-    """Each row's excess on its piece at a column z = -lam^(-1/2), and its slope in z.
-
-    piece is (B (m - 1), m the users demanding the whole budget B, then _power_demand's 1+g,
-    4 q2, q1, b^2, K c b / (b+1) and 2 b1c, the last three 1, 0 and 0 off the curved users).
-    X = K c b z^2 / (b+1), so each curved demand 2 b1c (X - 1 - g) / (q1 + root) is a hyperbola
-    in z with a linear asymptote, convex and falling, of slope 2 b1c X / (root z).
-    """
-    const, g1, q2x4, q1, bsq, kcb1, b1c2 = piece
-    x = kcb1 * (z * z)
-    root = np.sqrt(bsq + q2x4 * x)
-    excess = np.add.reduce(b1c2 * (x - g1) / (q1 + root), axis=1, keepdims=True) + const
-    return excess, np.add.reduce(b1c2 * x / root, axis=1, keepdims=True) / z
 
 
 class _Relaxation:

@@ -201,7 +201,7 @@ def payoff(link, bid, opponents_bid_sum, params, budget, sys) -> float:
 
 
 def reference_bisect(pred, x_false, x_true, rtol, max_iter=math.inf):
-    """Bisection asking pred about one midpoint per step: what bisect_transition must return.
+    """Bisection asking pred about one midpoint per step, the references' bracketed search.
 
     Returns the tightened pair and the number of steps taken, at most max_iter.
     """

@@ -595,8 +595,6 @@ def test_user_arrays_build_makes_no_newton_search(monkeypatch, bench_spec):
     assert [m.__name__ for m in (auction, channel, cli, dynamics, experiments, numutil, oracles)
             if hasattr(m, "newton_root")] == []
     monkeypatch.setattr(conftest, "newton_root", refuse)
-    for module in (numutil, dynamics):
-        monkeypatch.setattr(module, "bisect_transition", refuse)
     scenarios = _study_and_sweep_scenarios(bench_spec)
     for sc in (scenarios[0], scenarios[40], scenarios[-1]):
         for kind in KINDS:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -15,7 +16,6 @@ from relayauction import (
     threshold_price,
 )
 from relayauction.cli import main
-from relayauction.dynamics import THRESHOLD_RTOL
 
 from conftest import BENCH_SYSTEM, make_random_scenario
 import numpy as np
@@ -46,15 +46,15 @@ def test_ne_solve_calibrated(scenario_file, scenario_y0, capsys):
     assert set(calibration) == {"target"} | {f.name for f in dataclasses.fields(PriceSearchResult)}
     assert calibration["target"] == 0.99 and calibration["feasible"] is True
     assert doc["utilization"] == pytest.approx(0.99, abs=1e-3)
-    # the price is the lower end of the target bracket, at most 1e-9 from its upper end, where
-    # the target is met below one
+    # the price is the lower end of the target bracket, the float below its upper end, where the
+    # target is met below one
     p_over, p_under = calibration["bracket"]
-    assert doc["price"] == p_over < p_under <= p_over * (1.0 + 1e-9)
+    assert doc["price"] == p_over and p_under == math.nextafter(p_over, math.inf)
     assert 0.99 <= calibration["utilization"] < 1.0
     assert doc["utilization"] == pytest.approx(calibration["utilization"], rel=0.0, abs=1e-12)
     assert 1 <= calibration["evaluations"] <= 10
     # a feasible price lies above the existence threshold
-    assert doc["price"] >= threshold_price(scenario_y0, "power") * (1.0 - THRESHOLD_RTOL)
+    assert doc["price"] >= threshold_price(scenario_y0, "power")
 
 
 def test_ne_solve_reports_no_equilibrium(scenario_file, capsys):

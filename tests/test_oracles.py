@@ -39,7 +39,6 @@ from relayauction import (
 )
 from relayauction.auction import _Core, _power_demand, _UserArrays
 from relayauction.channel import relayed_snr_limit
-from relayauction.numutil import bisect_transition
 
 from conftest import (
     BENCH_SYSTEM,
@@ -48,6 +47,7 @@ from conftest import (
     mp_node_excess,
     oracle_bench_scenarios,
     power_for_relayed_snr,
+    reference_bisect,
     snr_marginal_rate,
     study_scenarios,
     wide_scenarios,
@@ -502,7 +502,7 @@ def old_rule_fair_powers(scenario, delta):
         hi = 1.0 + float((g + limit * (1.0 - 1e-12))[active].min())
         if hi == 1.0:
             return np.zeros(scenario.n_users)
-        level = bisect_transition(lambda x: core.budget - powers_at(x).sum(axis=1), 0.0, 1.0, hi, 1e-13)[0]
+        level = reference_bisect(lambda x: powers_at([x]).sum() > core.budget, 1.0, hi, 1e-13)[0][0]
         drops = active & (level <= (1.0 + g) ** 2)
         if not drops.any():
             break
