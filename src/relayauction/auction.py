@@ -219,9 +219,8 @@ class _Rule:
     """One payment rule: what it charges for and how users answer its price."""
 
     charged: Callable  # (power, relayed SNR) -> units charged
-    pi_lower: Callable  # (users) -> marginal rate per unit charged at the full budget
     pi_hat: Callable  # (core) -> participation cutoffs
-    price: Callable  # (users, power) -> price at which the demand is that power: the demand's inverse
+    price: Callable  # (users, power) -> the demand's inverse: the price of that power, 0 where r stays 0
     demand: Callable  # (users, price) -> power where the marginal rate meets the price, read past full_from
     piece: Callable  # (users, on) -> the arrays of the demand's piece form for the users on the curve
     excess: Callable  # ((const, *piece), z) -> const + their demands at z = -price^(-1/2), and its slope in z
@@ -230,7 +229,6 @@ class _Rule:
 _RULES = {
     SNR: _Rule(
         charged=lambda p, s: s,
-        pi_lower=lambda users: users.k / (users.g1 + users.snr_max),
         pi_hat=_snr_pi_hat,
         price=lambda users, x: users.k / (users.g1 + users.snr(x)),
         # the power of s = K / price - (1+g), at most P: near the SNR limit it can round past P
@@ -240,9 +238,8 @@ _RULES = {
     ),
     POWER: _Rule(
         charged=lambda p, s: p,
-        pi_lower=lambda users: np.where(users.gain_max > 0.0, users.slope_full, 0.0),
         pi_hat=lambda core: core.power_pi_hat,
-        price=lambda users, x: users.slope(x),
+        price=lambda users, x: np.where(users.gain_max > 0.0, users.slope(x), 0.0),
         demand=_power_demand,
         piece=lambda users, on: (users.g1[on], *(c[on] for c in users.power_coef), 2.0 * users.b1c[on]),
         excess=_piece_excess,
@@ -335,7 +332,7 @@ class _UserArrays(_Core):
 
     Holds the arrays of a _Core themselves, and its formulas by inheritance, so
     that one core serves both rules; it adds the critical prices of every user:
-    pi_lower, the marginal rate per unit charged at the full budget; pi_hat, the
+    pi_lower, the rule's price of the full budget, the marginal rate per unit charged there; pi_hat, the
     participation cutoff (the core's power_pi_hat under the power rule); and the
     divergence cutoff, which is pi_lower for a regular user (pi_hat > pi_lower)
     and otherwise the price at which the whole budget stops paying, the only profitable
@@ -348,13 +345,13 @@ class _UserArrays(_Core):
         self.kind, self.rule = kind, _rule(kind)
         self.pi_hat = self.rule.pi_hat(core)  # before the copy, which then holds what the core computed for it
         vars(self).update(vars(core))
-        self.pi_lower = self.rule.pi_lower(self)
+        # the rule's price of the budget and of (1 - FULL_BUDGET_RTOL) of it, in one call
+        self.pi_lower, full_price = self.rule.price(self, self.budget * np.array([[1.0], [1.0 - FULL_BUDGET_RTOL]]))
         self.regular = self.pi_hat > self.pi_lower
         charged = self.rule.charged(self.budget, self.snr_max)
         whole = np.divide(self.gain_max, charged, out=np.zeros(self.gain_max.shape), where=charged > 0.0)
         self.cutoff = np.where(self.regular, self.pi_lower, whole)
         self.zero_from = np.where(self.regular, self.pi_hat, self.cutoff)
-        full_price = self.rule.price(self, self.budget * (1.0 - FULL_BUDGET_RTOL))
         self.full_from = np.maximum(np.minimum(full_price, np.nextafter(self.zero_from, 0.0)), self.cutoff)
         _read_only(self.pi_lower, self.pi_hat, self.regular, self.cutoff, self.zero_from, self.full_from)
 

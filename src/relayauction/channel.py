@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -229,29 +230,22 @@ def scenario_from_geometry(
     return NetworkScenario(users, relay_budget_w, system, relay_pt)
 
 
+# a user's fields in a scenario file: its numbers, then its points, which stand for the gains left out
+_USER_NUMBERS = ("source_power_w", "gain_sd", "gain_sr", "gain_rd")
+_USER_POINTS = ("source", "destination")
+
+
 def scenario_to_dict(scenario: NetworkScenario) -> dict:
     doc: dict = {
-        "system": {
-            "bandwidth_hz": scenario.system.bandwidth_hz,
-            "noise_w": scenario.system.noise_w,
-            "pathloss_exponent": scenario.system.pathloss_exponent,
-        },
+        "system": {f.name: getattr(scenario.system, f.name) for f in fields(SystemParams)},
         "relay_budget_w": scenario.relay_budget_w,
         "users": [],
     }
     if scenario.relay is not None:
         doc["relay"] = list(scenario.relay)
     for u in scenario.users:
-        entry: dict = {
-            "source_power_w": u.source_power_w,
-            "gain_sd": u.gain_sd,
-            "gain_sr": u.gain_sr,
-            "gain_rd": u.gain_rd,
-        }
-        if u.source is not None:
-            entry["source"] = list(u.source)
-        if u.destination is not None:
-            entry["destination"] = list(u.destination)
+        entry = {key: getattr(u, key) for key in _USER_NUMBERS}
+        entry.update((key, list(getattr(u, key))) for key in _USER_POINTS if getattr(u, key) is not None)
         doc["users"].append(entry)
     return doc
 
@@ -265,21 +259,23 @@ def _field(doc, key: str, where: str):
     return doc[key]
 
 
+def _is_number(value) -> bool:
+    """A real number and not a bool, which JSON writes as true or false."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(doc, key: str, where: str) -> float:
     value = _field(doc, key, where)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}{key} must be a number, got {value!r}") from None
+    if not _is_number(value):
+        raise ValueError(f"{where}{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _point(doc, key: str, where: str) -> Point:
     value = _field(doc, key, where)
-    try:
-        x, y = (float(v) for v in value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}{key} must be a pair of numbers, got {value!r}") from None
-    return (x, y)
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))):
+        raise ValueError(f"{where}{key} must be a pair of numbers, got {value!r}")
+    return (float(value[0]), float(value[1]))
 
 
 def scenario_from_dict(doc: dict) -> NetworkScenario:
@@ -291,11 +287,7 @@ def scenario_from_dict(doc: dict) -> NetworkScenario:
     or malformed field raises ValueError naming it, e.g. users[1].gain_sr.
     """
     sysdoc = _field(doc, "system", "")
-    system = SystemParams(
-        bandwidth_hz=_number(sysdoc, "bandwidth_hz", "system."),
-        noise_w=_number(sysdoc, "noise_w", "system."),
-        pathloss_exponent=_number(sysdoc, "pathloss_exponent", "system."),
-    )
+    system = SystemParams(**{f.name: _number(sysdoc, f.name, "system.") for f in fields(SystemParams)})
     relay = _point(doc, "relay", "") if "relay" in doc else None
     entries = _field(doc, "users", "")
     if not isinstance(entries, list):
@@ -305,30 +297,14 @@ def scenario_from_dict(doc: dict) -> NetworkScenario:
         where = f"users[{i}]."
         p_s = _number(entry, "source_power_w", where)
         if "gain_sd" in entry:
-            users.append(
-                UserLink(
-                    user_id=i,
-                    source_power_w=p_s,
-                    gain_sd=_number(entry, "gain_sd", where),
-                    gain_sr=_number(entry, "gain_sr", where),
-                    gain_rd=_number(entry, "gain_rd", where),
-                    source=_point(entry, "source", where) if "source" in entry else None,
-                    destination=_point(entry, "destination", where) if "destination" in entry else None,
-                )
-            )
+            values = {key: _number(entry, key, where) for key in _USER_NUMBERS}
+            values.update((key, _point(entry, key, where)) for key in _USER_POINTS if key in entry)
+            users.append(UserLink(i, **values))
+        elif relay is None:
+            raise ValueError(f"{where}gain_sd is missing and there is no relay position")
         else:
-            if relay is None:
-                raise ValueError(f"{where}gain_sd is missing and there is no relay position")
-            users.append(
-                link_from_geometry(
-                    i,
-                    _point(entry, "source", where),
-                    _point(entry, "destination", where),
-                    relay,
-                    p_s,
-                    system,
-                )
-            )
+            points = (_point(entry, key, where) for key in _USER_POINTS)
+            users.append(link_from_geometry(i, *points, relay, p_s, system))
     return NetworkScenario(tuple(users), _number(doc, "relay_budget_w", ""), system, relay)
 
 

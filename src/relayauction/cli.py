@@ -7,12 +7,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .auction import KINDS, AuctionParams
 from .channel import load_scenario
 from .dynamics import (
-    EquilibriumResult,
     NoEquilibrium,
     calibrate_price,
     solve_ne,
@@ -28,32 +25,16 @@ from .experiments import (
 from .oracles import efficient_allocation, fair_allocation, vcg_auction
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _print_json(payload: dict) -> None:
-    print(json.dumps({k: _jsonable(v) for k, v in payload.items()}, indent=2, sort_keys=True))
+    # numpy arrays and scalars leave through tolist, as lists and Python numbers
+    print(json.dumps(payload, indent=2, sort_keys=True, default=lambda obj: obj.tolist()))
 
 
-def _equilibrium_payload(eq: EquilibriumResult) -> dict:
-    return {
-        "kind": eq.kind,
-        "price": eq.price,
-        "reserve_bid": eq.reserve_bid,
-        "bids": eq.bids,
-        "powers_w": eq.powers,
-        "delta_snr": eq.delta_snr,
-        "rate_increase_bps": eq.rate_increase_bps,
-        "payments": eq.payments,
-        "payoffs": eq.payoffs,
-        "total_rate_increase_bps": eq.total_rate_increase_bps,
-        "utilization": eq.utilization,
-    }
+def _result_payload(result) -> dict:
+    """A result's fields as the CLI prints them: powers, in watts, as powers_w."""
+    payload = dict(vars(result))
+    payload["powers_w"] = payload.pop("powers")
+    return payload
 
 
 def _emit(report, args: argparse.Namespace) -> int:
@@ -86,7 +67,7 @@ def _cmd_ne_solve(args: argparse.Namespace) -> int:
     if isinstance(result, NoEquilibrium):
         _print_json({"no_equilibrium": result.reason, "price": price})
         return 1
-    payload = _equilibrium_payload(result)
+    payload = _result_payload(result)
     if calibrated is not None:
         payload["calibration"] = calibrated
     _print_json(payload)
@@ -95,29 +76,14 @@ def _cmd_ne_solve(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    if args.which == "efficient":
-        alloc = efficient_allocation(scenario, delta=args.delta)
-        payments = None
-    elif args.which == "fair":
-        alloc = fair_allocation(scenario, delta=args.delta)
-        payments = None
-    else:
+    if args.which == "vcg":
         result = vcg_auction(scenario, delta=args.delta)
-        alloc = result.allocation
-        payments = result.payments
-    payload = {
-        "oracle": args.which,
-        "delta": args.delta,
-        "powers_w": alloc.powers,
-        "per_user_rate_increase_bps": alloc.per_user_rate_increase_bps,
-        "total_rate_increase_bps": alloc.total_rate_increase_bps,
-        "marginal_utility": alloc.marginal_utility,
-        "nodes": alloc.nodes,
-        "certified_gap": alloc.certified_gap,
-    }
-    if payments is not None:
-        payload["payments"] = payments
-    _print_json(payload)
+        payload = {**vars(result), **_result_payload(result.allocation)}
+        del payload["allocation"]
+    else:
+        oracle = efficient_allocation if args.which == "efficient" else fair_allocation
+        payload = _result_payload(oracle(scenario, delta=args.delta))
+    _print_json({"oracle": args.which, "delta": args.delta, **payload})
     return 0
 
 

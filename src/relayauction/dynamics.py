@@ -70,10 +70,7 @@ class EquilibriumResult:
     payments: np.ndarray
     payoffs: np.ndarray
     utilization: float
-
-    @property
-    def total_rate_increase_bps(self) -> float:
-        return float(self.rate_increase_bps.sum())
+    total_rate_increase_bps: float
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def _equilibrium(users: _UserArrays, params: AuctionParams, powers, bids, utiliz
     gains = np.maximum(_log_gain(snr, users.g, users.gsq, users.g1sq, users.k), 0.0)
     pays = params.price * users.rule.charged(powers, snr)
     return EquilibriumResult(params.kind, params.price, params.reserve_bid, bids, powers, snr, gains, pays,
-                             gains - pays, utilization)
+                             gains - pays, utilization, float(gains.sum()))
 
 
 def equilibrium_from_bids(scenario: NetworkScenario, params: AuctionParams, bids: np.ndarray) -> EquilibriumResult:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -30,7 +30,28 @@ RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 
 
 @dataclass(frozen=True)
-class TwoUserSweepSpec:
+class _Settings:
+    """The radio and auction settings both experiments share; each report's meta repeats them."""
+
+    source_power_w: float = 0.01
+    noise_w: float = 1e-11
+    bandwidth_hz: float = 1e6
+    pathloss_exponent: float = 4.0
+    reserve_bid: float = 1.0
+    target_utilization: float = 0.99
+
+    @property
+    def system(self) -> SystemParams:
+        return SystemParams(self.bandwidth_hz, self.noise_w, self.pathloss_exponent)
+
+
+def _settings_meta(spec: _Settings) -> dict:
+    """The shared settings by name, as both reports' meta records them."""
+    return {f.name: getattr(spec, f.name) for f in fields(_Settings)}
+
+
+@dataclass(frozen=True)
+class TwoUserSweepSpec(_Settings):
     """Fixed two-user geometry with the relay swept along x = relay_x."""
 
     source_1: tuple[float, float] = (200.0, -25.0)
@@ -41,19 +62,9 @@ class TwoUserSweepSpec:
     relay_y_min: float = -200.0
     relay_y_max: float = 200.0
     relay_y_step: float = 5.0
-    source_power_w: float = 0.01
-    noise_w: float = 1e-11
-    bandwidth_hz: float = 1e6
     relay_budget_w: float = 0.1
-    pathloss_exponent: float = 4.0
-    reserve_bid: float = 1.0
-    target_utilization: float = 0.99
     vcg_delta: float = 0.0
     oracle_grid_n: int = 4096  # ignored; read by perfbench/workloads.py::_sweep_unit until ROADMAP item 1
-
-    @property
-    def system(self) -> SystemParams:
-        return SystemParams(self.bandwidth_hz, self.noise_w, self.pathloss_exponent)
 
     def relay_ys(self) -> np.ndarray:
         """The relay's y positions: relay_y_min and each whole step (to 1e-9 of one) up to relay_y_max."""
@@ -64,7 +75,7 @@ class TwoUserSweepSpec:
 
 
 @dataclass(frozen=True)
-class MultiUserSpec:
+class MultiUserSpec(_Settings):
     """Random-topology population study over a set of relay power budgets."""
 
     n_users: int = 20
@@ -74,16 +85,6 @@ class MultiUserSpec:
     relay_powers: tuple[float, ...] = (0.04, 0.1, 0.3, 1.0)
     n_topologies: int = 100
     seed: int = 0
-    source_power_w: float = 0.01
-    noise_w: float = 1e-11
-    bandwidth_hz: float = 1e6
-    pathloss_exponent: float = 4.0
-    reserve_bid: float = 1.0
-    target_utilization: float = 0.99
-
-    @property
-    def system(self) -> SystemParams:
-        return SystemParams(self.bandwidth_hz, self.noise_w, self.pathloss_exponent)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def positive_increase_variance(values: Iterable[float]) -> float:
     return float(np.add.reduce(dev * dev) / pos.size)
 
 
-def _auction_columns(scenario: NetworkScenario, kind: str, spec: TwoUserSweepSpec | MultiUserSpec) -> dict:
+def _auction_columns(scenario: NetworkScenario, kind: str, spec: _Settings) -> dict:
     """Calibrate one auction to the spec's target utilization: its columns, users 1-2's rates among them."""
     search = calibrate_price(scenario, kind, target_utilization=spec.target_utilization)
     eq = solve_ne(scenario, AuctionParams(kind, search.price, spec.reserve_bid))
@@ -160,13 +161,8 @@ def run_two_user_sweep(spec: TwoUserSweepSpec = TwoUserSweepSpec()) -> Report:
         "experiment": "two-user-sweep",
         "relay_x_m": spec.relay_x,
         "relay_y_step_m": spec.relay_y_step,
-        "source_power_w": spec.source_power_w,
-        "noise_w": spec.noise_w,
-        "bandwidth_hz": spec.bandwidth_hz,
+        **_settings_meta(spec),
         "relay_budget_w": spec.relay_budget_w,
-        "pathloss_exponent": spec.pathloss_exponent,
-        "reserve_bid": spec.reserve_bid,
-        "target_utilization": spec.target_utilization,
         "vcg_delta": spec.vcg_delta,
     }
     return Report(name="two_user_sweep", columns=columns, rows=tuple(rows), meta=meta)
@@ -245,12 +241,7 @@ def run_multi_user(spec: MultiUserSpec = MultiUserSpec()) -> Report:
         "rng": RNG_ALGORITHM,
         "field_m": [spec.field_min, spec.field_max],
         "relay_m": list(spec.relay),
-        "source_power_w": spec.source_power_w,
-        "noise_w": spec.noise_w,
-        "bandwidth_hz": spec.bandwidth_hz,
-        "pathloss_exponent": spec.pathloss_exponent,
-        "reserve_bid": spec.reserve_bid,
-        "target_utilization": spec.target_utilization,
+        **_settings_meta(spec),
     }
     return Report(name="multi_user", columns=columns, rows=tuple(rows), meta=meta)
 
@@ -267,13 +258,7 @@ def report_to_csv(report: Report) -> str:
 
 
 def report_to_json(report: Report) -> str:
-    doc = {
-        "name": report.name,
-        "meta": report.meta,
-        "columns": list(report.columns),
-        "rows": [dict(r) for r in report.rows],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
 
 
 def emit_report(
@@ -300,9 +285,6 @@ def emit_report(
 
 def report_from_json(text: str) -> Report:
     doc = json.loads(text)
-    return Report(
-        name=doc["name"],
-        columns=tuple(doc["columns"]),
-        rows=tuple(doc["rows"]),
-        meta=doc["meta"],
-    )
+    values = {f.name: doc[f.name] for f in fields(Report)}
+    # the report's columns and rows are tuples, JSON lists
+    return Report(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})

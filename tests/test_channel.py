@@ -332,7 +332,7 @@ def _gain_doc(**gains):
 
 def test_scenario_dict_rejects_infinite_gain():
     with pytest.raises(ValueError, match="gain_sd must be finite"):
-        scenario_from_dict(_gain_doc(gain_sd="inf"))
+        scenario_from_dict(_gain_doc(gain_sd=math.inf))
     # the JSON token Infinity parses to the same float
     with pytest.raises(ValueError, match="gain_rd must be finite"):
         scenario_from_dict(json.loads(json.dumps(_gain_doc(gain_rd=math.inf))))

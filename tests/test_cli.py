@@ -21,6 +21,13 @@ from conftest import BENCH_SYSTEM, make_random_scenario
 import numpy as np
 
 
+# the keys each command prints: a field that a result gains is not printed unasked
+EQUILIBRIUM_KEYS = {"kind", "price", "reserve_bid", "bids", "powers_w", "delta_snr", "rate_increase_bps", "payments",
+                    "payoffs", "total_rate_increase_bps", "utilization"}
+ORACLE_KEYS = {"oracle", "delta", "powers_w", "per_user_rate_increase_bps", "total_rate_increase_bps",
+               "marginal_utility", "nodes", "certified_gap"}
+
+
 @pytest.fixture()
 def scenario_file(tmp_path, scenario_y0):
     path = tmp_path / "bench.json"
@@ -32,6 +39,7 @@ def test_ne_solve_fixed_price(scenario_file, capsys):
     rc = main(["ne-solve", "--scenario", str(scenario_file), "--auction", "snr", "--price", "130000"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == EQUILIBRIUM_KEYS
     assert doc["kind"] == "snr"
     assert len(doc["bids"]) == 2
     assert doc["utilization"] < 1.0
@@ -41,6 +49,7 @@ def test_ne_solve_calibrated(scenario_file, scenario_y0, capsys):
     rc = main(["ne-solve", "--scenario", str(scenario_file), "--auction", "power", "--calibrate", "0.99"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == EQUILIBRIUM_KEYS | {"calibration"}
     calibration = doc["calibration"]
     # the target and the search result's fields, nothing stale
     assert set(calibration) == {"target"} | {f.name for f in dataclasses.fields(PriceSearchResult)}
@@ -69,6 +78,7 @@ def test_oracle_commands(scenario_file, capsys):
         rc = main(["oracle", which, "--scenario", str(scenario_file)])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == ORACLE_KEYS | ({"payments"} if which == "vcg" else set())
         assert doc["oracle"] == which
         assert len(doc["powers_w"]) == 2
         assert doc["nodes"] >= 1 and 0.0 <= doc["certified_gap"] <= 1e-12
@@ -203,6 +213,11 @@ def test_threshold_price_of_scenario_nobody_bids_in(tmp_path, capsys):
         (lambda d: d["users"][1].update(source=[1.0]), "users[1].source must be a pair of numbers"),
         (lambda d: d.pop("relay_budget_w"), "relay_budget_w is missing"),
         (lambda d: d.update(system=[]), "system must be a JSON object"),
+        # JSON true and strings are not numbers
+        (lambda d: d.update(relay_budget_w=True), "relay_budget_w must be a number, got True"),
+        (lambda d: d["system"].update(pathloss_exponent=True), "system.pathloss_exponent must be a number, got True"),
+        (lambda d: d["users"][0].update(gain_sd="6.25e-10"), "users[0].gain_sd must be a number, got '6.25e-10'"),
+        (lambda d: d.update(relay="12"), "relay must be a pair of numbers, got '12'"),
     ],
 )
 def test_scenario_from_dict_names_the_bad_field(scenario_y0, edit, message):

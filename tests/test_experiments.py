@@ -203,6 +203,19 @@ def test_multi_report_shape(small_multi_report):
         assert "efficient_mean_total_bits_per_hz" not in row
 
 
+def test_reports_record_their_settings():
+    # names and inputs only, so that a field a spec gains reaches the meta only when asked for
+    shared = {"source_power_w": 0.01, "noise_w": 1e-11, "bandwidth_hz": 1e6, "pathloss_exponent": 4.0,
+              "reserve_bid": 1.0, "target_utilization": 0.99}
+    sweep = run_two_user_sweep(TwoUserSweepSpec(relay_y_step=100.0))
+    assert sweep.meta == {"experiment": "two-user-sweep", "relay_x_m": 80.0, "relay_y_step_m": 100.0,
+                          "relay_budget_w": 0.1, "vcg_delta": 0.0, **shared}
+    study = run_multi_user(MultiUserSpec(n_users=3, n_topologies=1, relay_powers=(0.1,), seed=4))
+    assert study.meta == {"experiment": "multi-user", "n_users": 3, "n_topologies": 1, "seed": 4,
+                          "rng": "numpy.random.Generator(PCG64)", "field_m": [-150.0, 150.0], "relay_m": [0.0, 0.0],
+                          **shared}
+
+
 def test_multi_report_small_population_includes_benchmark():
     for n_users in (1, 2):  # one user has no second user's rate to read
         spec = MultiUserSpec(n_users=n_users, n_topologies=2, relay_powers=(0.1,), seed=5)
