@@ -7,56 +7,19 @@ compares them against centralized efficient/fair/pivot benchmarks, and
 reproduces the standard two-user and multi-user experiments.
 """
 
-from .auction import (
-    KINDS,
-    POWER,
-    SNR,
-    AuctionParams,
-    allocate,
-)
+from .auction import KINDS, POWER, SNR, AuctionParams, allocate
 from .channel import (
-    NetworkScenario,
-    SystemParams,
-    UserLink,
-    direct_snr,
-    link_from_geometry,
-    load_scenario,
-    path_gain,
-    rate_increase,
-    relayed_snr,
-    relayed_snr_limit,
-    save_scenario,
-    scenario_from_dict,
-    scenario_from_geometry,
+    NetworkScenario, SystemParams, UserLink, direct_snr, link_from_geometry, load_scenario, path_gain,
+    rate_increase, relayed_snr, relayed_snr_limit, save_scenario, scenario_from_dict, scenario_from_geometry,
     scenario_to_dict,
 )
 from .dynamics import (
-    EquilibriumResult,
-    IterationTrace,
-    NoEquilibrium,
-    PriceSearchResult,
-    calibrate_price,
-    estimate_geometric_rate,
-    equilibrium_from_bids,
-    iterate_best_response,
-    ne_bids_from_factors,
-    solve_ne,
-    threshold_price,
-    update_matrix,
+    EquilibriumResult, IterationTrace, NoEquilibrium, PriceSearchResult, calibrate_price, estimate_geometric_rate,
+    equilibrium_from_bids, iterate_best_response, ne_bids_from_factors, solve_ne, threshold_price, update_matrix,
 )
 from .experiments import (
-    MultiUserSpec,
-    Report,
-    TwoUserSweepSpec,
-    build_two_user_scenario,
-    emit_report,
-    positive_increase_variance,
-    report_from_json,
-    report_to_csv,
-    report_to_json,
-    run_multi_user,
-    run_two_user_sweep,
-    sample_topologies,
+    MultiUserSpec, Report, TwoUserSweepSpec, build_two_user_scenario, emit_report, positive_increase_variance,
+    report_from_json, report_to_csv, report_to_json, run_multi_user, run_two_user_sweep, sample_topologies,
     scenario_from_topology,
 )
 from .oracles import OracleAllocation, VcgResult, efficient_allocation, fair_allocation, vcg_auction

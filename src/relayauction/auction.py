@@ -25,7 +25,7 @@ demand's among them, and the power pi_hat, computed at its first read; it
 serves both auctions and the oracles, which read the core alone.  On it, one
 `_UserArrays` per rule adds that rule's critical prices, so that all factors
 at a price, or at a column of prices, are one array expression; each rule
-also inverts its demand and writes it on a piece of S in z = -price^(-1/2).
+also inverts its demand and solves S = level on a piece between two knots.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import LN2, NetworkScenario, SystemParams, UserLink, _log_gain
+from .numutil import falling_secular, rising_newton
 
 SNR = "snr"
 POWER = "power"
@@ -107,14 +108,13 @@ def _snr_pi_hat(core: "_Core") -> np.ndarray:
     return -w * core.k / g1
 
 
-def _snr_piece_excess(piece, z):
-    """_piece_excess of the SNR rule, piece (const, K, 1+g, b, b1c) on the users on the curve: each demand
-    b1c s / (b - s), s = K z^2 - 1 - g, is convex and falls in z, of slope 2 K z b1c b / (b - s)^2."""
-    const, k, g1, b, b1c = piece
-    s = k * (z * z) - g1
-    room = b - s
-    excess = np.add.reduce(b1c * s / room, axis=-1, keepdims=True) + const
-    return excess, np.add.reduce(b1c * b / (room * room), axis=-1, keepdims=True) * (2.0 * k * z)
+def _snr_root(users: "_UserArrays", on, need: float, lo: float, hi: float) -> float:
+    """The price in [lo, hi] where the users on the curve demand need in all, hi where S jumps there: in L = K / price
+    each demands b1c s / (b - s) at s = L - 1 - g, a secular sum solved from L = K / lo (numutil.falling_secular)."""
+    floor = x = users.k / hi
+    if need > 0.0:  # else S >= m >= level up to hi
+        x = falling_secular(users.g1[on], users.b[on], users.b1c[on], need, users.k / lo, floor, 4.0)[0]
+    return hi if x <= floor else users.k / x
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +164,18 @@ def _piece_excess(piece, z):
     root = np.sqrt(bsq + q2x4 * x)
     excess = np.add.reduce(b1c2 * (x - g1) / (q1 + root), axis=-1, keepdims=True) + const
     return excess, np.add.reduce(b1c2 * x / root, axis=-1, keepdims=True) / z
+
+
+def _power_root(users: "_UserArrays", on, need: float, lo: float, hi: float) -> float:
+    """The price in [lo, hi] where the users on the curve demand need: lo or hi where S jumps there, else rising Newton
+    in z (numutil.rising_newton) on their piece (_piece_excess) from the larger root of its tangents at both ends."""
+    piece = (-need, users.g1[on], *(c[on] for c in users.power_coef), 2.0 * users.b1c[on])
+    za, zb = -lo**-0.5, -hi**-0.5
+    (ea, eb), (da, db) = (v[:, 0].tolist() for v in _piece_excess(piece, np.array([[za], [zb]])))
+    if eb >= 0.0 or ea < 0.0:
+        return hi if eb >= 0.0 else lo
+    z = rising_newton(lambda z: [float(v[0]) for v in _piece_excess(piece, z)], max(za - ea / da, zb - eb / db))[0]
+    return 1.0 / z**2
 
 
 def _power_cutoff(core: "_Core") -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +234,7 @@ class _Rule:
     pi_hat: Callable  # (core) -> participation cutoffs
     price: Callable  # (users, power) -> the demand's inverse: the price of that power, 0 where r stays 0
     demand: Callable  # (users, price) -> power where the marginal rate meets the price, read past full_from
-    piece: Callable  # (users, on) -> the arrays of the demand's piece form for the users on the curve
-    excess: Callable  # ((const, *piece), z) -> const + their demands at z = -price^(-1/2), and its slope in z
+    root: Callable  # (users, on, need, lo, hi) -> the price in [lo, hi] where the users on the curve demand need
 
 
 _RULES = {
@@ -233,16 +244,14 @@ _RULES = {
         price=lambda users, x: users.k / (users.g1 + users.snr(x)),
         # the power of s = K / price - (1+g), at most P: near the SNR limit it can round past P
         demand=lambda users, price: np.minimum(users.power(users.k / price - users.g1), users.budget),
-        piece=lambda users, on: (users.k, users.g1[on], users.b[on], users.b1c[on]),
-        excess=_snr_piece_excess,
+        root=_snr_root,
     ),
     POWER: _Rule(
         charged=lambda p, s: p,
         pi_hat=lambda core: core.power_pi_hat,
         price=lambda users, x: np.where(users.gain_max > 0.0, users.slope(x), 0.0),
         demand=_power_demand,
-        piece=lambda users, on: (users.g1[on], *(c[on] for c in users.power_coef), 2.0 * users.b1c[on]),
-        excess=_piece_excess,
+        root=_power_root,
     ),
 }
 

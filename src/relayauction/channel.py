@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import reprlib
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -33,8 +35,8 @@ def _require_positive_finite(obj, *names: str) -> None:
     """Check each named field is finite and positive; store it as a float, which overflows without numpy's warnings."""
     for name in names:
         value = getattr(obj, name)
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
+        if not 0.0 < value <= sys.float_info.max:  # an int past it would overflow float()
+            raise ValueError(f"{name} must be finite and strictly positive, got {reprlib.repr(value)}")
         object.__setattr__(obj, name, float(value))
 
 
@@ -260,21 +262,22 @@ def _field(doc, key: str, where: str):
 
 
 def _is_number(value) -> bool:
-    """A real number and not a bool, which JSON writes as true or false."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number, but no bool, which JSON writes as true or false, and no integer past a float's range."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and (isinstance(value, float) or abs(value) <= sys.float_info.max)
 
 
 def _number(doc, key: str, where: str) -> float:
     value = _field(doc, key, where)
     if not _is_number(value):
-        raise ValueError(f"{where}{key} must be a number, got {value!r}")
+        raise ValueError(f"{where}{key} must be a number, got {reprlib.repr(value)}")
     return float(value)
 
 
 def _point(doc, key: str, where: str) -> Point:
     value = _field(doc, key, where)
     if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))):
-        raise ValueError(f"{where}{key} must be a pair of numbers, got {value!r}")
+        raise ValueError(f"{where}{key} must be a pair of numbers, got {reprlib.repr(value)}")
     return (float(value[0]), float(value[1]))
 
 

@@ -13,9 +13,10 @@ share one, and does not increase with the price: the existence threshold is
 where S drops below one, the calibrated price where it drops below the
 target.  One search serves both levels (_search): it narrows to the two knots,
 users' full_from and zero_from prices, between which S crosses the level and
-is a sum of closed forms, solves S = level there, and ends at adjacent floats
-t0 < t1 with S(t0) >= level > S(t1).  The threshold is t1; a calibration's
-bracket also decides whether the target is met above the threshold.
+is a sum of closed forms, solves S = level there by the rule's own root finder
+(rising Newton in z = -price^(-1/2) for power, a secular solver for SNR), and
+ends at adjacent floats t0 < t1 with S(t0) >= level > S(t1).  The threshold is
+t1; a calibration's bracket also decides whether the target is met above it.
 
 Synchronous best-response iteration is kept as a diagnostic.  It is a linear
 fixed-point iteration whose matrix has f_i in row i off the diagonal; its
@@ -34,7 +35,6 @@ import numpy as np
 
 from .auction import AuctionParams, _UserArrays, allocate
 from .channel import NetworkScenario, _log_gain
-from .numutil import rising_newton
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -239,9 +239,8 @@ def _search(users: _UserArrays, level: float) -> tuple[tuple, int]:
     For users with a regular one: S >= 1 at the largest divergence cutoff lo, and S = 0 at the last knot
     (the users' full_from and zero_from and next(lo)).  Between knots each user demands the budget, nothing
     or its rule's closed form.  The search narrows to the knots a < b that hold the crossing.  With one user
-    on the curve, its inverse demand gives the root; else the excess's piece form (_Rule.excess) just inside
-    a and b shows a jump at either end, or rising Newton in z = -price^(-1/2), where every demand on the
-    curve is convex and falls, solves S = level.  S is then asked at the 13 floats around that price.
+    on the curve, its inverse demand gives the root; else the rule's root finder on the piece (_Rule.root),
+    which finds a jump of S at either end too.  S is then asked at the 13 floats around that price.
     """
     lo = float(users.cutoff.max())
     knots = np.concatenate((users.full_from, users.zero_from, (lo, math.nextafter(lo, math.inf))))
@@ -258,13 +257,7 @@ def _search(users: _UserArrays, level: float) -> tuple[tuple, int]:
         if np.count_nonzero(on) == 1 and m < level:  # S = m + x / budget: the inverse demand at x is the root
             r = users.rule.price(users, (level - m) * users.budget)[on].item()
         else:
-            piece = ((m - level) * users.budget, *users.rule.piece(users, on))
-            excess, (za, zb) = users.rule.excess, (-x**-0.5 for x in _floats((i + 1, j - 1)))
-            (ea, eb), (da, db) = (v[:, 0].tolist() for v in excess(piece, np.array([[za], [zb]])))
-            r = b if eb >= 0.0 else a  # S jumps at b, else at a unless it crosses the level between
-            if eb < 0.0 <= ea:  # Newton from the larger root of the tangents at both ends, each below the root
-                start = max(za - ea / da, zb - eb / db)
-                r = 1.0 / rising_newton(lambda z: [float(v[0]) for v in excess(piece, z)], start)[0] ** 2
+            r = users.rule.root(users, on, (level - m) * users.budget, *_floats((i + 1, j - 1)))
         r = min(max(_bits((r,))[0], i + 1), j - 1)
         (i, j, si, sj), asked = _narrow(users, level, _floats, (i, j, si, sj), range(max(r - 6, i + 1), min(r + 7, j)))
         calls += asked

@@ -18,7 +18,8 @@ whose power demand and pi_hat it reads; no auction's thresholds are built), one 
 solve per level, and each problem sees the nodes it would see alone.  Each split comes back
 with its per-user gains, which the results and the payments read.  The fair allocation
 equalizes the marginal rate gain per unit of relayed SNR across participants at one SNR
-level 1 + u, the largest the budget allows, found by monotone Newton in u (_fair_level).
+level 1 + u, the largest the budget allows: the root of a secular sum, with a pole at each
+user's SNR limit, which numutil.falling_secular steps onto from its two nearest poles.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .auction import _Core, _piece_excess, _power_demand
 from .channel import NetworkScenario
+from .numutil import falling_secular
 
 # a node is closed once its bound is at most the incumbent times (1 + BOUND_RTOL)
 BOUND_RTOL = 1e-12
@@ -254,35 +256,13 @@ def efficient_allocation(scenario: NetworkScenario, delta: float = 0.01) -> Orac
     return _finish(core, x[0], gains[0], int(nodes[0]), float(gaps[0]))
 
 
-def _fair_level(core: _Core, active: np.ndarray) -> tuple[float, np.ndarray]:
-    """The active users' fair level less one, u, and their powers there: the first u that fits.
-
-    User i needs b1c_i t_i / (b_i - t_i) at t_i = u - g_i in (0, b_i), none below, infinite power above,
-    so the spare budget is concave and falls in u.  Plain Newton from min(g + snr_max), where the tightest
-    user alone needs the whole budget, falls monotonically onto its root, as for a secular equation (Bunch,
-    Nielsen & Sorensen, 1978).  Each step lowers u by an ulp at least, by one where some power is infinite.
-    """
-    u = float(np.minimum.reduce(np.where(active, core.g + core.snr_max, np.inf)))
-    for _ in range(64):
-        t = u - core.g
-        inside = active & (t > 0.0) & (t < core.b)
-        room = np.where(inside, core.b - t, 1.0)
-        powers = np.where(inside, core.b1c * t / room, np.where(active & (t > 0.0), np.inf, 0.0))
-        spare = core.budget - np.add.reduce(powers)
-        if spare >= 0.0:
-            break
-        slope = np.add.reduce(np.where(inside, core.b1c / room * (core.b / room), 0.0))
-        below = np.nextafter(u, 0.0)
-        u = below if np.isinf(spare) else min(u + spare / slope, below)
-    return u, powers
-
-
 def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAllocation:
     """Equal-marginal power split on budget P*(1-delta).
 
     Every participant ends at the same combined SNR level 1 + u (direct plus relayed), which equalizes
-    the marginal rate gain per unit of SNR; u is the largest the budget allows, to a few ulps
-    (_fair_level).  Users whose rate increase would not be positive there (u <= g (2 + g)) are dropped
+    the marginal rate gain per unit of SNR; u is the first that fits falling from the smallest g + snr_max,
+    so the largest that fits to a few ulps (numutil.falling_secular: user i needs b1c_i t_i / (b_i - t_i),
+    t_i = u - g_i).  Users whose rate increase would not be positive there (u <= g (2 + g)) are dropped
     and u solved again, from the users who can gain from the relay until the set is stable, each set
     once.  A round that drops only users given no power (u <= g) keeps its level; one that would drop
     every user keeps the one who gains most alone (the first on ties).
@@ -290,7 +270,8 @@ def fair_allocation(scenario: NetworkScenario, delta: float = 0.01) -> OracleAll
     core = _core(scenario, delta)
     g, active, powers = core.g, core.gain_max > 0.0, np.zeros(scenario.n_users)
     while active.any():
-        u, powers = _fair_level(core, active)
+        u = float(np.minimum.reduce(np.where(active, g + core.snr_max, np.inf)))
+        u, powers = falling_secular(np.where(active, g, u), core.b, core.b1c, core.budget, u)[:2]  # inactive: t <= 0
         drops = active & (u <= g * (2.0 + g))
         if not (drops & (u > g)).any():  # nobody dropped is given power: the level stands
             break

@@ -308,7 +308,7 @@ def test_invalid_parameters_rejected():
         path_gain((0, 0), (1, 0), 0.0)
 
 
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10**400])  # an int float() cannot hold
 def test_non_finite_inputs_rejected(bad):
     with pytest.raises(ValueError, match="gain_sd must be finite"):
         UserLink(0, 0.01, bad, 1e-8, 1e-9)

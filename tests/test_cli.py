@@ -184,6 +184,15 @@ def test_bad_scenario_missing_field(tmp_path, scenario_y0, capsys):
     _bad_input(capsys, argv, "system.pathloss_exponent is missing")
 
 
+def test_bad_scenario_integer_past_a_float(tmp_path, scenario_y0, capsys):
+    # a 400-digit JSON integer, which float() cannot convert, is named in one short line, not a traceback
+    doc = scenario_to_dict(scenario_y0)
+    doc["relay_budget_w"] = 10**400
+    path = _write_doc(tmp_path, doc)
+    argv = ["threshold-price", "--scenario", str(path), "--auction", "snr"]
+    _bad_input(capsys, argv, "relay_budget_w must be a number, got 1000")
+
+
 def test_bad_scenario_broken_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"system": {"bandwidth_hz": 1e6,')
@@ -218,6 +227,9 @@ def test_threshold_price_of_scenario_nobody_bids_in(tmp_path, capsys):
         (lambda d: d["system"].update(pathloss_exponent=True), "system.pathloss_exponent must be a number, got True"),
         (lambda d: d["users"][0].update(gain_sd="6.25e-10"), "users[0].gain_sd must be a number, got '6.25e-10'"),
         (lambda d: d.update(relay="12"), "relay must be a pair of numbers, got '12'"),
+        # nor is an integer past a float's range, which float() cannot convert
+        (lambda d: d.update(relay_budget_w=10**400), "relay_budget_w must be a number, got 1000000000"),
+        (lambda d: d["users"][0].update(source=[0.0, -(10**400)]), "users[0].source must be a pair of numbers"),
     ],
 )
 def test_scenario_from_dict_names_the_bad_field(scenario_y0, edit, message):

@@ -1,6 +1,5 @@
 """Best-response iteration, equilibrium solving, thresholds, calibration."""
 
-import dataclasses
 import math
 import pickle
 
@@ -586,10 +585,28 @@ def test_share_at_threshold_search_start_is_at_least_one(bench_spec):
         assert users.shares([math.nextafter(lo, 0.0), lo]).min() >= 1.0 and users.shares([end])[0] == 0.0
 
 
+def _count_pieces(monkeypatch, pieces: list) -> None:
+    """Record each evaluation of a piece of S in pieces: one per call of the power rule's piece form, at its
+    ends or a Newton step, and one per call of the SNR rule's secular solver."""
+    excess, secular = auction._piece_excess, auction.falling_secular
+
+    def excess_counted(piece, z):
+        pieces.append(np.shape(z))
+        return excess(piece, z)
+
+    def secular_counted(*args):
+        x, powers, calls = secular(*args)
+        pieces.extend([np.shape(powers)] * calls)
+        return x, powers, calls
+
+    monkeypatch.setattr(auction, "_piece_excess", excess_counted)
+    monkeypatch.setattr(auction, "falling_secular", secular_counted)
+
+
 def test_calibration_evaluates_factors_few_times(monkeypatch):
     # the evaluations are the array calls of S: the knots' call and the call at the floats around
-    # the root; the piece form's calls, its ends and the Newton steps, are counted apart (with one
-    # user on the curve, its inverse demand gives the root and no piece form is read)
+    # the root; the piece's evaluations are counted apart (_count_pieces; with one user on the
+    # curve, its inverse demand gives the root and no piece is read)
     calls, pieces = [], []
     shares = _UserArrays.shares
 
@@ -597,16 +614,8 @@ def test_calibration_evaluates_factors_few_times(monkeypatch):
         calls.append(np.shape(prices))
         return shares(self, prices)
 
-    def counted_excess(excess):
-        def excess_counted(piece, z):
-            pieces.append(np.shape(z))
-            return excess(piece, z)
-
-        return excess_counted
-
     monkeypatch.setattr(_UserArrays, "shares", counted)
-    for kind, rule in list(auction._RULES.items()):
-        monkeypatch.setitem(auction._RULES, kind, dataclasses.replace(rule, excess=counted_excess(rule.excess)))
+    _count_pieces(monkeypatch, pieces)
     res = calibrate_price(study_scenarios(1)[0], "power", 0.99)
     assert len(calls) == res.evaluations <= 5 and len(pieces) <= 8
     evaluations, piece_calls = [], []
@@ -616,8 +625,25 @@ def test_calibration_evaluates_factors_few_times(monkeypatch):
             evaluations.append(calibrate_price(s, kind, 0.99).evaluations)
             piece_calls.append(len(pieces))
     assert len(evaluations) == 32 and np.mean(evaluations) <= 4
-    # measured: 1.9 calls of S on average, and 3.3 of the piece form, at most 7
-    assert max(piece_calls) <= 8 and np.mean(piece_calls) <= 4
+    # measured: 1.9 calls of S on average, and 2.25 piece evaluations, at most 6 (3.3, at most 7,
+    # with Newton in z on the SNR pieces)
+    assert max(piece_calls) <= 6 and np.mean(piece_calls) <= 3
+
+
+def test_snr_pieces_take_one_evaluation_on_the_sweep(monkeypatch, bench_spec):
+    # every SNR piece that the sweep's calibrations and thresholds solve has two users on the curve,
+    # where the secular model is the sum: the evaluation at the piece's end steps onto the root, and the
+    # floats around it decide (measured: 1 per piece on 34 pieces; Newton in z took 5.82, at most 8)
+    pieces, per_piece = [], []
+    _count_pieces(monkeypatch, pieces)
+    for y in bench_spec.relay_ys():
+        sc = build_two_user_scenario(bench_spec, float(y))
+        regular = _UserArrays.of(sc, SNR).regular.any()
+        for search in (lambda: calibrate_price(sc, SNR, 0.99), lambda: regular and threshold_price(sc, SNR)):
+            pieces.clear()
+            search()
+            per_piece += [len(pieces)] if pieces else []
+    assert len(per_piece) >= 30 and max(per_piece) <= 1
 
 
 def test_calibration_search_asks_no_price_twice(monkeypatch, bench_spec):
