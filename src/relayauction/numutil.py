@@ -1,5 +1,6 @@
 """The package's monotone root finders, with no bracket or tolerance: rising Newton, for the power rule's piece of
-the aggregate share in z = -price^(-1/2), and a secular solver, for the SNR rule's piece and the fair oracle's level.
+the aggregate share with three or more users on the curve, in z = -price^(-1/2) (two have a closed form,
+auction._pair_price), and a secular solver, for the SNR rule's piece and the fair oracle's level.
 """
 
 from __future__ import annotations

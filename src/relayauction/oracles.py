@@ -7,10 +7,11 @@ the largest, over sets of participants, of a concave water-filling on the set (E
 multiplier method), and `efficient_allocation` finds it exactly by branch-and-bound over
 the sets (Udell & Boyd, "Maximizing a sum of sigmoids").  A node forces some users in,
 some out and leaves the rest free, relaxed to the concave envelope of r_i; its
-water-filling is the power auction's own demand at one multiplier per node, found by
-monotone Newton in lam^(-1/2) on the piece between tabulated breakpoints that holds it,
-and its dual value bounds every set below it.  A node whose relaxed split uses the whole
-budget is solved outright; else it branches on the free user whose envelope demand jumps
+water-filling is the power auction's own demand at one multiplier per node, found on the
+piece between tabulated breakpoints that holds it: in closed form where two users are on
+the curve there (auction._pair_price), else by monotone Newton in lam^(-1/2).  Its dual
+value bounds every set below it.  A node whose relaxed split uses the whole budget is
+solved outright; else it branches on the free user whose envelope demand jumps
 across the multiplier.  A user's pivot payment needs the welfare of the others without
 it: the same problem with that user forced out from the root.  The efficient problem and
 every such leave-one-out problem run as one search on the scenario's core (auction._Core,
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import _Core, _piece_excess, _power_demand
+from .auction import _Core, _pair_price, _piece_excess, _power_demand
 from .channel import NetworkScenario
 from .numutil import falling_secular
 
@@ -105,9 +106,11 @@ class _Relaxation:
         The excess falls in price, so the largest of them lo where it is > 0 (else half the
         smallest, where every participant demands the budget) opens the piece holding the
         root.  On it each participant demands the budget, nothing or its unclamped closed
-        form, so plain Newton from lo in z = -lam^(-1/2) rises monotonically onto the root
-        (_piece_excess).  A row stops at its first step within 1e-12 of its point and stays
-        frozen, so each row's root is the one it gets alone, to the bit.
+        form.  A row with two on the curve takes its root in closed form (_pair_price); one
+        with one or more than two runs plain Newton from lo in z = -lam^(-1/2), which rises
+        monotonically onto the root (_piece_excess).  A row stops at its first step within
+        1e-12 of its point and stays frozen, so each row's root is the one it gets alone, to
+        the bit.
         """
         core, points, n = self.core, self.points, self.jumps.size
         part = inn | free
@@ -122,7 +125,8 @@ class _Relaxation:
         piece = ((np.add.reduce(demands ^ curved, axis=1, keepdims=True) - 1.0) * core.budget, core.g1, q2x4, q1,
                  np.where(curved, bsq, 1.0), np.where(curved, kcb1, 0.0), np.where(curved, 2.0 * core.b1c, 0.0))
         z, step = -lo**-0.5, np.zeros(lo.shape)
-        live = np.logical_or.reduce(curved, axis=1, keepdims=True)  # elsewhere the excess is flat: lo is a root
+        pair = np.add.reduce(curved, axis=1) == 2  # in closed form (_pair_price)
+        live = np.logical_or.reduce(curved, axis=1, keepdims=True) & ~pair[:, None]  # with none, lo is a root
         for _ in range(64):
             if not np.logical_or.reduce(live, axis=None):
                 break
@@ -131,7 +135,11 @@ class _Relaxation:
             nxt = z - step
             z = np.where(live, nxt, z)
             live &= np.abs(step) > 1e-12 * np.abs(nxt)
-        return 1.0 / (z * z)[:, 0]
+        lam = 1.0 / (z * z)[:, 0]
+        if pair.any():
+            i, j = curved[pair].nonzero()[1].reshape(-1, 2).T
+            lam[pair] = _pair_price(core, i, j, -piece[0][pair, 0])
+        return lam
 
     def solve(self, inn: np.ndarray, free: np.ndarray):
         """Multiplier, split, dual bound, welfare and per-user gains of every node; each needs a participant.
@@ -141,9 +149,9 @@ class _Relaxation:
         is one pair of matrix products on the tables.  Its values at the free
         users' jumps either find the root on such a jump, where the relaxed
         split misses the budget, or show it lies off every jump, where one
-        monotone Newton search for all those rows finds it (_search).  The
-        bound lam B + sum_i max_x (f_i(x) - lam x), f_i the user's term,
-        holds at any lam >= 0.  The split is returned scaled onto the budget,
+        search for all those rows finds it (_search).  The bound
+        lam B + sum_i max_x (f_i(x) - lam x), f_i the user's term, holds at
+        any lam >= 0.  The split is returned scaled onto the budget,
         with each user's r_i there and the welfare sum_i r_i.
         """
         core, jumps, budget = self.core, self.jumps, self.core.budget
@@ -298,5 +306,7 @@ def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 40
     alone = np.zeros(scenario.n_users)
     alone[live] = gains[1:].sum(axis=1)
     others = base.total_rate_increase_bps - base.per_user_rate_increase_bps
+    # alone >= others exactly (the others' split uses at most the budget), but a payer given a tiny part of it
+    # gains less than an ulp of the total, and total - its gain can round above alone: the clamp stays
     payments = np.where(base.powers > 0.0, np.maximum(alone - others, 0.0), 0.0)
     return VcgResult(allocation=base, payments=payments)

@@ -71,8 +71,8 @@ def make_random_scenario(rng: np.random.Generator, n_users: int) -> NetworkScena
 
 
 @st.composite
-def wide_scenarios(draw, max_users=6):
-    """Scenarios over many decades, each quantity log-uniform: 1 to max_users users, noise
+def wide_scenarios(draw, max_users=6, min_users=1):
+    """Scenarios over many decades, each quantity log-uniform: min_users to max_users users, noise
     1e-30 to 1e-9 W, gains 1e-16 to 1e-3, source powers 1e-4 to 1 W, budget 1e-6 to 1e3 W.
 
     The values come from a generator on a drawn seed: Hypothesis's own floats crowd the ends
@@ -80,7 +80,7 @@ def wide_scenarios(draw, max_users=6):
     are assumed away.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = int(rng.integers(1, max_users + 1))
+    n = int(rng.integers(min_users, max_users + 1))
     system = SystemParams(1e6, 10.0 ** rng.uniform(-30, -9), 4.0)
     powers, gains = 10.0 ** rng.uniform(-4, 0, n), 10.0 ** rng.uniform(-16, -3, (n, 3))
     users = tuple(UserLink(i, float(powers[i]), *gains[i].tolist()) for i in range(n))

@@ -1,8 +1,10 @@
 """Auction mechanics: allocation, payments, best responses, critical prices."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -25,6 +27,7 @@ from relayauction.auction import (
     SNR,
     _Core,
     _power_cutoff,
+    _power_demand,
     _snr_pi_hat,
     _UserArrays,
 )
@@ -56,6 +59,7 @@ from conftest import (
 )
 
 BUDGET = 0.1
+PAIR_ULPS = 11.0  # _pair_price against its 50-digit root: 11 ulps at most over 21,000 two-user draws
 
 
 def argmax_grid(link, budget, sys):
@@ -748,6 +752,46 @@ def test_power_cutoff_point_maximizes_rate_per_watt(link, budget):
     else:
         assert p * slope - u >= -1e-12 * p * slope
     assert per_watt(p * (1 - 1e-6)) <= per_watt(p) * (1 + 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# two users on a power piece
+
+
+def _mp_pair_root(core, need: float, price: float):
+    """The 50-digit price at which both users' unclamped power demands (_power_demand, on their g, b, c and K) sum to
+    need, found within 1e-9 of price, where the sum must cross need."""
+    with mpmath.workdps(50):
+        mpf, terms = mpmath.mpf, []
+        for g, b, c in zip(*([mpf(v) for v in x.tolist()] for x in (core.g, core.b, core.c))):
+            terms.append((mpf(core.k) * c * b / (b + 1), 1 + g, 4 * (1 + g + b), 2 + 2 * g + b, b * b, (b + 1) / c))
+
+        def excess(y):  # at the price 1 / y, rising in y
+            return sum(2 * (kcb1 * y - g1) / (q1 + mpmath.sqrt(bsq + q2x4 * kcb1 * y)) * b1c
+                       for kcb1, g1, q2x4, q1, bsq, b1c in terms) - need
+
+        bracket = (1 / (price * (1 + mpf(1e-9))), 1 / (price * (1 - mpf(1e-9))))
+        assert excess(bracket[0]) < 0 < excess(bracket[1])
+        return float(1 / mpmath.findroot(excess, bracket, solver="anderson"))
+
+
+@given(sc=wide_scenarios(max_users=2, min_users=2), depth=st.floats(-15.0, 6.0))
+@example(sc=make_random_scenario(np.random.default_rng(0), 2), depth=-15.0)
+def test_pair_price_is_within_a_few_ulps_of_the_50_digit_root(sc, depth):
+    # the price at which two users on the curve demand need, at a price 10^depth relatively below the first
+    # slope(0), where one user leaves the curve (barely on it at depth -15), in both orders of the pair:
+    # swapping them scales the t^2 coefficient A by -1 / (r^2 rho), so both signs are read on every draw.
+    # measured: within 9 ulps here and over 6,000 more such draws (PAIR_ULPS); the price is read from
+    # h_i(t_i), which doubles t_i's rounding where t_i is large
+    core = _Core.of(sc)
+    price = float(core.slope(0.0).min()) / (1.0 + 10.0**depth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        need = float(_power_demand(core, price).sum())
+        assume(need > 0.0)
+        got = [float(auction._pair_price(core, i, j, need)) for i, j in ((0, 1), (1, 0))]
+    root = _mp_pair_root(core, need, got[0])
+    assert max(abs(p - root) for p in got) <= PAIR_ULPS * math.ulp(root)
 
 
 # ---------------------------------------------------------------------------
