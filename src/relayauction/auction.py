@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import LN2, NetworkScenario, SystemParams, UserLink, _log_gain
-from .numutil import falling_secular, rising_newton
+from .numutil import falling_secular
 
 SNR = "snr"
 POWER = "power"
@@ -167,7 +167,7 @@ def _piece_excess(piece, z):
 
 
 def _pair_price(core: "_Core", i, j, need):
-    """The price at which users i and j on the curve demand need > 0 in all, rowwise over index arrays i, j and need.
+    """The price at which users i and j on the curve demand need > 0 in all.
 
     Each demands b1c t where h(t) = q2 t^2 + q1 t + 1 + g meets K c b Y / (b+1), Y = 1 / price (_power_demand): the
     water-filling of two users at one multiplier (Udell & Boyd).  Along t_j = n - r t_i, n = need / b1c_j and
@@ -188,8 +188,9 @@ def _pair_price(core: "_Core", i, j, need):
 def _power_root(users: "_UserArrays", on, need: float, lo: float, hi: float) -> float:
     """The price in [lo, hi] where the users on the curve demand need.  Two users have it in closed form (_pair_price),
     clamped into [lo, hi], so that it is an end where S jumps there; far past hi, h_i can round to 0 or below, which
-    reads as hi.  With three or more, it is lo or hi where S jumps there, else rising Newton in z
-    (numutil.rising_newton) on their piece (_piece_excess) from the larger root of its tangents at both ends."""
+    reads as hi.  With three or more, it is lo or hi where S jumps there, else rising Newton in z on their piece
+    (_piece_excess), convex and falling, from the larger root of its tangents at both ends, where it is >= 0: it stops
+    at the first step that is not positive or no longer moves z, which only rounding brings about (at most 64)."""
     if np.count_nonzero(on) == 2:
         price = _pair_price(users, *on.nonzero()[0].tolist(), need)
         return min(max(price, lo), hi) if price > 0.0 else hi
@@ -198,8 +199,42 @@ def _power_root(users: "_UserArrays", on, need: float, lo: float, hi: float) -> 
     (ea, eb), (da, db) = (v[:, 0].tolist() for v in _piece_excess(piece, np.array([[za], [zb]])))
     if eb >= 0.0 or ea < 0.0:
         return hi if eb >= 0.0 else lo
-    z = rising_newton(lambda z: [float(v[0]) for v in _piece_excess(piece, z)], max(za - ea / da, zb - eb / db))[0]
+    z = max(za - ea / da, zb - eb / db)
+    for _ in range(64):
+        excess, slope = (float(v[0]) for v in _piece_excess(piece, z))
+        step = -excess / slope
+        if not (step > 0.0 and z + step != z):
+            break
+        z += step
     return 1.0 / z**2
+
+
+def _power_roots(core: "_Core", curved, need, lo):
+    """Each row's price from lo on where the users marked curved demand need (a column) in all, lo with none.
+
+    Every user on the curve demands its unclamped closed form there, which rows with two take in closed form
+    (_pair_price, one row at a time); the rest run plain Newton from lo in z = -price^(-1/2), which rises
+    monotonically onto the root (_piece_excess).  A row stops at its first step within 1e-12 of its point and stays
+    frozen, so each row's root is the one it gets alone, to the bit.
+    """
+    q2x4, q1, bsq, kcb1 = core.power_coef
+    piece = (-need, core.g1, q2x4, q1, np.where(curved, bsq, 1.0), np.where(curved, kcb1, 0.0),
+             np.where(curved, 2.0 * core.b1c, 0.0))
+    z, step = -lo**-0.5, np.zeros(lo.shape)
+    pair = np.add.reduce(curved, axis=1) == 2
+    live = np.logical_or.reduce(curved, axis=1, keepdims=True) & ~pair[:, None]  # with none, lo is a root
+    for _ in range(64):
+        if not np.logical_or.reduce(live, axis=None):
+            break
+        excess, slope = _piece_excess(piece, z)
+        np.divide(excess, slope, out=step, where=live)
+        nxt = z - step
+        z = np.where(live, nxt, z)
+        live &= np.abs(step) > 1e-12 * np.abs(nxt)
+    lam = 1.0 / (z * z)[:, 0]
+    for row in pair.nonzero()[0].tolist():
+        lam[row] = _pair_price(core, *curved[row].nonzero()[0].tolist(), need[row, 0].item())
+    return lam
 
 
 def _power_cutoff(core: "_Core") -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,8 @@ where S drops below one, the calibrated price where it drops below the
 target.  One search serves both levels (_search): it narrows to the two knots,
 users' full_from and zero_from prices, between which S crosses the level and
 is a sum of closed forms, solves S = level there by the rule's own root finder
-(for power, a closed form with two users on the curve and rising Newton in
-z = -price^(-1/2) with more; for SNR, a secular solver), and ends at adjacent
+(_Rule.root: for power, a closed form for two users on the curve, else rising
+Newton in z = -price^(-1/2); for SNR, the secular solver), and ends at adjacent
 floats t0 < t1 with S(t0) >= level > S(t1).  The threshold is t1; a
 calibration's bracket also decides whether the target is met above it.
 

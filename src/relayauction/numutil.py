@@ -1,30 +1,12 @@
-"""The package's monotone root finders, with no bracket or tolerance: rising Newton, for the power rule's piece of
-the aggregate share with three or more users on the curve, in z = -price^(-1/2) (two have a closed form,
-auction._pair_price), and a secular solver, for the SNR rule's piece and the fair oracle's level.
+"""The package's secular solver, a monotone root finder with no bracket or tolerance, for the SNR rule's pieces of
+the aggregate share and the fair oracle's level (the power rule's pieces are solved in auction, beside their form).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
-
-
-def rising_newton(f: Callable, z: float) -> tuple[float, int]:
-    """Newton's iterate on f from z, rising, and the calls of f; f(z) returns (f(z), f'(z)) as floats.
-
-    Where f is convex and falls, and f(z) >= 0, each step -f / f' is positive and no iterate passes the root.
-    It stops at the first step that is not positive or no longer moves the iterate, which only rounding brings
-    about (at most 64 steps).  A step may be longer than the last: near a pole the steps first grow.
-    """
-    for calls in range(1, 65):
-        value, slope = f(z)
-        step = -value / slope
-        if not (step > 0.0 and z + step != z):
-            break
-        z += step
-    return z, calls
 
 
 def falling_secular(shift, b, b1c, budget: float, x: float, floor: float = -math.inf, ulps: float = 0.0):

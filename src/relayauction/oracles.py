@@ -8,8 +8,8 @@ multiplier method), and `efficient_allocation` finds it exactly by branch-and-bo
 the sets (Udell & Boyd, "Maximizing a sum of sigmoids").  A node forces some users in,
 some out and leaves the rest free, relaxed to the concave envelope of r_i; its
 water-filling is the power auction's own demand at one multiplier per node, found on the
-piece between tabulated breakpoints that holds it: in closed form where two users are on
-the curve there (auction._pair_price), else by monotone Newton in lam^(-1/2).  Its dual
+piece between tabulated breakpoints that holds it, as the price search finds its price
+(auction._power_roots: a closed form for two users on the curve, else Newton).  Its dual
 value bounds every set below it.  A node whose relaxed split uses the whole budget is
 solved outright; else it branches on the free user whose envelope demand jumps
 across the multiplier.  A user's pivot payment needs the welfare of the others without
@@ -25,11 +25,12 @@ user's SNR limit, which numutil.falling_secular steps onto from its two nearest 
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import _Core, _pair_price, _piece_excess, _power_demand
+from .auction import _Core, _power_demand, _power_roots
 from .channel import NetworkScenario
 from .numutil import falling_secular
 
@@ -106,11 +107,7 @@ class _Relaxation:
         The excess falls in price, so the largest of them lo where it is > 0 (else half the
         smallest, where every participant demands the budget) opens the piece holding the
         root.  On it each participant demands the budget, nothing or its unclamped closed
-        form.  A row with two on the curve takes its root in closed form (_pair_price); one
-        with one or more than two runs plain Newton from lo in z = -lam^(-1/2), which rises
-        monotonically onto the root (_piece_excess).  A row stops at its first step within
-        1e-12 of its point and stays frozen, so each row's root is the one it gets alone, to
-        the bit.
+        form, and the root is the price search's, row by row (auction._power_roots).
         """
         core, points, n = self.core, self.points, self.jumps.size
         part = inn | free
@@ -121,25 +118,8 @@ class _Relaxation:
         # just above lo: who demands something, and of those who less than the budget
         demands = part & (lo < np.minimum(points[2 * n :], np.where(free, self.jumps, np.inf)))
         curved = demands & (core.slope_full <= lo)
-        q2x4, q1, bsq, kcb1 = core.power_coef
-        piece = ((np.add.reduce(demands ^ curved, axis=1, keepdims=True) - 1.0) * core.budget, core.g1, q2x4, q1,
-                 np.where(curved, bsq, 1.0), np.where(curved, kcb1, 0.0), np.where(curved, 2.0 * core.b1c, 0.0))
-        z, step = -lo**-0.5, np.zeros(lo.shape)
-        pair = np.add.reduce(curved, axis=1) == 2  # in closed form (_pair_price)
-        live = np.logical_or.reduce(curved, axis=1, keepdims=True) & ~pair[:, None]  # with none, lo is a root
-        for _ in range(64):
-            if not np.logical_or.reduce(live, axis=None):
-                break
-            excess, slope = _piece_excess(piece, z)
-            np.divide(excess, slope, out=step, where=live)
-            nxt = z - step
-            z = np.where(live, nxt, z)
-            live &= np.abs(step) > 1e-12 * np.abs(nxt)
-        lam = 1.0 / (z * z)[:, 0]
-        if pair.any():
-            i, j = curved[pair].nonzero()[1].reshape(-1, 2).T
-            lam[pair] = _pair_price(core, i, j, -piece[0][pair, 0])
-        return lam
+        need = (1.0 - np.add.reduce(demands ^ curved, axis=1, keepdims=True)) * core.budget
+        return _power_roots(core, curved, need, lo)
 
     def solve(self, inn: np.ndarray, free: np.ndarray):
         """Multiplier, split, dual bound, welfare and per-user gains of every node; each needs a participant.
@@ -305,8 +285,10 @@ def vcg_auction(scenario: NetworkScenario, delta: float = 0.01, grid_n: int = 40
     base = _finish(core, x[0], gains[0], int(nodes[0]), float(gaps[0]))
     alone = np.zeros(scenario.n_users)
     alone[live] = gains[1:].sum(axis=1)
-    others = base.total_rate_increase_bps - base.per_user_rate_increase_bps
-    # alone >= others exactly (the others' split uses at most the budget), but a payer given a tiny part of it
-    # gains less than an ulp of the total, and total - its gain can round above alone: the clamp stays
+    # the others' welfare, summed from their gains: the total less the payer's rounds by ulps of the total
+    split = gains[0].tolist()
+    others = np.array([math.fsum(split[:i] + split[i + 1 :]) for i in range(len(split))])
+    # alone >= others exactly (the others' split uses at most the budget), but not in floats: beside a payer given
+    # 3e-18 W, the other user is given the budget and an ulp, and gains 2 ulps more than alone; the clamp stays
     payments = np.where(base.powers > 0.0, np.maximum(alone - others, 0.0), 0.0)
     return VcgResult(allocation=base, payments=payments)

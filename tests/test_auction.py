@@ -134,6 +134,11 @@ def test_allocate_rejects_bad_bids():
         allocate([1.0, math.inf], 1.0, 0.1)
     with pytest.raises(ValueError):
         allocate([1.0], 0.0, 0.1)
+    with pytest.raises(ValueError, match="bids must be a flat vector"):
+        allocate([[1.0, 2.0]], 1.0, 0.1)
+    for budget in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="budget must be strictly positive"):
+            allocate([1.0], 1.0, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from relayauction import (
     relayed_snr_limit,
     save_scenario,
     scenario_from_dict,
+    scenario_from_geometry,
     scenario_to_dict,
 )
 from relayauction.auction import POWER, _Core, _power_cutoff, _UserArrays
@@ -297,6 +298,11 @@ def test_scenario_dict_positional_needs_relay():
     }
     with pytest.raises(ValueError):
         scenario_from_dict(doc)
+
+
+def test_scenario_from_geometry_rejects_unpaired_sources_and_destinations():
+    with pytest.raises(ValueError, match="sources and destinations must pair up"):
+        scenario_from_geometry([(0.0, 0.0), (0.0, 10.0)], [(100.0, 0.0)], (50.0, 0.0), 0.01, BENCH_SYSTEM, 0.1)
 
 
 def test_invalid_parameters_rejected():

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from relayauction import (
     NetworkScenario,
     PriceSearchResult,
     UserLink,
+    link_from_geometry,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -230,6 +233,8 @@ def test_threshold_price_of_scenario_nobody_bids_in(tmp_path, capsys):
         # nor is an integer past a float's range, which float() cannot convert
         (lambda d: d.update(relay_budget_w=10**400), "relay_budget_w must be a number, got 1000000000"),
         (lambda d: d["users"][0].update(source=[0.0, -(10**400)]), "users[0].source must be a pair of numbers"),
+        (lambda d: d.update(users={}), "users must be a JSON list"),
+        (lambda d: d.update(users=[]), "scenario needs at least one user"),
     ],
 )
 def test_scenario_from_dict_names_the_bad_field(scenario_y0, edit, message):
@@ -238,3 +243,19 @@ def test_scenario_from_dict_names_the_bad_field(scenario_y0, edit, message):
     with pytest.raises(ValueError) as err:
         scenario_from_dict(doc)
     assert message in str(err.value)
+
+
+def test_readme_scenario_file_derives_positional_gains(tmp_path, capsys):
+    # the README's example: user 0 gives positions and a top-level relay, user 1 explicit gains
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.DOTALL).group(1))
+    sc = scenario_from_dict(doc)
+    entry, relay = doc["users"][0], tuple(doc["relay"])
+    link = link_from_geometry(0, entry["source"], entry["destination"], relay, entry["source_power_w"], sc.system)
+    assert "gain_sd" not in entry and sc.relay == relay and sc.users[0] == link
+    assert (sc.users[1].gain_sd, sc.users[1].source) == (doc["users"][1]["gain_sd"], None)
+    assert scenario_from_dict(scenario_to_dict(sc)) == sc
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["threshold-price", "--scenario", str(path), "--auction", "power"]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold_price"] == threshold_price(sc, "power")

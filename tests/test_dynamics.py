@@ -1,5 +1,6 @@
 """Best-response iteration, equilibrium solving, thresholds, calibration."""
 
+import dataclasses
 import math
 import pickle
 
@@ -33,7 +34,7 @@ from relayauction import (
 )
 from relayauction import auction
 from relayauction.auction import POWER, SNR, _Core, _UserArrays
-from relayauction.dynamics import IterationTrace
+from relayauction.dynamics import DIVERGENCE_CAP_FACTOR, IterationTrace
 
 from conftest import (
     BENCH_SYSTEM,
@@ -98,6 +99,22 @@ def test_iterate_diverges_below_threshold(scenario_y0):
     th = threshold_price(scenario_y0, "snr")
     trace = iterate_best_response(scenario_y0, AuctionParams("snr", th * 0.9), np.array([1.0, 1.0]))
     assert trace.diverged
+
+
+def test_iterate_stops_at_the_divergence_cap_where_every_factor_is_finite(scenario_y0):
+    # below the power threshold every factor is finite here but S >= 1 (1.07), so the bids grow until one
+    # passes the cap (measured: 109 steps)
+    price = 0.9 * threshold_price(scenario_y0, "power")
+    assert np.isfinite(_UserArrays.of(scenario_y0, "power").factors(price)).all()
+    trace = iterate_best_response(scenario_y0, AuctionParams("power", price), np.array([1.0, 1.0]))
+    assert trace.diverged and not trace.converged and trace.n_steps > 1
+    assert trace.final_bids.max() > DIVERGENCE_CAP_FACTOR
+
+
+def test_iterate_rejects_a_tolerance_not_positive(scenario_y0):
+    for tol in (0.0, -1e-10, math.nan):
+        with pytest.raises(ValueError, match="tol must be strictly positive"):
+            iterate_best_response(scenario_y0, AuctionParams("snr", 1e5), np.array([1.0, 1.0]), tol=tol)
 
 
 def test_iterate_two_user_residual_ratio(scenario_y0):
@@ -663,6 +680,94 @@ def test_power_pieces_take_no_evaluation_on_the_sweep(monkeypatch, bench_spec):
     assert len(pairs) == 78 and pieces == []
 
 
+@pytest.fixture(scope="module")
+def power_pieces():
+    """Every power piece with three or more users on the curve that the calibrations and thresholds of 25 study
+    topologies solve (auction._power_root): its ends lo and hi, each call of its piece form recorded through
+    auction._piece_excess as (z, excess, slope), the price returned and, where Newton ran, that price's distance in
+    ulps from the 50-digit root of the piece."""
+    pieces, rule, excess = [], auction._RULES[POWER], auction._piece_excess
+
+    def recorded_excess(piece, z):
+        value = excess(piece, z)
+        pieces[-1]["calls"].append((z, *(v[..., 0].tolist() for v in value)))
+        pieces[-1]["piece"] = piece
+        return value
+
+    def recorded_root(users, on, need, lo, hi):
+        pieces.append({"lo": lo, "hi": hi, "on": np.count_nonzero(on), "calls": []})
+        pieces[-1]["price"] = price = rule.root(users, on, need, lo, hi)
+        return price
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(auction._RULES, POWER, dataclasses.replace(rule, root=recorded_root))
+        patch.setattr(auction, "_piece_excess", recorded_excess)
+        for sc in study_scenarios(25):
+            calibrate_price(sc, POWER, 0.99)
+            if _UserArrays.of(sc, POWER).regular.any():
+                threshold_price(sc, POWER)
+    pieces = [p for p in pieces if p["on"] >= 3]
+    for p in pieces:
+        if len(p["calls"]) > 1:
+            with mpmath.workdps(50):
+                (const,), *terms = ([mpmath.mpf(v) for v in np.ravel(c).tolist()] for c in p["piece"])
+
+                def f(z):  # the piece's excess in 50 digits (auction._piece_excess)
+                    return const + sum(b1c2 * (kcb1 * z * z - g1) / (q1 + mpmath.sqrt(bsq + q2x4 * kcb1 * z * z))
+                                       for g1, q2x4, q1, bsq, kcb1, b1c2 in zip(*terms))
+
+                z = mpmath.findroot(f, (-mpmath.mpf(p["lo"]) ** -0.5, -mpmath.mpf(p["hi"]) ** -0.5), solver="anderson")
+                root = 1 / z**2
+                p["ulps"] = float(abs(p["price"] - root) / math.ulp(float(root)))
+    return pieces
+
+
+def _newton_runs(pieces):
+    """The pieces that ran Newton, each with the z asked after the ends call, the excess and slope there."""
+    return [(p, [c[0] for c in p["calls"][1:]], [c[1] for c in p["calls"][1:]], [c[2] for c in p["calls"][1:]])
+            for p in pieces if len(p["calls"]) > 1]
+
+
+def _assert_rises_onto_the_root(p, zs):
+    # the z asked after the ends call rise strictly from above lo's, the price is the last one's, and it is
+    # within 5 ulps of the 50-digit root of the piece (measured: 4.59 at most, 0.72 in the median, on 126 runs)
+    assert -p["lo"] ** -0.5 < zs[0] and zs == sorted(set(zs)) and p["price"] == 1.0 / zs[-1] ** 2
+    assert p["ulps"] <= 5.0
+
+
+def test_power_root_rises_monotonically_onto_the_root(power_pieces):
+    # in z = -price^(-1/2) the piece is convex and falls, so from the larger root of its tangents at both ends,
+    # where the excess is >= 0, each Newton step rises and no step passes the root but by rounding: every z but
+    # the last has excess >= 0 (measured: 126 of 200 pieces run Newton, 3.69 calls each, at most 6)
+    runs = _newton_runs(power_pieces)
+    assert len(power_pieces) >= 150 and len(runs) >= 100
+    for p, zs, excess, _ in runs:
+        _assert_rises_onto_the_root(p, zs)
+        assert min(excess[:-1], default=0.0) >= 0.0 and len(zs) <= 8
+
+
+def test_power_root_stops_where_rounding_keeps_the_excess_above_zero(power_pieces):
+    # most runs stop at a step that is not positive; the rest where the excess stays > 0 at the root's float,
+    # so only the step that no longer moves z ends them (measured: 8 of 126 runs)
+    runs = _newton_runs(power_pieces)
+    above = [(p, zs, excess[-1], slope[-1]) for p, zs, excess, slope in runs if excess[-1] > 0.0]
+    for p, zs, excess, slope in above:
+        _assert_rises_onto_the_root(p, zs)
+        assert zs[-1] - excess / slope == zs[-1]
+    assert len(above) >= 4
+
+
+def test_power_root_is_an_end_where_s_jumps_there(power_pieces):
+    # the ends call decides a piece whose excess is < 0 at lo or >= 0 at hi: the root is that end, so Newton
+    # never starts where the excess is below 0 (measured: 74 of 200 pieces)
+    ends = [p for p in power_pieces if len(p["calls"]) == 1]
+    for p in ends:
+        _, (ea, eb), _ = p["calls"][0]
+        assert eb >= 0.0 or ea < 0.0
+        assert p["price"] == (p["hi"] if eb >= 0.0 else p["lo"])
+    assert len(ends) >= 50
+
+
 def test_calibration_search_asks_no_price_twice(monkeypatch, bench_spec):
     # every call of a calibration's search asks only prices that no earlier call of it asked:
     # each asks strictly inside the bracket it narrows, and a knot that users share once
@@ -762,6 +867,26 @@ def test_rate_estimate_requires_enough_steps():
     )
     with pytest.raises(ValueError):
         estimate_geometric_rate(trace)
+
+
+@pytest.mark.parametrize(
+    "residuals, converged, message",
+    [((0.1, 0.05, 0.025, 0.0125, 0.00625), False, "rate estimation needs a converged trace"),
+     # only two residuals above 1e-14 of the largest
+     ((1.0, 0.5, 1e-15, 1e-16, 0.0, 0.0), True, "too few usable residuals for a rate estimate")],
+)
+def test_rate_estimate_names_an_unusable_trace(residuals, converged, message):
+    trace = IterationTrace(residuals=residuals, final_bids=np.array([1.0]), converged=converged, diverged=False)
+    with pytest.raises(ValueError, match=message):
+        estimate_geometric_rate(trace)
+
+
+def test_calibration_rejects_a_target_outside_the_unit_interval_and_an_unknown_rule(scenario_y0):
+    for target in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"target_utilization must lie in \(0, 1\)"):
+            calibrate_price(scenario_y0, POWER, target)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        calibrate_price(scenario_y0, "bogus")
 
 
 def test_rate_estimate_below_one_on_converged_traces():

@@ -1,5 +1,5 @@
-"""The rising Newton iteration and the secular solver of the price search and the fair oracle, and the bracketed
-Newton root finding of the tests' references (conftest)."""
+"""The secular solver of the price search and the fair oracle, and the bracketed Newton root finding of the tests'
+references (conftest)."""
 
 import math
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relayauction.numutil import falling_secular, rising_newton
+from relayauction.numutil import falling_secular
 
 from conftest import newton_root
 
@@ -67,49 +67,6 @@ def test_newton_root_of_a_row_is_the_same_beside_rows_that_need_more_steps():
 def test_newton_root_rejects_unbracketed():
     with pytest.raises(ValueError):
         newton_root(lambda x: (x * x + 1.0, 2.0 * x), np.array([-1.0]), 1.0)
-
-
-def _recorded(f, asked):
-    """f, recording the points it is asked about."""
-
-    def recorded(z):
-        asked.append(z)
-        return f(z)
-
-    return recorded
-
-
-@given(
-    a=st.floats(1e-3, 1e3),
-    pole=st.floats(-10.0, 10.0),
-    c=st.floats(1e-3, 1e3),
-    frac=st.floats(1e-6, 1.0),
-)
-def test_rising_newton_rises_monotonically_onto_the_root(a, pole, c, frac):
-    # a / (z - pole) - c is convex and falls on z > pole, as the SNR rule's demands do near their
-    # SNR limit: from near the pole the steps first grow, then shrink onto the root
-    root = pole + a / c
-    z0 = pole + frac * (root - pole)
-    asked = []
-    z, calls = rising_newton(_recorded(lambda z: (a / (z - pole) - c, -a / (z - pole) ** 2), asked), z0)
-    assert asked[0] == z0 and asked == sorted(asked) and z == asked[-1] and calls == len(asked) < 64
-    # within 2 ulps of the larger of |root| and |root - pole| (measured: 1.67 on 20,000 draws)
-    with mpmath.workdps(40):
-        err = abs(mpmath.mpf(z) - (mpmath.mpf(pole) + mpmath.mpf(a) / mpmath.mpf(c)))
-    assert err <= 2 * math.ulp(max(abs(root), abs(root - pole)))
-
-
-def test_rising_newton_stops_where_rounding_keeps_f_above_zero():
-    # f stays positive at the root's float, so only the step that no longer moves the iterate ends it
-    root = 1.0 / 3.0
-    asked = []
-    z, calls = rising_newton(_recorded(lambda z: (max(root - z, 1e-300), -1.0), asked), 0.0)
-    assert (z, calls, asked) == (root, 2, [0.0, root])
-
-
-def test_rising_newton_stays_where_f_is_already_below_zero():
-    asked = []
-    assert rising_newton(_recorded(lambda z: (-z, -1.0), asked), 2.0) == (2.0, 1) and asked == [2.0]
 
 
 class _Shifts(np.ndarray):
